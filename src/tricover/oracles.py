@@ -196,9 +196,12 @@ def tau_star_lp_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult
     neg_value, z = _simplex_min(rows, cost, basis)
     value = -neg_value
     cover = {e: z[nv + e] for e in range(m) if z[nv + e]}
-    assert sum(cover.values(), Fraction(0)) == value
+    total = sum(cover.values(), Fraction(0))
+    if total != value:
+        raise ArithmeticError(f"LP cover witness sums to {total}, not the LP value {value}")
     for t in tris:
-        assert sum(cover.get(e, Fraction(0)) for e in t.edge_ids) >= 1
+        if sum(cover.get(e, Fraction(0)) for e in t.edge_ids) < 1:
+            raise NotACoverError(f"LP cover witness misses triangle {t.vertices}")
     return OracleResult(value, cover, 0)
 
 
@@ -428,7 +431,8 @@ def round_third_integral(g: Graph, f: ChargeAssignment) -> list[int]:
     thirds = sorted(e for e, v in f.numerators.items() if v == 1)
     side = _greedy_max_cut(g.n, [g.edges[e] for e in thirds])
     uncut = [e for e in thirds if side[g.edges[e][0]] == side[g.edges[e][1]]]
-    assert 2 * len(uncut) <= len(thirds)
+    if 2 * len(uncut) > len(thirds):
+        raise AssertionError(f"cut leaves {len(uncut)} of {len(thirds)} third-edges uncut")
     result = sorted(heavy | set(uncut))
 
     covered = set(result)

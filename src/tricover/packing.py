@@ -5,6 +5,20 @@ edge-disjoint ones, witnessing that the packing was not maximum.  The
 search enumerates removal sets that are connected under vertex sharing;
 a minimal improving swap always has that form because any added triangle
 bridging two removed ones shares a vertex with both.
+
+The search runs on integers.  The packed triangles it may remove (the
+candidates) get ids 0..c-1 in sorted order, so a removal set is a
+bitmask, vertex-sharing neighbours are bitmasks, and taking the lowest
+set bit first is taking the smallest triangle first.  Every triangle is
+an index into ``enumerate_triangles`` order with a 3-bit mask of its edge
+ids, and pairwise disjointness is a test on those masks.  Each
+non-packed triangle has a conflict mask: the candidates that pack one of
+its edges.  One that uses an edge packed outside the candidates can
+never be added and is dropped; the others are listed under their lowest
+conflicting candidate.  The pool for a removal mask ``rm`` is then the
+listed triangles of its members whose conflict mask lies inside ``rm``,
+in enumeration order.  ``local_search_packing`` enumerates the triangles
+and their masks once per graph, not once per swap.
 """
 
 from __future__ import annotations
@@ -26,7 +40,8 @@ class Packing:
 
     def __init__(self, g: Graph, triangles: list[Triangle]):
         self.g = g
-        self.triangles: tuple[Triangle, ...] = tuple(sorted(set(triangles)))
+        self._members: frozenset[Triangle] = frozenset(triangles)
+        self.triangles: tuple[Triangle, ...] = tuple(sorted(self._members))
         used: set[int] = set()
         for t in self.triangles:
             for e in t.edge_ids:
@@ -39,14 +54,13 @@ class Packing:
         return len(self.triangles)
 
     def __contains__(self, t: Triangle) -> bool:
-        return t in set(self.triangles)
+        return t in self._members
 
     def uses(self, eid: int) -> bool:
         return eid in self.used_edges
 
     def with_swap(self, cert: SwapCertificate) -> "Packing":
-        kept = [t for t in self.triangles if t not in set(cert.removed)]
-        return Packing(self.g, kept + list(cert.added))
+        return Packing(self.g, [*self._members.difference(cert.removed), *cert.added])
 
 
 def verify_packing(g: Graph, p: Packing) -> bool:
@@ -97,92 +111,112 @@ def greedy_packing(g: Graph, order_seed: int = 0) -> Packing:
     return Packing(g, chosen)
 
 
-def _connected_subsets(nodes: list[Triangle], nbrs: dict[Triangle, set[Triangle]], size: int):
-    """Connected size-`size` subsets of the vertex-sharing graph on `nodes`.
+def _edge_masks(tris: list[Triangle]) -> list[int]:
+    return [(1 << a) | (1 << b) | (1 << c) for a, b, c in (t.edge_ids for t in tris)]
 
-    Each subset is produced once: grown from its smallest member, the
-    frontier extended only with larger triangles, and every frontier
-    member either taken now or excluded from the rest of this root's
-    search tree.
+
+def _connected_subsets(nbrs: list[int], size: int):
+    """Connected size-`size` subsets of the vertex-sharing graph on ids 0..c-1.
+
+    ``nbrs[i]`` is the bitmask of the ids sharing a vertex with ``i``.
+    Each subset is produced once, as its ids in the order taken plus its
+    bitmask: grown from its lowest id, the frontier extended only with
+    higher ids, and every frontier member either taken now or excluded
+    from the rest of this root's search tree.  Frontier members are taken
+    lowest id first.
     """
-    for i, root in enumerate(nodes):
-        allowed = set(nodes[i + 1 :])
 
-        def grow(current: tuple[Triangle, ...], frontier: frozenset, excluded: frozenset):
-            if len(current) == size:
-                yield current
-                return
-            ex = set(excluded)
-            for t in sorted(frontier - excluded):
-                nxt = (frontier | (nbrs[t] & allowed)) - set(current) - {t}
-                yield from grow(current + (t,), frozenset(nxt), frozenset(ex))
-                ex.add(t)
+    def grow(current: tuple[int, ...], taken: int, frontier: int, excluded: int):
+        if len(current) == size:
+            yield current, taken
+            return
+        todo = frontier & ~excluded
+        while todo:
+            low = todo & -todo
+            t = low.bit_length() - 1
+            now_taken = taken | low
+            nxt = (frontier | (nbrs[t] & allowed)) & ~now_taken
+            yield from grow(current + (t,), now_taken, nxt, excluded)
+            excluded |= low
+            todo ^= low
 
-        yield from grow((root,), frozenset(nbrs[root] & allowed), frozenset())
+    for root in range(len(nbrs)):
+        allowed = -2 << root  # every id above root
+        yield from grow((root,), 1 << root, nbrs[root] & allowed, 0)
 
 
-def _disjoint_selection(pool: list[Triangle], need: int) -> list[Triangle] | None:
-    """Find `need` pairwise edge-disjoint triangles in pool, or None."""
-    chosen: list[Triangle] = []
-    used: set[int] = set()
+def _disjoint_selection(masks: list[int], need: int) -> list[int] | None:
+    """Positions of the first `need` pairwise disjoint masks in DFS order, or None."""
+    chosen: list[int] = []
 
-    def dfs(idx: int) -> bool:
+    def dfs(idx: int, used: int) -> bool:
         if len(chosen) == need:
             return True
-        if len(pool) - idx < need - len(chosen):
+        if len(masks) - idx < need - len(chosen):
             return False
-        for j in range(idx, len(pool)):
-            t = pool[j]
-            if any(e in used for e in t.edge_ids):
+        for j in range(idx, len(masks)):
+            if masks[j] & used:
                 continue
-            chosen.append(t)
-            used.update(t.edge_ids)
-            if dfs(j + 1):
+            chosen.append(j)
+            if dfs(j + 1, used | masks[j]):
                 return True
             chosen.pop()
-            used.difference_update(t.edge_ids)
         return False
 
-    return chosen if dfs(0) else None
+    return chosen if dfs(0, 0) else None
 
 
 def _find_swap(
     g: Graph,
     p: Packing,
+    tris: list[Triangle],
+    emasks: list[int],
+    candidates: tuple[Triangle, ...] | list[Triangle],
     max_swap: int,
-    eligible: list[Triangle] | None = None,
 ) -> SwapCertificate | None:
-    all_tris = enumerate_triangles(g)
-    packed = set(p.triangles)
-    free = [t for t in all_tris if not any(p.uses(e) for e in t.edge_ids)]
-    if free:
-        return SwapCertificate(removed=(), added=(free[0],))
+    """The first improving swap whose removals are a connected set of candidates.
 
-    candidates = list(p.triangles) if eligible is None else sorted(eligible)
-    nbrs: dict[Triangle, set[Triangle]] = {t: set() for t in candidates}
-    for i, a in enumerate(candidates):
-        va = set(a.vertices)
-        for b in candidates[i + 1 :]:
-            if va & set(b.vertices):
-                nbrs[a].add(b)
-                nbrs[b].add(a)
+    ``tris`` is ``enumerate_triangles(g)`` and ``emasks`` their edge
+    masks; ``candidates`` are packed triangles in sorted order.
+    """
+    # owner[e]: the bit of the candidate packing e, -1 for any other
+    # packed triangle, 0 when e is free
+    owner = [0] * g.m
+    for e in p.used_edges:
+        owner[e] = -1
+    at_vertex = [0] * g.n
+    for i, t in enumerate(candidates):
+        for e in t.edge_ids:
+            owner[e] = 1 << i
+        for v in t.vertices:
+            at_vertex[v] |= 1 << i
+    nbrs = [
+        (at_vertex[a] | at_vertex[b] | at_vertex[c]) & ~(1 << i)
+        for i, (a, b, c) in enumerate(t.vertices for t in candidates)
+    ]
 
-    nonpacked = [t for t in all_tris if t not in packed]
+    listed: list[list[tuple[int, int]]] = [[] for _ in candidates]
+    for i, t in enumerate(tris):
+        a, b, c = t.edge_ids
+        conflict = owner[a] | owner[b] | owner[c]
+        if conflict == 0:
+            return SwapCertificate(removed=(), added=(t,))
+        if conflict > 0 and t not in p:
+            listed[(conflict & -conflict).bit_length() - 1].append((i, conflict))
+
     for r in range(1, max_swap + 1):
-        for removal in _connected_subsets(candidates, nbrs, r):
-            freed = set()
-            for t in removal:
-                freed.update(t.edge_ids)
-            pool = [
-                t
-                for t in nonpacked
-                if all(e in freed or not p.uses(e) for e in t.edge_ids)
-            ]
+        for removal, rm in _connected_subsets(nbrs, r):
+            pool = sorted(
+                i for c in removal for i, conflict in listed[c] if not conflict & ~rm
+            )
             if len(pool) <= r:
                 continue
-            found = _disjoint_selection(pool, r + 1)
+            found = _disjoint_selection([emasks[i] for i in pool], r + 1)
             if found is not None:
-                return SwapCertificate(removed=removal, added=tuple(found))
+                return SwapCertificate(
+                    removed=tuple(candidates[c] for c in removal),
+                    added=tuple(tris[pool[j]] for j in found),
+                )
     return None
 
 
@@ -190,7 +224,8 @@ def improve_packing(g: Graph, p: Packing, max_swap: int = 5) -> SwapCertificate 
     """One improving swap of size <= max_swap in the connected neighborhood, or None."""
     if max_swap < 1:
         raise ValueError("max_swap must be >= 1")
-    return _find_swap(g, p, max_swap)
+    tris = enumerate_triangles(g)
+    return _find_swap(g, p, tris, _edge_masks(tris), p.triangles, max_swap)
 
 
 def targeted_swap(
@@ -207,14 +242,17 @@ def targeted_swap(
         for t in p.triangles
         if any(g.edges[e][0] in verts1 or g.edges[e][1] in verts1 for e in t.edge_ids)
     ]
-    return _find_swap(g, p, max_swap, eligible=eligible)
+    tris = enumerate_triangles(g)
+    return _find_swap(g, p, tris, _edge_masks(tris), eligible, max_swap)
 
 
 def local_search_packing(g: Graph, seed: int = 0, max_swap: int = 5) -> Packing:
     """Greedy packing improved until no swap of size <= max_swap is found."""
+    if max_swap < 1:
+        raise ValueError("max_swap must be >= 1")
     p = greedy_packing(g, seed)
-    while True:
-        cert = improve_packing(g, p, max_swap)
-        if cert is None:
-            return p
+    tris = enumerate_triangles(g)
+    emasks = _edge_masks(tris)
+    while (cert := _find_swap(g, p, tris, emasks, p.triangles, max_swap)) is not None:
         p = p.with_swap(cert)
+    return p

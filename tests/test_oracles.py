@@ -1,6 +1,10 @@
 """Exact baselines, LP bound, rounding and order composition."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -177,3 +181,50 @@ def test_compose_missing_inputs():
         compose_order_k(ChargeAssignment(2, {}), None, 5)
     with pytest.raises(MissingInputError):
         compose_order_k(None, ChargeAssignment(3, {}), 4)
+
+
+def test_witness_checks_raise_under_optimize_flag():
+    # python -O strips asserts; these checks must still fire there
+    script = textwrap.dedent(
+        """
+        from fractions import Fraction
+        import tricover.oracles as o
+        from tricover import ChargeAssignment
+        from tricover.errors import NotACoverError
+        from tricover.generators import complete_graph
+
+        solve = o._simplex_min
+
+        def misplaced(rows, cost, basis):
+            # the LP value, all of it on edge 0: right total, not a cover
+            value, z = solve(rows, cost, basis)
+            z = [Fraction(0)] * len(z)
+            z[len(cost) - len(rows)] = -value
+            return value, z
+
+        def inflated(rows, cost, basis):
+            value, z = solve(rows, cost, basis)
+            return value, [2 * v for v in z]
+
+        for corrupt, expected in ((misplaced, NotACoverError), (inflated, ArithmeticError)):
+            o._simplex_min = corrupt
+            try:
+                o.tau_star_lp_exact(complete_graph(4))
+            except expected:
+                print(expected.__name__)
+        o._simplex_min = solve
+
+        o._greedy_max_cut = lambda n, edges: [0] * n
+        try:
+            o.round_third_integral(complete_graph(4), ChargeAssignment(3, {e: 1 for e in range(6)}))
+        except AssertionError:
+            print("AssertionError")
+        """
+    )
+    src_dir = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["NotACoverError", "ArithmeticError", "AssertionError"]
