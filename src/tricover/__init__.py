@@ -21,18 +21,7 @@ from .oracles import (
     tau_exact,
     tau_star_k_exact,
 )
-from .order2 import (
-    build_chains,
-    build_lend,
-    check_demand_lemma,
-    compute_demanding,
-    compute_f_fix,
-    discharge,
-    discharge_and_pin,
-    initial_half_charge,
-    pin,
-    run_order2,
-)
+from .order2 import run_order2
 from .packing import (
     Packing,
     SwapCertificate,
@@ -43,7 +32,7 @@ from .packing import (
     verify_packing,
     verify_swap,
 )
-from .pipeline import CoverResult, cover, cover_order2, certificate_obj, verify_certificate
+from .pipeline import CoverResult, cover, certificate_obj, verify_certificate
 from .structure import (
     SolutionStructure,
     StructureViolation,
@@ -67,32 +56,22 @@ __all__ = [
     "StructureViolation",
     "SwapCertificate",
     "Triangle",
-    "build_chains",
     "build_graph",
-    "build_lend",
     "build_structure",
     "certificate_obj",
     "charge_order3",
     "charge_order6",
-    "check_demand_lemma",
     "check_structure",
     "compose_order_k",
-    "compute_demanding",
-    "compute_f_fix",
     "cover",
-    "cover_order2",
-    "discharge",
-    "discharge_and_pin",
     "enumerate_triangles",
     "format_edge_list",
     "generate",
     "greedy_packing",
     "improve_packing",
-    "initial_half_charge",
     "local_search_packing",
     "nu_exact",
     "parse_edge_list",
-    "pin",
     "read_edge_list",
     "round_third_integral",
     "run_order2",

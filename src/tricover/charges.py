@@ -1,9 +1,14 @@
-"""Exact fractional charge assignments and the order-6 / order-3 engines.
+"""Exact fractional charge assignments, the credit ledger, and the
+order-6 / order-3 engines.
 
 Weights are integer numerators over a fixed denominator (the order), so
-all verification is exact rational arithmetic.  Each packed triangle
-distributes credits to nearby edges; contributions from different packed
-triangles accumulate.
+all verification is exact rational arithmetic.  Every charging engine
+(orders 6, 3 and 2) books its credits on one ``Ledger``: each packed
+triangle places numerators on nearby edges, its contributions are kept
+apart from everyone else's so a triangle's whole share can be replaced,
+and contributions from different packed triangles accumulate per edge.
+``Ledger.to_assignment`` makes the single check that no edge went above
+weight one.
 """
 
 from __future__ import annotations
@@ -36,16 +41,6 @@ class ChargeAssignment:
     def support(self) -> list[int]:
         return sorted(e for e, v in self.numerators.items() if v)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "order": self.order,
-            "weights": [[e, self.numerators[e]] for e in self.support()],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "ChargeAssignment":
-        return cls(int(obj["order"]), {int(e): int(v) for e, v in obj["weights"]})
-
 
 @dataclass(frozen=True)
 class Report:
@@ -76,27 +71,47 @@ def verify_cover(g: Graph, f: ChargeAssignment, packing_size: int) -> Report:
     )
 
 
-class _Ledger:
-    """Accumulates one packed triangle's credits onto edges."""
+class Ledger:
+    """Credit numerators over a fixed order, kept per packed triangle.
+
+    ``numerators`` is the per-edge sum of every triangle's ``contrib``.
+    """
 
     def __init__(self, order: int):
         self.order = order
         self.numerators: dict[int, int] = {}
-        self.per_triangle: dict[Triangle, Fraction] = {}
+        self.contrib: dict[Triangle, dict[int, int]] = {}
 
     def give(self, psi: Triangle, eid: int, num: int) -> None:
         self.numerators[eid] = self.numerators.get(eid, 0) + num
-        self.per_triangle[psi] = self.per_triangle.get(psi, Fraction(0)) + Fraction(
-            num, self.order
-        )
+        m = self.contrib.setdefault(psi, {})
+        m[eid] = m.get(eid, 0) + num
 
-    def finish(self, g: Graph) -> ChargeAssignment:
-        over = [e for e, v in self.numerators.items() if v > self.order]
+    def replace(self, psi: Triangle, mapping: dict[int, int]) -> None:
+        """Swap out the whole contribution of ``psi`` for ``mapping``."""
+        for e, num in self.contrib.get(psi, {}).items():
+            self.numerators[e] -= num
+        self.contrib[psi] = {}
+        for e, num in mapping.items():
+            self.give(psi, e, num)
+
+    def f(self, eid: int) -> Fraction:
+        return Fraction(self.numerators.get(eid, 0), self.order)
+
+    def spent(self, psi: Triangle) -> Fraction:
+        return Fraction(sum(self.contrib.get(psi, {}).values()), self.order)
+
+    def to_assignment(self) -> ChargeAssignment:
+        over = sorted(e for e, v in self.numerators.items() if v > self.order)
         if over:
             raise InternalChargeError(
-                f"edge weight above one on edges {sorted(over)}", focus_edges=over
+                f"edge weight above one on edges {over}", focus_edges=over
             )
-        return ChargeAssignment(self.order, dict(self.numerators), dict(self.per_triangle))
+        return ChargeAssignment(
+            self.order,
+            {e: v for e, v in self.numerators.items() if v},
+            {psi: self.spent(psi) for psi in self.contrib},
+        )
 
 
 def _require_valid(s: SolutionStructure) -> None:
@@ -116,7 +131,7 @@ def charge_order6(s: SolutionStructure) -> ChargeAssignment:
     type-3: 1/3 on all six edges of its K4.
     """
     _require_valid(s)
-    led = _Ledger(6)
+    led = Ledger(6)
     for psi in s.packing.triangles:
         i = s.info[psi]
         if i.type == 0:
@@ -138,7 +153,7 @@ def charge_order6(s: SolutionStructure) -> ChargeAssignment:
         else:
             for e in s.k4_region_edges(psi):
                 led.give(psi, e, 2)
-    return led.finish(s.g)
+    return led.to_assignment()
 
 
 def charge_order3(s: SolutionStructure) -> ChargeAssignment:
@@ -151,7 +166,7 @@ def charge_order3(s: SolutionStructure) -> ChargeAssignment:
     """
     _require_valid(s)
     g = s.g
-    led = _Ledger(3)
+    led = Ledger(3)
     singles: list[Triangle] = []
     for psi in s.packing.triangles:
         i = s.info[psi]
@@ -188,10 +203,10 @@ def charge_order3(s: SolutionStructure) -> ChargeAssignment:
                 led.give(psi, own_nonbase, 2)
 
     _spend_spare_thirds(s, led)
-    return led.finish(s.g)
+    return led.to_assignment()
 
 
-def _spend_spare_thirds(s: SolutionStructure, led: _Ledger) -> None:
+def _spend_spare_thirds(s: SolutionStructure, led: Ledger) -> None:
     """Cover leftovers with the thirds the main scheme never spent.
 
     Type-1 triangles with several attachments only use 5/3 of their two
@@ -219,7 +234,7 @@ def _spend_spare_thirds(s: SolutionStructure, led: _Ledger) -> None:
         return [
             psi
             for psi in s.packing.triangles
-            if two - led.per_triangle.get(psi, Fraction(0)) >= Fraction(1, 3)
+            if two - led.spent(psi) >= Fraction(1, 3)
         ]
 
     missing = uncovered()

@@ -57,10 +57,6 @@ class AlreadySpentError(TricoverError):
     pass
 
 
-class LendOutDegreeError(TricoverError):
-    pass
-
-
 class InternalChargeError(TricoverError):
     """Charging produced an impossible state; carries repair focus edges.
 

@@ -108,11 +108,22 @@ def triangles_on_edge(g: Graph, eid: int) -> list[Triangle]:
     return [g.triangle(u, v, w) for w in common]
 
 
+def _int_pair(row: list[str], expected: str) -> tuple[int, int]:
+    if len(row) == 2:
+        try:
+            return int(row[0]), int(row[1])
+        except ValueError:
+            pass
+    raise VertexOutOfRangeError(f"bad line {' '.join(row)!r}, expected {expected!r}")
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format.
 
-    First meaningful line is ``n m``, followed by m lines ``u v``
-    (0-based).  Blank lines and lines starting with '#' are ignored.
+    First meaningful line is ``n m`` with ``n >= 0``, followed by m lines
+    ``u v`` (0-based).  Blank lines and lines starting with '#' are
+    ignored.  Malformed text raises VertexOutOfRangeError; a valid text
+    with a bad edge raises it, SelfLoopError or DuplicateEdgeError.
     """
     rows: list[list[str]] = []
     for line in text.splitlines():
@@ -122,14 +133,12 @@ def parse_edge_list(text: str) -> Graph:
         rows.append(stripped.split())
     if not rows:
         raise VertexOutOfRangeError("empty edge-list input")
-    header = rows[0]
-    if len(header) != 2:
-        raise VertexOutOfRangeError(f"bad header {' '.join(header)!r}, expected 'n m'")
-    n, m = int(header[0]), int(header[1])
+    n, m = _int_pair(rows[0], "n m")
+    if n < 0:
+        raise VertexOutOfRangeError(f"negative vertex count {n}")
     if len(rows) - 1 != m:
         raise VertexOutOfRangeError(f"header claims {m} edges, found {len(rows) - 1}")
-    edges = [(int(r[0]), int(r[1])) for r in rows[1:]]
-    return build_graph(n, edges)
+    return build_graph(n, [_int_pair(r, "u v") for r in rows[1:]])
 
 
 def format_edge_list(g: Graph) -> str:

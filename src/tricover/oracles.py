@@ -209,7 +209,6 @@ def tau_star_k_exact(
     g: Graph,
     k: int,
     cap: int = DEFAULT_TRIANGLE_CAP,
-    warm_start: ChargeAssignment | None = None,
 ) -> OracleResult:
     """Minimum total of a (1/k)-integral assignment hitting every triangle.
 
@@ -226,14 +225,10 @@ def tau_star_k_exact(
     m = g.m
     tri_edges = [t.edge_ids for t in tris]
 
-    # incumbent: warm start if given, else an integral cover at value k
-    if warm_start is not None and warm_start.order == k:
-        best_y = [warm_start.numerators.get(e, 0) for e in range(m)]
-        best_units = sum(best_y)
-    else:
-        cover = set(tau_exact(g, cap).witness)
-        best_y = [k if e in cover else 0 for e in range(m)]
-        best_units = k * len(cover)
+    # incumbent: an integral cover at value k
+    cover = set(tau_exact(g, cap).witness)
+    best_y = [k if e in cover else 0 for e in range(m)]
+    best_units = k * len(cover)
 
     # the LP optimum bounds every node from below globally; when its
     # primal witness is already (1/k)-integral it solves the instance

@@ -6,10 +6,13 @@ fixed/flexible charge split, demanding-triangle analysis, and the final
 discharge-and-pin loop that spends the spare half credit of type-0
 triangles while rotating the flexible K4 charges.
 
-Charge bookkeeping is per packed triangle: each triangle owns a map from
-edge ids to the credit it placed there, so rotations replace one
-triangle's contribution without touching anyone else's and the budget
-check (at most 2 credits each) is a one-line sum.
+Charge bookkeeping is the shared ``charges.Ledger`` at order 2, so every
+numerator counts half credits: a half on an edge is numerator 1, a full
+unit is 2.  The ledger keeps each packed triangle's contribution apart,
+so a rotation replaces one triangle's share without touching anyone
+else's, and the budget check (at most 2 credits each) is a sum over it.
+Values read back through ``f``, ``spent`` and ``fix_value`` are exact
+``Fraction``s.
 """
 
 from __future__ import annotations
@@ -17,89 +20,41 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .charges import ChargeAssignment
+from .charges import ChargeAssignment, Ledger
 from .errors import (
     AlreadyPinnedError,
     AlreadySpentError,
     ExistenceInAViolatedError,
-    InternalChargeError,
     PinBaseEdgeError,
     StructureInvalidError,
 )
 from .graph import Graph, Triangle
 from .structure import SolutionStructure, check_structure
 
-HALF = Fraction(1, 2)
-ZERO = Fraction(0)
+HALF = Fraction(1, 2)  # the weight of one half credit, numerator 1 at order 2
 
 
 # ---------------------------------------------------------------------------
 # charge state
 
-class ChargeState:
-    """Mutable per-triangle credit ledger over half-integral weights."""
+class ChargeState(Ledger):
+    """The order-2 ledger plus the state of the discharge-and-pin loop."""
 
     def __init__(self, s: SolutionStructure):
+        super().__init__(2)
         self.structure = s
         self.g: Graph = s.g
-        self.contrib: dict[Triangle, dict[int, Fraction]] = {}
-        self._f: dict[int, Fraction] = {}
         self.extra_spent: set[Triangle] = set()
         self.pinned: set[Triangle] = set()
-        self.f_fix: dict[int, Fraction] | None = None
-        self.flexible_edges: frozenset[int] = frozenset()
-
-    def f(self, eid: int) -> Fraction:
-        return self._f.get(eid, ZERO)
-
-    def spent(self, psi: Triangle) -> Fraction:
-        return sum(self.contrib.get(psi, {}).values(), ZERO)
-
-    def set_contrib(self, psi: Triangle, mapping: dict[int, Fraction]) -> None:
-        for e, amt in self.contrib.get(psi, {}).items():
-            self._f[e] -= amt
-        self.contrib[psi] = dict(mapping)
-        for e, amt in mapping.items():
-            self._f[e] = self._f.get(e, ZERO) + amt
-
-    def add_contrib(self, psi: Triangle, eid: int, amt: Fraction) -> None:
-        m = self.contrib.setdefault(psi, {})
-        m[eid] = m.get(eid, ZERO) + amt
-        self._f[eid] = self._f.get(eid, ZERO) + amt
+        self.f_fix: dict[int, int] | None = None
 
     def satisfied(self, psi: Triangle) -> bool:
-        return all(self.f(e) >= HALF for e in psi.edge_ids)
+        return all(self.numerators.get(e, 0) >= 1 for e in psi.edge_ids)
 
     def fix_value(self, eid: int) -> Fraction:
         if self.f_fix is None:
             raise ValueError("f_fix not computed yet")
-        return self.f_fix.get(eid, ZERO)
-
-    def to_assignment(self) -> ChargeAssignment:
-        nums: dict[int, int] = {}
-        for e, val in self._f.items():
-            doubled = val * 2
-            if doubled.denominator != 1:
-                raise InternalChargeError(
-                    f"non half-integral weight {val} on edge {e}", focus_edges=[e]
-                )
-            if doubled.numerator > 2:
-                raise InternalChargeError(
-                    f"edge weight {val} above one on edge {e}", focus_edges=[e]
-                )
-            if doubled.numerator:
-                nums[e] = int(doubled)
-        ledger = {psi: self.spent(psi) for psi in self.contrib}
-        return ChargeAssignment(2, nums, ledger)
-
-
-def _k4_edges(s: SolutionStructure, psi: Triangle, anchor: int) -> list[int]:
-    g = s.g
-    return list(psi.edge_ids) + [g.edge_id(x, anchor) for x in psi.vertices]
-
-
-def _spokes(s: SolutionStructure, psi: Triangle, anchor: int) -> list[int]:
-    return [s.g.edge_id(x, anchor) for x in psi.vertices]
+        return Fraction(self.f_fix.get(eid, 0), 2)
 
 
 def initial_half_charge(s: SolutionStructure) -> ChargeState:
@@ -117,12 +72,12 @@ def initial_half_charge(s: SolutionStructure) -> ChargeState:
     for psi in s.packing.triangles:
         i = s.info[psi]
         if i.type == 0:
-            cs.set_contrib(psi, {e: HALF for e in psi.edge_ids})
+            cs.replace(psi, {e: 1 for e in psi.edge_ids})
         elif i.type == 1:
             base = next(iter(i.base_edges))
-            m = {e: HALF for e in psi.edge_ids if e != base}
-            m[base] = Fraction(1)
-            cs.set_contrib(psi, m)
+            m = {e: 1 for e in psi.edge_ids if e != base}
+            m[base] = 2
+            cs.replace(psi, m)
         else:
             a = i.anchor
             smin = min(psi.vertices)
@@ -131,11 +86,11 @@ def initial_half_charge(s: SolutionStructure) -> ChargeState:
                 e for e in psi.edge_ids if smin not in g.edges[e]
             )
             m = {
-                e: HALF
-                for e in _k4_edges(s, psi, a)
+                e: 1
+                for e in s.k4_region_edges(psi)
                 if e not in (null_spoke, null_solution)
             }
-            cs.set_contrib(psi, m)
+            cs.replace(psi, m)
     return cs
 
 
@@ -199,7 +154,6 @@ class ChainLink:
     psi: Triangle
     base: int
     gain: int  # g_i, an edge of the predecessor
-    common_vertex: int
     anchor: int
     legs: tuple[int, int]  # non-solution edges of the attachment
     h: int | None = None  # own edge given 1/2 when a successor joins
@@ -214,13 +168,8 @@ class Chain:
     satisfied: bool = False
     terminated: bool = False
     zero_sized: bool = False
-    head_anchor: int | None = None
-    head_null_spoke: int | None = None
     head_half_spokes: tuple[int, int] | None = None
-    tail_h: int | None = None
-    tail_g_next: int | None = None
-    tail_e1: int | None = None
-    tail_e2: int | None = None
+    tail_g_next: int | None = None  # the unsatisfied tail's other non-base edge
 
     @property
     def size(self) -> int:
@@ -320,24 +269,22 @@ def build_chains(
                     base = next(iter(s.info[tail].base_edges))
                     for ne in tail.edge_ids:
                         if ne != base:
-                            cs.add_contrib(tail, ne, HALF)
+                            cs.give(tail, ne, 1)
                             fixed_half.add(ne)
                             queue.append(ne)
                     c.satisfied = True
             # unsatisfied type-3 triangles outside every chain
             if s.owner(e) is None:
                 for psi in unsat_nonhead_threes():
-                    a = s.info[psi].anchor
-                    spokes = _spokes(s, psi, a)
+                    spokes = s.k4_region_edges(psi)[3:]
                     if e not in spokes:
                         continue
                     other = min(x for x in spokes if x != e)
-                    m = {se: HALF for se in psi.edge_ids}
-                    m[other] = HALF
-                    cs.set_contrib(psi, m)
+                    m = {se: 1 for se in psi.edge_ids}
+                    m[other] = 1
+                    cs.replace(psi, m)
                     zc = Chain(
-                        head=psi, satisfied=True, terminated=True,
-                        zero_sized=True, head_anchor=a,
+                        head=psi, satisfied=True, terminated=True, zero_sized=True
                     )
                     chains.append(zc)
                     by_triangle[psi] = zc
@@ -364,32 +311,24 @@ def build_chains(
             break
         arc = starts[0]
         head, psi1 = arc.dst, arc.src
-        a0 = s.info[head].anchor
-        spokes = _spokes(s, head, a0)
-        null_spoke = g.edge_id(arc.common_vertex, a0)
+        spokes = s.k4_region_edges(head)[3:]
+        null_spoke = g.edge_id(arc.common_vertex, s.info[head].anchor)
         half_spokes = tuple(sorted(e for e in spokes if e != null_spoke))
         base1 = next(iter(s.info[psi1].base_edges))
         # the lender's half sits on the gain edge, like in every later
         # step, so a pin of this triangle keeps the head region intact
-        cs.set_contrib(
+        cs.replace(
             head,
             {
-                **{e: HALF for e in head.edge_ids if e != arc.gain},
-                half_spokes[0]: HALF,
-                half_spokes[1]: HALF,
+                **{e: 1 for e in head.edge_ids if e != arc.gain},
+                half_spokes[0]: 1,
+                half_spokes[1]: 1,
             },
         )
-        cs.set_contrib(psi1, {arc.gain: HALF, base1: HALF})
+        cs.replace(psi1, {arc.gain: 1, base1: 1})
         chain = Chain(
             head=head,
-            links=[
-                ChainLink(
-                    psi1, base1, arc.gain, arc.common_vertex, arc.anchor,
-                    _legs_of(s, psi1),
-                )
-            ],
-            head_anchor=a0,
-            head_null_spoke=null_spoke,
+            links=[ChainLink(psi1, base1, arc.gain, arc.anchor, _legs_of(s, psi1))],
             head_half_spokes=half_spokes,  # type: ignore[arg-type]
         )
         chains.append(chain)
@@ -408,7 +347,7 @@ def build_chains(
                 fixed = []
                 for ne in tail.edge_ids:
                     if ne != base:
-                        cs.add_contrib(tail, ne, HALF)
+                        cs.give(tail, ne, 1)
                         fixed.append(ne)
                 chain.satisfied = True
                 chain.terminated = True
@@ -436,14 +375,11 @@ def build_chains(
             e2_prev = next(e for e in prev_link.legs if e != e1_prev)
             prev_link.h, prev_link.e1, prev_link.e2 = h_prev, e1_prev, e2_prev
             base_n = next(iter(s.info[nxt.src].base_edges))
-            cs.add_contrib(tail, h_prev, HALF)
-            cs.add_contrib(tail, e1_prev, HALF)
-            cs.set_contrib(nxt.src, {nxt.gain: HALF, base_n: HALF})
+            cs.give(tail, h_prev, 1)
+            cs.give(tail, e1_prev, 1)
+            cs.replace(nxt.src, {nxt.gain: 1, base_n: 1})
             chain.links.append(
-                ChainLink(
-                    nxt.src, base_n, nxt.gain, nxt.common_vertex, nxt.anchor,
-                    _legs_of(s, nxt.src),
-                )
+                ChainLink(nxt.src, base_n, nxt.gain, nxt.anchor, _legs_of(s, nxt.src))
             )
             by_triangle[nxt.src] = chain
             process_fixed([base_n, h_prev, nxt.gain, e1_prev])
@@ -460,11 +396,10 @@ def build_chains(
         hx = set(g.edges[h_k])
         e2_k = next(e for e in link.legs if not (set(g.edges[e]) & hx))
         e1_k = next(e for e in link.legs if e != e2_k)
-        cs.add_contrib(tail, h_k, HALF)
-        cs.add_contrib(tail, e2_k, HALF)
+        cs.give(tail, h_k, 1)
+        cs.give(tail, e2_k, 1)
         link.h, link.e1, link.e2 = h_k, e1_k, e2_k
-        chain.tail_h, chain.tail_g_next = h_k, g_next
-        chain.tail_e1, chain.tail_e2 = e1_k, e2_k
+        chain.tail_g_next = g_next
 
     return ChainSet(chains, by_triangle), cs
 
@@ -482,14 +417,12 @@ def compute_f_fix(cs: ChargeState, chains: ChainSet) -> ChargeState:
         if c.satisfied or c.zero_sized:
             continue
         link = c.links[-1]
-        region = set(_k4_edges(s, link.psi, link.anchor))
-        flexible |= region - {link.base, link.gain}
+        flexible |= set(s.k4_region_edges(link.psi)) - {link.base, link.gain}
     heads = chains.heads()
     for psi in s.packed_of_type(3):
         if psi not in heads:
-            flexible |= set(_k4_edges(s, psi, s.info[psi].anchor))
-    cs.flexible_edges = frozenset(flexible)
-    cs.f_fix = {e: v for e, v in cs._f.items() if v and e not in flexible}
+            flexible |= set(s.k4_region_edges(psi))
+    cs.f_fix = {e: v for e, v in cs.numerators.items() if v and e not in flexible}
     return cs
 
 
@@ -609,7 +542,7 @@ def discharge(ds: DemandState, cs: ChargeState, psi0: Triangle, eid: int) -> Non
         raise AlreadySpentError(f"{psi0} already discharged")
     if psi0 not in ds.free or ds.regions[psi0].kind != "type0":
         raise AlreadySpentError(f"{psi0} is not a free type-0 triangle")
-    cs.add_contrib(psi0, eid, HALF)
+    cs.give(psi0, eid, 1)
     cs.extra_spent.add(psi0)
     ds.free.remove(psi0)
     covered = ds.demanding_on_edge(eid)
@@ -642,20 +575,20 @@ def pin(ds: DemandState, cs: ChargeState, psi: Triangle, eid: int) -> None:
         y = v if x == u else u
         c = next(w for w in psi.vertices if w not in (u, v))
         m = {
-            region.base: HALF,
-            region.gain: HALF,
-            g.edge_id(y, c): HALF,
-            g.edge_id(x, anchor): HALF,
+            region.base: 1,
+            region.gain: 1,
+            g.edge_id(y, c): 1,
+            g.edge_id(x, anchor): 1,
         }
     else:
         opposite = next(w for w in psi.vertices if w not in g.edges[eid])
         null_spoke = g.edge_id(opposite, anchor)
         m = {
-            e: HALF
-            for e in _k4_edges(cs.structure, psi, anchor)
+            e: 1
+            for e in cs.structure.k4_region_edges(psi)
             if e not in (eid, null_spoke)
         }
-    cs.set_contrib(psi, m)
+    cs.replace(psi, m)
     cs.pinned.add(psi)
     ds.free.remove(psi)
     ds.log.append(

@@ -135,14 +135,6 @@ def _cover_single(g, order, seed, max_swap, flip_tails) -> CoverResult:
     raise RepairExhaustedError("repair loop did not converge", detail="loop-guard")
 
 
-def cover_order2(
-    g: Graph, seed: int = 0, max_swap: int = 5
-) -> tuple[Packing, ChargeAssignment, list[dict]]:
-    """Verified half-integral cover: (packing, assignment, repair log)."""
-    result = cover(g, 2, seed=seed, max_swap=max_swap)
-    return result.packing, result.assignment, result.repair_log
-
-
 def certificate_obj(g: Graph, result: CoverResult) -> dict:
     f = result.assignment
     return {
@@ -175,22 +167,68 @@ class VerifyOutcome:
     messages: tuple[str, ...]
 
 
-def verify_certificate(g: Graph, obj: dict) -> VerifyOutcome:
-    """Re-check a persisted certificate against the graph, exactly."""
+def _int_rows(rows: object) -> bool:
+    """A list of three-integer lists.  ``type(x) is int`` rejects JSON
+    booleans and floats; it is also the cheapest test per row."""
+    return type(rows) is list and all(
+        type(r) is list and len(r) == 3 and type(r[0]) is type(r[1]) is type(r[2]) is int
+        for r in rows
+    )
+
+
+def _schema_problem(obj: object) -> str | None:
+    """The first way ``obj`` breaks the certificate schema, or None."""
+    if not isinstance(obj, dict):
+        return "certificate is not a JSON object"
+    missing = [k for k in ("graph_sha256", "order", "packing", "weights") if k not in obj]
+    if missing:
+        return f"missing fields {missing}"
+    order = obj["order"]
+    if type(order) is not int or order < 2:
+        return f"order {order!r} is not an integer >= 2"
+    for key in ("packing", "weights"):
+        if not _int_rows(obj[key]):
+            return f"{key} is not a list of three-integer rows"
+    verdict = obj.get("verdict", {})
+    if not isinstance(verdict, dict):
+        return "verdict is not a JSON object"
+    for key in ("total_numerator", "total_denominator"):
+        if key in verdict and type(verdict[key]) is not int:
+            return f"verdict {key} {verdict[key]!r} is not an integer"
+    if verdict.get("total_denominator") == 0:
+        return "verdict total_denominator is 0"
+    return None
+
+
+def verify_certificate(g: Graph, obj: object) -> VerifyOutcome:
+    """Re-check a persisted certificate against the graph, exactly.
+
+    A certificate that breaks the schema (a missing field, an order
+    below 2, a number that is not an integer, an edge weighted twice, a
+    triangle packed twice, a zero total denominator) fails without
+    further checks.
+    """
+    problem = _schema_problem(obj)
+    if problem is not None:
+        return VerifyOutcome(False, (f"bad certificate: {problem}",))
     messages: list[str] = []
-    if obj.get("graph_sha256") not in (None, graph_digest(g)):
+    if obj["graph_sha256"] != graph_digest(g):
         messages.append("graph digest mismatch")
     try:
         packing = Packing(g, [g.triangle(*vs) for vs in obj["packing"]])
     except (KeyError, ValueError) as exc:
         return VerifyOutcome(False, (f"bad packing: {exc}",))
-    order = int(obj["order"])
+    if len(packing) != len(obj["packing"]):
+        return VerifyOutcome(False, ("bad packing: a triangle is listed twice",))
     nums: dict[int, int] = {}
     for u, v, num in obj["weights"]:
         if not g.has_edge(u, v):
             return VerifyOutcome(False, (f"weight on missing edge ({u},{v})",))
-        nums[g.edge_id(u, v)] = nums.get(g.edge_id(u, v), 0) + int(num)
-    f = ChargeAssignment(order, nums)
+        eid = g.edge_id(u, v)
+        if eid in nums:
+            return VerifyOutcome(False, (f"edge ({u},{v}) weighted twice",))
+        nums[eid] = num
+    f = ChargeAssignment(obj["order"], nums)
     report = verify_cover(g, f, len(packing))
     if not report.covered:
         messages.append(

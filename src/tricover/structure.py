@@ -71,11 +71,9 @@ class SolutionStructure:
     def packed_of_type(self, k: int) -> list[Triangle]:
         return [t for t in self.packing.triangles if self.info[t].type == k]
 
-    def anchor_of(self, psi: Triangle) -> int | None:
-        return self.info[psi].anchor
-
     def k4_region_edges(self, psi: Triangle) -> list[int]:
-        """Edge ids of the K4 induced by V(psi) and its anchor."""
+        """Edge ids of the K4 induced by V(psi) and its anchor: psi's own
+        three edges, then the three spokes to the anchor."""
         a = self.info[psi].anchor
         if a is None:
             raise ValueError(f"{psi} has no anchor")

@@ -148,14 +148,6 @@ def test_per_triangle_ledger_totals():
                 assert spent == 2
 
 
-def test_assignment_json_round_trip():
-    g = complete_graph(4)
-    f = charge_order6(structure_of(g, [g.triangle(0, 1, 2)]))
-    obj = f.to_json_obj()
-    g2 = ChargeAssignment.from_json_obj(obj)
-    assert g2.order == f.order and g2.numerators == f.numerators
-
-
 def test_verify_cover_flags_failures():
     g = complete_graph(4)
     f = charge_order6(structure_of(g, [g.triangle(0, 1, 2)]))

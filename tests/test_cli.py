@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from tricover.cli import main
 from tricover.generators import complete_graph
 from tricover.graph import write_edge_list
@@ -97,3 +99,91 @@ def test_input_error_exit_code(tmp_path, capsys):
     bad.write_text("3 1\n0 0\n")
     code, _, _ = run(capsys, "pack", str(bad))
     assert code == 4
+
+
+@pytest.mark.parametrize(
+    "text", ["2 1\n0\n", "3 1\n0 1 2\n", "-1 0\n", "3 1\n0 x\n", "1 0\n2 0\n"]
+)
+def test_malformed_edge_list_exit_code(tmp_path, capsys, text):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    code, _, stderr = run(capsys, "pack", str(bad))
+    assert code == 4 and stderr.startswith("error:")
+
+
+def _drop(key):
+    return lambda obj: obj.pop(key)
+
+
+def _put(path, value):
+    """Set obj[path[0]][path[1]]... to value."""
+
+    def edit(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+
+    return edit
+
+
+def _packing_only(obj):
+    obj.clear()
+    obj["packing"] = []
+
+
+def _float_weights(obj):
+    for w in obj["weights"]:
+        w[2] = float(w[2])
+
+
+def _repeat_triangle(obj):
+    obj["packing"].append(obj["packing"][0][::-1])
+
+
+def _repeat_edge(obj):
+    u, v, _ = obj["weights"][0]
+    obj["weights"].append([v, u, 0])
+
+
+MALFORMED_CERTIFICATES = {
+    "no order": _drop("order"),
+    "no packing": _drop("packing"),
+    "no weights": _drop("weights"),
+    "no digest": _drop("graph_sha256"),
+    "packing only": _packing_only,
+    "order 0": _put(["order"], 0),
+    "order 1": _put(["order"], 1),
+    "order string": _put(["order"], "2"),
+    "order float": _put(["order"], 2.0),
+    "order bool": _put(["order"], True),
+    "float weights": _float_weights,
+    "bool weight": _put(["weights", 0, 2], True),
+    "float vertex": _put(["packing", 0, 0], 0.0),
+    "short packing row": _put(["packing", 0], [0, 1]),
+    "weights not a list": _put(["weights"], {}),
+    "edge weighted twice": _repeat_edge,
+    "triangle packed twice": _repeat_triangle,
+    "zero denominator": _put(["verdict", "total_denominator"], 0),
+    "string numerator": _put(["verdict", "total_numerator"], "6"),
+    "verdict not an object": _put(["verdict"], []),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_CERTIFICATES.values(), ids=MALFORMED_CERTIFICATES)
+def test_verify_rejects_malformed_certificate(tmp_path, capsys, edit):
+    graph = k6_file(tmp_path)
+    cert = tmp_path / "cert.json"
+    assert run(capsys, "cover", graph, "--order", "2", "--out", str(cert))[0] == 0
+    obj = json.loads(cert.read_text())
+    edit(obj)
+    cert.write_text(json.dumps(obj))
+    code, _, stderr = run(capsys, "verify", graph, str(cert))
+    assert code == 2 and stderr.startswith("FAIL: ")
+
+
+def test_verify_rejects_non_object_certificate(tmp_path, capsys):
+    graph = k6_file(tmp_path)
+    cert = tmp_path / "cert.json"
+    cert.write_text("[]")
+    code, _, stderr = run(capsys, "verify", graph, str(cert))
+    assert code == 2 and "not a JSON object" in stderr

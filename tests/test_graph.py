@@ -129,3 +129,29 @@ def test_edge_list_bad_header():
         parse_edge_list("3\n0 1\n")
     with pytest.raises(VertexOutOfRangeError):
         parse_edge_list("3 2\n0 1\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["2 1\n0\n", "3 1\n0 1 2\n", "-1 0\n", "3 1\n0 x\n", "3 1\n0 1.0\n", "n m\n", "3 1 0\n"],
+)
+def test_edge_list_rows_are_two_integers(text):
+    with pytest.raises(VertexOutOfRangeError):
+        parse_edge_list(text)
+
+
+# vertex tokens stay small: the header's n sizes the adjacency arrays
+_TOKENS = st.one_of(
+    st.integers(-2, 6).map(str), st.sampled_from(["x", "1.5", "#", "0x1", "--1"])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_TOKENS, max_size=4), max_size=8))
+def test_edge_list_fuzz_raises_only_graph_errors(lines):
+    text = "\n".join(" ".join(tokens) for tokens in lines)
+    try:
+        g = parse_edge_list(text)
+    except (VertexOutOfRangeError, SelfLoopError, DuplicateEdgeError):
+        return
+    assert format_edge_list(g) == format_edge_list(parse_edge_list(format_edge_list(g)))

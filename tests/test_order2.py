@@ -230,9 +230,9 @@ def test_f_fix_zeroes_unsatisfied_tail_region():
     chain = next(c for c in chains.chains if not c.zero_sized)
     link = chain.links[-1]
     assert cs.fix_value(chain.tail_g_next) == 0
-    assert cs.fix_value(chain.tail_h) == 0
-    assert cs.fix_value(chain.tail_e1) == 0
-    assert cs.fix_value(chain.tail_e2) == 0
+    assert cs.fix_value(link.h) == 0
+    assert cs.fix_value(link.e1) == 0
+    assert cs.fix_value(link.e2) == 0
     assert cs.fix_value(link.base) == HALF
     assert cs.fix_value(link.gain) == HALF
     # satisfied members and the head keep everything fixed
