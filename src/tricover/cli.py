@@ -101,6 +101,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     rows = []
     for trial in range(args.trials):
         seed = args.seed + trial

@@ -1,9 +1,12 @@
 """Exact brute-force baselines for small instances, plus rounding and
 order composition.
 
-All three solvers are branch-and-bound searches designed for desk-scale
-graphs (a few hundred triangles at most).  Values and witnesses are
-exact; no floating point anywhere.
+The three integral solvers (nu, tau, tau*_k) are branch-and-bound
+searches designed for desk-scale graphs (a few hundred triangles at
+most).  The LP optimum tau* comes from a fraction-free integer simplex:
+the tableau is kept in Python ints over one common denominator, each
+pivot divides exactly (Bareiss), and Bland's rule picks the pivots.
+Values and witnesses are exact; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -128,47 +131,70 @@ def tau_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult:
 
 
 def _simplex_min(
-    rows: list[list[Fraction]], cost: list[Fraction], basis: list[int]
-) -> tuple[Fraction, list[Fraction]]:
-    """Bland-rule tableau simplex for min c.x, rows = [A | b], x >= 0.
+    rows: list[list[int]], cost: list[int], basis: list[int]
+) -> tuple[Fraction, list[Fraction], int]:
+    """Bland-rule simplex for min c.x, rows = [A | b], x >= 0, on a
+    fraction-free integer tableau.
 
-    The caller supplies a feasible starting basis (slack columns).
-    Returns the optimal objective value and the final reduced-cost row.
+    The caller supplies integer rows whose ``basis`` columns form the
+    identity (the slack columns) with b >= 0, so the starting basis is
+    feasible.  The tableau keeps one common denominator d > 0: every
+    stored entry, in the rows and in the reduced-cost row, is d times its
+    true value.  A pivot on p = T[r][c] replaces every other entry by
+    (p*T[i][j] - T[i][c]*T[r][j]) // d and then sets d = p.  The division
+    is exact, because d is the determinant of the current basis and each
+    stored entry is a minor of the starting matrix (Bareiss).
+
+    As d > 0, signs and ratios are read off the integers, so the pivots
+    are those of the same tableau kept in fractions: the entering column
+    is the first with a negative reduced cost, and the leaving row has
+    the least ratio b_i/a_i, ties going to the smallest basis index.
+
+    Returns the optimal objective value, the final reduced-cost row (its
+    last entry is minus the value) and the number of pivots; ``basis``
+    is left holding the final basis.
     """
     m = len(rows)
     ncols = len(rows[0]) - 1
+    d = 1
     # reduced cost row for the starting basis (slack costs are zero)
-    z = cost[:] + [Fraction(0)]
+    z = cost + [0]
     for i, bi in enumerate(basis):
         if cost[bi]:
             f = cost[bi]
-            z = [zj - f * aj for zj, aj in zip(z, rows[i] + [Fraction(0)])]
+            z = [zj - f * aj for zj, aj in zip(z, rows[i])]
+    pivots = 0
     while True:
         enter = next((j for j in range(ncols) if z[j] < 0), None)
         if enter is None:
             break
-        leave, best_ratio = None, None
+        leave, lead_b, lead_a = None, 0, 1
         for i in range(m):
-            if rows[i][enter] > 0:
-                ratio = rows[i][-1] / rows[i][enter]
-                if best_ratio is None or ratio < best_ratio or (
-                    ratio == best_ratio and basis[i] < basis[leave]
-                ):
-                    leave, best_ratio = i, ratio
+            a = rows[i][enter]
+            if a > 0:
+                # b_i / a < lead_b / lead_a, cross-multiplied (a, lead_a > 0)
+                lhs, rhs = rows[i][-1] * lead_a, lead_b * a
+                if leave is None or lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, lead_b, lead_a = i, rows[i][-1], a
         if leave is None:
             raise ArithmeticError("unbounded LP")
-        piv = rows[leave][enter]
-        rows[leave] = [v / piv for v in rows[leave]]
+        prow = rows[leave]
+        p = prow[enter]
         for i in range(m):
-            if i != leave and rows[i][enter]:
-                f = rows[i][enter]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[leave])]
-        if z[enter]:
-            f = z[enter]
-            z = [a - f * b for a, b in zip(z, rows[leave] + [Fraction(0)])]
+            if i == leave:
+                continue
+            f = rows[i][enter]
+            if f:
+                rows[i] = [(p * a - f * b) // d for a, b in zip(rows[i], prow)]
+            elif p != d:
+                rows[i] = [p * a // d for a in rows[i]]
+        f = z[enter]
+        z = [(p * a - f * b) // d for a, b in zip(z, prow)]
+        d = p
         basis[leave] = enter
-    value = sum(cost[basis[i]] * rows[i][-1] for i in range(m))
-    return value, z
+        pivots += 1
+    value = Fraction(sum(cost[basis[i]] * rows[i][-1] for i in range(m)), d)
+    return value, [Fraction(v, d) for v in z], pivots
 
 
 def tau_star_lp_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult:
@@ -178,22 +204,23 @@ def tau_star_lp_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult
     all-slack basis is feasible, so no phase-1 is needed.  The witness is
     an optimal primal cover, read off the final reduced costs and checked
     by weak duality: it is feasible and its value meets the packing bound.
+    ``nodes_explored`` counts the simplex pivots.
     """
     tris = _triangles_capped(g, cap)
     if not tris:
         return OracleResult(Fraction(0), {}, 0)
     m = g.m
     nv = len(tris)
-    rows = [[Fraction(0)] * (nv + m + 1) for _ in range(m)]
+    rows = [[0] * (nv + m + 1) for _ in range(m)]
     for j, t in enumerate(tris):
         for e in t.edge_ids:
-            rows[e][j] = Fraction(1)
+            rows[e][j] = 1
     for i in range(m):
-        rows[i][nv + i] = Fraction(1)
-        rows[i][-1] = Fraction(1)
-    cost = [Fraction(-1)] * nv + [Fraction(0)] * m
+        rows[i][nv + i] = 1
+        rows[i][-1] = 1
+    cost = [-1] * nv + [0] * m
     basis = list(range(nv, nv + m))
-    neg_value, z = _simplex_min(rows, cost, basis)
+    neg_value, z, pivots = _simplex_min(rows, cost, basis)
     value = -neg_value
     cover = {e: z[nv + e] for e in range(m) if z[nv + e]}
     total = sum(cover.values(), Fraction(0))
@@ -202,7 +229,7 @@ def tau_star_lp_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult
     for t in tris:
         if sum(cover.get(e, Fraction(0)) for e in t.edge_ids) < 1:
             raise NotACoverError(f"LP cover witness misses triangle {t.vertices}")
-    return OracleResult(value, cover, 0)
+    return OracleResult(value, cover, pivots)
 
 
 def tau_star_k_exact(
@@ -225,11 +252,6 @@ def tau_star_k_exact(
     m = g.m
     tri_edges = [t.edge_ids for t in tris]
 
-    # incumbent: an integral cover at value k
-    cover = set(tau_exact(g, cap).witness)
-    best_y = [k if e in cover else 0 for e in range(m)]
-    best_units = k * len(cover)
-
     # the LP optimum bounds every node from below globally; when its
     # primal witness is already (1/k)-integral it solves the instance
     lp_res = tau_star_lp_exact(g, cap)
@@ -239,6 +261,11 @@ def tau_star_k_exact(
     if all(v.denominator == 1 for v in scaled.values()):
         witness = ChargeAssignment(k, {e: int(v) for e, v in scaled.items() if v})
         return OracleResult(lp_res.value, witness, 1)
+
+    # incumbent: an integral cover at value k
+    cover = set(tau_exact(g, cap).witness)
+    best_y = [k if e in cover else 0 for e in range(m)]
+    best_units = k * len(cover)
 
     y = [0] * m
     frozen = bytearray(m)

@@ -79,6 +79,17 @@ def test_bench_reproducible(tmp_path, capsys):
     assert strip_ms(a.read_text()) == strip_ms(b.read_text())
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_bench_rejects_non_positive_trials(tmp_path, capsys, trials):
+    out = tmp_path / "bench.csv"
+    code, stdout, stderr = run(
+        capsys, "bench", "--family", "gnp", "--n", "6", "--p", "0.5",
+        "--trials", trials, "--out", str(out),
+    )
+    assert code == 4 and "--trials" in stderr and stdout == ""
+    assert not out.exists()
+
+
 def test_repair_exhausted_exit_code(tmp_path, capsys, monkeypatch):
     import tricover.cli as cli
     from tricover.errors import RepairExhaustedError

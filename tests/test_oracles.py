@@ -1,13 +1,17 @@
 """Exact baselines, LP bound, rounding and order composition."""
 
+import hashlib
 import os
 import random
 import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tricover import (
     ChargeAssignment,
@@ -25,8 +29,11 @@ from tricover.errors import (
     NotACoverError,
     NotThirdIntegralError,
 )
-from tricover.generators import bowtie, complete_graph, gnp
+from tricover import oracles
+from tricover.generators import bowtie, complete_graph, glued_k4, gnp
 from tricover.oracles import tau_star_lp_exact
+
+from test_acceptance import random_instances
 
 F = Fraction
 
@@ -100,6 +107,7 @@ def test_lp_witness_is_exact_cover():
     g = complete_graph(6)
     res = tau_star_lp_exact(g)
     assert res.value == 5  # the all-1/3 assignment is optimal here
+    assert res.nodes_explored == 28  # Bland pivots, most of them degenerate
     assert sum(res.witness.values(), F(0)) == 5
     for t in enumerate_triangles(g):
         assert sum(res.witness.get(e, F(0)) for e in t.edge_ids) >= 1
@@ -197,14 +205,14 @@ def test_witness_checks_raise_under_optimize_flag():
 
         def misplaced(rows, cost, basis):
             # the LP value, all of it on edge 0: right total, not a cover
-            value, z = solve(rows, cost, basis)
+            value, z, pivots = solve(rows, cost, basis)
             z = [Fraction(0)] * len(z)
             z[len(cost) - len(rows)] = -value
-            return value, z
+            return value, z, pivots
 
         def inflated(rows, cost, basis):
-            value, z = solve(rows, cost, basis)
-            return value, [2 * v for v in z]
+            value, z, pivots = solve(rows, cost, basis)
+            return value, [2 * v for v in z], pivots
 
         for corrupt, expected in ((misplaced, NotACoverError), (inflated, ArithmeticError)):
             o._simplex_min = corrupt
@@ -228,3 +236,99 @@ def test_witness_checks_raise_under_optimize_flag():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["NotACoverError", "ArithmeticError", "AssertionError"]
+
+
+def _reference_simplex_min(
+    rows: list[list[Fraction]], cost: list[Fraction], basis: list[int]
+) -> tuple[Fraction, list[Fraction]]:
+    """Bland-rule tableau simplex for min c.x, rows = [A | b], x >= 0.
+
+    The caller supplies a feasible starting basis (slack columns).
+    Returns the optimal objective value and the final reduced-cost row.
+    """
+    m = len(rows)
+    ncols = len(rows[0]) - 1
+    # reduced cost row for the starting basis (slack costs are zero)
+    z = cost[:] + [Fraction(0)]
+    for i, bi in enumerate(basis):
+        if cost[bi]:
+            f = cost[bi]
+            z = [zj - f * aj for zj, aj in zip(z, rows[i] + [Fraction(0)])]
+    while True:
+        enter = next((j for j in range(ncols) if z[j] < 0), None)
+        if enter is None:
+            break
+        leave, best_ratio = None, None
+        for i in range(m):
+            if rows[i][enter] > 0:
+                ratio = rows[i][-1] / rows[i][enter]
+                if best_ratio is None or ratio < best_ratio or (
+                    ratio == best_ratio and basis[i] < basis[leave]
+                ):
+                    leave, best_ratio = i, ratio
+        if leave is None:
+            raise ArithmeticError("unbounded LP")
+        piv = rows[leave][enter]
+        rows[leave] = [v / piv for v in rows[leave]]
+        for i in range(m):
+            if i != leave and rows[i][enter]:
+                f = rows[i][enter]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[leave])]
+        if z[enter]:
+            f = z[enter]
+            z = [a - f * b for a, b in zip(z, rows[leave] + [Fraction(0)])]
+        basis[leave] = enter
+    value = sum(cost[basis[i]] * rows[i][-1] for i in range(m))
+    return value, z
+
+
+def _check_simplex_against_reference(g):
+    """Solve the LP that tau_star_lp_exact builds both ways: the integer
+    simplex must reach the same value, reduced costs and final basis."""
+    seen = []
+    solve = oracles._simplex_min
+
+    def both(rows, cost, basis):
+        ref_basis = basis[:]
+        ref = _reference_simplex_min(
+            [[F(v) for v in row] for row in rows], [F(c) for c in cost], ref_basis
+        )
+        value, z, pivots = solve(rows, cost, basis)
+        assert (value, z, basis) == (ref[0], ref[1], ref_basis)
+        nv = len(cost) - len(rows)
+        assert pivots >= sum(1 for b in basis if b < nv)
+        seen.append(pivots)
+        return value, z, pivots
+
+    with mock.patch.object(oracles, "_simplex_min", both):
+        res = tau_star_lp_exact(g)
+    assert seen == ([res.nodes_explored] if enumerate_triangles(g) else [])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [complete_graph(n) for n in range(4, 9)] + [glued_k4(length) for length in range(1, 5)],
+)
+def test_simplex_matches_reference_on_fixed_graphs(g):
+    _check_simplex_against_reference(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(4, 11),
+    density=st.sampled_from([0.3, 0.5, 0.7]),
+    seed=st.integers(0, 10**6),
+)
+def test_simplex_matches_reference(n, density, seed):
+    _check_simplex_against_reference(gnp(n, density, seed))
+
+
+def test_lp_sandwich_digest():
+    # sha256 of repr([(value, sorted(witness.items()))]) of tau_star_lp_exact
+    # over the criterion-5 graphs, computed on the commit before the integer
+    # simplex (the Fraction tableau kept above as the reference)
+    results = [tau_star_lp_exact(g) for g in random_instances(200)]
+    digest = hashlib.sha256(
+        repr([(r.value, sorted(r.witness.items())) for r in results]).encode()
+    ).hexdigest()
+    assert digest == "f00cf3222fc2ef494ea16642f9985f41f67675b76602f40ec5d8f26624785d2d"
