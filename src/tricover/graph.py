@@ -8,8 +8,13 @@ from the same edge list is bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Hashable, TypeVar
 
 from .errors import DuplicateEdgeError, SelfLoopError, VertexOutOfRangeError
+
+MAX_VERTICES = 100_000  # largest header n that parse_edge_list accepts
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True, order=True)
@@ -24,7 +29,15 @@ class Triangle:
 
 
 class Graph:
-    """Undirected simple graph with stable vertex and edge identifiers."""
+    """Undirected simple graph with stable vertex and edge identifiers.
+
+    A graph is not mutated after construction.  Derived results that are
+    deterministic in the graph (a local-search packing, the LP optimum)
+    are therefore computed once per graph and kept in ``_memo`` through
+    ``memo``; they live exactly as long as the graph.  A memo value holds
+    no reference to its graph, so no reference cycle keeps a dead graph
+    alive.
+    """
 
     def __init__(self, n: int, edges: list[tuple[int, int]]):
         self.n = n
@@ -46,6 +59,7 @@ class Graph:
         self.m = len(self.edges)
         self.adjacency: list[list[int]] = [sorted(s) for s in adj_sets]
         self._adj_sets = adj_sets
+        self._memo: dict[Hashable, object] = {}
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj_sets[u] if 0 <= u < self.n else False
@@ -81,6 +95,16 @@ def build_graph(n: int, edge_list: list[tuple[int, int]]) -> Graph:
     malformed input; duplicates are an error, never silently merged.
     """
     return Graph(n, list(edge_list))
+
+
+def memo(g: Graph, key: Hashable, compute: Callable[[], _T]) -> _T:
+    """``g``'s value for ``key``, from ``compute()`` on the first call only.
+
+    The value must not refer to ``g`` (store triangles, not a Packing).
+    """
+    if key not in g._memo:
+        g._memo[key] = compute()
+    return g._memo[key]  # type: ignore[return-value]
 
 
 def enumerate_triangles(g: Graph) -> list[Triangle]:
@@ -120,10 +144,13 @@ def _int_pair(row: list[str], expected: str) -> tuple[int, int]:
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format.
 
-    First meaningful line is ``n m`` with ``n >= 0``, followed by m lines
-    ``u v`` (0-based).  Blank lines and lines starting with '#' are
-    ignored.  Malformed text raises VertexOutOfRangeError; a valid text
-    with a bad edge raises it, SelfLoopError or DuplicateEdgeError.
+    First meaningful line is ``n m`` with ``0 <= n <= MAX_VERTICES``,
+    followed by m lines ``u v`` (0-based).  Blank lines and lines
+    starting with '#' are ignored.  Malformed text raises
+    VertexOutOfRangeError; a valid text with a bad edge raises it,
+    SelfLoopError or DuplicateEdgeError.  The cap on n is checked before
+    any graph is built, since a graph allocates per-vertex state from the
+    header alone.
     """
     rows: list[list[str]] = []
     for line in text.splitlines():
@@ -136,6 +163,8 @@ def parse_edge_list(text: str) -> Graph:
     n, m = _int_pair(rows[0], "n m")
     if n < 0:
         raise VertexOutOfRangeError(f"negative vertex count {n}")
+    if n > MAX_VERTICES:
+        raise VertexOutOfRangeError(f"vertex count {n} exceeds the cap of {MAX_VERTICES}")
     if len(rows) - 1 != m:
         raise VertexOutOfRangeError(f"header claims {m} edges, found {len(rows) - 1}")
     return build_graph(n, [_int_pair(r, "u v") for r in rows[1:]])

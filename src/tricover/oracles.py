@@ -21,7 +21,7 @@ from .errors import (
     NotACoverError,
     NotThirdIntegralError,
 )
-from .graph import Graph, Triangle, enumerate_triangles
+from .graph import Graph, Triangle, enumerate_triangles, memo
 
 DEFAULT_TRIANGLE_CAP = 200
 
@@ -53,6 +53,14 @@ def nu_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult:
         nonlocal nodes, best
         nodes += 1
         if len(chosen) + len(candidates) <= len(best):
+            return
+        # the candidates avoid ``used``, and each further triangle takes
+        # three of their edges; a branch that cannot beat ``best``
+        # strictly is cut, so the first maximum found stays the same
+        free = 0
+        for j in candidates:
+            free |= masks[j]
+        if len(chosen) + free.bit_count() // 3 <= len(best):
             return
         if not candidates:
             if len(chosen) > len(best):
@@ -253,8 +261,10 @@ def tau_star_k_exact(
     tri_edges = [t.edge_ids for t in tris]
 
     # the LP optimum bounds every node from below globally; when its
-    # primal witness is already (1/k)-integral it solves the instance
-    lp_res = tau_star_lp_exact(g, cap)
+    # primal witness is already (1/k)-integral it solves the instance.
+    # It does not depend on k, so it is solved once per graph (the cap
+    # was checked above).
+    lp_res = memo(g, "tau_star_lp", lambda: tau_star_lp_exact(g, cap))
     lp = lp_res.value * k
     lp_floor = -((-lp.numerator) // lp.denominator)  # ceil in units
     scaled = {e: v * k for e, v in lp_res.witness.items()}

@@ -146,13 +146,24 @@ def _connected_subsets(nbrs: list[int], size: int):
 
 
 def _disjoint_selection(masks: list[int], need: int) -> list[int] | None:
-    """Positions of the first `need` pairwise disjoint masks in DFS order, or None."""
+    """Positions of the first `need` pairwise disjoint masks in DFS order, or None.
+
+    Every mask has three edge bits, so `need` disjoint ones cover 3*need
+    edges: a branch whose remaining masks jointly hold fewer unused edges
+    has no solution and is cut, which leaves the first one found as it is.
+    """
+    # suffix[i]: the union of masks[i:]
+    suffix = [0] * (len(masks) + 1)
+    for i in range(len(masks) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | masks[i]
+    if suffix[0].bit_count() < 3 * need:
+        return None
     chosen: list[int] = []
 
     def dfs(idx: int, used: int) -> bool:
         if len(chosen) == need:
             return True
-        if len(masks) - idx < need - len(chosen):
+        if (suffix[idx] & ~used).bit_count() < 3 * (need - len(chosen)):
             return False
         for j in range(idx, len(masks)):
             if masks[j] & used:

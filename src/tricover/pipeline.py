@@ -6,6 +6,11 @@ exactly.  Any failure yields a set of focus edges; a targeted swap
 search (escalating through larger swap sizes) must then improve the
 packing, and the loop restarts.  Since each repair grows the packing by
 one, the loop terminates.
+
+The local search is deterministic in (graph, seed, max_swap), so it runs
+once per graph: every order, and both halves of a composed order, start
+from the same packing, kept in the graph's memo as its triangles.
+Repairs build new packings from it and leave the memo as it is.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from fractions import Fraction
 
 from .charges import ChargeAssignment, Report, charge_order3, charge_order6, verify_cover
 from .errors import InternalChargeError, MissingInputError, RepairExhaustedError
-from .graph import Graph, format_edge_list
+from .graph import Graph, format_edge_list, memo
 from .oracles import compose_order_k
 from .order2 import run_order2
 from .packing import Packing, local_search_packing, targeted_swap
@@ -96,7 +101,12 @@ def cover(
 
 
 def _cover_single(g, order, seed, max_swap, flip_tails) -> CoverResult:
-    packing = local_search_packing(g, seed, max_swap)
+    start = memo(
+        g,
+        ("local_search", seed, max_swap),
+        lambda: local_search_packing(g, seed, max_swap).triangles,
+    )
+    packing = Packing(g, list(start))
     log: list[dict] = []
     guard = g.m + 2  # each repair grows the packing, at most m/3 times
     for _ in range(guard):

@@ -113,7 +113,8 @@ def test_input_error_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text", ["2 1\n0\n", "3 1\n0 1 2\n", "-1 0\n", "3 1\n0 x\n", "1 0\n2 0\n"]
+    "text",
+    ["2 1\n0\n", "3 1\n0 1 2\n", "-1 0\n", "3 1\n0 x\n", "1 0\n2 0\n", "1000000000 0\n"],
 )
 def test_malformed_edge_list_exit_code(tmp_path, capsys, text):
     bad = tmp_path / "bad.txt"

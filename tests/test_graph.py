@@ -16,6 +16,7 @@ from tricover import (
 )
 from tricover.errors import DuplicateEdgeError, SelfLoopError, VertexOutOfRangeError
 from tricover.generators import complete_graph, gnp
+from tricover.graph import MAX_VERTICES
 
 
 def naive_triangle_count(g):
@@ -129,6 +130,15 @@ def test_edge_list_bad_header():
         parse_edge_list("3\n0 1\n")
     with pytest.raises(VertexOutOfRangeError):
         parse_edge_list("3 2\n0 1\n")
+
+
+def test_edge_list_header_above_vertex_cap():
+    # rejected from the header, before n per-vertex sets are allocated
+    with pytest.raises(VertexOutOfRangeError, match=f"cap of {MAX_VERTICES}"):
+        parse_edge_list("1000000000 0\n")
+    with pytest.raises(VertexOutOfRangeError):
+        parse_edge_list(f"{MAX_VERTICES + 1} 0\n")
+    assert parse_edge_list(f"{MAX_VERTICES} 0\n").n == MAX_VERTICES
 
 
 @pytest.mark.parametrize(

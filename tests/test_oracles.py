@@ -332,3 +332,36 @@ def test_lp_sandwich_digest():
         repr([(r.value, sorted(r.witness.items())) for r in results]).encode()
     ).hexdigest()
     assert digest == "f00cf3222fc2ef494ea16642f9985f41f67675b76602f40ec5d8f26624785d2d"
+
+
+def test_tau_star_k_solves_the_lp_once_per_graph(monkeypatch):
+    solves = []
+    solve = oracles.tau_star_lp_exact
+
+    def counted(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        solves.append(res)
+        return res
+
+    monkeypatch.setattr(oracles, "tau_star_lp_exact", counted)
+    g = gnp(9, 0.5, 1004)
+    values = [tau_star_k_exact(g, k).value for k in (2, 3, 6)]
+    assert len(solves) == 1
+    fresh = build_graph(g.n, g.edges)
+    assert values == [tau_star_k_exact(fresh, k).value for k in (2, 3, 6)]
+    assert len(solves) == 2
+    # the public LP oracle is not memoized: a fresh result on every call
+    a, b = oracles.tau_star_lp_exact(g), oracles.tau_star_lp_exact(g)
+    assert a is not b and a.witness is not b.witness and a.value == b.value
+    assert len(solves) == 4
+
+
+def test_nu_sandwich_digest():
+    # sha256 of repr([(value, [t.vertices for t in witness])]) of nu_exact over
+    # the criterion-5 graphs (the benchmark's sandwich_specs()), computed on
+    # the commit before the edge-count bound in nu_exact
+    results = [nu_exact(g) for g in random_instances(200)]
+    digest = hashlib.sha256(
+        repr([(r.value, [t.vertices for t in r.witness]) for r in results]).encode()
+    ).hexdigest()
+    assert digest == "59319459aa1445599dd6584a1b0cdf9eba41d98508c694d9750f3119ffa48360"

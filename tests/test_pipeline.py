@@ -1,9 +1,14 @@
 """Cover drivers, repair loop and certificates."""
 
+import gc
 import json
 import random
+import weakref
 
-from tricover import cover, nu_exact, verify_certificate
+import pytest
+
+import tricover.pipeline as pl
+from tricover import build_graph, cover, nu_exact, tau_star_k_exact, verify_certificate
 from tricover.generators import bowtie, complete_graph, glued_k4, gnp, lend_chain
 from tricover.pipeline import certificate_dumps, certificate_obj, graph_digest
 
@@ -127,3 +132,65 @@ def test_repair_log_records_swaps():
     entry = found.repair_log[0]
     assert {"reason", "focus", "removed", "added", "size_after"} <= set(entry)
     assert len(entry["added"]) == len(entry["removed"]) + 1
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls made through ``module.name`` while the test runs."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _outputs(r):
+    return r.packing.triangles, r.assignment, r.report, r.repair_log
+
+
+# the last two repair the shared packing: at every order, and at order 6 only
+@pytest.mark.parametrize(
+    "g, seed, max_swap, repairs",
+    [
+        (gnp(11, 0.5, 2), 0, 5, [0, 0, 0]),
+        (lend_chain(3), 0, 5, [0, 0, 0]),
+        (gnp(10, 0.6, 2), 3, 1, [1, 1, 1]),
+        (gnp(10, 0.6, 27), 3, 1, [0, 0, 1]),
+    ],
+)
+def test_orders_share_one_local_search(monkeypatch, g, seed, max_swap, repairs):
+    calls = _count_calls(monkeypatch, pl, "local_search_packing")
+    results = {k: cover(g, k, seed=seed, max_swap=max_swap) for k in (2, 3, 6)}
+    assert len(calls) == 1
+    assert [r.repairs for r in results.values()] == repairs
+    for k, r in results.items():
+        fresh = build_graph(g.n, g.edges)
+        assert _outputs(r) == _outputs(cover(fresh, k, seed=seed, max_swap=max_swap))
+    assert len(calls) == 4  # one per fresh graph
+
+
+def test_composed_order_runs_one_local_search(monkeypatch):
+    calls = _count_calls(monkeypatch, pl, "local_search_packing")
+    g = gnp(11, 0.5, 2)
+    r = cover(g, 5)
+    assert len(calls) == 1
+    assert r.report.ok and r.assignment.order == 5
+
+
+def test_memo_keeps_no_reference_to_its_graph():
+    g = gnp(10, 0.6, 2)
+    ref = weakref.ref(g)
+    r = cover(g, 2, seed=3, max_swap=1)
+    assert r.repairs
+    tau_star_k_exact(g, 3)
+    assert g._memo  # both results are kept on the graph
+    gc.collect()
+    gc.disable()
+    try:
+        del g, r
+        assert ref() is None  # freed by reference counting, no cycle
+    finally:
+        gc.enable()
