@@ -55,11 +55,30 @@ class Report:
         return self.covered and self.budget_ok and self.integrality_ok
 
 
+def uncovered_triangles(g: Graph, f: ChargeAssignment) -> tuple[Triangle, ...]:
+    """The triangles of ``g`` with weight below one under ``f``, in order.
+
+    Weights are numerators over ``f.order``, so a triangle has weight at
+    least one exactly when its three edges' numerators sum to at least
+    the order: the rational test, made on integers.
+    """
+    get = f.numerators.get
+    order = f.order
+    out = []
+    for t in enumerate_triangles(g):
+        a, b, c = t.edge_ids
+        if get(a, 0) + get(b, 0) + get(c, 0) < order:
+            out.append(t)
+    return tuple(out)
+
+
 def verify_cover(g: Graph, f: ChargeAssignment, packing_size: int) -> Report:
-    """Exact check: every triangle hit with total >= 1, budget <= 2*packing."""
-    failing = tuple(
-        t for t in enumerate_triangles(g) if f.triangle_value(t) < 1
-    )
+    """Exact check: every triangle hit with total >= 1, budget <= 2*packing.
+
+    The cover test is ``uncovered_triangles``: integer numerator sums
+    against the order, equivalent to the rational test.
+    """
+    failing = uncovered_triangles(g, f)
     total = f.total()
     integrality = all(0 <= v <= f.order for v in f.numerators.values())
     return Report(

@@ -32,11 +32,14 @@ class Graph:
     """Undirected simple graph with stable vertex and edge identifiers.
 
     A graph is not mutated after construction.  Derived results that are
-    deterministic in the graph (a local-search packing, the LP optimum)
-    are therefore computed once per graph and kept in ``_memo`` through
-    ``memo``; they live exactly as long as the graph.  A memo value holds
-    no reference to its graph, so no reference cycle keeps a dead graph
-    alive.
+    deterministic in the graph are therefore computed once per graph and
+    kept in ``_memo`` through ``memo``; they live exactly as long as the
+    graph.  The entries are the triangle list (``"triangles"``, filled by
+    ``enumerate_triangles``), each local-search packing
+    (``("local_search", seed, max_swap)``, filled by ``pipeline.cover``)
+    and the tau* LP optimum (``"tau_star_lp"``, filled by
+    ``oracles.tau_star_k_exact``).  A memo value holds no reference to
+    its graph, so no reference cycle keeps a dead graph alive.
     """
 
     def __init__(self, n: int, edges: list[tuple[int, int]]):
@@ -100,7 +103,9 @@ def build_graph(n: int, edge_list: list[tuple[int, int]]) -> Graph:
 def memo(g: Graph, key: Hashable, compute: Callable[[], _T]) -> _T:
     """``g``'s value for ``key``, from ``compute()`` on the first call only.
 
-    The value must not refer to ``g`` (store triangles, not a Packing).
+    The value must not refer to ``g`` (store triangles, not a Packing),
+    and every caller shares it, so it must be immutable (a tuple, not a
+    list).  The keys in use are listed on ``Graph``.
     """
     if key not in g._memo:
         g._memo[key] = compute()
@@ -110,9 +115,15 @@ def memo(g: Graph, key: Hashable, compute: Callable[[], _T]) -> _T:
 def enumerate_triangles(g: Graph) -> list[Triangle]:
     """All triangles of ``g`` exactly once, in lexicographic triple order.
 
-    Neighbor intersection on sorted adjacency with u < v < w, so each
-    triangle is produced from its smallest vertex only.
+    The triangles are found once per graph and kept in its memo as a
+    tuple; every call returns a new list, which the caller may reorder.
     """
+    return list(memo(g, "triangles", lambda: _find_triangles(g)))
+
+
+def _find_triangles(g: Graph) -> tuple[Triangle, ...]:
+    """Neighbor intersection on sorted adjacency with u < v < w, so each
+    triangle is produced from its smallest vertex only."""
     out: list[Triangle] = []
     for u in range(g.n):
         nbrs = g.adjacency[u]
@@ -122,7 +133,7 @@ def enumerate_triangles(g: Graph) -> list[Triangle]:
             for w in nbrs[i + 1 :]:
                 if g.has_edge(v, w):
                     out.append(g.triangle(u, v, w))
-    return out
+    return tuple(out)
 
 
 def triangles_on_edge(g: Graph, eid: int) -> list[Triangle]:

@@ -11,10 +11,11 @@ Values and witnesses are exact; no floating point anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charges import ChargeAssignment
+from .charges import ChargeAssignment, uncovered_triangles
 from .errors import (
     InstanceTooLargeError,
     MissingInputError,
@@ -234,9 +235,14 @@ def tau_star_lp_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult
     total = sum(cover.values(), Fraction(0))
     if total != value:
         raise ArithmeticError(f"LP cover witness sums to {total}, not the LP value {value}")
-    for t in tris:
-        if sum(cover.get(e, Fraction(0)) for e in t.edge_ids) < 1:
-            raise NotACoverError(f"LP cover witness misses triangle {t.vertices}")
+    # the cover test of verify_cover, over the witness's common denominator
+    den = math.lcm(*(v.denominator for v in cover.values()))
+    scaled = ChargeAssignment(
+        den, {e: v.numerator * (den // v.denominator) for e, v in cover.items()}
+    )
+    missed = uncovered_triangles(g, scaled)
+    if missed:
+        raise NotACoverError(f"LP cover witness misses triangle {missed[0].vertices}")
     return OracleResult(value, cover, pivots)
 
 
@@ -454,10 +460,9 @@ def round_third_integral(g: Graph, f: ChargeAssignment) -> list[int]:
     """
     if f.order != 3 or any(not (0 <= v <= 3) for v in f.numerators.values()):
         raise NotThirdIntegralError("assignment is not a valid 1/3-integral vector")
-    tris = enumerate_triangles(g)
-    for t in tris:
-        if f.triangle_value(t) < 1:
-            raise NotACoverError(f"triangle {t.vertices} not covered")
+    missed = uncovered_triangles(g, f)
+    if missed:
+        raise NotACoverError(f"triangle {missed[0].vertices} not covered")
 
     heavy = {e for e, v in f.numerators.items() if v >= 2}
     thirds = sorted(e for e, v in f.numerators.items() if v == 1)
@@ -468,7 +473,7 @@ def round_third_integral(g: Graph, f: ChargeAssignment) -> list[int]:
     result = sorted(heavy | set(uncut))
 
     covered = set(result)
-    for t in tris:
+    for t in enumerate_triangles(g):
         if not any(e in covered for e in t.edge_ids):
             raise AssertionError(f"rounded set misses triangle {t.vertices}")
     return result

@@ -17,8 +17,9 @@ its edges.  One that uses an edge packed outside the candidates can
 never be added and is dropped; the others are listed under their lowest
 conflicting candidate.  The pool for a removal mask ``rm`` is then the
 listed triangles of its members whose conflict mask lies inside ``rm``,
-in enumeration order.  ``local_search_packing`` enumerates the triangles
-and their masks once per graph, not once per swap.
+in enumeration order.  The triangles come from the graph's memo, so
+they are enumerated once per graph; ``local_search_packing`` also
+builds their edge masks once, not once per swap.
 """
 
 from __future__ import annotations
@@ -242,17 +243,16 @@ def improve_packing(g: Graph, p: Packing, max_swap: int = 5) -> SwapCertificate 
 def targeted_swap(
     g: Graph, p: Packing, focus_edges: set[int], max_swap: int = 5
 ) -> SwapCertificate | None:
-    """Improving swap whose removals lie within 2 hops (edge-adjacency) of focus_edges."""
+    """Improving swap whose removals lie within 2 hops (edge-adjacency) of focus_edges.
+
+    The region is every packed triangle with a vertex on an edge that
+    touches a focus edge: a vertex of a focus edge or a neighbour of one.
+    """
     if not focus_edges:
         return None
     verts0 = {v for e in focus_edges for v in g.edges[e]}
-    edges1 = {i for i, (u, v) in enumerate(g.edges) if u in verts0 or v in verts0}
-    verts1 = {v for e in edges1 for v in g.edges[e]}
-    eligible = [
-        t
-        for t in p.triangles
-        if any(g.edges[e][0] in verts1 or g.edges[e][1] in verts1 for e in t.edge_ids)
-    ]
+    verts1 = verts0.union(*(g.adjacency[v] for v in verts0))
+    eligible = [t for t in p.triangles if not verts1.isdisjoint(t.vertices)]
     tris = enumerate_triangles(g)
     return _find_swap(g, p, tris, _edge_masks(tris), eligible, max_swap)
 

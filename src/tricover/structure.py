@@ -86,53 +86,60 @@ def _apex(t: Triangle, psi: Triangle) -> int:
 
 
 def build_structure(g: Graph, p: Packing) -> SolutionStructure:
-    """Total classification of all triangles of g against packing p."""
+    """Total classification of all triangles of g against packing p.
+
+    Packed triangles are indices into ``p.triangles``, which is sorted, so
+    owners sorted by index are sorted as triangles.  A triangle is packed
+    exactly when one packed triangle owns all three of its edges.
+    """
+    packed = p.triangles
+    owner_ix = [-1] * g.m  # index of the packed triangle owning each edge
     edge_owner: dict[int, Triangle] = {}
-    for psi in p.triangles:
+    for i, psi in enumerate(packed):
         for e in psi.edge_ids:
+            owner_ix[e] = i
             edge_owner[e] = psi
 
-    packed = set(p.triangles)
-    conflicts: dict[Triangle, list[Triangle]] = {psi: [] for psi in p.triangles}
-    attachments: dict[Triangle, Attachment] = {}
-    tris = enumerate_triangles(g)
-    for t in tris:
-        if t in packed:
+    # classes[i][k - 1]: the triangles with k owners that psi i owns an edge of
+    classes: list[tuple[list[Triangle], list[Triangle], list[Triangle]]] = [
+        ([], [], []) for _ in packed
+    ]
+    base_edges: list[set[int]] = [set() for _ in packed]
+    nonpacked: list[tuple[Triangle, tuple[int, ...]]] = []
+    for t in enumerate_triangles(g):
+        a, b, c = t.edge_ids
+        oa, ob, oc = owner_ix[a], owner_ix[b], owner_ix[c]
+        if oa == ob == oc >= 0:
             continue
-        owners = sorted({edge_owner[e] for e in t.edge_ids if e in edge_owner})
-        for psi in owners:
-            conflicts[psi].append(t)
-        attachments[t] = Attachment(t, tuple(owners), ())
+        ix = tuple(sorted({oa, ob, oc} - {-1}))
+        for i in ix:
+            classes[i][len(ix) - 1].append(t)
+        if len(ix) == 1:
+            # a singly attached triangle shares exactly one edge with its owner
+            base_edges[ix[0]].add(a if oa >= 0 else b if ob >= 0 else c)
+        nonpacked.append((t, ix))
 
-    # first pass: base edges and types
-    base_edges: dict[Triangle, frozenset[int]] = {}
-    for psi in p.triangles:
-        sin = [t for t in conflicts[psi] if len(attachments[t].owners) == 1]
-        base_edges[psi] = frozenset(
-            e for t in sin for e in t.edge_ids if edge_owner.get(e) is psi
+    types = [len(b) for b in base_edges]
+    attachments = {
+        t: Attachment(
+            t, tuple(packed[i] for i in ix), tuple(sorted(types[i] for i in ix))
         )
-
-    types = {psi: len(base_edges[psi]) for psi in p.triangles}
-
-    # attach signatures now that packed types are known
-    for t, att in list(attachments.items()):
-        sig = tuple(sorted(types[psi] for psi in att.owners))
-        attachments[t] = Attachment(t, att.owners, sig)
+        for t, ix in nonpacked
+    }
 
     info: dict[Triangle, PackedInfo] = {}
-    for psi in p.triangles:
-        sin = tuple(t for t in conflicts[psi] if len(attachments[t].owners) == 1)
-        dou = tuple(t for t in conflicts[psi] if len(attachments[t].owners) == 2)
-        hol = tuple(t for t in conflicts[psi] if len(attachments[t].owners) == 3)
+    for i, psi in enumerate(packed):
+        sin, dou, hol = classes[i]
         anchor: int | None = None
-        if types[psi] == 3:
+        if types[i] == 3:
             anchors = {_apex(t, psi) for t in sin}
             if len(anchors) == 1:
                 anchor = anchors.pop()
-        elif types[psi] == 1 and sin:
+        elif types[i] == 1 and sin:
             anchor = min(_apex(t, psi) for t in sin)
         info[psi] = PackedInfo(
-            psi, types[psi], base_edges[psi], anchor, sin, dou, hol
+            psi, types[i], frozenset(base_edges[i]), anchor,
+            tuple(sin), tuple(dou), tuple(hol),
         )
 
     pairs = _detect_pairs(g, info, attachments)
@@ -143,7 +150,7 @@ def build_structure(g: Graph, p: Packing) -> SolutionStructure:
         attachments=attachments,
         pairs=pairs,
         edge_owner=edge_owner,
-        nonsolution=tuple(t for t in tris if t not in packed),
+        nonsolution=tuple(t for t, _ in nonpacked),
     )
 
 

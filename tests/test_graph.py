@@ -11,6 +11,7 @@ from tricover import (
     build_graph,
     enumerate_triangles,
     format_edge_list,
+    greedy_packing,
     parse_edge_list,
     triangles_on_edge,
 )
@@ -85,6 +86,22 @@ def test_triangles_on_edge_k4_and_k6():
 def test_triangles_on_edge_path_empty():
     g = build_graph(3, [(0, 1), (1, 2)])
     assert triangles_on_edge(g, 0) == []
+
+
+def test_callers_cannot_change_the_memoised_triangles():
+    # the list is kept in the graph's memo; greedy_packing shuffles what
+    # it gets, and any caller may reorder or clear a returned list
+    g = gnp(10, 0.6, 3)
+    expected = enumerate_triangles(build_graph(g.n, g.edges))
+    greedy_packing(g, 7)
+    assert enumerate_triangles(g) == expected
+    tris = enumerate_triangles(g)
+    tris.reverse()
+    tris.pop()
+    assert enumerate_triangles(g) == expected
+    enumerate_triangles(g).clear()
+    assert enumerate_triangles(g) == expected
+    assert enumerate_triangles(g) is not enumerate_triangles(g)
 
 
 def test_enumeration_matches_naive_on_random_graphs():

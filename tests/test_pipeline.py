@@ -1,16 +1,28 @@
 """Cover drivers, repair loop and certificates."""
 
 import gc
+import hashlib
 import json
 import random
 import weakref
 
 import pytest
 
+import tricover.graph as graph
 import tricover.pipeline as pl
-from tricover import build_graph, cover, nu_exact, tau_star_k_exact, verify_certificate
+from tricover import (
+    build_graph,
+    build_structure,
+    cover,
+    nu_exact,
+    tau_star_k_exact,
+    verify_certificate,
+    verify_cover,
+)
 from tricover.generators import bowtie, complete_graph, glued_k4, gnp, lend_chain
 from tricover.pipeline import certificate_dumps, certificate_obj, graph_digest
+
+from test_acceptance import suite_instances
 
 
 def test_cover_all_orders_on_small_suite():
@@ -186,11 +198,42 @@ def test_memo_keeps_no_reference_to_its_graph():
     r = cover(g, 2, seed=3, max_swap=1)
     assert r.repairs
     tau_star_k_exact(g, 3)
-    assert g._memo  # both results are kept on the graph
+    s = build_structure(g, r.packing)
+    assert verify_cover(g, r.assignment, len(r.packing)).ok
+    assert {"triangles", "tau_star_lp"} <= set(g._memo)  # all kept on the graph
     gc.collect()
     gc.disable()
     try:
-        del g, r
+        del g, r, s
         assert ref() is None  # freed by reference counting, no cycle
     finally:
         gc.enable()
+
+
+def test_cover_enumerates_triangles_once_per_graph(monkeypatch):
+    calls = _count_calls(monkeypatch, graph, "_find_triangles")
+    instances = suite_instances()
+    for _, g in instances:
+        for k in (2, 3, 6):
+            assert cover(g, k).report.ok
+    assert len(calls) == len(instances) == 114
+
+
+def test_cover_suite_digest():
+    # sha256 over the acceptance suite x orders 2, 3, 6 of each cover's
+    # numerators, packing, repair log and per-triangle spending, computed
+    # on the commit before the memoised triangle list
+    rows = []
+    for _, g in suite_instances():
+        for k in (2, 3, 6):
+            r = cover(g, k)
+            rows.append(
+                (
+                    sorted(r.assignment.numerators.items()),
+                    [t.vertices for t in r.packing.triangles],
+                    r.repair_log,
+                    sorted((t.vertices, v) for t, v in r.assignment.per_triangle.items()),
+                )
+            )
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "c3e808bf944a876feff0f91d6e84e19f62af556545bc512b363a4b2c338a7245"

@@ -3,16 +3,29 @@
 import json
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from tricover import (
     Packing,
     build_graph,
     build_structure,
     check_structure,
+    enumerate_triangles,
+    greedy_packing,
     local_search_packing,
     structure_debug_json,
     violation_to_focus,
 )
 from tricover.generators import bowtie, complete_graph, gnp
+from tricover.graph import Graph, Triangle
+from tricover.structure import (
+    Attachment,
+    PackedInfo,
+    SolutionStructure,
+    _apex,
+    _detect_pairs,
+)
 
 
 def test_k4_single_triangle_is_type3():
@@ -177,3 +190,101 @@ def test_debug_json_is_valid_and_complete():
     assert len(rows) == 10  # C(5,3) triangles of K5
     solution_rows = [r for r in rows if r["role"] == "solution"]
     assert len(solution_rows) == len(p)
+
+
+# Reference oracle: build_structure on Triangle-keyed sets and dicts, as
+# it was before the packed triangles became indices.  The library version
+# must build an equal structure, dict insertion orders included.
+
+
+def _reference_build_structure(g: Graph, p: Packing) -> SolutionStructure:
+    """Total classification of all triangles of g against packing p."""
+    edge_owner: dict[int, Triangle] = {}
+    for psi in p.triangles:
+        for e in psi.edge_ids:
+            edge_owner[e] = psi
+
+    packed = set(p.triangles)
+    conflicts: dict[Triangle, list[Triangle]] = {psi: [] for psi in p.triangles}
+    attachments: dict[Triangle, Attachment] = {}
+    tris = enumerate_triangles(g)
+    for t in tris:
+        if t in packed:
+            continue
+        owners = sorted({edge_owner[e] for e in t.edge_ids if e in edge_owner})
+        for psi in owners:
+            conflicts[psi].append(t)
+        attachments[t] = Attachment(t, tuple(owners), ())
+
+    # first pass: base edges and types
+    base_edges: dict[Triangle, frozenset[int]] = {}
+    for psi in p.triangles:
+        sin = [t for t in conflicts[psi] if len(attachments[t].owners) == 1]
+        base_edges[psi] = frozenset(
+            e for t in sin for e in t.edge_ids if edge_owner.get(e) is psi
+        )
+
+    types = {psi: len(base_edges[psi]) for psi in p.triangles}
+
+    # attach signatures now that packed types are known
+    for t, att in list(attachments.items()):
+        sig = tuple(sorted(types[psi] for psi in att.owners))
+        attachments[t] = Attachment(t, att.owners, sig)
+
+    info: dict[Triangle, PackedInfo] = {}
+    for psi in p.triangles:
+        sin = tuple(t for t in conflicts[psi] if len(attachments[t].owners) == 1)
+        dou = tuple(t for t in conflicts[psi] if len(attachments[t].owners) == 2)
+        hol = tuple(t for t in conflicts[psi] if len(attachments[t].owners) == 3)
+        anchor: int | None = None
+        if types[psi] == 3:
+            anchors = {_apex(t, psi) for t in sin}
+            if len(anchors) == 1:
+                anchor = anchors.pop()
+        elif types[psi] == 1 and sin:
+            anchor = min(_apex(t, psi) for t in sin)
+        info[psi] = PackedInfo(
+            psi, types[psi], base_edges[psi], anchor, sin, dou, hol
+        )
+
+    pairs = _detect_pairs(g, info, attachments)
+    return SolutionStructure(
+        g=g,
+        packing=p,
+        info=info,
+        attachments=attachments,
+        pairs=pairs,
+        edge_owner=edge_owner,
+        nonsolution=tuple(t for t in tris if t not in packed),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(6, 14),
+    density=st.sampled_from([0.3, 0.5, 0.7]),
+    graph_seed=st.integers(0, 10**6),
+    order_seed=st.integers(0, 100),
+    source=st.sampled_from(["greedy", "swap1", "swap2", "drop_one"]),
+    data=st.data(),
+)
+def test_build_structure_matches_reference(
+    n, density, graph_seed, order_seed, source, data
+):
+    g = gnp(n, density, graph_seed)
+    if source == "swap1":
+        p = local_search_packing(g, order_seed, 1)
+    elif source == "swap2":
+        p = local_search_packing(g, order_seed, 2)
+    else:
+        tris = list(greedy_packing(g, order_seed).triangles)
+        if source == "drop_one" and tris:
+            tris.pop(data.draw(st.integers(0, len(tris) - 1)))
+        p = Packing(g, tris)
+    s, ref = build_structure(g, p), _reference_build_structure(g, p)
+    assert list(s.info.items()) == list(ref.info.items())
+    assert list(s.attachments.items()) == list(ref.attachments.items())
+    assert s.pairs == ref.pairs
+    assert s.edge_owner == ref.edge_owner
+    assert s.nonsolution == ref.nonsolution
+    assert check_structure(s) == check_structure(ref)
