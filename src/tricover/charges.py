@@ -236,8 +236,6 @@ def _spend_spare_thirds(s: SolutionStructure, led: Ledger) -> None:
     packed triangle; anything this cannot finish is left to the caller's
     verification.
     """
-    g = s.g
-    two = Fraction(2)
 
     def value(eid: int) -> int:
         return led.numerators.get(eid, 0)
@@ -250,10 +248,11 @@ def _spend_spare_thirds(s: SolutionStructure, led: Ledger) -> None:
         ]
 
     def donors() -> list[Triangle]:
+        # a donor has a third to spare: at most 5 of its 6 thirds placed
         return [
             psi
             for psi in s.packing.triangles
-            if two - led.spent(psi) >= Fraction(1, 3)
+            if sum(led.contrib.get(psi, {}).values()) <= 5
         ]
 
     missing = uncovered()

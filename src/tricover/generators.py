@@ -6,7 +6,9 @@ import random
 from dataclasses import dataclass
 
 from .errors import BadParamsError
-from .graph import Graph, build_graph, read_edge_list
+from .graph import MAX_VERTICES, Graph, build_graph, read_edge_list
+
+MAX_PAIRS = 10**6  # most candidate vertex pairs complete and gnp will scan (n <= 1414)
 
 
 @dataclass(frozen=True)
@@ -27,9 +29,24 @@ class InstanceSpec:
         return ",".join(parts)
 
 
+def _check_size(family: str, n: int, pairs: bool = False) -> None:
+    """Reject a vertex count above the parser's cap, and, for families
+    that scan every vertex pair, more than ``MAX_PAIRS`` pairs, before
+    any edge list is built."""
+    if n > MAX_VERTICES:
+        raise BadParamsError(
+            f"{family} needs {n} vertices, above the cap of {MAX_VERTICES}"
+        )
+    if pairs and n * (n - 1) // 2 > MAX_PAIRS:
+        raise BadParamsError(
+            f"{family} with n={n} scans more than {MAX_PAIRS} vertex pairs"
+        )
+
+
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise BadParamsError("complete graph needs n >= 1")
+    _check_size("complete", n, pairs=True)
     return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
@@ -41,6 +58,7 @@ def bowtie() -> Graph:
 def gnp(n: int, p: float, seed: int) -> Graph:
     if n < 0 or not (0.0 <= p <= 1.0):
         raise BadParamsError(f"bad gnp parameters n={n}, p={p}")
+    _check_size("gnp", n, pairs=True)
     rng = random.Random(seed)
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
@@ -57,6 +75,7 @@ def glued_k4(length: int) -> Graph:
     """
     if length < 1:
         raise BadParamsError("glued_k4 needs length >= 1")
+    _check_size("glued_k4", 3 * length + 1)
     edges = []
     for i in range(length):
         vs = [3 * i, 3 * i + 1, 3 * i + 2, 3 * i + 3]
@@ -77,6 +96,7 @@ def lend_chain(length: int) -> Graph:
     """
     if length < 1:
         raise BadParamsError("lend_chain needs length >= 1")
+    _check_size("lend_chain", 2 * length + 4)
     L = length
     a1, c0, a0 = 2 * L + 1, 2 * L + 2, 2 * L + 3
     edges: list[tuple[int, int]] = []

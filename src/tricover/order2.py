@@ -2,17 +2,20 @@
 
 Half-integral initial charge, credit lending along chains of type-1
 triangles into a type-3 head (grown with the satisfy-and-truncate rules),
-fixed/flexible charge split, demanding-triangle analysis, and the final
-discharge-and-pin loop that spends the spare half credit of type-0
-triangles while rotating the flexible K4 charges.
+demanding-triangle analysis, and the final discharge-and-pin loop that
+spends the spare half credit of type-0 triangles while rotating the K4
+charges of the unsatisfied tails and of the type-3 triangles outside
+every chain.
 
 Charge bookkeeping is the shared ``charges.Ledger`` at order 2, so every
 numerator counts half credits: a half on an edge is numerator 1, a full
 unit is 2.  The ledger keeps each packed triangle's contribution apart,
 so a rotation replaces one triangle's share without touching anyone
 else's, and the budget check (at most 2 credits each) is a sum over it.
-Values read back through ``f``, ``spent`` and ``fix_value`` are exact
-``Fraction``s.
+Values read back through ``f`` and ``spent`` are exact ``Fraction``s.
+
+Which triangles the loop may still spend is kept in one place,
+``DemandState.free``: a discharge or a pin removes its triangle from it.
 """
 
 from __future__ import annotations
@@ -38,23 +41,15 @@ HALF = Fraction(1, 2)  # the weight of one half credit, numerator 1 at order 2
 # charge state
 
 class ChargeState(Ledger):
-    """The order-2 ledger plus the state of the discharge-and-pin loop."""
+    """The order-2 ledger of one packing's structure."""
 
     def __init__(self, s: SolutionStructure):
         super().__init__(2)
         self.structure = s
         self.g: Graph = s.g
-        self.extra_spent: set[Triangle] = set()
-        self.pinned: set[Triangle] = set()
-        self.f_fix: dict[int, int] | None = None
 
     def satisfied(self, psi: Triangle) -> bool:
         return all(self.numerators.get(e, 0) >= 1 for e in psi.edge_ids)
-
-    def fix_value(self, eid: int) -> Fraction:
-        if self.f_fix is None:
-            raise ValueError("f_fix not computed yet")
-        return Fraction(self.f_fix.get(eid, 0), 2)
 
 
 def initial_half_charge(s: SolutionStructure) -> ChargeState:
@@ -106,20 +101,10 @@ class LendArc:
     anchor: int
 
 
-@dataclass
-class LendRelation:
-    arcs: dict[Triangle, LendArc]
-
-    def incoming(self, dst: Triangle) -> list[LendArc]:
-        return sorted(
-            (a for a in self.arcs.values() if a.dst == dst),
-            key=lambda a: a.src,
-        )
-
-
-def build_lend(s: SolutionStructure) -> LendRelation:
-    """All lend arcs: a type-1 triangle with a unique attachment whose
-    anchor-to-apex edge is a solution edge of a type-1 or type-3 triangle.
+def build_lend(s: SolutionStructure) -> dict[Triangle, LendArc]:
+    """All lend arcs, keyed by their source: a type-1 triangle with a
+    unique attachment whose anchor-to-apex edge is a solution edge of a
+    type-1 or type-3 triangle.
 
     The twin doubly-attached witnesses exist automatically: the base legs
     come from the attachment, the gain edge from the target triangle, so
@@ -143,7 +128,7 @@ def build_lend(s: SolutionStructure) -> LendRelation:
         if dst is None or dst == psi or s.info[dst].type not in (1, 3):
             continue
         arcs[psi] = LendArc(psi, dst, gain, c, a)
-    return LendRelation(arcs)
+    return arcs
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +206,10 @@ def _legs_of(s: SolutionStructure, psi: Triangle) -> tuple[int, int]:
 
 
 def build_chains(
-    s: SolutionStructure,
-    lend: LendRelation,
-    cs: ChargeState,
-    flip_tails: bool = False,
-) -> tuple[ChainSet, ChargeState]:
-    """Grow all chains, satisfy what can be satisfied, truncate the rest.
+    s: SolutionStructure, lend: dict[Triangle, LendArc], cs: ChargeState
+) -> ChainSet:
+    """Grow all chains on ``cs``, satisfy what can be satisfied, truncate
+    the rest.
 
     Satisfaction and candidate-eligibility tests look only at *fixed*
     half-edges (the ones some construction step placed for good), never
@@ -234,15 +217,20 @@ def build_chains(
     are revoked the moment such a triangle becomes a head, so counting
     them would satisfy a triangle with credit that later disappears.
 
-    ``flip_tails`` exchanges the naming of the two flexible edges of every
-    unsatisfied tail before their spare credit is placed; the verified
-    properties of the final assignment are invariant under it.
+    An unsatisfied tail puts its spare half on the lower-id of its two
+    non-base edges, ``link.h``; the other one is ``tail_g_next``.  The
+    choice follows edge ids alone: the same graph read with its edges in
+    reverse order swaps the two names, and its cover verifies all the
+    same.
     """
     g = s.g
     chains: list[Chain] = []
     by_triangle: dict[Triangle, Chain] = {}
     threes = set(s.packed_of_type(3))
     fixed_half: set[int] = set()
+    incoming: dict[Triangle, list[LendArc]] = {}
+    for src in sorted(lend):
+        incoming.setdefault(lend[src].dst, []).append(lend[src])
 
     def eligible_lender(psi: Triangle) -> bool:
         """A candidate may extend a chain while an attachment leg is unfixed."""
@@ -294,8 +282,7 @@ def build_chains(
 
     def start_candidates() -> list[LendArc]:
         out = []
-        for psi in sorted(lend.arcs):
-            arc = lend.arcs[psi]
+        for psi, arc in lend.items():
             if s.info[arc.dst].type != 3:
                 continue
             if cs.satisfied(arc.dst) or arc.dst in by_triangle:
@@ -355,7 +342,7 @@ def build_chains(
                 break
             growers = [
                 a
-                for a in lend.incoming(tail)
+                for a in incoming.get(tail, ())
                 if a.gain != next(iter(s.info[tail].base_edges))
                 and a.src not in by_triangle
                 and eligible_lender(a.src)
@@ -390,9 +377,7 @@ def build_chains(
             continue
         link = chain.links[-1]
         tail = link.psi
-        nonbase = sorted(e for e in tail.edge_ids if e != link.base)
-        h_k = nonbase[1] if flip_tails else nonbase[0]
-        g_next = nonbase[0] if flip_tails else nonbase[1]
+        h_k, g_next = sorted(e for e in tail.edge_ids if e != link.base)
         hx = set(g.edges[h_k])
         e2_k = next(e for e in link.legs if not (set(g.edges[e]) & hx))
         e1_k = next(e for e in link.legs if e != e2_k)
@@ -401,29 +386,7 @@ def build_chains(
         link.h, link.e1, link.e2 = h_k, e1_k, e2_k
         chain.tail_g_next = g_next
 
-    return ChainSet(chains, by_triangle), cs
-
-
-# ---------------------------------------------------------------------------
-# fixed vs flexible credits
-
-def compute_f_fix(cs: ChargeState, chains: ChainSet) -> ChargeState:
-    """Zero the rotatable K4 regions: unsatisfied tails keep only their
-    base and gain edges fixed; type-3 triangles outside every chain keep
-    nothing."""
-    s = cs.structure
-    flexible: set[int] = set()
-    for c in chains.chains:
-        if c.satisfied or c.zero_sized:
-            continue
-        link = c.links[-1]
-        flexible |= set(s.k4_region_edges(link.psi)) - {link.base, link.gain}
-    heads = chains.heads()
-    for psi in s.packed_of_type(3):
-        if psi not in heads:
-            flexible |= set(s.k4_region_edges(psi))
-    cs.f_fix = {e: v for e, v in cs.numerators.items() if v and e not in flexible}
-    return cs
+    return ChainSet(chains, by_triangle)
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +417,7 @@ class DemandState:
         return [t for t in self.demanding if es & set(t.edge_ids)]
 
 
-def compute_demanding(
-    s: SolutionStructure, cs: ChargeState, chains: ChainSet
-) -> DemandState:
+def compute_demanding(s: SolutionStructure, chains: ChainSet) -> DemandState:
     """The set D of triangles the discharge-and-pin loop must cover, and
     the free set A whose credits it may still move."""
     type0 = set(s.packed_of_type(0))
@@ -538,12 +499,9 @@ def check_demand_lemma(s: SolutionStructure, ds: DemandState) -> set[int] | None
 
 def discharge(ds: DemandState, cs: ChargeState, psi0: Triangle, eid: int) -> None:
     """Spend the reserved half credit of type-0 ``psi0`` on edge ``eid``."""
-    if psi0 in cs.extra_spent:
-        raise AlreadySpentError(f"{psi0} already discharged")
     if psi0 not in ds.free or ds.regions[psi0].kind != "type0":
         raise AlreadySpentError(f"{psi0} is not a free type-0 triangle")
     cs.give(psi0, eid, 1)
-    cs.extra_spent.add(psi0)
     ds.free.remove(psi0)
     covered = ds.demanding_on_edge(eid)
     ds.demanding = [t for t in ds.demanding if t not in covered]
@@ -558,7 +516,7 @@ def pin(ds: DemandState, cs: ChargeState, psi: Triangle, eid: int) -> None:
     The opposite spoke of the K4 goes null with it; for an unsatisfied
     tail the base and gain edges stay half no matter the rotation.
     """
-    if psi in cs.pinned or psi not in ds.free:
+    if psi not in ds.free:
         raise AlreadyPinnedError(f"{psi} is not free to pin")
     region = ds.regions[psi]
     if region.kind == "type0":
@@ -589,7 +547,6 @@ def pin(ds: DemandState, cs: ChargeState, psi: Triangle, eid: int) -> None:
             if e not in (eid, null_spoke)
         }
     cs.replace(psi, m)
-    cs.pinned.add(psi)
     ds.free.remove(psi)
     ds.log.append(
         {"op": "pin", "triangle": list(psi.vertices), "edge": list(g.edges[eid])}
@@ -602,9 +559,7 @@ def _type0_edge_of(s: SolutionStructure, t: Triangle, type0: set[Triangle]) -> i
     )
 
 
-def discharge_and_pin(
-    s: SolutionStructure, cs: ChargeState, ds: DemandState
-) -> ChargeState:
+def discharge_and_pin(s: SolutionStructure, cs: ChargeState, ds: DemandState) -> None:
     """Cover every demanding triangle, spending each free triangle at most once."""
     type0 = set(s.packed_of_type(0))
 
@@ -687,8 +642,6 @@ def discharge_and_pin(
                 )
             critical, psi = options[0]
 
-    return cs
-
 
 # ---------------------------------------------------------------------------
 # full order-2 run against one packing
@@ -701,9 +654,7 @@ class Order2Run:
     assignment: ChargeAssignment
 
 
-def run_order2(
-    s: SolutionStructure, flip_tails: bool = False
-) -> tuple[Order2Run, set[int] | None]:
+def run_order2(s: SolutionStructure) -> tuple[Order2Run, set[int] | None]:
     """One pass of the whole order-2 pipeline on a fixed packing.
 
     Returns the run and, when the demanding-structure check fails, the
@@ -711,11 +662,10 @@ def run_order2(
     """
     cs = initial_half_charge(s)
     lend = build_lend(s)
-    chains, cs = build_chains(s, lend, cs, flip_tails=flip_tails)
-    cs = compute_f_fix(cs, chains)
-    ds = compute_demanding(s, cs, chains)
+    chains = build_chains(s, lend, cs)
+    ds = compute_demanding(s, chains)
     witness = check_demand_lemma(s, ds)
     if witness is not None:
         return Order2Run(cs, chains, ds, ChargeAssignment(2, {})), witness
-    cs = discharge_and_pin(s, cs, ds)
+    discharge_and_pin(s, cs, ds)
     return Order2Run(cs, chains, ds, cs.to_assignment()), None

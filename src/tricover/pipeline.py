@@ -74,21 +74,20 @@ def cover(
     order: int,
     seed: int = 0,
     max_swap: int = 5,
-    flip_tails: bool = False,
 ) -> CoverResult:
     """Verified order-{2,3,6} cover; other orders are composed from 2 and 3."""
     if order in (2, 3, 6):
-        return _cover_single(g, order, seed, max_swap, flip_tails)
+        return _cover_single(g, order, seed, max_swap)
     if order < 2:
         raise MissingInputError("order must be at least 2")
     f2 = f3 = None
     base = None
     if order % 2 == 0 or order > 3:
-        base = _cover_single(g, 2, seed, max_swap, flip_tails)
+        base = _cover_single(g, 2, seed, max_swap)
         f2 = base.assignment
     extra: CoverResult | None = None
     if order % 2 == 1:
-        extra = _cover_single(g, 3, seed, max_swap, flip_tails)
+        extra = _cover_single(g, 3, seed, max_swap)
         f3 = extra.assignment
     composed = compose_order_k(f2, f3, order)
     sizes = [len(r.packing) for r in (base, extra) if r is not None]
@@ -100,7 +99,7 @@ def cover(
     return CoverResult(biggest.packing, composed, report, log)
 
 
-def _cover_single(g, order, seed, max_swap, flip_tails) -> CoverResult:
+def _cover_single(g, order, seed, max_swap) -> CoverResult:
     start = memo(
         g,
         ("local_search", seed, max_swap),
@@ -124,7 +123,7 @@ def _cover_single(g, order, seed, max_swap, flip_tails) -> CoverResult:
             elif order == 3:
                 assignment = charge_order3(s)
             else:
-                run, witness = run_order2(s, flip_tails=flip_tails)
+                run, witness = run_order2(s)
                 if witness is not None:
                     packing = _repair(g, packing, witness, max_swap, log, "demand-shape")
                     continue

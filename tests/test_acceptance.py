@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from tricover import (
+    build_graph,
     build_structure,
     check_structure,
     cover,
@@ -28,7 +29,6 @@ from tricover.order2 import (
     build_lend,
     check_demand_lemma,
     compute_demanding,
-    compute_f_fix,
     initial_half_charge,
 )
 
@@ -167,9 +167,8 @@ def test_criterion_7_structure_postconditions():
         s = build_structure(g, p)
         assert check_structure(s) == [], name
         cs = initial_half_charge(s)
-        chains, cs = build_chains(s, build_lend(s), cs)
-        cs = compute_f_fix(cs, chains)
-        ds = compute_demanding(s, cs, chains)
+        chains = build_chains(s, build_lend(s), cs)
+        ds = compute_demanding(s, chains)
         assert check_demand_lemma(s, ds) is None, name
     print(f"ACCEPTANCE 7 PASS: structure and demand checks clean on the suite "
           f"({time.time() - t0:.1f}s)")
@@ -199,7 +198,7 @@ def test_criterion_9_chain_construction():
         p = local_search_packing(g, 0, 5)
         s = build_structure(g, p)
         cs = initial_half_charge(s)
-        chains, cs = build_chains(s, build_lend(s), cs)
+        chains = build_chains(s, build_lend(s), cs)
         real = [c for c in chains.chains if not c.zero_sized]
         assert len(real) == 1 and real[0].size == L
         chain = real[0]
@@ -208,8 +207,10 @@ def test_criterion_9_chain_construction():
         assert all(cs.f(e) == HALF for e in halves)
         for link in chain.links:
             assert cs.f(link.gain) == HALF
-        for flip in (False, True):
-            r = cover(g, 2, flip_tails=flip)
-            assert verify_cover(g, r.assignment, len(r.packing)).ok
+        # the reversed edge order swaps the naming of the tail's two
+        # non-base edges; each cover is verified against its own graph
+        for h in (g, build_graph(g.n, list(reversed(g.edges)))):
+            r = cover(h, 2)
+            assert verify_cover(h, r.assignment, len(r.packing)).ok
     print(f"ACCEPTANCE 9 PASS: size-L chains with the half-edge pattern, "
           f"tail renaming invariant ({time.time() - t0:.1f}s)")

@@ -102,6 +102,23 @@ def test_repair_exhausted_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 3 and "repair exhausted" in stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--family", "complete", "--n", "100001"],
+        ["--family", "gnp", "--n", "1415", "--p", "0.5", "--seed", "1"],
+        ["--family", "glued_k4", "--length", "1000000000"],
+        ["--family", "lend_chain", "--length", "1000000000"],
+    ],
+    ids=["complete", "gnp", "glued_k4", "lend_chain"],
+)
+def test_gen_rejects_oversized_instance(tmp_path, capsys, args):
+    out = tmp_path / "g.txt"
+    code, _, stderr = run(capsys, "gen", *args, "--out", str(out))
+    assert code == 4 and stderr.startswith("error:")
+    assert not out.exists()
+
+
 def test_input_error_exit_code(tmp_path, capsys):
     missing = str(tmp_path / "missing.txt")
     code, _, stderr = run(capsys, "pack", missing)

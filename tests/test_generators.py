@@ -4,7 +4,15 @@ import pytest
 
 from tricover import InstanceSpec, enumerate_triangles, generate, nu_exact
 from tricover.errors import BadParamsError
-from tricover.generators import bowtie, complete_graph, glued_k4, gnp, lend_chain
+from tricover.generators import (
+    MAX_PAIRS,
+    bowtie,
+    complete_graph,
+    glued_k4,
+    gnp,
+    lend_chain,
+)
+from tricover.graph import MAX_VERTICES
 
 
 def test_complete_graph():
@@ -61,3 +69,23 @@ def test_bad_params():
 
 def test_spec_labels():
     assert InstanceSpec("gnp", n=5, p=0.5, seed=1).label() == "gnp,n=5,p=0.5,seed=1"
+
+
+def test_sizes_above_the_caps_are_rejected():
+    # each call would exhaust memory if it built its edge list first
+    for make in (
+        lambda: complete_graph(MAX_VERTICES + 1),
+        lambda: gnp(10**9, 0.5, 0),
+        lambda: glued_k4(MAX_VERTICES // 3 + 1),  # 3L+1 vertices
+        lambda: lend_chain(MAX_VERTICES // 2 - 1),  # 2L+4 vertices
+        lambda: generate(InstanceSpec("glued_k4", length=10**12)),
+    ):
+        with pytest.raises(BadParamsError, match="cap"):
+            make()
+    # complete and gnp scan every vertex pair: at most MAX_PAIRS of them
+    assert 1414 * 1413 // 2 <= MAX_PAIRS < 1415 * 1414 // 2
+    with pytest.raises(BadParamsError, match="pairs"):
+        complete_graph(1415)
+    with pytest.raises(BadParamsError, match="pairs"):
+        generate(InstanceSpec("gnp", n=1415, p=0.5, seed=1))
+    assert gnp(1414, 0.0, 0).n == 1414

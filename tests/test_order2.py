@@ -17,7 +17,7 @@ from tricover import (
     nu_exact,
     verify_cover,
 )
-from tricover.errors import AlreadySpentError, PinBaseEdgeError
+from tricover.errors import AlreadyPinnedError, AlreadySpentError, PinBaseEdgeError
 from tricover.generators import complete_graph, gnp, lend_chain
 from tricover.order2 import (
     HALF,
@@ -25,7 +25,6 @@ from tricover.order2 import (
     build_lend,
     check_demand_lemma,
     compute_demanding,
-    compute_f_fix,
     discharge,
     discharge_and_pin,
     initial_half_charge,
@@ -40,14 +39,33 @@ def structure_of(g, triangles):
     return build_structure(g, Packing(g, triangles))
 
 
-def pipeline_state(g, triangles, flip_tails=False):
+def pipeline_state(g, triangles):
     s = structure_of(g, triangles)
     assert check_structure(s) == []
     cs = initial_half_charge(s)
-    chains, cs = build_chains(s, build_lend(s), cs, flip_tails=flip_tails)
-    cs = compute_f_fix(cs, chains)
-    ds = compute_demanding(s, cs, chains)
+    chains = build_chains(s, build_lend(s), cs)
+    ds = compute_demanding(s, chains)
     return s, cs, chains, ds
+
+
+def fixed_charge(s):
+    """Numerators of the chain-built charge outside the rotatable K4
+    regions: an unsatisfied tail keeps only its base and gain edges
+    fixed, a type-3 triangle outside every chain keeps nothing.  Pins
+    and discharges must never take an edge below this."""
+    cs = initial_half_charge(s)
+    chains = build_chains(s, build_lend(s), cs)
+    flexible = set()
+    for c in chains.chains:
+        if c.satisfied or c.zero_sized:
+            continue
+        link = c.links[-1]
+        flexible |= set(s.k4_region_edges(link.psi)) - {link.base, link.gain}
+    heads = chains.heads()
+    for psi in s.packed_of_type(3):
+        if psi not in heads:
+            flexible |= set(s.k4_region_edges(psi))
+    return {e: v for e, v in cs.numerators.items() if v and e not in flexible}
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +119,8 @@ def test_lend_arc_in_gadget():
     p = local_search_packing(g, 0, 5)
     s = build_structure(g, p)
     lend = build_lend(s)
-    assert len(lend.arcs) == 1
-    arc = next(iter(lend.arcs.values()))
+    assert len(lend) == 1
+    arc = next(iter(lend.values()))
     assert s.info[arc.src].type == 1
     assert s.info[arc.dst].type == 3
     assert arc.gain in arc.dst.edge_ids
@@ -111,7 +129,7 @@ def test_lend_arc_in_gadget():
 def test_no_lend_between_disjoint_triangles():
     g = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     s = structure_of(g, [g.triangle(0, 1, 2), g.triangle(3, 4, 5)])
-    assert build_lend(s).arcs == {}
+    assert build_lend(s) == {}
 
 
 def test_no_lend_when_attachment_not_unique():
@@ -122,8 +140,8 @@ def test_no_lend_when_attachment_not_unique():
     g2 = build_graph(g.n + 1, edges)
     p = local_search_packing(g2, 0, 5)
     s = build_structure(g2, p)
-    src_types = {s.info[a.src].type for a in build_lend(s).arcs.values()}
-    assert g2.triangle(0, 1, 2) not in {a.src for a in build_lend(s).arcs.values()}
+    src_types = {s.info[a.src].type for a in build_lend(s).values()}
+    assert g2.triangle(0, 1, 2) not in {a.src for a in build_lend(s).values()}
     assert src_types <= {1}
 
 
@@ -137,7 +155,7 @@ def test_chain_sizes_on_gadgets():
         assert len(p) == L + 1 == nu_exact(g).value
         s = build_structure(g, p)
         cs = initial_half_charge(s)
-        chains, cs = build_chains(s, build_lend(s), cs)
+        chains = build_chains(s, build_lend(s), cs)
         real = [c for c in chains.chains if not c.zero_sized]
         assert len(real) == 1
         chain = real[0]
@@ -155,7 +173,7 @@ def test_chain_half_edge_pattern():
         p = local_search_packing(g, 0, 5)
         s = build_structure(g, p)
         cs = initial_half_charge(s)
-        chains, cs = build_chains(s, build_lend(s), cs)
+        chains = build_chains(s, build_lend(s), cs)
         chain = next(c for c in chains.chains if not c.zero_sized)
         for link in chain.links:
             assert cs.f(link.gain) == HALF
@@ -179,7 +197,7 @@ def test_distinct_chains_have_disjoint_half_edges():
         if check_structure(s):
             continue
         cs = initial_half_charge(s)
-        chains, cs = build_chains(s, build_lend(s), cs)
+        chains = build_chains(s, build_lend(s), cs)
         seen = set()
         for c in chains.chains:
             mine = c.half_nonsolution_edges()
@@ -205,7 +223,7 @@ def test_one_link_chain_leaves_no_null_edge_on_head():
     p = local_search_packing(g, 0, 5)
     s = build_structure(g, p)
     cs = initial_half_charge(s)
-    chains, cs = build_chains(s, build_lend(s), cs)
+    chains = build_chains(s, build_lend(s), cs)
     head = next(c for c in chains.chains if not c.zero_sized).head
     assert all(cs.f(e) == HALF for e in head.edge_ids)
 
@@ -215,7 +233,7 @@ def test_no_arcs_mean_no_chains():
     s = structure_of(g, [g.triangle(0, 1, 2)])
     cs = initial_half_charge(s)
     before = {e: cs.f(e) for e in range(g.m)}
-    chains, cs = build_chains(s, build_lend(s), cs)
+    chains = build_chains(s, build_lend(s), cs)
     assert chains.chains == []
     assert {e: cs.f(e) for e in range(g.m)} == before
 
@@ -227,20 +245,21 @@ def test_f_fix_zeroes_unsatisfied_tail_region():
     g = lend_chain(2)
     p = local_search_packing(g, 0, 5)
     s, cs, chains, ds = pipeline_state(g, list(p.triangles))
+    fix = fixed_charge(s)
     chain = next(c for c in chains.chains if not c.zero_sized)
     link = chain.links[-1]
-    assert cs.fix_value(chain.tail_g_next) == 0
-    assert cs.fix_value(link.h) == 0
-    assert cs.fix_value(link.e1) == 0
-    assert cs.fix_value(link.e2) == 0
-    assert cs.fix_value(link.base) == HALF
-    assert cs.fix_value(link.gain) == HALF
+    assert fix.get(chain.tail_g_next, 0) == 0
+    assert fix.get(link.h, 0) == 0
+    assert fix.get(link.e1, 0) == 0
+    assert fix.get(link.e2, 0) == 0
+    assert fix.get(link.base, 0) == 1  # numerator 1 is HALF at order 2
+    assert fix.get(link.gain, 0) == 1
     # satisfied members and the head keep everything fixed
     for l in chain.links[:-1]:
         for e in l.psi.edge_ids:
-            assert cs.fix_value(e) == cs.f(e)
+            assert fix.get(e, 0) == cs.numerators.get(e, 0)
     for e in chain.head.edge_ids:
-        assert cs.fix_value(e) == cs.f(e) == HALF
+        assert fix.get(e, 0) == cs.numerators.get(e, 0) == 1
 
 
 def _bridge_instance():
@@ -266,7 +285,7 @@ def test_demanding_set_on_bridge_instance():
     bridge = g.triangle(1, 2, 3)
     assert bridge in ds.demanding
     assert check_demand_lemma(s, ds) is None
-    cs = discharge_and_pin(s, cs, ds)
+    discharge_and_pin(s, cs, ds)
     assert ds.demanding == []
     f = cs.to_assignment()
     assert verify_cover(g, f, len(p)).ok
@@ -296,7 +315,7 @@ def test_triangle_on_full_base_edge_not_demanding():
     assert base_edge in bridge.edge_ids
     assert bridge not in ds.demanding
     assert cs.f(base_edge) == 1
-    cs = discharge_and_pin(s, cs, ds)
+    discharge_and_pin(s, cs, ds)
     assert verify_cover(g, cs.to_assignment(), len(p)).ok
 
 
@@ -326,6 +345,15 @@ def test_pin_base_edge_rejected():
     base = next(iter(s.info[tail].base_edges))
     with pytest.raises(PinBaseEdgeError):
         pin(ds, cs, tail, base)
+
+
+def test_pin_twice_rejected():
+    g = complete_graph(4)
+    s, cs, chains, ds = pipeline_state(g, [g.triangle(0, 1, 2)])
+    psi = g.triangle(0, 1, 2)
+    pin(ds, cs, psi, g.edge_id(1, 2))
+    with pytest.raises(AlreadyPinnedError):
+        pin(ds, cs, psi, g.edge_id(0, 1))
 
 
 def test_pin_type3_rotates_to_requested_null_edge():
@@ -458,8 +486,9 @@ def test_deep_discharge_and_pin_iteration():
     assert verify_cover(g, run.assignment, len(p)).ok
     assert run.assignment.total() == 14  # exactly 2 per packed triangle
     # pins and discharges never dip below the fixed charge
+    fix = fixed_charge(s)
     for e in range(g.m):
-        assert run.charge.f(e) >= run.charge.fix_value(e)
+        assert run.charge.numerators.get(e, 0) >= fix.get(e, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +519,23 @@ def test_cover_order2_k6():
 
 
 def test_tail_renaming_invariance():
+    # the reversed edge order swaps the names of the unsatisfied tail's
+    # two non-base edges; the cover verifies under either naming
     for L in (1, 2, 3, 4):
         g = lend_chain(L)
-        for flip in (False, True):
-            r = cover(g, 2, flip_tails=flip)
+        named = []
+        for h in (g, build_graph(g.n, list(reversed(g.edges)))):
+            r = cover(h, 2)
             assert r.report.ok
+            assert verify_cover(h, r.assignment, len(r.packing)).ok
             assert r.assignment.total() <= 2 * len(r.packing)
+            _, _, chains, _ = pipeline_state(h, list(r.packing.triangles))
+            chain = next(c for c in chains.chains if not c.zero_sized)
+            named.append(
+                (set(h.edges[chain.links[-1].h]), set(h.edges[chain.tail_g_next]))
+            )
+        (h0, g0), (h1, g1) = named
+        assert h0 == g1 and g0 == h1
 
 
 def test_run_order2_spends_each_triangle_at_most_twice():
@@ -514,5 +554,6 @@ def test_run_order2_spends_each_triangle_at_most_twice():
             if s.info[psi].type == 0:
                 assert spent in (F(3, 2), 2)
         assert verify_cover(g, run.assignment, len(p)).ok
+        fix = fixed_charge(s)
         for e in range(g.m):
-            assert run.charge.f(e) >= run.charge.fix_value(e)
+            assert run.charge.numerators.get(e, 0) >= fix.get(e, 0)

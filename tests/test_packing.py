@@ -25,7 +25,6 @@ from tricover.order2 import (
     build_lend,
     check_demand_lemma,
     compute_demanding,
-    compute_f_fix,
     initial_half_charge,
 )
 from tricover.structure import build_structure, check_structure
@@ -141,9 +140,8 @@ def test_targeted_swap_repairs_demand_violation():
     s = build_structure(g, p)
     assert check_structure(s) == []
     cs = initial_half_charge(s)
-    chains, cs = build_chains(s, build_lend(s), cs)
-    cs = compute_f_fix(cs, chains)
-    ds = compute_demanding(s, cs, chains)
+    chains = build_chains(s, build_lend(s), cs)
+    ds = compute_demanding(s, chains)
     witness = check_demand_lemma(s, ds)
     assert witness is not None
     cert = targeted_swap(g, p, witness, 5)

@@ -237,3 +237,18 @@ def test_cover_suite_digest():
             )
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert digest == "c3e808bf944a876feff0f91d6e84e19f62af556545bc512b363a4b2c338a7245"
+
+
+def test_cover_is_invariant_under_edge_order():
+    # reading the edges in reverse flips every edge-id tie-break of the
+    # engines; the packing and the cover's total must not move
+    for name, g in suite_instances():
+        flipped = build_graph(g.n, list(reversed(g.edges)))
+        for order in (2, 3, 6):
+            r = cover(g, order)
+            rf = cover(flipped, order)
+            assert verify_cover(flipped, rf.assignment, len(rf.packing)).ok, name
+            assert sorted(t.vertices for t in rf.packing.triangles) == sorted(
+                t.vertices for t in r.packing.triangles
+            ), (name, order)
+            assert rf.assignment.total() == r.assignment.total(), (name, order)
