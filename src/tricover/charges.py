@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import InternalChargeError, StructureInvalidError
 from .graph import Graph, Triangle, enumerate_triangles
-from .structure import SolutionStructure, check_structure
+from .structure import SolutionStructure
 
 
 @dataclass
@@ -133,11 +133,12 @@ class Ledger:
         )
 
 
-def _require_valid(s: SolutionStructure) -> None:
-    violations = check_structure(s)
-    if violations:
+def require_clean(s: SolutionStructure) -> None:
+    """The guard of every charging engine: they assume a structure with no
+    open violations."""
+    if s.violations:
         raise StructureInvalidError(
-            f"structure has open violations: {[v.kind for v in violations]}"
+            f"structure has open violations: {[v.kind for v in s.violations]}"
         )
 
 
@@ -149,7 +150,7 @@ def charge_order6(s: SolutionStructure) -> ChargeAssignment:
     non-base 1/2 each, 1/6 on both non-solution edges of the attachment.
     type-3: 1/3 on all six edges of its K4.
     """
-    _require_valid(s)
+    require_clean(s)
     led = Ledger(6)
     for psi in s.packing.triangles:
         i = s.info[psi]
@@ -183,7 +184,7 @@ def charge_order3(s: SolutionStructure) -> ChargeAssignment:
     inspected; a still-null leg gets 1/3 together with the adjacent
     non-base edge, otherwise the non-base edge alone gets 2/3.
     """
-    _require_valid(s)
+    require_clean(s)
     g = s.g
     led = Ledger(3)
     singles: list[Triangle] = []

@@ -31,7 +31,6 @@ def _spec_from_args(args) -> InstanceSpec:
         p=args.p,
         seed=args.seed,
         length=args.length,
-        path=getattr(args, "path", None),
     )
 
 

@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import BadParamsError
-from .graph import MAX_VERTICES, Graph, build_graph, read_edge_list
+from .graph import MAX_VERTICES, Graph, build_graph
 
 MAX_PAIRS = 10**6  # most candidate vertex pairs complete and gnp will scan (n <= 1414)
 
@@ -18,11 +18,10 @@ class InstanceSpec:
     p: float | None = None
     seed: int | None = None
     length: int | None = None
-    path: str | None = None
 
     def label(self) -> str:
         parts = [self.family]
-        for k in ("n", "p", "seed", "length", "path"):
+        for k in ("n", "p", "seed", "length"):
             v = getattr(self, k)
             if v is not None:
                 parts.append(f"{k}={v}")
@@ -146,8 +145,4 @@ def generate(spec: InstanceSpec) -> Graph:
         if spec.length is None:
             raise BadParamsError("lend_chain needs length")
         return lend_chain(spec.length)
-    if fam == "from_file":
-        if spec.path is None:
-            raise BadParamsError("from_file needs path")
-        return read_edge_list(spec.path)
     raise BadParamsError(f"unknown family {fam!r}")

@@ -23,16 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .charges import ChargeAssignment, Ledger
+from .charges import ChargeAssignment, Ledger, require_clean
 from .errors import (
     AlreadyPinnedError,
     AlreadySpentError,
     ExistenceInAViolatedError,
     PinBaseEdgeError,
-    StructureInvalidError,
 )
 from .graph import Graph, Triangle
-from .structure import SolutionStructure, check_structure
+from .structure import SolutionStructure
 
 HALF = Fraction(1, 2)  # the weight of one half credit, numerator 1 at order 2
 
@@ -60,8 +59,7 @@ def initial_half_charge(s: SolutionStructure) -> ChargeState:
     type-3: 1/2 on a C4 of its K4; the omitted matching pairs the spoke
     of the smallest vertex with the opposite solution edge.
     """
-    if check_structure(s):
-        raise StructureInvalidError("cannot charge a packing with open violations")
+    require_clean(s)
     cs = ChargeState(s)
     g = s.g
     for psi in s.packing.triangles:

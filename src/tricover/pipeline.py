@@ -26,7 +26,7 @@ from .graph import Graph, format_edge_list, memo
 from .oracles import compose_order_k
 from .order2 import run_order2
 from .packing import Packing, local_search_packing, targeted_swap
-from .structure import build_structure, check_structure, violation_to_focus
+from .structure import build_structure, violation_to_focus
 
 ESCALATION = (0, 1, 2)  # added to max_swap before giving up
 
@@ -110,11 +110,10 @@ def _cover_single(g, order, seed, max_swap) -> CoverResult:
     guard = g.m + 2  # each repair grows the packing, at most m/3 times
     for _ in range(guard):
         s = build_structure(g, packing)
-        violations = check_structure(s)
-        if violations:
+        if s.violations:
             packing = _repair(
-                g, packing, violation_to_focus(violations[0]), max_swap, log,
-                f"structure:{violations[0].kind}",
+                g, packing, violation_to_focus(s.violations[0]), max_swap, log,
+                f"structure:{s.violations[0].kind}",
             )
             continue
         try:

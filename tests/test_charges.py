@@ -13,6 +13,7 @@ from tricover import (
     charge_order3,
     charge_order6,
     local_search_packing,
+    run_order2,
     verify_cover,
 )
 from tricover.errors import StructureInvalidError
@@ -108,10 +109,9 @@ def test_order3_isolated_triangle_like_order6():
 def test_engines_reject_invalid_structure():
     g = build_graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (1, 4), (2, 4)])
     s = structure_of(g, [g.triangle(0, 1, 2)])  # type-2 configuration
-    with pytest.raises(StructureInvalidError):
-        charge_order6(s)
-    with pytest.raises(StructureInvalidError):
-        charge_order3(s)
+    for engine in (charge_order6, charge_order3, run_order2):
+        with pytest.raises(StructureInvalidError):
+            engine(s)
 
 
 def test_budget_coverage_integrality_on_random_graphs():

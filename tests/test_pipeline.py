@@ -8,8 +8,11 @@ import weakref
 
 import pytest
 
+import tricover.charges as charges
 import tricover.graph as graph
+import tricover.order2 as order2
 import tricover.pipeline as pl
+import tricover.structure as structure
 from tricover import (
     build_graph,
     build_structure,
@@ -146,6 +149,38 @@ def test_repair_log_records_swaps():
     assert len(entry["added"]) == len(entry["removed"]) + 1
 
 
+# one weak-search cover (seed 0, max_swap 1) per repair reason; the last
+# reaches order 3's "no spare credit" through the repair loop
+WEAK_SEARCH_REPAIRS = [
+    ((10, 0.6, 0), 2, ["structure:PairStructure"]),
+    ((11, 0.5, 12), 2, ["structure:HollowType1Structure"]),
+    ((11, 0.5, 87), 2, ["structure:PairStructure", "structure:Type2"]),
+    ((9, 0.5, 242), 2, ["structure:PairStructure", "structure:CommonAnchorClaim"]),
+    ((10, 0.6, 15), 2, ["demand-shape"]),
+    ((10, 0.6, 21), 6, ["structure:PairStructure", "verify"]),
+    ((11, 0.5, 29), 3, ["internal:leftover triangles but no spare credit"]),
+]
+
+
+def test_weak_search_repair_logs_pinned():
+    # sha256 over each cover's full repair log, packing and numerators,
+    # computed while the pair check still had its separate accept rules
+    rows = []
+    for args, order, reasons in WEAK_SEARCH_REPAIRS:
+        r = cover(gnp(*args), order, seed=0, max_swap=1)
+        assert r.report.ok, args
+        assert [e["reason"] for e in r.repair_log] == reasons, args
+        rows.append(
+            (
+                r.repair_log,
+                [t.vertices for t in r.packing.triangles],
+                sorted(r.assignment.numerators.items()),
+            )
+        )
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "59773234c6aab63c3aee2603caee115a1e86373e86758da16f0fbc5926d61503"
+
+
 def _count_calls(monkeypatch, module, name):
     """Count calls made through ``module.name`` while the test runs."""
     calls = []
@@ -190,6 +225,24 @@ def test_composed_order_runs_one_local_search(monkeypatch):
     r = cover(g, 5)
     assert len(calls) == 1
     assert r.report.ok and r.assignment.order == 5
+
+
+def test_cover_checks_each_structure_once(monkeypatch):
+    # count check_structure through every module that holds the name, so
+    # a second check made by a charging engine would be seen
+    built = _count_calls(monkeypatch, pl, "build_structure")
+    checks = [
+        _count_calls(monkeypatch, module, "check_structure")
+        for module in (structure, pl, charges, order2)
+        if hasattr(module, "check_structure")
+    ]
+    covers = 0
+    for args, _, _ in WEAK_SEARCH_REPAIRS:
+        for k in (2, 3, 6):
+            assert cover(gnp(*args), k, seed=0, max_swap=1).report.ok
+            covers += 1
+    assert len(built) > covers  # repairs build more than one structure
+    assert sum(map(len, checks)) == len(built)
 
 
 def test_memo_keeps_no_reference_to_its_graph():

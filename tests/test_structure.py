@@ -2,6 +2,8 @@
 
 import json
 import random
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,8 +25,9 @@ from tricover.structure import (
     Attachment,
     PackedInfo,
     SolutionStructure,
+    StructureViolation,
     _apex,
-    _detect_pairs,
+    _disjoint,
 )
 
 
@@ -46,7 +49,7 @@ def test_bowtie_both_packed_type0():
     for t in p.triangles:
         info = s.info[t]
         assert info.type == 0
-        assert info.cl_sin == info.cl_dou == info.cl_hol == ()
+        assert info.cl_sin == ()
     assert check_structure(s) == []
 
 
@@ -135,6 +138,16 @@ def test_pair_shape_accepted_when_no_disjoint_witness():
     s = build_structure(g, p)
     assert check_structure(s) == []
     assert {s.info[t].type for t in p.triangles} == {1}
+    # two type-1 triangles whose unique attachments share the stem (2,5):
+    # the bridge (1,2,3) has no witness either
+    g = build_graph(
+        6,
+        [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (0, 5), (2, 5), (4, 5), (1, 3)],
+    )
+    p = Packing(g, [g.triangle(0, 1, 2), g.triangle(2, 3, 4)])
+    s = build_structure(g, p)
+    assert s.attachments[g.triangle(1, 2, 3)].signature == (1, 1)
+    assert check_structure(s) == []
 
 
 def test_violation_focus_type2_has_nine_edges():
@@ -165,21 +178,6 @@ def test_base_edges_match_singly_attachments():
         for t, att in s.attachments.items():
             assert att.signature == tuple(sorted(att.signature))
             assert len(att.signature) == len(att.owners)
-
-
-def test_pair_relation_recorded():
-    # two type-1 triangles whose unique attachments share the stem (2,5)
-    g = build_graph(
-        6,
-        [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (0, 5), (2, 5), (4, 5), (1, 3)],
-    )
-    p = Packing(g, [g.triangle(0, 1, 2), g.triangle(2, 3, 4)])
-    s = build_structure(g, p)
-    assert check_structure(s) == []
-    assert len(s.pairs) == 1
-    pr = s.pairs[0]
-    assert pr.stem_edge == g.edge_id(2, 5)
-    assert pr.anchor == 5
 
 
 def test_debug_json_is_valid_and_complete():
@@ -214,7 +212,7 @@ def _reference_build_structure(g: Graph, p: Packing) -> SolutionStructure:
         owners = sorted({edge_owner[e] for e in t.edge_ids if e in edge_owner})
         for psi in owners:
             conflicts[psi].append(t)
-        attachments[t] = Attachment(t, tuple(owners), ())
+        attachments[t] = Attachment(tuple(owners), ())
 
     # first pass: base edges and types
     base_edges: dict[Triangle, frozenset[int]] = {}
@@ -229,13 +227,11 @@ def _reference_build_structure(g: Graph, p: Packing) -> SolutionStructure:
     # attach signatures now that packed types are known
     for t, att in list(attachments.items()):
         sig = tuple(sorted(types[psi] for psi in att.owners))
-        attachments[t] = Attachment(t, att.owners, sig)
+        attachments[t] = Attachment(att.owners, sig)
 
     info: dict[Triangle, PackedInfo] = {}
     for psi in p.triangles:
         sin = tuple(t for t in conflicts[psi] if len(attachments[t].owners) == 1)
-        dou = tuple(t for t in conflicts[psi] if len(attachments[t].owners) == 2)
-        hol = tuple(t for t in conflicts[psi] if len(attachments[t].owners) == 3)
         anchor: int | None = None
         if types[psi] == 3:
             anchors = {_apex(t, psi) for t in sin}
@@ -243,20 +239,165 @@ def _reference_build_structure(g: Graph, p: Packing) -> SolutionStructure:
                 anchor = anchors.pop()
         elif types[psi] == 1 and sin:
             anchor = min(_apex(t, psi) for t in sin)
-        info[psi] = PackedInfo(
-            psi, types[psi], base_edges[psi], anchor, sin, dou, hol
-        )
+        info[psi] = PackedInfo(types[psi], base_edges[psi], anchor, sin)
 
-    pairs = _detect_pairs(g, info, attachments)
     return SolutionStructure(
         g=g,
         packing=p,
         info=info,
         attachments=attachments,
-        pairs=pairs,
         edge_owner=edge_owner,
         nonsolution=tuple(t for t in tris if t not in packed),
     )
+
+
+# Reference check: check_structure as it was while a pair shape had three
+# accept rules besides its disjoint-witness search (a base edge inside t,
+# a unique attachment's apex on t, a recorded shared-stem pair) and a
+# hollow type-1 triangle one more (a base edge inside t).  The library's
+# violation lists must equal this one's.  The code below is that version
+# unchanged, except that check_structure is renamed and reads the pair
+# relation from a namespace, since structures no longer record it.
+
+
+def _reference_check_structure(s: SolutionStructure) -> list[StructureViolation]:
+    ref = SimpleNamespace(**vars(s), pairs=_detect_pairs(s.g, s.info, s.attachments))
+    return _reference_violations(ref)
+
+
+@dataclass(frozen=True)
+class PairRelation:
+    """Two type-1 triangles whose unique attachments share the stem edge (v, a)."""
+
+    psi1: Triangle
+    psi2: Triangle
+    stem_edge: int
+    anchor: int
+
+
+def _unique_attachment(info: dict[Triangle, PackedInfo], psi: Triangle) -> Triangle | None:
+    i = info[psi]
+    if i.type == 1 and len(i.cl_sin) == 1:
+        return i.cl_sin[0]
+    return None
+
+
+def _detect_pairs(g, info, attachments) -> tuple[PairRelation, ...]:
+    seen: set[tuple[Triangle, Triangle]] = set()
+    out: list[PairRelation] = []
+    for att in attachments.values():
+        if att.signature != (1, 1):
+            continue
+        psi1, psi2 = att.owners
+        key = (psi1, psi2)
+        if key in seen:
+            continue
+        w1 = _unique_attachment(info, psi1)
+        w2 = _unique_attachment(info, psi2)
+        if w1 is None or w2 is None:
+            continue
+        a1, a2 = _apex(w1, psi1), _apex(w2, psi2)
+        if a1 != a2:
+            continue
+        common = set(psi1.vertices) & set(psi2.vertices)
+        if len(common) != 1:
+            continue
+        v = common.pop()
+        shared = set(w1.edge_ids) & set(w2.edge_ids)
+        if not g.has_edge(v, a1) or shared != {g.edge_id(v, a1)}:
+            continue
+        seen.add(key)
+        out.append(PairRelation(psi1, psi2, g.edge_id(v, a1), a1))
+    return tuple(out)
+
+
+def _reference_violations(s) -> list[StructureViolation]:
+    out: list[StructureViolation] = []
+    g = s.g
+
+    for psi, i in s.info.items():
+        if i.type == 2:
+            out.append(StructureViolation("Type2", (psi,) + i.cl_sin))
+        # two singly-attached with different bases must share their anchor
+        for ix, t1 in enumerate(i.cl_sin):
+            for t2 in i.cl_sin[ix + 1 :]:
+                b1 = next(e for e in t1.edge_ids if s.edge_owner.get(e) is psi)
+                b2 = next(e for e in t2.edge_ids if s.edge_owner.get(e) is psi)
+                if b1 != b2 and _apex(t1, psi) != _apex(t2, psi):
+                    out.append(StructureViolation("CommonAnchorClaim", (psi, t1, t2)))
+        if i.type == 3:
+            anchors = {_apex(t, psi) for t in i.cl_sin}
+            k4_ok = False
+            if len(anchors) == 1:
+                a = next(iter(anchors))
+                k4_ok = all(g.has_edge(x, a) for x in psi.vertices) and len(i.cl_sin) == 3
+            if not k4_ok:
+                out.append(StructureViolation("Type3NotK4", (psi,) + i.cl_sin))
+
+    for t, att in s.attachments.items():
+        if att.signature == (3, 3):
+            out.append(StructureViolation("DoublyAttached33", (t,) + att.owners))
+        elif att.signature == (3, 3, 3):
+            out.append(StructureViolation("Hollow333", (t,) + att.owners))
+        elif att.signature == (1, 1):
+            if not _pair_shape_ok(s, t, att):
+                out.append(StructureViolation("PairStructure", (t,) + att.owners))
+        elif len(att.signature) == 3 and att.signature[0] == 1:
+            if not _hollow_type1_ok(s, t, att):
+                out.append(StructureViolation("HollowType1Structure", (t,) + att.owners))
+
+    return out
+
+
+def _base_edge_in(s: SolutionStructure, psi: Triangle, t: Triangle) -> bool:
+    return bool(s.info[psi].base_edges & set(t.edge_ids))
+
+
+def _pair_shape_ok(s: SolutionStructure, t: Triangle, att: Attachment) -> bool:
+    """Accept unless replacing the two owners by t plus one attachment of
+    each gives a strictly larger packing.
+
+    The statement-level shapes (base edge inside t, anchoring vertex of a
+    unique attachment on t, shared stem) miss configurations where every
+    candidate attachment pair collides, so the decider is the explicit
+    disjoint witness: flagging always certifies an improving 2-swap.
+    """
+    psi1, psi2 = att.owners
+    if _base_edge_in(s, psi1, t) or _base_edge_in(s, psi2, t):
+        return True
+    for psi in (psi1, psi2):
+        w = _unique_attachment(s.info, psi)
+        if w is not None and _apex(w, psi) in t.vertices:
+            return True
+    # shared-stem pair recorded during construction
+    for pr in s.pairs:
+        if {pr.psi1, pr.psi2} == {psi1, psi2}:
+            return True
+    for w1 in s.info[psi1].cl_sin:
+        for w2 in s.info[psi2].cl_sin:
+            if _disjoint(t, w1, w2):
+                return False
+    return True
+
+
+def _hollow_type1_ok(s: SolutionStructure, t: Triangle, att: Attachment) -> bool:
+    """Accept unless the three owners can be replaced by t plus one
+    attachment each (the witness of an improving 3-swap)."""
+    type1 = [psi for psi in att.owners if s.info[psi].type == 1]
+    if any(_base_edge_in(s, psi, t) for psi in type1):
+        return True
+    for ix, p1 in enumerate(type1):
+        for p2 in type1[ix + 1 :]:
+            an1 = {_apex(w, p1) for w in s.info[p1].cl_sin}
+            an2 = {_apex(w, p2) for w in s.info[p2].cl_sin}
+            if len(an1) == 1 and an1 == an2:
+                return True
+    for w1 in s.info[att.owners[0]].cl_sin:
+        for w2 in s.info[att.owners[1]].cl_sin:
+            for w3 in s.info[att.owners[2]].cl_sin:
+                if _disjoint(t, w1, w2, w3):
+                    return False
+    return True
 
 
 @settings(max_examples=200, deadline=None)
@@ -284,7 +425,7 @@ def test_build_structure_matches_reference(
     s, ref = build_structure(g, p), _reference_build_structure(g, p)
     assert list(s.info.items()) == list(ref.info.items())
     assert list(s.attachments.items()) == list(ref.attachments.items())
-    assert s.pairs == ref.pairs
     assert s.edge_owner == ref.edge_owner
     assert s.nonsolution == ref.nonsolution
     assert check_structure(s) == check_structure(ref)
+    assert check_structure(s) == list(s.violations) == _reference_check_structure(s)
