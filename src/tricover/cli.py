@@ -14,7 +14,7 @@ import time
 from .errors import InstanceTooLargeError, RepairExhaustedError, TricoverError
 from .generators import InstanceSpec, generate
 from .graph import read_edge_list, write_edge_list
-from .oracles import nu_exact, tau_exact, tau_star_k_exact
+from .oracles import nu_exact, tau_star_k_exact
 from .packing import local_search_packing
 from .pipeline import certificate_obj, cover, verify_certificate
 
@@ -77,17 +77,11 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     g = read_edge_list(args.graph)
-    what = args.what
-    if what == "nu":
+    if args.what == "nu":
         res = nu_exact(g, cap=args.cap)
-    elif what == "tau":
-        res = tau_exact(g, cap=args.cap)
-    elif what == "taustar2":
-        res = tau_star_k_exact(g, 2, cap=args.cap)
-    elif what == "taustar3":
-        res = tau_star_k_exact(g, 3, cap=args.cap)
-    else:  # pragma: no cover - argparse restricts choices
-        raise TricoverError(f"unknown oracle {what}")
+    else:
+        k = {"tau": 1, "taustar2": 2, "taustar3": 3}[args.what]
+        res = tau_star_k_exact(g, k, cap=args.cap)
     print(res.value if res.value.denominator > 1 else res.value.numerator)
     return EXIT_OK
 

@@ -38,8 +38,9 @@ class Graph:
     ``enumerate_triangles``), each local-search packing
     (``("local_search", seed, max_swap)``, filled by ``pipeline.cover``)
     and the tau* LP optimum (``"tau_star_lp"``, filled by
-    ``oracles.tau_star_k_exact``).  A memo value holds no reference to
-    its graph, so no reference cycle keeps a dead graph alive.
+    ``oracles.tau_star_k_exact`` and so also by ``oracles.tau_exact``).
+    A memo value holds no reference to its graph, so no reference cycle
+    keeps a dead graph alive.
     """
 
     def __init__(self, n: int, edges: list[tuple[int, int]]):

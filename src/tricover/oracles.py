@@ -1,12 +1,13 @@
 """Exact brute-force baselines for small instances, plus rounding and
 order composition.
 
-The three integral solvers (nu, tau, tau*_k) are branch-and-bound
-searches designed for desk-scale graphs (a few hundred triangles at
-most).  The LP optimum tau* comes from a fraction-free integer simplex:
+The integral solvers are two branch-and-bound searches, nu and tau*_k,
+designed for desk-scale graphs (a few hundred triangles at most); tau is
+tau*_1.  The LP optimum tau* comes from a fraction-free integer simplex:
 the tableau is kept in Python ints over one common denominator, each
-pivot divides exactly (Bareiss), and Bland's rule picks the pivots.
-Values and witnesses are exact; no floating point anywhere.
+pivot divides exactly (Bareiss), and Bland's rule picks the pivots; the
+final tableau's packing certifies the value.  Values and witnesses are
+exact; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -80,63 +81,10 @@ def nu_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult:
 
 
 def tau_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult:
-    """Minimum edge set meeting every triangle, exactly.
-
-    Branches on the three edges of an uncovered triangle; previously
-    tried edges of the same triangle are banned in later branches so each
-    cover is enumerated once.
-    """
-    tris = _triangles_capped(g, cap)
-    nodes = 0
-
-    # greedy incumbent: repeatedly take the edge in most uncovered triangles
-    cover: set[int] = set()
-    uncovered = list(tris)
-    while uncovered:
-        counts: dict[int, int] = {}
-        for t in uncovered:
-            for e in t.edge_ids:
-                counts[e] = counts.get(e, 0) + 1
-        e_best = max(sorted(counts), key=lambda e: counts[e])
-        cover.add(e_best)
-        uncovered = [t for t in uncovered if e_best not in t.edge_ids]
-    best: set[int] = set(cover)
-
-    def lower_bound(covered_by: set[int], banned: frozenset[int]) -> int | None:
-        """Greedy edge-disjoint uncovered triangles; None if infeasible."""
-        used: set[int] = set()
-        count = 0
-        for t in tris:
-            if any(e in covered_by for e in t.edge_ids):
-                continue
-            if all(e in banned for e in t.edge_ids):
-                return None
-            if not any(e in used for e in t.edge_ids):
-                used.update(t.edge_ids)
-                count += 1
-        return count
-
-    def dfs(cover_now: set[int], banned: frozenset[int]) -> None:
-        nonlocal nodes, best
-        nodes += 1
-        lb = lower_bound(cover_now, banned)
-        if lb is None or len(cover_now) + lb >= len(best):
-            return
-        target = next(
-            (t for t in tris if not any(e in cover_now for e in t.edge_ids)), None
-        )
-        if target is None:
-            best = set(cover_now)
-            return
-        tried: set[int] = set()
-        for e in target.edge_ids:
-            if e in banned:
-                continue
-            dfs(cover_now | {e}, banned | frozenset(tried))
-            tried.add(e)
-
-    dfs(set(), frozenset())
-    return OracleResult(Fraction(len(best)), sorted(best), nodes)
+    """Minimum edge set meeting every triangle, exactly: tau*_1, with the
+    cover as sorted edge ids."""
+    res = tau_star_k_exact(g, 1, cap)
+    return OracleResult(res.value, sorted(res.witness.numerators), res.nodes_explored)
 
 
 def _simplex_min(
@@ -160,8 +108,10 @@ def _simplex_min(
     the least ratio b_i/a_i, ties going to the smallest basis index.
 
     Returns the optimal objective value, the final reduced-cost row (its
-    last entry is minus the value) and the number of pivots; ``basis``
-    is left holding the final basis.
+    last entry is minus the value) and the number of pivots.  ``rows``
+    and ``basis`` are left holding the final tableau and basis: row i
+    holds d times the value of its basic variable, and d sits in its
+    basic column, ``rows[i][basis[i]]``.
     """
     m = len(rows)
     ncols = len(rows[0]) - 1
@@ -210,9 +160,11 @@ def tau_star_lp_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult
     """The LP optimum over all fractional covers, exactly.
 
     Solved through the dual (maximum fractional triangle packing), whose
-    all-slack basis is feasible, so no phase-1 is needed.  The witness is
-    an optimal primal cover, read off the final reduced costs and checked
-    by weak duality: it is feasible and its value meets the packing bound.
+    all-slack basis is feasible, so no phase-1 is needed.  The value
+    carries its own certificate, checked by weak duality whatever the
+    pivot rule: the final tableau holds a fractional triangle packing of
+    that total, and the witness, an optimal primal cover read off the
+    final reduced costs, is a cover of that total.
     ``nodes_explored`` counts the simplex pivots.
     """
     tris = _triangles_capped(g, cap)
@@ -231,6 +183,18 @@ def tau_star_lp_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult
     basis = list(range(nv, nv + m))
     neg_value, z, pivots = _simplex_min(rows, cost, basis)
     value = -neg_value
+    # the optimal fractional packing: each basic triangle at its basic
+    # value, over the common denominator d
+    d = rows[0][basis[0]]
+    load = [0] * m
+    packed = 0
+    for row, b in zip(rows, basis):
+        if b < nv:
+            packed += row[-1]
+            for e in tris[b].edge_ids:
+                load[e] += row[-1]
+    if d <= 0 or min(row[-1] for row in rows) < 0 or max(load) > d or packed != value * d:
+        raise ArithmeticError(f"LP tableau holds no fractional packing of total {value}")
     cover = {e: z[nv + e] for e in range(m) if z[nv + e]}
     total = sum(cover.values(), Fraction(0))
     if total != value:
@@ -278,8 +242,22 @@ def tau_star_k_exact(
         witness = ChargeAssignment(k, {e: int(v) for e, v in scaled.items() if v})
         return OracleResult(lp_res.value, witness, 1)
 
-    # incumbent: an integral cover at value k
-    cover = set(tau_exact(g, cap).witness)
+    # incumbent: an integral cover at value k; for k = 1 the greedy one
+    # (repeatedly take the edge in most uncovered triangles), for k > 1
+    # the optimum of k = 1, which prunes far more than a greedy start
+    if k == 1:
+        cover: set[int] = set()
+        uncovered = tri_edges
+        while uncovered:
+            counts: dict[int, int] = {}
+            for es in uncovered:
+                for e in es:
+                    counts[e] = counts.get(e, 0) + 1
+            e_best = max(sorted(counts), key=lambda e: counts[e])
+            cover.add(e_best)
+            uncovered = [es for es in uncovered if e_best not in es]
+    else:
+        cover = set(tau_exact(g, cap).witness)
     best_y = [k if e in cover else 0 for e in range(m)]
     best_units = k * len(cover)
 
@@ -471,11 +449,9 @@ def round_third_integral(g: Graph, f: ChargeAssignment) -> list[int]:
     if 2 * len(uncut) > len(thirds):
         raise AssertionError(f"cut leaves {len(uncut)} of {len(thirds)} third-edges uncut")
     result = sorted(heavy | set(uncut))
-
-    covered = set(result)
-    for t in enumerate_triangles(g):
-        if not any(e in covered for e in t.edge_ids):
-            raise AssertionError(f"rounded set misses triangle {t.vertices}")
+    missed = uncovered_triangles(g, ChargeAssignment(1, {e: 1 for e in result}))
+    if missed:
+        raise AssertionError(f"rounded set misses triangle {missed[0].vertices}")
     return result
 
 

@@ -89,6 +89,82 @@ def test_tau_star_order_one_equals_tau():
         assert tau_star_k_exact(g, 1).value == tau_exact(g).value
 
 
+def _reference_tau_exact(g, cap=oracles.DEFAULT_TRIANGLE_CAP):
+    """Minimum edge set meeting every triangle, exactly.
+
+    Branches on the three edges of an uncovered triangle; previously
+    tried edges of the same triangle are banned in later branches so each
+    cover is enumerated once.
+    """
+    tris = oracles._triangles_capped(g, cap)
+    nodes = 0
+
+    # greedy incumbent: repeatedly take the edge in most uncovered triangles
+    cover: set[int] = set()
+    uncovered = list(tris)
+    while uncovered:
+        counts: dict[int, int] = {}
+        for t in uncovered:
+            for e in t.edge_ids:
+                counts[e] = counts.get(e, 0) + 1
+        e_best = max(sorted(counts), key=lambda e: counts[e])
+        cover.add(e_best)
+        uncovered = [t for t in uncovered if e_best not in t.edge_ids]
+    best: set[int] = set(cover)
+
+    def lower_bound(covered_by: set[int], banned: frozenset[int]) -> int | None:
+        """Greedy edge-disjoint uncovered triangles; None if infeasible."""
+        used: set[int] = set()
+        count = 0
+        for t in tris:
+            if any(e in covered_by for e in t.edge_ids):
+                continue
+            if all(e in banned for e in t.edge_ids):
+                return None
+            if not any(e in used for e in t.edge_ids):
+                used.update(t.edge_ids)
+                count += 1
+        return count
+
+    def dfs(cover_now: set[int], banned: frozenset[int]) -> None:
+        nonlocal nodes, best
+        nodes += 1
+        lb = lower_bound(cover_now, banned)
+        if lb is None or len(cover_now) + lb >= len(best):
+            return
+        target = next(
+            (t for t in tris if not any(e in cover_now for e in t.edge_ids)), None
+        )
+        if target is None:
+            best = set(cover_now)
+            return
+        tried: set[int] = set()
+        for e in target.edge_ids:
+            if e in banned:
+                continue
+            dfs(cover_now | {e}, banned | frozenset(tried))
+            tried.add(e)
+
+    dfs(set(), frozenset())
+    return oracles.OracleResult(Fraction(len(best)), sorted(best), nodes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(4, 11),
+    density=st.sampled_from([0.3, 0.5, 0.7]),
+    seed=st.integers(0, 10**6),
+)
+def test_tau_matches_reference(n, density, seed):
+    # tau is tau*_1; the set-based search it replaced is kept above
+    g = gnp(n, density, seed)
+    res = tau_exact(g)
+    assert res.value == _reference_tau_exact(g).value
+    hit = set(res.witness)
+    assert res.witness == sorted(hit) and len(hit) == res.value
+    assert all(hit.intersection(t.edge_ids) for t in enumerate_triangles(g))
+
+
 def test_lp_bound_chain():
     # tau* <= tau*_k <= tau and nu <= tau <= 3 nu
     rng = random.Random(2)
@@ -214,7 +290,19 @@ def test_witness_checks_raise_under_optimize_flag():
             value, z, pivots = solve(rows, cost, basis)
             return value, [2 * v for v in z], pivots
 
-        for corrupt, expected in ((misplaced, NotACoverError), (inflated, ArithmeticError)):
+        def overpacked(rows, cost, basis):
+            # one basic triangle's value raised by one: the tableau's
+            # packing overloads its edges and misses the value
+            value, z, pivots = solve(rows, cost, basis)
+            i = next(i for i, b in enumerate(basis) if b < len(cost) - len(rows))
+            rows[i][-1] += rows[i][basis[i]]
+            return value, z, pivots
+
+        for corrupt, expected in (
+            (misplaced, NotACoverError),
+            (inflated, ArithmeticError),
+            (overpacked, ArithmeticError),
+        ):
             o._simplex_min = corrupt
             try:
                 o.tau_star_lp_exact(complete_graph(4))
@@ -235,7 +323,9 @@ def test_witness_checks_raise_under_optimize_flag():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["NotACoverError", "ArithmeticError", "AssertionError"]
+    assert out.stdout.split() == [
+        "NotACoverError", "ArithmeticError", "ArithmeticError", "AssertionError"
+    ]
 
 
 def _reference_simplex_min(
@@ -365,3 +455,26 @@ def test_nu_sandwich_digest():
         repr([(r.value, [t.vertices for t in r.witness]) for r in results]).encode()
     ).hexdigest()
     assert digest == "59319459aa1445599dd6584a1b0cdf9eba41d98508c694d9750f3119ffa48360"
+
+
+def test_tau_sandwich_digest():
+    # sha256 of repr([value]) of tau_exact over the criterion-5 graphs,
+    # computed on the commit before tau became tau*_1
+    values = [tau_exact(g).value for g in random_instances(200)]
+    digest = hashlib.sha256(repr(values).encode()).hexdigest()
+    assert digest == "029d0cceeb01bfcc402da456293eaf8f4415c874d3cc230f96a0092269532775"
+
+
+def test_tau_star_k_sandwich_digest():
+    # sha256 of repr([(value, nodes_explored)]) of tau_star_k_exact at
+    # k = 2, 3, 6 over the criterion-5 graphs, computed on the commit
+    # before tau became tau*_1: the incumbent for k > 1 is still an
+    # optimal integral cover, so the searches are unchanged
+    results = [
+        (r.value, r.nodes_explored)
+        for g in random_instances(200)
+        for k in (2, 3, 6)
+        for r in [tau_star_k_exact(g, k)]
+    ]
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == "a65d76b835b26515bbd62d20e09d0110e66dcabd48e8da670a5a04d7660958ea"
