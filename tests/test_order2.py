@@ -1,5 +1,6 @@
 """The order-2 pipeline: initial charge, chains, demand, discharge-and-pin."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -18,7 +19,7 @@ from tricover import (
     verify_cover,
 )
 from tricover.errors import AlreadyPinnedError, AlreadySpentError, PinBaseEdgeError
-from tricover.generators import complete_graph, gnp, lend_chain
+from tricover.generators import complete_graph, glued_k4, gnp, lend_chain
 from tricover.order2 import (
     HALF,
     build_chains,
@@ -371,66 +372,29 @@ def test_pin_type3_rotates_to_requested_null_edge():
         assert sum(cs.f(e) for e in t.edge_ids) >= 1
 
 
-def test_tentative_halves_do_not_satisfy_chains():
-    # regression: two chain gadgets and a K4 block glued by random edges.
-    # The first chain's tail attachment touches a spoke that carries only
-    # the *tentative* C4 charge of a later chain head; treating that as
-    # satisfaction left the attachment uncovered once the head was reset.
-    import random as _random
-    from tricover.generators import glued_k4, lend_chain
-
-    rng = _random.Random(9)
+def gadget_union(rng, with_gnp=False):
+    """Lend chains and glued K4s (and, ``with_gnp``, small gnp blocks)
+    side by side, joined by random bridge edges.  The bridges make chains
+    meet each other and the K4 blocks, which is what drives the satisfy,
+    truncate and settle steps of ``build_chains``."""
     parts = []
-    for _ in range(rng.randint(2, 3)):
+    for _ in range(rng.randint(2, 4 if with_gnp else 3)):
         kind = rng.random()
-        parts.append(lend_chain(rng.randint(1, 3)) if kind < 0.5 else glued_k4(rng.randint(1, 2)))
-    offset, edges = 0, []
-    for part in parts:
-        edges += [(u + offset, v + offset) for u, v in part.edges]
-        offset += part.n
-    eset = set(edges)
-    bridges = rng.randint(2, 6)
-    added = 0
-    while added < bridges:
-        u, v = rng.randrange(offset), rng.randrange(offset)
-        if u == v:
-            continue
-        key = (min(u, v), max(u, v))
-        if key in eset:
-            continue
-        eset.add(key)
-        added += 1
-    g = build_graph(offset, sorted(eset))
-    seed = rng.randint(0, 3)
-    r = cover(g, 2, seed=seed)
-    assert r.report.ok
-    assert r.assignment.total() <= 2 * len(r.packing)
-
-
-def test_pinned_size_one_tail_keeps_head_region_intact():
-    # regression: the start-step lend of a one-link chain must be booked
-    # on the gain edge; booking it on a head spoke made a later pin of
-    # the tail rotate the spoke's half away and uncover the head-side
-    # attachment relying on it
-    import random as _random
-    from tricover.generators import glued_k4, lend_chain, gnp as _gnp
-
-    rng = _random.Random(453)
-    parts = []
-    for _ in range(rng.randint(2, 4)):
-        kind = rng.random()
-        if kind < 0.45:
-            parts.append(lend_chain(rng.randint(1, 4)))
+        if not with_gnp:
+            part = lend_chain(rng.randint(1, 3)) if kind < 0.5 else glued_k4(rng.randint(1, 2))
+        elif kind < 0.45:
+            part = lend_chain(rng.randint(1, 4))
         elif kind < 0.8:
-            parts.append(glued_k4(rng.randint(1, 3)))
+            part = glued_k4(rng.randint(1, 3))
         else:
-            parts.append(_gnp(rng.randint(4, 7), 0.6, rng.randint(0, 10**6)))
+            part = gnp(rng.randint(4, 7), 0.6, rng.randint(0, 10**6))
+        parts.append(part)
     offset, edges = 0, []
     for part in parts:
         edges += [(u + offset, v + offset) for u, v in part.edges]
         offset += part.n
     eset = set(edges)
-    bridges, added, tries = rng.randint(2, 10), 0, 0
+    bridges, added, tries = rng.randint(2, 10 if with_gnp else 6), 0, 0
     while added < bridges and tries < 200:
         tries += 1
         u, v = rng.randrange(offset), rng.randrange(offset)
@@ -441,9 +405,67 @@ def test_pinned_size_one_tail_keeps_head_region_intact():
             continue
         eset.add(key)
         added += 1
-    g = build_graph(offset, sorted(eset))
+    return build_graph(offset, sorted(eset))
+
+
+def test_tentative_halves_do_not_satisfy_chains():
+    # regression: two chain gadgets and a K4 block glued by random edges.
+    # The first chain's tail attachment touches a spoke that carries only
+    # the *tentative* C4 charge of a later chain head; treating that as
+    # satisfaction left the attachment uncovered once the head was reset.
+    rng = random.Random(9)
+    g = gadget_union(rng)
+    r = cover(g, 2, seed=rng.randint(0, 3))
+    assert r.report.ok
+    assert r.assignment.total() <= 2 * len(r.packing)
+
+
+def test_pinned_size_one_tail_keeps_head_region_intact():
+    # regression: the start-step lend of a one-link chain must be booked
+    # on the gain edge; booking it on a head spoke made a later pin of
+    # the tail rotate the spoke's half away and uncover the head-side
+    # attachment relying on it
+    rng = random.Random(453)
+    g = gadget_union(rng, with_gnp=True)
     r = cover(g, 2, seed=rng.randint(0, 4))
     assert r.report.ok
+
+
+def test_gadget_union_digest():
+    # 300 gadget unions with gnp blocks: the only inputs in the suite
+    # that satisfy a chain (by the cascade and by truncation) and settle
+    # a K4.  The sha256 covers each union's covers at orders 2, 3 and 6,
+    # and, on the order-2 packing, the charge after build_chains, the
+    # demanding set and the discharge-and-pin log.
+    rng = random.Random(1)
+    h = hashlib.sha256()
+    satisfied = settled = 0
+    for _ in range(300):
+        g = gadget_union(rng, with_gnp=True)
+        seed = rng.randint(0, 4)
+        covers = [cover(g, order, seed=seed) for order in (2, 3, 6)]
+        for r in covers:
+            assert r.report.ok
+            h.update(repr((
+                [t.vertices for t in r.packing.triangles],
+                sorted(r.assignment.numerators.items()),
+                r.repair_log,
+            )).encode())
+        s = build_structure(g, covers[0].packing)
+        cs = initial_half_charge(s)
+        chains = build_chains(s, build_lend(s), cs)
+        satisfied += sum(c.satisfied and not c.zero_sized for c in chains.chains)
+        settled += sum(c.zero_sized for c in chains.chains)
+        ds = compute_demanding(s, chains)
+        run, witness = run_order2(s)
+        h.update(repr((
+            sorted((e, v) for e, v in cs.numerators.items() if v),
+            [t.vertices for t in ds.demanding],
+            witness,
+            run.demand.log,
+        )).encode())
+    assert satisfied and settled
+    assert h.hexdigest() == "7beca325a9d3d4a39e205f9fd6159aaf95eec490b7b8f9632e7f037a20f3563a"
 
 
 def test_deep_discharge_and_pin_iteration():
