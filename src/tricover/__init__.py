@@ -10,7 +10,6 @@ from .graph import (
     format_edge_list,
     parse_edge_list,
     read_edge_list,
-    triangles_on_edge,
     write_edge_list,
 )
 from .oracles import (
@@ -26,7 +25,6 @@ from .packing import (
     Packing,
     SwapCertificate,
     greedy_packing,
-    improve_packing,
     local_search_packing,
     targeted_swap,
     verify_packing,
@@ -38,7 +36,6 @@ from .structure import (
     StructureViolation,
     build_structure,
     check_structure,
-    structure_debug_json,
     violation_to_focus,
 )
 
@@ -68,18 +65,15 @@ __all__ = [
     "format_edge_list",
     "generate",
     "greedy_packing",
-    "improve_packing",
     "local_search_packing",
     "nu_exact",
     "parse_edge_list",
     "read_edge_list",
     "round_third_integral",
     "run_order2",
-    "structure_debug_json",
     "targeted_swap",
     "tau_exact",
     "tau_star_k_exact",
-    "triangles_on_edge",
     "verify_certificate",
     "verify_cover",
     "verify_packing",

@@ -35,9 +35,6 @@ class ChargeAssignment:
     def total(self) -> Fraction:
         return Fraction(sum(self.numerators.values()), self.order)
 
-    def triangle_value(self, t: Triangle) -> Fraction:
-        return sum((self.value(e) for e in t.edge_ids), Fraction(0))
-
     def support(self) -> list[int]:
         return sorted(e for e, v in self.numerators.items() if v)
 
@@ -158,14 +155,13 @@ def charge_order6(s: SolutionStructure) -> ChargeAssignment:
             for e in psi.edge_ids:
                 led.give(psi, e, 4)
         elif i.type == 1:
-            base = next(iter(i.base_edges))
             for e in psi.edge_ids:
-                if e != base:
+                if e != i.base:
                     led.give(psi, e, 3)
             if len(i.cl_sin) > 1:
-                led.give(psi, base, 6)
+                led.give(psi, i.base, 6)
             else:
-                led.give(psi, base, 4)
+                led.give(psi, i.base, 4)
                 t = i.cl_sin[0]
                 for e in t.edge_ids:
                     if s.owner(e) is not psi:
@@ -197,24 +193,20 @@ def charge_order3(s: SolutionStructure) -> ChargeAssignment:
             for e in s.k4_region_edges(psi):
                 led.give(psi, e, 1)
         elif len(i.cl_sin) > 1:
-            base = next(iter(i.base_edges))
-            led.give(psi, base, 3)
+            led.give(psi, i.base, 3)
             for e in psi.edge_ids:
-                if e != base:
+                if e != i.base:
                     led.give(psi, e, 1)
         else:
             singles.append(psi)
 
     for psi in sorted(singles):
         i = s.info[psi]
-        base = next(iter(i.base_edges))
-        attachment = i.cl_sin[0]
-        anchor = next(v for v in attachment.vertices if v not in psi.vertices)
-        u, v = g.edges[base]
+        u, v = g.edges[i.base]
         w = next(x for x in psi.vertices if x not in (u, v))
-        led.give(psi, base, 2)
+        led.give(psi, i.base, 2)
         for end in (u, v):
-            leg = g.edge_id(end, anchor)
+            leg = g.edge_id(end, i.anchor)
             own_nonbase = g.edge_id(end, w)
             if led.numerators.get(leg, 0) == 0:
                 led.give(psi, leg, 1)

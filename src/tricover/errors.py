@@ -5,19 +5,15 @@ class TricoverError(Exception):
     """Base class for all package errors."""
 
 
-class GraphError(TricoverError):
+class SelfLoopError(TricoverError):
     pass
 
 
-class SelfLoopError(GraphError):
+class DuplicateEdgeError(TricoverError):
     pass
 
 
-class DuplicateEdgeError(GraphError):
-    pass
-
-
-class VertexOutOfRangeError(GraphError):
+class VertexOutOfRangeError(TricoverError):
     pass
 
 
@@ -69,10 +65,6 @@ class InternalChargeError(TricoverError):
     def __init__(self, message: str, focus_edges=()):
         super().__init__(message)
         self.focus_edges = frozenset(focus_edges)
-
-
-class ExistenceInAViolatedError(InternalChargeError):
-    pass
 
 
 class RepairExhaustedError(TricoverError):

@@ -137,13 +137,6 @@ def _find_triangles(g: Graph) -> tuple[Triangle, ...]:
     return tuple(out)
 
 
-def triangles_on_edge(g: Graph, eid: int) -> list[Triangle]:
-    """All triangles containing edge ``eid``, canonical order."""
-    u, v = g.edges[eid]
-    common = sorted(g._adj_sets[u] & g._adj_sets[v])
-    return [g.triangle(u, v, w) for w in common]
-
-
 def _int_pair(row: list[str], expected: str) -> tuple[int, int]:
     if len(row) == 2:
         try:

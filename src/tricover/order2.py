@@ -5,7 +5,9 @@ triangles into a type-3 head (grown with the satisfy-and-truncate rules),
 demanding-triangle analysis, and the final discharge-and-pin loop that
 spends the spare half credit of type-0 triangles while rotating the K4
 charges of the unsatisfied tails and of the type-3 triangles outside
-every chain.
+every chain.  A type-3 triangle outside every chain that the chain
+cascade settles (a fixed half lands on one of its spokes) is fixed for
+good and never rotated.
 
 Charge bookkeeping is the shared ``charges.Ledger`` at order 2, so every
 numerator counts half credits: a half on an edge is numerator 1, a full
@@ -21,19 +23,16 @@ Which triangles the loop may still spend is kept in one place,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .charges import ChargeAssignment, Ledger, require_clean
 from .errors import (
     AlreadyPinnedError,
     AlreadySpentError,
-    ExistenceInAViolatedError,
+    InternalChargeError,
     PinBaseEdgeError,
 )
 from .graph import Graph, Triangle
 from .structure import SolutionStructure
-
-HALF = Fraction(1, 2)  # the weight of one half credit, numerator 1 at order 2
 
 
 # ---------------------------------------------------------------------------
@@ -67,9 +66,8 @@ def initial_half_charge(s: SolutionStructure) -> ChargeState:
         if i.type == 0:
             cs.replace(psi, {e: 1 for e in psi.edge_ids})
         elif i.type == 1:
-            base = next(iter(i.base_edges))
-            m = {e: 1 for e in psi.edge_ids if e != base}
-            m[base] = 2
+            m = {e: 1 for e in psi.edge_ids if e != i.base}
+            m[i.base] = 2
             cs.replace(psi, m)
         else:
             a = i.anchor
@@ -96,7 +94,6 @@ class LendArc:
     dst: Triangle
     gain: int
     common_vertex: int
-    anchor: int
 
 
 def build_lend(s: SolutionStructure) -> dict[Triangle, LendArc]:
@@ -115,8 +112,7 @@ def build_lend(s: SolutionStructure) -> dict[Triangle, LendArc]:
         i = s.info[psi]
         if i.type != 1 or len(i.cl_sin) != 1:
             continue
-        base = next(iter(i.base_edges))
-        u, v = g.edges[base]
+        u, v = g.edges[i.base]
         c = next(x for x in psi.vertices if x not in (u, v))
         a = i.anchor
         if a is None or not g.has_edge(c, a):
@@ -125,7 +121,7 @@ def build_lend(s: SolutionStructure) -> dict[Triangle, LendArc]:
         dst = s.owner(gain)
         if dst is None or dst == psi or s.info[dst].type not in (1, 3):
             continue
-        arcs[psi] = LendArc(psi, dst, gain, c, a)
+        arcs[psi] = LendArc(psi, dst, gain, c)
     return arcs
 
 
@@ -135,64 +131,34 @@ def build_lend(s: SolutionStructure) -> dict[Triangle, LendArc]:
 @dataclass
 class ChainLink:
     psi: Triangle
-    base: int
     gain: int  # g_i, an edge of the predecessor
-    anchor: int
     legs: tuple[int, int]  # non-solution edges of the attachment
-    h: int | None = None  # own edge given 1/2 when a successor joins
+    # own edge given 1/2 when a successor joins; on an unsatisfied tail, its spare half
+    h: int | None = None
     e1: int | None = None  # leg fixed to 1/2 when a successor joins
-    e2: int | None = None
 
 
 @dataclass
 class Chain:
     head: Triangle
-    links: list[ChainLink] = field(default_factory=list)
+    links: list[ChainLink]
+    head_half_spokes: tuple[int, int]
     satisfied: bool = False
     terminated: bool = False
-    zero_sized: bool = False
-    head_half_spokes: tuple[int, int] | None = None
-    tail_g_next: int | None = None  # the unsatisfied tail's other non-base edge
 
-    @property
-    def size(self) -> int:
-        return len(self.links)
-
-    def tail(self) -> Triangle | None:
-        return self.links[-1].psi if self.links else None
-
-    def members(self) -> list[Triangle]:
-        return [self.head] + [l.psi for l in self.links]
+    def tail(self) -> Triangle:
+        return self.links[-1].psi
 
     def half_nonsolution_edges(self) -> frozenset[int]:
-        if self.zero_sized:
-            return frozenset()
-        out = set(self.head_half_spokes or ())
-        for l in self.links[:-1]:
-            if l.e1 is not None:
-                out.add(l.e1)
-        return frozenset(out)
+        """The head's two half spokes and the leg each link fixed when its
+        successor joined."""
+        return frozenset(self.head_half_spokes) | {l.e1 for l in self.links[:-1]}
 
 
 @dataclass
 class ChainSet:
     chains: list[Chain]
-    by_triangle: dict[Triangle, Chain]
-
-    def heads(self) -> set[Triangle]:
-        return {c.head for c in self.chains}
-
-    def unsatisfied_tails(self) -> list[Triangle]:
-        return sorted(c.tail() for c in self.chains if not c.satisfied)
-
-    def chain_of(self, psi: Triangle) -> Chain | None:
-        return self.by_triangle.get(psi)
-
-    def half_nonsolution_edges(self) -> frozenset[int]:
-        out: set[int] = set()
-        for c in self.chains:
-            out |= c.half_nonsolution_edges()
-        return frozenset(out)
+    settled: set[Triangle]  # type-3 triangles outside every chain fixed by the cascade
 
 
 def _legs_of(s: SolutionStructure, psi: Triangle) -> tuple[int, int]:
@@ -216,16 +182,17 @@ def build_chains(
     them would satisfy a triangle with credit that later disappears.
 
     An unsatisfied tail puts its spare half on the lower-id of its two
-    non-base edges, ``link.h``; the other one is ``tail_g_next``.  The
-    choice follows edge ids alone: the same graph read with its edges in
-    reverse order swaps the two names, and its cover verifies all the
-    same.
+    non-base edges, ``link.h``.  The choice follows edge ids alone: the
+    same graph read with its edges in reverse order picks the other one,
+    and its cover verifies all the same.
     """
     g = s.g
     chains: list[Chain] = []
-    by_triangle: dict[Triangle, Chain] = {}
+    chained: set[Triangle] = set()  # heads and links of every chain
+    settled: set[Triangle] = set()
     threes = set(s.packed_of_type(3))
     fixed_half: set[int] = set()
+    queue: list[int] = []  # fixed half-edges the cascade has not looked at
     incoming: dict[Triangle, list[LendArc]] = {}
     for src in sorted(lend):
         incoming.setdefault(lend[src].dst, []).append(lend[src])
@@ -234,58 +201,63 @@ def build_chains(
         """A candidate may extend a chain while an attachment leg is unfixed."""
         return any(e not in fixed_half for e in _legs_of(s, psi))
 
-    def unsat_nonhead_threes() -> list[Triangle]:
-        return sorted(
-            psi for psi in threes if psi not in by_triangle and not cs.satisfied(psi)
-        )
+    def fix(edges: list[int]) -> None:
+        fixed_half.update(edges)
+        queue.extend(edges)
 
-    def process_fixed(queue: list[int]) -> None:
-        """Cascade satisfactions triggered by freshly fixed half-edges."""
-        fixed_half.update(queue)
+    def satisfy(chain: Chain) -> None:
+        """The tail keeps its base and spends the spare credit on its own
+        non-base edges."""
+        tail = chain.tail()
+        own = [e for e in tail.edge_ids if e != s.info[tail].base]
+        for e in own:
+            cs.give(tail, e, 1)
+        chain.satisfied = chain.terminated = True
+        fix(own)
+
+    def cascade() -> None:
+        """Satisfy and settle what the freshly fixed half-edges allow."""
         while queue:
             e = queue.pop(0)
             # terminated, still unsatisfied chains whose tail attachment touches e
             for c in chains:
-                if c.satisfied or c.zero_sized or not c.terminated:
+                if c.terminated and not c.satisfied and e in c.links[-1].legs:
+                    satisfy(c)
+            if s.owner(e) is not None:
+                continue
+            # settle unsatisfied type-3 triangles outside every chain with
+            # a half on this spoke: each own edge and one more spoke get 1/2
+            unsatisfied = sorted(
+                psi for psi in threes if psi not in chained and not cs.satisfied(psi)
+            )
+            for psi in unsatisfied:
+                spokes = s.k4_region_edges(psi)[3:]
+                if e not in spokes:
                     continue
-                tail = c.tail()
-                if tail is None:
-                    continue
-                if e in _legs_of(s, tail):
-                    base = next(iter(s.info[tail].base_edges))
-                    for ne in tail.edge_ids:
-                        if ne != base:
-                            cs.give(tail, ne, 1)
-                            fixed_half.add(ne)
-                            queue.append(ne)
-                    c.satisfied = True
-            # unsatisfied type-3 triangles outside every chain
-            if s.owner(e) is None:
-                for psi in unsat_nonhead_threes():
-                    spokes = s.k4_region_edges(psi)[3:]
-                    if e not in spokes:
-                        continue
-                    other = min(x for x in spokes if x != e)
-                    m = {se: 1 for se in psi.edge_ids}
-                    m[other] = 1
-                    cs.replace(psi, m)
-                    zc = Chain(
-                        head=psi, satisfied=True, terminated=True, zero_sized=True
-                    )
-                    chains.append(zc)
-                    by_triangle[psi] = zc
-                    fresh = list(psi.edge_ids) + [other]
-                    fixed_half.update(fresh)
-                    queue.extend(fresh)
+                other = min(x for x in spokes if x != e)
+                m = {se: 1 for se in psi.edge_ids}
+                m[other] = 1
+                cs.replace(psi, m)
+                settled.add(psi)
+                fix(list(psi.edge_ids) + [other])
+
+    def join(chain: Chain, arc: LendArc) -> int:
+        """The lender keeps half on its base and lends half onto the gain
+        edge; returns the base."""
+        base = s.info[arc.src].base
+        cs.replace(arc.src, {arc.gain: 1, base: 1})
+        chain.links.append(ChainLink(arc.src, arc.gain, _legs_of(s, arc.src)))
+        chained.add(arc.src)
+        return base
 
     def start_candidates() -> list[LendArc]:
         out = []
         for psi, arc in lend.items():
             if s.info[arc.dst].type != 3:
                 continue
-            if cs.satisfied(arc.dst) or arc.dst in by_triangle:
+            if cs.satisfied(arc.dst) or arc.dst in chained:
                 continue
-            if psi in by_triangle or not eligible_lender(psi):
+            if psi in chained or not eligible_lender(psi):
                 continue
             out.append(arc)
         return sorted(out, key=lambda a: (a.dst, a.src))
@@ -295,11 +267,10 @@ def build_chains(
         if not starts:
             break
         arc = starts[0]
-        head, psi1 = arc.dst, arc.src
+        head = arc.dst
         spokes = s.k4_region_edges(head)[3:]
         null_spoke = g.edge_id(arc.common_vertex, s.info[head].anchor)
         half_spokes = tuple(sorted(e for e in spokes if e != null_spoke))
-        base1 = next(iter(s.info[psi1].base_edges))
         # the lender's half sits on the gain edge, like in every later
         # step, so a pin of this triangle keeps the head region intact
         cs.replace(
@@ -310,39 +281,24 @@ def build_chains(
                 half_spokes[1]: 1,
             },
         )
-        cs.replace(psi1, {arc.gain: 1, base1: 1})
-        chain = Chain(
-            head=head,
-            links=[ChainLink(psi1, base1, arc.gain, arc.anchor, _legs_of(s, psi1))],
-            head_half_spokes=half_spokes,  # type: ignore[arg-type]
-        )
+        chain = Chain(head, [], half_spokes)  # type: ignore[arg-type]
         chains.append(chain)
-        by_triangle[head] = chain
-        by_triangle[psi1] = chain
-        process_fixed(list(head.edge_ids) + list(half_spokes) + [base1])
+        chained.add(head)
+        base1 = join(chain, arc)
+        fix(list(head.edge_ids) + list(half_spokes) + [base1])
+        cascade()
 
         while True:
             tail = chain.tail()
-            if chain.satisfied:
-                break
-            if any(e in fixed_half for e in _legs_of(s, tail)):
-                # satisfy-and-truncate: the tail keeps its base and spends
-                # the spare credit on its own non-base edges
-                base = next(iter(s.info[tail].base_edges))
-                fixed = []
-                for ne in tail.edge_ids:
-                    if ne != base:
-                        cs.give(tail, ne, 1)
-                        fixed.append(ne)
-                chain.satisfied = True
-                chain.terminated = True
-                process_fixed(fixed)
+            if any(e in fixed_half for e in chain.links[-1].legs):
+                satisfy(chain)  # and truncate: the chain grows no further
+                cascade()
                 break
             growers = [
                 a
                 for a in incoming.get(tail, ())
-                if a.gain != next(iter(s.info[tail].base_edges))
-                and a.src not in by_triangle
+                if a.gain != s.info[tail].base
+                and a.src not in chained
                 and eligible_lender(a.src)
             ]
             if not growers:
@@ -351,60 +307,46 @@ def build_chains(
             nxt = growers[0]
             prev_link = chain.links[-1]
             h_prev = next(
-                e for e in tail.edge_ids if e not in (prev_link.base, nxt.gain)
+                e for e in tail.edge_ids if e not in (s.info[tail].base, nxt.gain)
             )
             hx = set(g.edges[h_prev])
-            e1_prev = next(
-                e for e in prev_link.legs if set(g.edges[e]) & hx
-            )
-            e2_prev = next(e for e in prev_link.legs if e != e1_prev)
-            prev_link.h, prev_link.e1, prev_link.e2 = h_prev, e1_prev, e2_prev
-            base_n = next(iter(s.info[nxt.src].base_edges))
+            e1_prev = next(e for e in prev_link.legs if set(g.edges[e]) & hx)
+            prev_link.h, prev_link.e1 = h_prev, e1_prev
             cs.give(tail, h_prev, 1)
             cs.give(tail, e1_prev, 1)
-            cs.replace(nxt.src, {nxt.gain: 1, base_n: 1})
-            chain.links.append(
-                ChainLink(nxt.src, base_n, nxt.gain, nxt.anchor, _legs_of(s, nxt.src))
-            )
-            by_triangle[nxt.src] = chain
-            process_fixed([base_n, h_prev, nxt.gain, e1_prev])
+            base_n = join(chain, nxt)
+            fix([base_n, h_prev, nxt.gain, e1_prev])
+            cascade()
 
     # spare credit of every unsatisfied tail
     for chain in chains:
-        if chain.satisfied or chain.zero_sized:
+        if chain.satisfied:
             continue
         link = chain.links[-1]
         tail = link.psi
-        h_k, g_next = sorted(e for e in tail.edge_ids if e != link.base)
+        h_k = min(e for e in tail.edge_ids if e != s.info[tail].base)
         hx = set(g.edges[h_k])
-        e2_k = next(e for e in link.legs if not (set(g.edges[e]) & hx))
-        e1_k = next(e for e in link.legs if e != e2_k)
+        far_leg = next(e for e in link.legs if not (set(g.edges[e]) & hx))
         cs.give(tail, h_k, 1)
-        cs.give(tail, e2_k, 1)
-        link.h, link.e1, link.e2 = h_k, e1_k, e2_k
-        chain.tail_g_next = g_next
+        cs.give(tail, far_leg, 1)
+        link.h = h_k
 
-    return ChainSet(chains, by_triangle)
+    return ChainSet(chains, settled)
 
 
 # ---------------------------------------------------------------------------
 # demanding triangles and discharge-and-pin
 
 @dataclass
-class FreeRegion:
-    """Rotation data for a free triangle in A."""
-
-    kind: str  # "type0" | "tail" | "three"
-    base: int | None = None
-    gain: int | None = None
-    anchor: int | None = None
-
-
-@dataclass
 class DemandState:
+    """The demand set D, the free set A, and the roles in A: the type-0
+    triangles and the unsatisfied tails (with their links); every other
+    free triangle is a rotatable type-3 triangle."""
+
     demanding: list[Triangle]
     free: list[Triangle]
-    regions: dict[Triangle, FreeRegion]
+    type0: set[Triangle]
+    tails: dict[Triangle, ChainLink]
     log: list[dict] = field(default_factory=list)
 
     def demanding_on_edge(self, eid: int) -> list[Triangle]:
@@ -419,14 +361,12 @@ def compute_demanding(s: SolutionStructure, chains: ChainSet) -> DemandState:
     """The set D of triangles the discharge-and-pin loop must cover, and
     the free set A whose credits it may still move."""
     type0 = set(s.packed_of_type(0))
-    tails = set(chains.unsatisfied_tails())
-    heads = chains.heads()
-    free_threes = {psi for psi in s.packed_of_type(3) if psi not in heads}
-    flexible_owners = tails | free_threes
-    half_edges = chains.half_nonsolution_edges()
-    base_edges_type1 = {
-        e for psi in s.packed_of_type(1) for e in s.info[psi].base_edges
-    }
+    tails = {c.tail(): c.links[-1] for c in chains.chains if not c.satisfied}
+    heads = {c.head for c in chains.chains}
+    free_threes = set(s.packed_of_type(3)) - heads - chains.settled
+    flexible_owners = tails.keys() | free_threes
+    half_edges = set().union(*(c.half_nonsolution_edges() for c in chains.chains))
+    base_edges_type1 = {s.info[psi].base for psi in s.packed_of_type(1)}
 
     demanding: list[Triangle] = []
     for t in s.nonsolution:
@@ -445,18 +385,8 @@ def compute_demanding(s: SolutionStructure, chains: ChainSet) -> DemandState:
         if ok:
             demanding.append(t)
 
-    regions: dict[Triangle, FreeRegion] = {}
-    for psi in sorted(type0):
-        regions[psi] = FreeRegion("type0")
-    for psi in sorted(tails):
-        chain = chains.chain_of(psi)
-        link = chain.links[-1]
-        regions[psi] = FreeRegion("tail", base=link.base, gain=link.gain, anchor=link.anchor)
-    for psi in sorted(free_threes):
-        regions[psi] = FreeRegion("three", anchor=s.info[psi].anchor)
-
-    free = sorted(type0 | tails | free_threes)
-    return DemandState(sorted(demanding), free, regions)
+    free = sorted(type0 | flexible_owners)
+    return DemandState(sorted(demanding), free, type0, tails)
 
 
 def check_demand_lemma(s: SolutionStructure, ds: DemandState) -> set[int] | None:
@@ -497,7 +427,7 @@ def check_demand_lemma(s: SolutionStructure, ds: DemandState) -> set[int] | None
 
 def discharge(ds: DemandState, cs: ChargeState, psi0: Triangle, eid: int) -> None:
     """Spend the reserved half credit of type-0 ``psi0`` on edge ``eid``."""
-    if psi0 not in ds.free or ds.regions[psi0].kind != "type0":
+    if psi0 not in ds.free or psi0 not in ds.type0:
         raise AlreadySpentError(f"{psi0} is not a free type-0 triangle")
     cs.give(psi0, eid, 1)
     ds.free.remove(psi0)
@@ -516,29 +446,28 @@ def pin(ds: DemandState, cs: ChargeState, psi: Triangle, eid: int) -> None:
     """
     if psi not in ds.free:
         raise AlreadyPinnedError(f"{psi} is not free to pin")
-    region = ds.regions[psi]
-    if region.kind == "type0":
+    if psi in ds.type0:
         raise PinBaseEdgeError(f"{psi} is type-0, cannot pin")
     if eid not in psi.edge_ids:
         raise PinBaseEdgeError(f"edge {eid} not on {psi}")
     g = cs.g
-    anchor = region.anchor
-    if region.kind == "tail":
-        if eid == region.base:
+    i = cs.structure.info[psi]
+    if psi in ds.tails:
+        if eid == i.base:
             raise PinBaseEdgeError("cannot pin the base edge of a tail triangle")
-        u, v = g.edges[region.base]
+        u, v = g.edges[i.base]
         x = next(w for w in g.edges[eid] if w in (u, v))
         y = v if x == u else u
         c = next(w for w in psi.vertices if w not in (u, v))
         m = {
-            region.base: 1,
-            region.gain: 1,
+            i.base: 1,
+            ds.tails[psi].gain: 1,
             g.edge_id(y, c): 1,
-            g.edge_id(x, anchor): 1,
+            g.edge_id(x, i.anchor): 1,
         }
     else:
         opposite = next(w for w in psi.vertices if w not in g.edges[eid])
-        null_spoke = g.edge_id(opposite, anchor)
+        null_spoke = g.edge_id(opposite, i.anchor)
         m = {
             e: 1
             for e in cs.structure.k4_region_edges(psi)
@@ -559,21 +488,20 @@ def _type0_edge_of(s: SolutionStructure, t: Triangle, type0: set[Triangle]) -> i
 
 def discharge_and_pin(s: SolutionStructure, cs: ChargeState, ds: DemandState) -> None:
     """Cover every demanding triangle, spending each free triangle at most once."""
-    type0 = set(s.packed_of_type(0))
+    type0 = ds.type0
 
     def free13() -> list[Triangle]:
-        return [p for p in ds.free if ds.regions[p].kind != "type0"]
+        return [p for p in ds.free if p not in type0]
 
     def eligible_edges(psi: Triangle) -> list[int]:
-        region = ds.regions[psi]
-        if region.kind == "tail":
-            return sorted(e for e in psi.edge_ids if e != region.base)
+        if psi in ds.tails:
+            return sorted(e for e in psi.edge_ids if e != s.info[psi].base)
         return sorted(psi.edge_ids)
 
     while ds.demanding:
         # type-0 triangles whose remaining demand sits on a single edge
         acted = False
-        for psi0 in sorted(p for p in ds.free if ds.regions[p].kind == "type0"):
+        for psi0 in sorted(p for p in ds.free if p in type0):
             hot = [e for e in psi0.edge_ids if ds.demanding_on_edge(e)]
             if len(hot) == 1:
                 discharge(ds, cs, psi0, hot[0])
@@ -585,7 +513,7 @@ def discharge_and_pin(s: SolutionStructure, cs: ChargeState, ds: DemandState) ->
         candidates = [p for p in free13() if ds.demanding_on(p)]
         if not candidates:
             focus = {e for t in ds.demanding for e in t.edge_ids}
-            raise ExistenceInAViolatedError(
+            raise InternalChargeError(
                 "no free triangle adjacent to remaining demand", focus_edges=focus
             )
         psi = candidates[0]
@@ -608,12 +536,12 @@ def discharge_and_pin(s: SolutionStructure, cs: ChargeState, ds: DemandState) ->
             e0 = _type0_edge_of(s, t_i, type0)
             psi0 = s.owner(e0)
             if psi0 not in ds.free:
-                raise ExistenceInAViolatedError(
+                raise InternalChargeError(
                     f"type-0 {psi0} already spent", focus_edges=set(t_i.edge_ids)
                 )
             x = set(cs.g.edges[e_i]) & set(cs.g.edges[e0])
             if len(x) != 1:
-                raise ExistenceInAViolatedError(
+                raise InternalChargeError(
                     "demanding triangle edges do not meet", focus_edges=set(t_i.edge_ids)
                 )
             xv = x.pop()
@@ -623,7 +551,7 @@ def discharge_and_pin(s: SolutionStructure, cs: ChargeState, ds: DemandState) ->
             if not leftovers:
                 break
             if len(leftovers) > 1:
-                raise ExistenceInAViolatedError(
+                raise InternalChargeError(
                     "several demanding triangles on the far type-0 edge",
                     focus_edges={e for t in leftovers for e in t.edge_ids},
                 )
@@ -634,7 +562,7 @@ def discharge_and_pin(s: SolutionStructure, cs: ChargeState, ds: DemandState) ->
                 if (o := s.owner(e)) is not None and o in set(free13())
             ]
             if not options:
-                raise ExistenceInAViolatedError(
+                raise InternalChargeError(
                     "no free rotatable triangle covers the leftover demand",
                     focus_edges=set(t_next.edge_ids),
                 )

@@ -57,9 +57,6 @@ class Packing:
     def __contains__(self, t: Triangle) -> bool:
         return t in self._members
 
-    def uses(self, eid: int) -> bool:
-        return eid in self.used_edges
-
     def with_swap(self, cert: SwapCertificate) -> "Packing":
         return Packing(self.g, [*self._members.difference(cert.removed), *cert.added])
 
@@ -230,14 +227,6 @@ def _find_swap(
                     added=tuple(tris[pool[j]] for j in found),
                 )
     return None
-
-
-def improve_packing(g: Graph, p: Packing, max_swap: int = 5) -> SwapCertificate | None:
-    """One improving swap of size <= max_swap in the connected neighborhood, or None."""
-    if max_swap < 1:
-        raise ValueError("max_swap must be >= 1")
-    tris = enumerate_triangles(g)
-    return _find_swap(g, p, tris, _edge_masks(tris), p.triangles, max_swap)
 
 
 def targeted_swap(

@@ -12,7 +12,6 @@ runs that check once, when it is made, and keeps the result as its
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -26,6 +25,12 @@ class PackedInfo:
     base_edges: frozenset[int]
     anchor: int | None
     cl_sin: tuple[Triangle, ...]
+
+    @property
+    def base(self) -> int:
+        """The base edge of a type-1 triangle."""
+        (b,) = self.base_edges
+        return b
 
 
 @dataclass(frozen=True)
@@ -222,29 +227,3 @@ def _common_anchor(s: SolutionStructure, owners: tuple[Triangle, ...]) -> bool:
 def violation_to_focus(v: StructureViolation) -> set[int]:
     """Edges of all witness triangles, the repair search region."""
     return {e for t in v.witnesses for e in t.edge_ids}
-
-
-def structure_debug_json(s: SolutionStructure) -> str:
-    """JSON dump of the per-triangle classification."""
-    rows = []
-    for psi in s.packing.triangles:
-        i = s.info[psi]
-        rows.append(
-            {
-                "vertices": list(psi.vertices),
-                "role": "solution",
-                "type": i.type,
-                "base_edges": sorted(list(s.g.edges[e]) for e in i.base_edges),
-                "anchor": i.anchor,
-            }
-        )
-    for t in s.nonsolution:
-        att = s.attachments[t]
-        rows.append(
-            {
-                "vertices": list(t.vertices),
-                "role": att.kind,
-                "signature": list(att.signature),
-            }
-        )
-    return json.dumps(rows, indent=2)

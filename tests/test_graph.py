@@ -13,11 +13,17 @@ from tricover import (
     format_edge_list,
     greedy_packing,
     parse_edge_list,
-    triangles_on_edge,
 )
 from tricover.errors import DuplicateEdgeError, SelfLoopError, VertexOutOfRangeError
 from tricover.generators import complete_graph, gnp
 from tricover.graph import MAX_VERTICES
+
+
+def triangles_on_edge(g, eid):
+    """Reference: all triangles containing edge ``eid``, canonical order."""
+    u, v = g.edges[eid]
+    common = sorted(set(g.adjacency[u]) & set(g.adjacency[v]))
+    return [g.triangle(u, v, w) for w in common]
 
 
 def naive_triangle_count(g):

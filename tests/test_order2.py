@@ -21,7 +21,6 @@ from tricover import (
 from tricover.errors import AlreadyPinnedError, AlreadySpentError, PinBaseEdgeError
 from tricover.generators import complete_graph, glued_k4, gnp, lend_chain
 from tricover.order2 import (
-    HALF,
     build_chains,
     build_lend,
     check_demand_lemma,
@@ -34,6 +33,7 @@ from tricover.order2 import (
 )
 
 F = Fraction
+HALF = F(1, 2)
 
 
 def structure_of(g, triangles):
@@ -52,21 +52,32 @@ def pipeline_state(g, triangles):
 def fixed_charge(s):
     """Numerators of the chain-built charge outside the rotatable K4
     regions: an unsatisfied tail keeps only its base and gain edges
-    fixed, a type-3 triangle outside every chain keeps nothing.  Pins
-    and discharges must never take an edge below this."""
+    fixed, a type-3 triangle outside every chain that the cascade did
+    not settle keeps nothing.  Pins and discharges must never take an
+    edge below this."""
     cs = initial_half_charge(s)
     chains = build_chains(s, build_lend(s), cs)
     flexible = set()
     for c in chains.chains:
-        if c.satisfied or c.zero_sized:
+        if c.satisfied:
             continue
         link = c.links[-1]
-        flexible |= set(s.k4_region_edges(link.psi)) - {link.base, link.gain}
-    heads = chains.heads()
+        flexible |= set(s.k4_region_edges(link.psi)) - {s.info[link.psi].base, link.gain}
+    fixed_threes = {c.head for c in chains.chains} | chains.settled
     for psi in s.packed_of_type(3):
-        if psi not in heads:
+        if psi not in fixed_threes:
             flexible |= set(s.k4_region_edges(psi))
     return {e: v for e, v in cs.numerators.items() if v and e not in flexible}
+
+
+def spare_edge(s, chain):
+    """The non-base edge of an unsatisfied tail that gets no spare half."""
+    link = chain.links[-1]
+    return next(e for e in link.psi.edge_ids if e not in (s.info[link.psi].base, link.h))
+
+
+def members(chain):
+    return [chain.head] + [l.psi for l in chain.links]
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +168,9 @@ def test_chain_sizes_on_gadgets():
         s = build_structure(g, p)
         cs = initial_half_charge(s)
         chains = build_chains(s, build_lend(s), cs)
-        real = [c for c in chains.chains if not c.zero_sized]
-        assert len(real) == 1
-        chain = real[0]
-        assert chain.size == L
+        assert len(chains.chains) == 1
+        chain = chains.chains[0]
+        assert len(chain.links) == L
         assert not chain.satisfied
         assert s.info[chain.head].type == 3
         assert all(s.info[l.psi].type == 1 for l in chain.links)
@@ -175,12 +185,12 @@ def test_chain_half_edge_pattern():
         s = build_structure(g, p)
         cs = initial_half_charge(s)
         chains = build_chains(s, build_lend(s), cs)
-        chain = next(c for c in chains.chains if not c.zero_sized)
+        (chain,) = chains.chains
         for link in chain.links:
             assert cs.f(link.gain) == HALF
-        solution_edges = {e for psi in chain.members() for e in psi.edge_ids}
+        solution_edges = {e for psi in members(chain) for e in psi.edge_ids}
         for e in solution_edges:
-            if e == chain.tail_g_next:
+            if e == spare_edge(s, chain):
                 assert cs.f(e) == 0
             else:
                 assert cs.f(e) >= HALF
@@ -207,13 +217,11 @@ def test_distinct_chains_have_disjoint_half_edges():
             # charge pattern: gain edges are half, and every member's
             # solution edge carries at least a half except an unsatisfied
             # tail's spare non-base edge
-            if c.zero_sized:
-                continue
             for link in c.links:
                 assert cs.f(link.gain) >= HALF
-            for psi in c.members():
+            for psi in members(c):
                 for e in psi.edge_ids:
-                    if not c.satisfied and e == c.tail_g_next:
+                    if not c.satisfied and e == spare_edge(s, c):
                         assert cs.f(e) == 0
                     else:
                         assert cs.f(e) >= HALF
@@ -225,7 +233,7 @@ def test_one_link_chain_leaves_no_null_edge_on_head():
     s = build_structure(g, p)
     cs = initial_half_charge(s)
     chains = build_chains(s, build_lend(s), cs)
-    head = next(c for c in chains.chains if not c.zero_sized).head
+    head = chains.chains[0].head
     assert all(cs.f(e) == HALF for e in head.edge_ids)
 
 
@@ -247,13 +255,13 @@ def test_f_fix_zeroes_unsatisfied_tail_region():
     p = local_search_packing(g, 0, 5)
     s, cs, chains, ds = pipeline_state(g, list(p.triangles))
     fix = fixed_charge(s)
-    chain = next(c for c in chains.chains if not c.zero_sized)
+    chain = chains.chains[0]
     link = chain.links[-1]
-    assert fix.get(chain.tail_g_next, 0) == 0
+    assert fix.get(spare_edge(s, chain), 0) == 0
     assert fix.get(link.h, 0) == 0
-    assert fix.get(link.e1, 0) == 0
-    assert fix.get(link.e2, 0) == 0
-    assert fix.get(link.base, 0) == 1  # numerator 1 is HALF at order 2
+    for leg in link.legs:
+        assert fix.get(leg, 0) == 0
+    assert fix.get(s.info[link.psi].base, 0) == 1  # numerator 1 is HALF at order 2
     assert fix.get(link.gain, 0) == 1
     # satisfied members and the head keep everything fixed
     for l in chain.links[:-1]:
@@ -342,10 +350,9 @@ def test_pin_base_edge_rejected():
     g = lend_chain(1)
     p = local_search_packing(g, 0, 5)
     s, cs, chains, ds = pipeline_state(g, list(p.triangles))
-    tail = next(c for c in chains.chains if not c.zero_sized).links[-1].psi
-    base = next(iter(s.info[tail].base_edges))
+    tail = chains.chains[0].tail()
     with pytest.raises(PinBaseEdgeError):
-        pin(ds, cs, tail, base)
+        pin(ds, cs, tail, s.info[tail].base)
 
 
 def test_pin_twice_rejected():
@@ -454,8 +461,8 @@ def test_gadget_union_digest():
         s = build_structure(g, covers[0].packing)
         cs = initial_half_charge(s)
         chains = build_chains(s, build_lend(s), cs)
-        satisfied += sum(c.satisfied and not c.zero_sized for c in chains.chains)
-        settled += sum(c.zero_sized for c in chains.chains)
+        satisfied += sum(c.satisfied for c in chains.chains)
+        settled += len(chains.settled)
         ds = compute_demanding(s, chains)
         run, witness = run_order2(s)
         h.update(repr((
@@ -551,10 +558,10 @@ def test_tail_renaming_invariance():
             assert r.report.ok
             assert verify_cover(h, r.assignment, len(r.packing)).ok
             assert r.assignment.total() <= 2 * len(r.packing)
-            _, _, chains, _ = pipeline_state(h, list(r.packing.triangles))
-            chain = next(c for c in chains.chains if not c.zero_sized)
+            s, _, chains, _ = pipeline_state(h, list(r.packing.triangles))
+            chain = chains.chains[0]
             named.append(
-                (set(h.edges[chain.links[-1].h]), set(h.edges[chain.tail_g_next]))
+                (set(h.edges[chain.links[-1].h]), set(h.edges[spare_edge(s, chain)]))
             )
         (h0, g0), (h1, g1) = named
         assert h0 == g1 and g0 == h1

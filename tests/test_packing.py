@@ -12,7 +12,6 @@ from tricover import (
     SwapCertificate,
     enumerate_triangles,
     greedy_packing,
-    improve_packing,
     local_search_packing,
     nu_exact,
     targeted_swap,
@@ -30,6 +29,11 @@ from tricover.order2 import (
 from tricover.structure import build_structure, check_structure
 
 from test_acceptance import suite_instances
+
+
+def any_swap(g, p, max_swap):
+    """An improving swap anywhere in the packing: every edge is in focus."""
+    return targeted_swap(g, p, set(range(g.m)), max_swap)
 
 
 def test_greedy_k4_single_triangle():
@@ -56,7 +60,7 @@ def test_greedy_deterministic_given_seed():
 def test_improve_bowtie_zero_swap():
     g = bowtie()
     p = Packing(g, [g.triangle(0, 1, 2)])
-    cert = improve_packing(g, p, 5)
+    cert = any_swap(g, p, 5)
     assert cert is not None and cert.removed == ()
     assert cert.added == (g.triangle(2, 3, 4),)
     assert verify_swap(g, p, cert)
@@ -65,7 +69,7 @@ def test_improve_bowtie_zero_swap():
 def test_improve_k4_already_optimal():
     g = complete_graph(4)
     p = Packing(g, [g.triangle(0, 1, 2)])
-    assert improve_packing(g, p, 5) is None
+    assert any_swap(g, p, 5) is None
 
 
 def test_improve_k6_from_size_three():
@@ -84,7 +88,7 @@ def test_improve_k6_from_size_three():
                 chosen.append(t)
                 used.update(t.edge_ids)
         p = Packing(g, chosen)
-    cert = improve_packing(g, p, 5)
+    cert = any_swap(g, p, 5)
     assert cert is not None and verify_swap(g, p, cert)
     assert len(p.with_swap(cert)) == 4 == nu_exact(g).value
 
@@ -113,7 +117,7 @@ def test_swap_certificates_add_exactly_one():
     for _ in range(20):
         g = gnp(rng.randint(5, 9), 0.6, rng.randint(0, 10**6))
         p = greedy_packing(g, rng.randint(1, 50))
-        cert = improve_packing(g, p, 3)
+        cert = any_swap(g, p, 3)
         if cert is not None:
             assert verify_swap(g, p, cert)
             assert len(p.with_swap(cert)) == len(p) + 1
@@ -155,10 +159,8 @@ def test_local_search_terminates_within_edge_bound():
 
 
 def test_max_swap_must_be_positive():
-    g = complete_graph(4)
-    p = greedy_packing(g, 0)
     with pytest.raises(ValueError):
-        improve_packing(g, p, 0)
+        local_search_packing(complete_graph(4), 0, 0)
 
 
 def test_local_search_suite_digest():
@@ -222,7 +224,7 @@ def _ref_disjoint_selection(pool, need):
 def _ref_find_swap(g, p, max_swap, eligible=None):
     all_tris = enumerate_triangles(g)
     packed = set(p.triangles)
-    free = [t for t in all_tris if not any(p.uses(e) for e in t.edge_ids)]
+    free = [t for t in all_tris if not any(e in p.used_edges for e in t.edge_ids)]
     if free:
         return SwapCertificate(removed=(), added=(free[0],))
     candidates = list(p.triangles) if eligible is None else sorted(eligible)
@@ -237,7 +239,9 @@ def _ref_find_swap(g, p, max_swap, eligible=None):
         for removal in _ref_connected_subsets(candidates, nbrs, r):
             freed = {e for t in removal for e in t.edge_ids}
             pool = [
-                t for t in nonpacked if all(e in freed or not p.uses(e) for e in t.edge_ids)
+                t
+                for t in nonpacked
+                if all(e in freed or e not in p.used_edges for e in t.edge_ids)
             ]
             if len(pool) <= r:
                 continue
@@ -280,5 +284,5 @@ def test_swap_search_matches_reference(
         tris.pop(data.draw(st.integers(0, len(tris) - 1)))
     p = Packing(g, tris)
     focus = data.draw(st.sets(st.sampled_from(range(g.m)), max_size=4)) if g.m else set()
-    assert improve_packing(g, p, max_swap) == _ref_find_swap(g, p, max_swap)
+    assert any_swap(g, p, max_swap) == _ref_find_swap(g, p, max_swap)
     assert targeted_swap(g, p, focus, max_swap) == _ref_targeted_swap(g, p, focus, max_swap)

@@ -1,6 +1,5 @@
 """Triangle classification and the structural checks."""
 
-import json
 import random
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -16,7 +15,6 @@ from tricover import (
     enumerate_triangles,
     greedy_packing,
     local_search_packing,
-    structure_debug_json,
     violation_to_focus,
 )
 from tricover.generators import bowtie, complete_graph, gnp
@@ -178,16 +176,6 @@ def test_base_edges_match_singly_attachments():
         for t, att in s.attachments.items():
             assert att.signature == tuple(sorted(att.signature))
             assert len(att.signature) == len(att.owners)
-
-
-def test_debug_json_is_valid_and_complete():
-    g = complete_graph(5)
-    p = local_search_packing(g, 0, 5)
-    s = build_structure(g, p)
-    rows = json.loads(structure_debug_json(s))
-    assert len(rows) == 10  # C(5,3) triangles of K5
-    solution_rows = [r for r in rows if r["role"] == "solution"]
-    assert len(solution_rows) == len(p)
 
 
 # Reference oracle: build_structure on Triangle-keyed sets and dicts, as
