@@ -35,7 +35,9 @@ class Graph:
     deterministic in the graph are therefore computed once per graph and
     kept in ``_memo`` through ``memo``; they live exactly as long as the
     graph.  The entries are the triangle list (``"triangles"``, filled by
-    ``enumerate_triangles``), each local-search packing
+    ``enumerate_triangles``), the edge-id bitmask of each of those
+    triangles (``"edge_masks"``, filled by ``packing.greedy_packing`` and
+    the swap search), each local-search packing
     (``("local_search", seed, max_swap)``, filled by ``pipeline.cover``)
     and the tau* LP optimum (``"tau_star_lp"``, filled by
     ``oracles.tau_star_k_exact`` and so also by ``oracles.tau_exact``).

@@ -17,9 +17,21 @@ its edges.  One that uses an edge packed outside the candidates can
 never be added and is dropped; the others are listed under their lowest
 conflicting candidate.  The pool for a removal mask ``rm`` is then the
 listed triangles of its members whose conflict mask lies inside ``rm``,
-in enumeration order.  The triangles come from the graph's memo, so
-they are enumerated once per graph; ``local_search_packing`` also
-builds their edge masks once, not once per swap.
+in enumeration order.  The triangles and their edge masks come from the
+graph's memo, so both are built once per graph, not once per swap.
+
+The added triangles are picked from the pool by an ordered clique search
+on bitsets of pool positions (the bit-parallel search of San Segundo et
+al., 2011, without reordering): a selection is a clique in the graph
+whose edges join edge-disjoint pool triangles.  Each position keeps the
+bitmask of the later positions disjoint from it; the candidates that
+extend a selection are the AND of those masks, taken lowest position
+first, and a branch with fewer candidates than triangles still to pick
+is cut.  The candidates at each node are exactly the later positions
+that a scan of the pool in order would not skip, visited in the same
+order, and a cut only drops branches without a selection, so the first
+selection found, and with it every swap, is the one a plain in-order
+backtracking scan finds.
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import Graph, Triangle, enumerate_triangles
+from .graph import Graph, Triangle, enumerate_triangles, memo
 
 
 @dataclass(frozen=True)
@@ -96,21 +108,28 @@ def greedy_packing(g: Graph, order_seed: int = 0) -> Packing:
     Seed 0 keeps the canonical triangle order; any other seed is a
     deterministic shuffle.
     """
-    tris = enumerate_triangles(g)
+    pairs = list(zip(enumerate_triangles(g), _edge_masks(g)))
     if order_seed != 0:
-        rng = random.Random(order_seed)
-        rng.shuffle(tris)
-    used: set[int] = set()
+        random.Random(order_seed).shuffle(pairs)
+    used = 0
     chosen: list[Triangle] = []
-    for t in tris:
-        if not any(e in used for e in t.edge_ids):
+    for t, mask in pairs:
+        if not mask & used:
             chosen.append(t)
-            used.update(t.edge_ids)
+            used |= mask
     return Packing(g, chosen)
 
 
-def _edge_masks(tris: list[Triangle]) -> list[int]:
-    return [(1 << a) | (1 << b) | (1 << c) for a, b, c in (t.edge_ids for t in tris)]
+def _edge_masks(g: Graph) -> tuple[int, ...]:
+    """The edge-id bitmask of every triangle, in ``enumerate_triangles`` order."""
+    return memo(
+        g,
+        "edge_masks",
+        lambda: tuple(
+            (1 << a) | (1 << b) | (1 << c)
+            for a, b, c in (t.edge_ids for t in enumerate_triangles(g))
+        ),
+    )
 
 
 def _connected_subsets(nbrs: list[int], size: int):
@@ -146,48 +165,56 @@ def _connected_subsets(nbrs: list[int], size: int):
 def _disjoint_selection(masks: list[int], need: int) -> list[int] | None:
     """Positions of the first `need` pairwise disjoint masks in DFS order, or None.
 
-    Every mask has three edge bits, so `need` disjoint ones cover 3*need
-    edges: a branch whose remaining masks jointly hold fewer unused edges
-    has no solution and is cut, which leaves the first one found as it is.
+    An ordered clique search on bitsets of positions: ``later[j]`` holds
+    the positions after ``j`` whose masks are disjoint from ``masks[j]``,
+    so the candidates that extend a partial selection are one AND away,
+    and a branch with fewer candidates than selections still to make is
+    cut.  Every mask has three edge bits, so `need` disjoint ones cover
+    3*need edges; a pool whose masks jointly hold fewer has no solution.
     """
-    # suffix[i]: the union of masks[i:]
-    suffix = [0] * (len(masks) + 1)
-    for i in range(len(masks) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | masks[i]
-    if suffix[0].bit_count() < 3 * need:
+    union = 0
+    for mk in masks:
+        union |= mk
+    if union.bit_count() < 3 * need:
         return None
+    later: list[int] = []
+    for j, mj in enumerate(masks):
+        disjoint, bit = 0, 2 << j
+        for mk in masks[j + 1 :]:
+            if not mk & mj:
+                disjoint |= bit
+            bit <<= 1
+        later.append(disjoint)
     chosen: list[int] = []
 
-    def dfs(idx: int, used: int) -> bool:
-        if len(chosen) == need:
+    def dfs(cand: int, left: int) -> bool:
+        if not left:
             return True
-        if (suffix[idx] & ~used).bit_count() < 3 * (need - len(chosen)):
-            return False
-        for j in range(idx, len(masks)):
-            if masks[j] & used:
-                continue
+        while cand.bit_count() >= left:
+            low = cand & -cand
+            j = low.bit_length() - 1
             chosen.append(j)
-            if dfs(j + 1, used | masks[j]):
+            if dfs(cand & later[j], left - 1):
                 return True
             chosen.pop()
+            cand ^= low
         return False
 
-    return chosen if dfs(0, 0) else None
+    return chosen if dfs((1 << len(masks)) - 1, need) else None
 
 
 def _find_swap(
     g: Graph,
     p: Packing,
-    tris: list[Triangle],
-    emasks: list[int],
     candidates: tuple[Triangle, ...] | list[Triangle],
     max_swap: int,
 ) -> SwapCertificate | None:
     """The first improving swap whose removals are a connected set of candidates.
 
-    ``tris`` is ``enumerate_triangles(g)`` and ``emasks`` their edge
-    masks; ``candidates`` are packed triangles in sorted order.
+    ``candidates`` are packed triangles in sorted order.
     """
+    tris = enumerate_triangles(g)
+    emasks = _edge_masks(g)
     # owner[e]: the bit of the candidate packing e, -1 for any other
     # packed triangle, 0 when e is free
     owner = [0] * g.m
@@ -242,8 +269,7 @@ def targeted_swap(
     verts0 = {v for e in focus_edges for v in g.edges[e]}
     verts1 = verts0.union(*(g.adjacency[v] for v in verts0))
     eligible = [t for t in p.triangles if not verts1.isdisjoint(t.vertices)]
-    tris = enumerate_triangles(g)
-    return _find_swap(g, p, tris, _edge_masks(tris), eligible, max_swap)
+    return _find_swap(g, p, eligible, max_swap)
 
 
 def local_search_packing(g: Graph, seed: int = 0, max_swap: int = 5) -> Packing:
@@ -251,8 +277,6 @@ def local_search_packing(g: Graph, seed: int = 0, max_swap: int = 5) -> Packing:
     if max_swap < 1:
         raise ValueError("max_swap must be >= 1")
     p = greedy_packing(g, seed)
-    tris = enumerate_triangles(g)
-    emasks = _edge_masks(tris)
-    while (cert := _find_swap(g, p, tris, emasks, p.triangles, max_swap)) is not None:
+    while (cert := _find_swap(g, p, p.triangles, max_swap)) is not None:
         p = p.with_swap(cert)
     return p

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tricover import (
     Packing,
     SwapCertificate,
+    build_graph,
     enumerate_triangles,
     greedy_packing,
     local_search_packing,
@@ -18,7 +19,7 @@ from tricover import (
     verify_packing,
     verify_swap,
 )
-from tricover.generators import bowtie, complete_graph, gnp
+from tricover.generators import bowtie, complete_graph, glued_k4, gnp, lend_chain
 from tricover.order2 import (
     build_chains,
     build_lend,
@@ -26,6 +27,7 @@ from tricover.order2 import (
     compute_demanding,
     initial_half_charge,
 )
+from tricover.packing import _disjoint_selection
 from tricover.structure import build_structure, check_structure
 
 from test_acceptance import suite_instances
@@ -174,6 +176,71 @@ def test_local_search_suite_digest():
 
 def test_local_search_gnp20_five_swaps():
     assert len(local_search_packing(gnp(20, 0.5, 1), 0, 5)) == 28
+
+
+def _relabeled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def test_local_search_relabeled_chains_digest():
+    # sha256 of the seed-0 local-search packings of long chains under a
+    # fixed relabeling: in their own labels greedy already packs them
+    # well, relabeled the swap search picks among pools of up to 15
+    # triangles and reaches the deep branches of the selection
+    h = hashlib.sha256()
+    for gen, length in [
+        (lend_chain, 50),
+        (lend_chain, 75),
+        (lend_chain, 100),
+        (glued_k4, 100),
+        (glued_k4, 150),
+        (glued_k4, 200),
+    ]:
+        g = _relabeled(gen(length), 7 * length + 1)
+        h.update(repr([t.vertices for t in local_search_packing(g, 0, 5).triangles]).encode())
+    assert h.hexdigest() == "6e0b78882f4ffa4a96602010327e285bbda869e3eb383975af57025965da2187"
+
+
+def _ref_mask_selection(masks, need):
+    """The in-order backtracking scan the clique search must agree with:
+    each node scans the later masks, skipping those that meet the union
+    of the chosen ones, and cuts when the unused edges left in the
+    remaining masks cannot hold 3 per triangle still to pick."""
+    suffix = [0] * (len(masks) + 1)
+    for i in range(len(masks) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | masks[i]
+    chosen = []
+
+    def dfs(idx, used):
+        if len(chosen) == need:
+            return True
+        if (suffix[idx] & ~used).bit_count() < 3 * (need - len(chosen)):
+            return False
+        for j in range(idx, len(masks)):
+            if masks[j] & used:
+                continue
+            chosen.append(j)
+            if dfs(j + 1, used | masks[j]):
+                return True
+            chosen.pop()
+        return False
+
+    return chosen if dfs(0, 0) else None
+
+
+@st.composite
+def _mask_pools(draw):
+    edges = draw(st.integers(3, 18))
+    triple = st.sets(st.integers(0, edges - 1), min_size=3, max_size=3)
+    return draw(st.lists(triple.map(lambda es: sum(1 << e for e in es)), max_size=24))
+
+
+@settings(max_examples=500, deadline=None)
+@given(masks=_mask_pools(), need=st.integers(1, 6))
+def test_disjoint_selection_matches_scan(masks, need):
+    assert _disjoint_selection(masks, need) == _ref_mask_selection(masks, need)
 
 
 # Reference oracle: the swap search on Triangle objects and sets of edge
