@@ -36,8 +36,9 @@ class Graph:
     kept in ``_memo`` through ``memo``; they live exactly as long as the
     graph.  The entries are the triangle list (``"triangles"``, filled by
     ``enumerate_triangles``), the edge-id bitmask of each of those
-    triangles (``"edge_masks"``, filled by ``packing.greedy_packing`` and
-    the swap search), each local-search packing
+    triangles (``"edge_masks"``, filled by ``edge_masks`` and read by
+    ``packing.greedy_packing``, the swap search and ``oracles.nu_exact``),
+    each local-search packing
     (``("local_search", seed, max_swap)``, filled by ``pipeline.cover``)
     and the tau* LP optimum (``"tau_star_lp"``, filled by
     ``oracles.tau_star_k_exact`` and so also by ``oracles.tau_exact``).
@@ -122,6 +123,19 @@ def enumerate_triangles(g: Graph) -> list[Triangle]:
     tuple; every call returns a new list, which the caller may reorder.
     """
     return list(memo(g, "triangles", lambda: _find_triangles(g)))
+
+
+def edge_masks(g: Graph) -> tuple[int, ...]:
+    """The edge-id bitmask of every triangle, in ``enumerate_triangles``
+    order, kept in the graph's memo."""
+    return memo(
+        g,
+        "edge_masks",
+        lambda: tuple(
+            (1 << a) | (1 << b) | (1 << c)
+            for a, b, c in (t.edge_ids for t in enumerate_triangles(g))
+        ),
+    )
 
 
 def _find_triangles(g: Graph) -> tuple[Triangle, ...]:

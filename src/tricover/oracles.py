@@ -23,7 +23,7 @@ from .errors import (
     NotACoverError,
     NotThirdIntegralError,
 )
-from .graph import Graph, Triangle, enumerate_triangles, memo
+from .graph import Graph, Triangle, edge_masks, enumerate_triangles, memo
 
 DEFAULT_TRIANGLE_CAP = 200
 
@@ -45,7 +45,7 @@ def _triangles_capped(g: Graph, cap: int) -> list[Triangle]:
 def nu_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult:
     """Maximum number of pairwise edge-disjoint triangles, exactly."""
     tris = _triangles_capped(g, cap)
-    masks = [sum(1 << e for e in t.edge_ids) for t in tris]
+    masks = edge_masks(g)
     nodes = 0
 
     best: list[int] = []
@@ -221,6 +221,18 @@ def tau_star_k_exact(
     sum >= k units.  Branches by fixing the final value of one edge of a
     deficient triangle; the lower bound adds the deficiencies of a greedy
     edge-disjoint family of deficient triangles.
+
+    Propagation is local.  A triangle whose only free (not yet frozen)
+    edge is f forces y[f] >= k - sum(frozen y) over its edges; that
+    depends only on frozen values, and propagation never freezes an edge,
+    so a node's raised values are the unique least fixpoint of these
+    rules.  Freezing edge e changes the rule of the triangles through e
+    only, and a forced raise of f cannot start another: the other
+    triangles whose only free edge is f already held at the parent's
+    fixpoint, and y[f] only grows.  So each child visits the triangles
+    through the edge its parent just froze, once; the root has nothing
+    frozen and propagates nothing.  Values, witnesses and node counts are
+    those of a full rescan to the fixpoint.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -277,35 +289,27 @@ def tau_star_k_exact(
         for e in es:
             eligible_tris[e].append(ti)
 
-    def propagate(trail: list[tuple[int, int]]) -> int | None:
-        """Forced raises; returns added units or None when stuck."""
+    def propagate(fixed: int, trail: list[tuple[int, int]]) -> int | None:
+        """Forced raises after edge ``fixed`` was frozen; returns the added
+        units, or None when a triangle through it is deficient with no free
+        edge left."""
+        # Only the one-free-edge rule can fire.  With two or more free
+        # edges, room - deficit = (free - 1) * k + sum(frozen y) >= k > 0,
+        # so no triangle needs all its free edges at k; with one free edge
+        # f, y[f] + deficit = k - sum(frozen y) <= k, so no raise passes k.
         added = 0
-        changed = True
-        while changed:
-            changed = False
-            for ti in range(nt):
-                d = deficit[ti]
-                if d <= 0:
-                    continue
-                free = [e for e in tri_edges[ti] if not frozen[e]]
-                if not free:
-                    return None
-                if len(free) == 1:
-                    e = free[0]
-                    if y[e] + d > k:
-                        return None
-                    raise_edge(e, d)
-                    trail.append((e, d))
-                    added += d
-                    changed = True
-                elif sum(k - y[e] for e in free) == d:
-                    for e in free:
-                        delta = k - y[e]
-                        if delta:
-                            raise_edge(e, delta)
-                            trail.append((e, delta))
-                            added += delta
-                    changed = True
+        for ti in eligible_tris[fixed]:
+            d = deficit[ti]
+            if d <= 0:
+                continue
+            free = [e for e in tri_edges[ti] if not frozen[e]]
+            if not free:
+                return None
+            if len(free) == 1:
+                e = free[0]
+                raise_edge(e, d)
+                trail.append((e, d))
+                added += d
         return added
 
     def analyze():
@@ -356,17 +360,18 @@ def tau_star_k_exact(
             return None
         return max(units, frac), hot, target
 
-    def dfs(units: int) -> None:
+    def dfs(units: int, fixed: int | None) -> None:
         nonlocal nodes, best_units, best_y
         nodes += 1
         if best_units <= lp_floor:
             return  # incumbent already matches the LP bound
         trail: list[tuple[int, int]] = []
-        added = propagate(trail)
         try:
-            if added is None:
-                return
-            units += added
+            if fixed is not None:
+                added = propagate(fixed, trail)
+                if added is None:
+                    return
+                units += added
             if units >= best_units:
                 return
             info = analyze()
@@ -383,12 +388,12 @@ def tau_star_k_exact(
             e = max(open_edges, key=lambda e: (hot[e], -e))
             frozen[e] = 1
             # final value of e stays as-is
-            dfs(units)
+            dfs(units, e)
             # or is raised to v
             base = y[e]
             for v in range(base + 1, k + 1):
                 raise_edge(e, v - y[e])
-                dfs(units + v - base)
+                dfs(units + v - base, e)
             if y[e] != base:
                 raise_edge(e, base - y[e])
             frozen[e] = 0
@@ -396,7 +401,7 @@ def tau_star_k_exact(
             for ed, delta in reversed(trail):
                 raise_edge(ed, -delta)
 
-    dfs(0)
+    dfs(0, None)
     witness = ChargeAssignment(k, {e: v for e, v in enumerate(best_y) if v})
     return OracleResult(Fraction(best_units, k), witness, nodes)
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import Graph, Triangle, enumerate_triangles, memo
+from .graph import Graph, Triangle, edge_masks, enumerate_triangles
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ def greedy_packing(g: Graph, order_seed: int = 0) -> Packing:
     Seed 0 keeps the canonical triangle order; any other seed is a
     deterministic shuffle.
     """
-    pairs = list(zip(enumerate_triangles(g), _edge_masks(g)))
+    pairs = list(zip(enumerate_triangles(g), edge_masks(g)))
     if order_seed != 0:
         random.Random(order_seed).shuffle(pairs)
     used = 0
@@ -118,18 +118,6 @@ def greedy_packing(g: Graph, order_seed: int = 0) -> Packing:
             chosen.append(t)
             used |= mask
     return Packing(g, chosen)
-
-
-def _edge_masks(g: Graph) -> tuple[int, ...]:
-    """The edge-id bitmask of every triangle, in ``enumerate_triangles`` order."""
-    return memo(
-        g,
-        "edge_masks",
-        lambda: tuple(
-            (1 << a) | (1 << b) | (1 << c)
-            for a, b, c in (t.edge_ids for t in enumerate_triangles(g))
-        ),
-    )
 
 
 def _connected_subsets(nbrs: list[int], size: int):
@@ -214,7 +202,7 @@ def _find_swap(
     ``candidates`` are packed triangles in sorted order.
     """
     tris = enumerate_triangles(g)
-    emasks = _edge_masks(g)
+    emasks = edge_masks(g)
     # owner[e]: the bit of the candidate packing e, -1 for any other
     # packed triangle, 0 when e is free
     owner = [0] * g.m

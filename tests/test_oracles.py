@@ -1,6 +1,7 @@
 """Exact baselines, LP bound, rounding and order composition."""
 
 import hashlib
+import itertools
 import os
 import random
 import subprocess
@@ -10,7 +11,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tricover import (
@@ -22,6 +23,7 @@ from tricover import (
     round_third_integral,
     tau_exact,
     tau_star_k_exact,
+    verify_cover,
 )
 from tricover.errors import (
     InstanceTooLargeError,
@@ -478,3 +480,74 @@ def test_tau_star_k_sandwich_digest():
     ]
     digest = hashlib.sha256(repr(results).encode()).hexdigest()
     assert digest == "a65d76b835b26515bbd62d20e09d0110e66dcabd48e8da670a5a04d7660958ea"
+
+
+def test_tau_star_k_witness_digest():
+    # sha256 of repr([(k, value, nodes_explored, sorted witness numerators)])
+    # of tau_star_k_exact at k = 1, 2, 3, 6 over the criterion-5 graphs,
+    # computed on the commit before propagation became local to the edge
+    # just frozen
+    rows = [
+        (k, r.value, r.nodes_explored, sorted(r.witness.numerators.items()))
+        for g in random_instances(200)
+        for k in (1, 2, 3, 6)
+        for r in [tau_star_k_exact(g, k)]
+    ]
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "94f25695d7fe9319243cf42af6d080e2140c1e8e392a0ab496f301068e7e9792"
+
+
+def test_tau_star_k_complete_graph_7():
+    # one search deep enough to pin on its own (same commit as above)
+    res = tau_star_k_exact(complete_graph(7), 2)
+    assert (res.value, res.nodes_explored) == (9, 4996)
+
+
+def _exhaustive_tau_star_k(g, k):
+    """tau*_k as the least sum(y) / k over every y in {0..k}^E on the
+    edges that lie in a triangle, among those giving each triangle at
+    least k units."""
+    tris = [t.edge_ids for t in enumerate_triangles(g)]
+    edges = sorted({e for es in tris for e in es})
+    pos = {e: i for i, e in enumerate(edges)}
+    local = [tuple(pos[e] for e in es) for es in tris]
+    best = min(
+        sum(y)
+        for y in itertools.product(range(k + 1), repeat=len(edges))
+        if all(y[a] + y[b] + y[c] >= k for a, b, c in local)
+    )
+    return F(best, k)
+
+
+def _check_against_exhaustive(g, k):
+    expected = _exhaustive_tau_star_k(g, k)
+    nu = int(nu_exact(g).value)
+    real = tau_star_k_exact(g, k)
+    # a zero LP bound whose witness is not (1/k)-integral: the root is not
+    # settled by the LP, so the branch-and-bound itself is checked too
+    weak = oracles.OracleResult(F(0), {0: F(1, 5)}, 0)
+    with mock.patch.object(oracles, "tau_star_lp_exact", lambda h, cap: weak):
+        searched = tau_star_k_exact(build_graph(g.n, g.edges), k)
+    for res in (real, searched):
+        assert res.value == expected
+        assert res.witness.order == k and res.witness.total() == res.value
+        assert verify_cover(g, res.witness, nu).ok
+    return real
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(4, 7),
+    density=st.sampled_from([0.5, 0.7]),
+    seed=st.integers(0, 10**6),
+    k=st.sampled_from([2, 3]),
+)
+def test_tau_star_k_matches_exhaustive_search(n, density, seed, k):
+    g = gnp(n, density, seed)
+    assume(len({e for t in enumerate_triangles(g) for e in t.edge_ids}) <= 7)
+    _check_against_exhaustive(g, k)
+
+
+def test_tau_star_k_matches_exhaustive_search_on_k5():
+    # the LP root does not settle K5 at k = 2, so the search branches
+    assert _check_against_exhaustive(complete_graph(5), 2).nodes_explored > 1
