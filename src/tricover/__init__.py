@@ -36,7 +36,6 @@ from .structure import (
     StructureViolation,
     build_structure,
     check_structure,
-    violation_to_focus,
 )
 
 __version__ = "0.1.0"
@@ -78,6 +77,5 @@ __all__ = [
     "verify_cover",
     "verify_packing",
     "verify_swap",
-    "violation_to_focus",
     "write_edge_list",
 ]

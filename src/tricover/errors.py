@@ -68,7 +68,9 @@ class InternalChargeError(TricoverError):
 
 
 class RepairExhaustedError(TricoverError):
-    """The swap escalation failed to repair a failing charging certificate."""
+    """A repair failed: the swap escalation found no improving swap for a
+    failing charging certificate, or a structure violation's own swap did
+    not verify (``detail`` "structure-swap")."""
 
     def __init__(self, message: str, focus_edges=(), detail=None):
         super().__init__(message)

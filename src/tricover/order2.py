@@ -414,8 +414,8 @@ def check_demand_lemma(s: SolutionStructure, ds: DemandState) -> set[int] | None
         u = extra.pop()
         if not all(s.g.has_edge(u, x) for x in psi.vertices):
             return witness
-        hollow = sum(1 for t in dem if len(s.attachments[t].owners) == 3)
-        doubly = sum(1 for t in dem if len(s.attachments[t].owners) == 2)
+        hollow = sum(1 for t in dem if len(s.attachments[t]) == 3)
+        doubly = sum(1 for t in dem if len(s.attachments[t]) == 2)
         if (hollow, doubly) not in ((3, 0), (1, 2)):
             return witness
         if {next(e for e in t.edge_ids if e in psi.edge_ids) for t in dem} != set(

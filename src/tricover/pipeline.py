@@ -2,10 +2,14 @@
 
 Every driver runs the same loop: build a locally optimal packing, check
 the structural facts, run the charging engine, verify the result
-exactly.  Any failure yields a set of focus edges; a targeted swap
+exactly.  A structure violation carries its improving swap, which is
+applied after ``verify_swap``; a swap that fails is a bug and raises.
+Engine and verify failures yield a set of focus edges; a targeted swap
 search (escalating through larger swap sizes) must then improve the
-packing, and the loop restarts.  Since each repair grows the packing by
-one, the loop terminates.
+packing.  Either way the loop restarts, and since each repair grows the
+packing by one, it terminates.  Each repair is logged with its reason,
+its focus edges (for a structure repair, the edges of the swap's
+triangles) and the swap.
 
 The local search is deterministic in (graph, seed, max_swap), so it runs
 once per graph: every order, and both halves of a composed order, start
@@ -25,8 +29,8 @@ from .errors import InternalChargeError, MissingInputError, RepairExhaustedError
 from .graph import Graph, format_edge_list, memo
 from .oracles import compose_order_k
 from .order2 import run_order2
-from .packing import Packing, local_search_packing, targeted_swap
-from .structure import build_structure, violation_to_focus
+from .packing import Packing, local_search_packing, targeted_swap, verify_swap
+from .structure import build_structure
 
 ESCALATION = (0, 1, 2)  # added to max_swap before giving up
 
@@ -47,21 +51,26 @@ def graph_digest(g: Graph) -> str:
     return hashlib.sha256(format_edge_list(g).encode()).hexdigest()
 
 
+def _apply(g, packing, cert, focus, log, reason) -> Packing:
+    """Apply a repair swap and log it."""
+    new_packing = packing.with_swap(cert)
+    log.append(
+        {
+            "reason": reason,
+            "focus": sorted(list(g.edges[e]) for e in focus),
+            "removed": [list(t.vertices) for t in cert.removed],
+            "added": [list(t.vertices) for t in cert.added],
+            "size_after": len(new_packing),
+        }
+    )
+    return new_packing
+
+
 def _repair(g, packing, focus, max_swap, log, reason) -> Packing:
     for bump in ESCALATION:
         cert = targeted_swap(g, packing, set(focus), max_swap + bump)
         if cert is not None:
-            new_packing = packing.with_swap(cert)
-            log.append(
-                {
-                    "reason": reason,
-                    "focus": sorted(list(g.edges[e]) for e in focus),
-                    "removed": [list(t.vertices) for t in cert.removed],
-                    "added": [list(t.vertices) for t in cert.added],
-                    "size_after": len(new_packing),
-                }
-            )
-            return new_packing
+            return _apply(g, packing, cert, focus, log, reason)
     raise RepairExhaustedError(
         f"no improving swap up to size {max_swap + ESCALATION[-1]} around focus",
         focus_edges=focus,
@@ -111,10 +120,14 @@ def _cover_single(g, order, seed, max_swap) -> CoverResult:
     for _ in range(guard):
         s = build_structure(g, packing)
         if s.violations:
-            packing = _repair(
-                g, packing, violation_to_focus(s.violations[0]), max_swap, log,
-                f"structure:{s.violations[0].kind}",
-            )
+            v = s.violations[0]
+            focus = {e for t in v.swap.removed + v.swap.added for e in t.edge_ids}
+            if not verify_swap(g, packing, v.swap):
+                raise RepairExhaustedError(
+                    f"{v.kind} swap does not verify", focus_edges=focus,
+                    detail="structure-swap",
+                )
+            packing = _apply(g, packing, v.swap, focus, log, f"structure:{v.kind}")
             continue
         try:
             if order == 6:

@@ -2,21 +2,44 @@
 
 Every packed triangle gets a type (0, 1 or 3 base edges), an anchor where
 defined, and the list of its singly attached triangles.  Every other
-triangle is classified as singly, doubly or hollow with a sorted type
-signature.  ``check_structure`` tests the structural facts that hold for
-locally optimal packings; a violation certifies a nearby improving swap
-and carries witness triangles for the repair search.  Each structure
-runs that check once, when it is made, and keeps the result as its
-``violations``.
+triangle is mapped to its owners, the packed triangles that hold one of
+its edges: one owner makes it singly attached, two doubly, three hollow.
+
+``check_structure`` tests the structural facts of a locally optimal
+packing.  Each fact is proved by the improving swap that its violation
+allows, so a violation carries that swap as a ``SwapCertificate``, the
+first one found in product order.  There are two rules:
+
+* A, on a packed triangle psi: two edge-disjoint singly attached
+  triangles w1 and w2 of psi.  The swap is the 1-swap psi -> {w1, w2}.
+  Two singly attached triangles on one base share it, and two on
+  different bases are disjoint iff their apices differ.  So A flags
+  exactly a type-2 triangle (one shared apex would make it type 3), two
+  attachments on different bases without a common anchor, and a type-3
+  triangle that is not a K4 (with one anchor it always is one).
+* B, on a non-packed triangle t with no owner or two or three owners:
+  t and one singly attached triangle of each owner, pairwise
+  edge-disjoint.  The swap replaces the owners by them; any two owners
+  share a vertex of t.  B reads no owner types, so one rule covers the
+  doubly attached (3, 3) and (1, 1) shapes and the hollow (3, 3, 3) and
+  type-1 shapes.  The shapes the paper accepts make every choice
+  collide: a type-1 owner's base edge inside t, the apex of a unique
+  attachment on t, and two unique attachments sharing their stem.  With
+  no owner, t is free and the swap adds it: a structure swap frees the
+  edges it removes, and the engines need a maximal packing.  With one
+  owner, B would be A.
+
+Each swap has at most three removals, so a maximal packing that no swap
+of size three improves has no violation.  Each structure runs the check once,
+when it is made, and keeps the result as its ``violations``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 from .graph import Graph, Triangle, enumerate_triangles
-from .packing import Packing
+from .packing import Packing, SwapCertificate
 
 
 @dataclass(frozen=True)
@@ -34,30 +57,21 @@ class PackedInfo:
 
 
 @dataclass(frozen=True)
-class Attachment:
-    owners: tuple[Triangle, ...]
-    signature: tuple[int, ...]
-
-    @property
-    def kind(self) -> str:
-        return {0: "free", 1: "singly", 2: "doubly", 3: "hollow"}[len(self.owners)]
-
-
-@dataclass(frozen=True)
 class StructureViolation:
     kind: str
-    witnesses: tuple[Triangle, ...]
+    swap: SwapCertificate
 
 
 @dataclass
 class SolutionStructure:
     """A packing's classification; ``violations`` is ``check_structure``
-    of it, computed once when the structure is made."""
+    of it, computed once when the structure is made.  ``attachments``
+    maps each non-packed triangle to its owners, in sorted order."""
 
     g: Graph
     packing: Packing
     info: dict[Triangle, PackedInfo]
-    attachments: dict[Triangle, Attachment]
+    attachments: dict[Triangle, tuple[Triangle, ...]]
     edge_owner: dict[int, Triangle]
     nonsolution: tuple[Triangle, ...] = field(default=())
     violations: tuple[StructureViolation, ...] = field(init=False)
@@ -102,25 +116,20 @@ def build_structure(g: Graph, p: Packing) -> SolutionStructure:
 
     singly: list[list[Triangle]] = [[] for _ in packed]  # attached to psi i alone
     base_edges: list[set[int]] = [set() for _ in packed]
-    nonpacked: list[tuple[Triangle, tuple[int, ...]]] = []
+    attachments: dict[Triangle, tuple[Triangle, ...]] = {}
     for t in enumerate_triangles(g):
         a, b, c = t.edge_ids
         oa, ob, oc = owner_ix[a], owner_ix[b], owner_ix[c]
         if oa == ob == oc >= 0:
             continue
-        ix = tuple(sorted({oa, ob, oc} - {-1}))
+        ix = sorted({oa, ob, oc} - {-1})
         if len(ix) == 1:
             # a singly attached triangle shares exactly one edge with its owner
             singly[ix[0]].append(t)
             base_edges[ix[0]].add(a if oa >= 0 else b if ob >= 0 else c)
-        nonpacked.append((t, ix))
+        attachments[t] = tuple(packed[i] for i in ix)
 
     types = [len(b) for b in base_edges]
-    attachments = {
-        t: Attachment(tuple(packed[i] for i in ix), tuple(sorted(types[i] for i in ix)))
-        for t, ix in nonpacked
-    }
-
     info: dict[Triangle, PackedInfo] = {}
     for i, psi in enumerate(packed):
         sin = singly[i]
@@ -139,91 +148,48 @@ def build_structure(g: Graph, p: Packing) -> SolutionStructure:
         info=info,
         attachments=attachments,
         edge_owner=edge_owner,
-        nonsolution=tuple(t for t, _ in nonpacked),
+        nonsolution=tuple(attachments),
     )
 
 
 def check_structure(s: SolutionStructure) -> list[StructureViolation]:
-    """Empty iff the implemented structural facts hold for this packing.
+    """Every violation of rules A and B, each with its improving swap:
+    rule A over the packed triangles, then rule B over the non-packed
+    ones, in the structure's order.  Empty iff neither rule fires.
 
     Every ``SolutionStructure`` runs this once, when it is made, and keeps
     the result as ``violations``; read that instead of calling again.
     """
     out: list[StructureViolation] = []
-    g = s.g
-
     for psi, i in s.info.items():
-        if i.type == 2:
-            out.append(StructureViolation("Type2", (psi,) + i.cl_sin))
-        # two singly-attached with different bases must share their anchor
-        for ix, t1 in enumerate(i.cl_sin):
-            for t2 in i.cl_sin[ix + 1 :]:
-                b1 = next(e for e in t1.edge_ids if s.edge_owner.get(e) is psi)
-                b2 = next(e for e in t2.edge_ids if s.edge_owner.get(e) is psi)
-                if b1 != b2 and _apex(t1, psi) != _apex(t2, psi):
-                    out.append(StructureViolation("CommonAnchorClaim", (psi, t1, t2)))
-        if i.type == 3:
-            anchors = {_apex(t, psi) for t in i.cl_sin}
-            k4_ok = False
-            if len(anchors) == 1:
-                a = next(iter(anchors))
-                k4_ok = all(g.has_edge(x, a) for x in psi.vertices) and len(i.cl_sin) == 3
-            if not k4_ok:
-                out.append(StructureViolation("Type3NotK4", (psi,) + i.cl_sin))
-
-    for t, att in s.attachments.items():
-        if att.signature == (3, 3):
-            out.append(StructureViolation("DoublyAttached33", (t,) + att.owners))
-        elif att.signature == (3, 3, 3):
-            out.append(StructureViolation("Hollow333", (t,) + att.owners))
-        elif att.signature == (1, 1):
-            if _has_swap_witness(s, t, att.owners):
-                out.append(StructureViolation("PairStructure", (t,) + att.owners))
-        elif len(att.signature) == 3 and att.signature[0] == 1:
-            if not _common_anchor(s, att.owners) and _has_swap_witness(s, t, att.owners):
-                out.append(StructureViolation("HollowType1Structure", (t,) + att.owners))
-
+        pair = _disjoint_choice(set(), [i.cl_sin, i.cl_sin])
+        if pair is not None:
+            out.append(StructureViolation("TwoAttachments", SwapCertificate((psi,), pair)))
+    for t, owners in s.attachments.items():
+        if len(owners) != 1:
+            ws = _disjoint_choice(set(t.edge_ids), [s.info[psi].cl_sin for psi in owners])
+            if ws is not None:
+                swap = SwapCertificate(owners, (t, *ws))
+                out.append(StructureViolation("OwnerSwap", swap))
     return out
 
 
-def _disjoint(*tris: Triangle) -> bool:
-    seen: set[int] = set()
-    for t in tris:
-        for e in t.edge_ids:
-            if e in seen:
-                return False
-            seen.add(e)
-    return True
+def _disjoint_choice(
+    used: set[int], groups: list[tuple[Triangle, ...]]
+) -> tuple[Triangle, ...] | None:
+    """The first choice of one triangle per group, in product order,
+    whose triangles are pairwise edge-disjoint and avoid ``used``.
 
-
-def _has_swap_witness(
-    s: SolutionStructure, t: Triangle, owners: tuple[Triangle, ...]
-) -> bool:
-    """Whether t and one singly attached triangle of each owner are
-    edge-disjoint: replacing the owners by them is an improving swap.
-
-    No separate rule is needed for the statement-level shapes.  A type-1
-    owner's base edge inside t, the apex of a unique attachment on t, and
-    two unique attachments sharing their stem each make every candidate
-    collide, so the search finds no witness for them.
+    A depth-first search that skips a triangle as soon as it collides,
+    so it finds the choice that filtering ``itertools.product`` would
+    find first.  Two groups that are one list choose a pair, each
+    triangle colliding with itself.
     """
-    return any(
-        _disjoint(t, *ws) for ws in product(*(s.info[psi].cl_sin for psi in owners))
-    )
-
-
-def _common_anchor(s: SolutionStructure, owners: tuple[Triangle, ...]) -> bool:
-    """Two type-1 owners whose singly attached triangles all share one apex."""
-    type1 = [psi for psi in owners if s.info[psi].type == 1]
-    for ix, p1 in enumerate(type1):
-        for p2 in type1[ix + 1 :]:
-            an1 = {_apex(w, p1) for w in s.info[p1].cl_sin}
-            an2 = {_apex(w, p2) for w in s.info[p2].cl_sin}
-            if len(an1) == 1 and an1 == an2:
-                return True
-    return False
-
-
-def violation_to_focus(v: StructureViolation) -> set[int]:
-    """Edges of all witness triangles, the repair search region."""
-    return {e for t in v.witnesses for e in t.edge_ids}
+    if not groups:
+        return ()
+    for w in groups[0]:
+        if used.isdisjoint(w.edge_ids):
+            rest = _disjoint_choice(used.union(w.edge_ids), groups[1:])
+            if rest is not None:
+                return (w, *rest)
+    return None

@@ -135,6 +135,18 @@ def test_repair_exhausted_surfaces_with_focus(monkeypatch):
         raise AssertionError("expected RepairExhaustedError")
 
 
+def test_structure_swap_that_fails_verify_raises(monkeypatch):
+    # a violation's swap is applied, not searched for; one that does not
+    # verify is a bug and must surface as exit 3, not an assert
+    from tricover.errors import RepairExhaustedError
+
+    monkeypatch.setattr(pl, "verify_swap", lambda g, p, cert: False)
+    g = gnp(10, 0.6, 0)
+    with pytest.raises(RepairExhaustedError) as info:
+        cover(g, 2, seed=0, max_swap=1)
+    assert info.value.detail == "structure-swap" and info.value.focus_edges
+
+
 def test_repair_log_records_swaps():
     found = None
     for seed in range(30):
@@ -149,22 +161,22 @@ def test_repair_log_records_swaps():
     assert len(entry["added"]) == len(entry["removed"]) + 1
 
 
-# one weak-search cover (seed 0, max_swap 1) per repair reason; the last
-# reaches order 3's "no spare credit" through the repair loop
+# one weak-search cover (seed 0, max_swap 1) per repair reason: both
+# structure kinds (a two-attachment swap only ever follows an owner swap,
+# since local search removes every 1-swap), an order-2 demand shape, and
+# an order-2 charge that fails verify on a structure-clean packing; no
+# internal engine error was reached in a sweep of 59400 such covers
 WEAK_SEARCH_REPAIRS = [
-    ((10, 0.6, 0), 2, ["structure:PairStructure"]),
-    ((11, 0.5, 12), 2, ["structure:HollowType1Structure"]),
-    ((11, 0.5, 87), 2, ["structure:PairStructure", "structure:Type2"]),
-    ((9, 0.5, 242), 2, ["structure:PairStructure", "structure:CommonAnchorClaim"]),
+    ((10, 0.6, 0), 2, ["structure:OwnerSwap"]),
+    ((9, 0.5, 242), 2, ["structure:OwnerSwap", "structure:TwoAttachments"]),
     ((10, 0.6, 15), 2, ["demand-shape"]),
-    ((10, 0.6, 21), 6, ["structure:PairStructure", "verify"]),
-    ((11, 0.5, 29), 3, ["internal:leftover triangles but no spare credit"]),
+    ((12, 0.5, 150), 2, ["verify", "structure:OwnerSwap"]),
 ]
 
 
 def test_weak_search_repair_logs_pinned():
     # sha256 over each cover's full repair log, packing and numerators,
-    # computed while the pair check still had its separate accept rules
+    # computed when structure violations first carried their swaps
     rows = []
     for args, order, reasons in WEAK_SEARCH_REPAIRS:
         r = cover(gnp(*args), order, seed=0, max_swap=1)
@@ -178,7 +190,7 @@ def test_weak_search_repair_logs_pinned():
             )
         )
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert digest == "59773234c6aab63c3aee2603caee115a1e86373e86758da16f0fbc5926d61503"
+    assert digest == "d549534571c35130cd1bac9ea781a25a5d6817b5375f0b76a03c2d146f532a83"
 
 
 def _count_calls(monkeypatch, module, name):
@@ -198,14 +210,18 @@ def _outputs(r):
     return r.packing.triangles, r.assignment, r.report, r.repair_log
 
 
-# the last two repair the shared packing: at every order, and at order 6 only
+# the last two repair the shared packing: structure swaps at every
+# order, and an engine repair (a demand shape) at order 2 only.  No
+# weak-search cover repairs at order 6 alone any more: every repair in a
+# sweep of 59400 max_swap=1 covers at orders 2, 3 and 6 was a structure
+# swap, made at all three orders, or an order-2 engine repair
 @pytest.mark.parametrize(
     "g, seed, max_swap, repairs",
     [
         (gnp(11, 0.5, 2), 0, 5, [0, 0, 0]),
         (lend_chain(3), 0, 5, [0, 0, 0]),
-        (gnp(10, 0.6, 2), 3, 1, [1, 1, 1]),
-        (gnp(10, 0.6, 27), 3, 1, [0, 0, 1]),
+        (gnp(10, 0.6, 2), 3, 1, [2, 2, 2]),
+        (gnp(8, 0.5, 147), 3, 1, [1, 0, 0]),
     ],
 )
 def test_orders_share_one_local_search(monkeypatch, g, seed, max_swap, repairs):

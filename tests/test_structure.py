@@ -4,6 +4,7 @@ import random
 from dataclasses import dataclass
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,21 +13,25 @@ from tricover import (
     build_graph,
     build_structure,
     check_structure,
+    cover,
     enumerate_triangles,
     greedy_packing,
     local_search_packing,
-    violation_to_focus,
+    verify_swap,
 )
 from tricover.generators import bowtie, complete_graph, gnp
 from tricover.graph import Graph, Triangle
-from tricover.structure import (
-    Attachment,
-    PackedInfo,
-    SolutionStructure,
-    StructureViolation,
-    _apex,
-    _disjoint,
-)
+from tricover.structure import PackedInfo, _apex
+
+
+def _owner_types(s, t):
+    return tuple(sorted(s.info[psi].type for psi in s.attachments[t]))
+
+
+def _kinds_with_valid_swaps(g, p, s):
+    """The kinds of s's violations, each swap checked by verify_swap."""
+    assert all(verify_swap(g, p, v.swap) for v in s.violations)
+    return [v.kind for v in s.violations]
 
 
 def test_k4_single_triangle_is_type3():
@@ -60,7 +65,7 @@ def test_pendant_triangle_is_type1():
     assert info.type == 1
     assert info.base_edges == frozenset({g.edge_id(0, 2)})
     assert info.anchor == 3
-    assert s.attachments[g.triangle(0, 2, 3)].kind == "singly"
+    assert len(s.attachments[g.triangle(0, 2, 3)]) == 1
 
 
 def test_locally_optimal_k6_is_clean():
@@ -75,9 +80,10 @@ def test_type2_violation_detected():
     g = build_graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (1, 4), (2, 4)])
     p = Packing(g, [g.triangle(0, 1, 2)])
     s = build_structure(g, p)
-    kinds = {v.kind for v in check_structure(s)}
-    assert "Type2" in kinds
-    assert "CommonAnchorClaim" in kinds
+    assert s.info[g.triangle(0, 1, 2)].type == 2
+    assert _kinds_with_valid_swaps(g, p, s) == ["TwoAttachments"]
+    (v,) = s.violations
+    assert v.swap.added == (g.triangle(0, 1, 3), g.triangle(1, 2, 4))
 
 
 def test_doubly_attached_33_violation_detected():
@@ -94,13 +100,10 @@ def test_doubly_attached_33_violation_detected():
     s = build_structure(g, p)
     assert s.info[g.triangle(0, 1, 2)].type == 3
     assert s.info[g.triangle(2, 3, 4)].type == 3
-    assert s.attachments[g.triangle(1, 2, 3)].signature == (3, 3)
-    violations = check_structure(s)
-    assert any(v.kind == "DoublyAttached33" for v in violations)
-    v33 = next(v for v in violations if v.kind == "DoublyAttached33")
-    focus = violation_to_focus(v33)
-    assert focus and focus <= set(range(g.m))
-    assert len(focus) <= 9
+    assert _owner_types(s, g.triangle(1, 2, 3)) == (3, 3)
+    assert _kinds_with_valid_swaps(g, p, s) == ["OwnerSwap"]
+    assert s.violations[0].swap.removed == p.triangles
+    assert s.violations[0].swap.added[0] == g.triangle(1, 2, 3)
 
 
 def test_hollow_333_violation_detected():
@@ -118,14 +121,11 @@ def test_hollow_333_violation_detected():
     p = Packing(g, [g.triangle(0, 1, 3), g.triangle(0, 2, 4), g.triangle(1, 2, 5)])
     s = build_structure(g, p)
     assert all(s.info[t].type == 3 for t in p.triangles)
-    violations = check_structure(s)
-    v = next(v for v in violations if v.kind == "Hollow333")
-    focus = violation_to_focus(v)
-    assert len(focus) <= 12
-    from tricover import targeted_swap, verify_swap
-
-    cert = targeted_swap(g, p, focus, 5)
-    assert cert is not None and verify_swap(g, p, cert)
+    assert _owner_types(s, g.triangle(0, 1, 2)) == (3, 3, 3)
+    kinds = _kinds_with_valid_swaps(g, p, s)
+    assert kinds and set(kinds) == {"OwnerSwap"}
+    v = next(v for v in s.violations if v.swap.added[0] == g.triangle(0, 1, 2))
+    assert v.swap.removed == p.triangles
 
 
 def test_pair_shape_accepted_when_no_disjoint_witness():
@@ -144,17 +144,20 @@ def test_pair_shape_accepted_when_no_disjoint_witness():
     )
     p = Packing(g, [g.triangle(0, 1, 2), g.triangle(2, 3, 4)])
     s = build_structure(g, p)
-    assert s.attachments[g.triangle(1, 2, 3)].signature == (1, 1)
+    assert _owner_types(s, g.triangle(1, 2, 3)) == (1, 1)
     assert check_structure(s) == []
 
 
-def test_violation_focus_type2_has_nine_edges():
-    g = build_graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (1, 4), (2, 4)])
+def test_free_triangle_is_added_by_rule_b():
+    # a packing that is not maximal: the free triangle has no owner, and
+    # the swap adds it without removing anything
+    g = bowtie()
     p = Packing(g, [g.triangle(0, 1, 2)])
     s = build_structure(g, p)
-    v = next(v for v in check_structure(s) if v.kind == "Type2")
-    # center triangle plus two attachments, with the shared edges collapsing
-    assert len(violation_to_focus(v)) <= 9
+    assert s.attachments[g.triangle(2, 3, 4)] == ()
+    assert _kinds_with_valid_swaps(g, p, s) == ["OwnerSwap"]
+    assert s.violations[0].swap.removed == ()
+    assert s.violations[0].swap.added == (g.triangle(2, 3, 4),)
 
 
 def test_base_edges_match_singly_attachments():
@@ -173,17 +176,26 @@ def test_base_edges_match_singly_attachments():
             }
             assert info.base_edges == expected
             assert info.type == len(info.base_edges)
-        for t, att in s.attachments.items():
-            assert att.signature == tuple(sorted(att.signature))
-            assert len(att.signature) == len(att.owners)
+        for t, owners in s.attachments.items():
+            held = {s.edge_owner[e] for e in t.edge_ids if e in s.edge_owner}
+            assert owners == tuple(sorted(held))
 
 
 # Reference oracle: build_structure on Triangle-keyed sets and dicts, as
-# it was before the packed triangles became indices.  The library version
-# must build an equal structure, dict insertion orders included.
+# it was before the packed triangles became indices, with the attachment
+# record it had then.  The library version must build an equal structure,
+# dict insertion orders included, with each record's owners as its
+# attachment.  It returns a namespace, so the library check never runs
+# on the old records.
 
 
-def _reference_build_structure(g: Graph, p: Packing) -> SolutionStructure:
+@dataclass(frozen=True)
+class Attachment:
+    owners: tuple[Triangle, ...]
+    signature: tuple[int, ...]
+
+
+def _reference_build_structure(g: Graph, p: Packing) -> SimpleNamespace:
     """Total classification of all triangles of g against packing p."""
     edge_owner: dict[int, Triangle] = {}
     for psi in p.triangles:
@@ -229,7 +241,7 @@ def _reference_build_structure(g: Graph, p: Packing) -> SolutionStructure:
             anchor = min(_apex(t, psi) for t in sin)
         info[psi] = PackedInfo(types[psi], base_edges[psi], anchor, sin)
 
-    return SolutionStructure(
+    return SimpleNamespace(
         g=g,
         packing=p,
         info=info,
@@ -239,17 +251,26 @@ def _reference_build_structure(g: Graph, p: Packing) -> SolutionStructure:
     )
 
 
-# Reference check: check_structure as it was while a pair shape had three
-# accept rules besides its disjoint-witness search (a base edge inside t,
-# a unique attachment's apex on t, a recorded shared-stem pair) and a
-# hollow type-1 triangle one more (a base edge inside t).  The library's
-# violation lists must equal this one's.  The code below is that version
-# unchanged, except that check_structure is renamed and reads the pair
-# relation from a namespace, since structures no longer record it.
+# Reference check: check_structure as it was with six kind-specific rules,
+# while a pair shape had three accept rules besides its disjoint-witness
+# search (a base edge inside t, a unique attachment's apex on t, a
+# recorded shared-stem pair) and a hollow type-1 triangle one more (a
+# base edge inside t).  The engines were shown to handle every structure
+# it accepts, so a packing the library check accepts must pass it too.
+# The code below is that version unchanged, except that check_structure
+# is renamed, runs on the reference structure, keeps its violation record
+# and reads the pair relation from a namespace, since structures no
+# longer record it.
 
 
-def _reference_check_structure(s: SolutionStructure) -> list[StructureViolation]:
-    ref = SimpleNamespace(**vars(s), pairs=_detect_pairs(s.g, s.info, s.attachments))
+@dataclass(frozen=True)
+class StructureViolation:
+    kind: str
+    witnesses: tuple[Triangle, ...]
+
+
+def _reference_check_structure(ref: SimpleNamespace) -> list[StructureViolation]:
+    ref = SimpleNamespace(**vars(ref), pairs=_detect_pairs(ref.g, ref.info, ref.attachments))
     return _reference_violations(ref)
 
 
@@ -337,11 +358,21 @@ def _reference_violations(s) -> list[StructureViolation]:
     return out
 
 
-def _base_edge_in(s: SolutionStructure, psi: Triangle, t: Triangle) -> bool:
+def _disjoint(*tris: Triangle) -> bool:
+    seen: set[int] = set()
+    for t in tris:
+        for e in t.edge_ids:
+            if e in seen:
+                return False
+            seen.add(e)
+    return True
+
+
+def _base_edge_in(s, psi: Triangle, t: Triangle) -> bool:
     return bool(s.info[psi].base_edges & set(t.edge_ids))
 
 
-def _pair_shape_ok(s: SolutionStructure, t: Triangle, att: Attachment) -> bool:
+def _pair_shape_ok(s, t: Triangle, att: Attachment) -> bool:
     """Accept unless replacing the two owners by t plus one attachment of
     each gives a strictly larger packing.
 
@@ -368,7 +399,7 @@ def _pair_shape_ok(s: SolutionStructure, t: Triangle, att: Attachment) -> bool:
     return True
 
 
-def _hollow_type1_ok(s: SolutionStructure, t: Triangle, att: Attachment) -> bool:
+def _hollow_type1_ok(s, t: Triangle, att: Attachment) -> bool:
     """Accept unless the three owners can be replaced by t plus one
     attachment each (the witness of an improving 3-swap)."""
     type1 = [psi for psi in att.owners if s.info[psi].type == 1]
@@ -388,6 +419,15 @@ def _hollow_type1_ok(s: SolutionStructure, t: Triangle, att: Attachment) -> bool
     return True
 
 
+def _packing(g, source, order_seed, data):
+    if source.startswith("swap"):
+        return local_search_packing(g, order_seed, int(source[4:]))
+    tris = list(greedy_packing(g, order_seed).triangles)
+    if source == "drop_one" and tris:
+        tris.pop(data.draw(st.integers(0, len(tris) - 1)))
+    return Packing(g, tris)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     n=st.integers(6, 14),
@@ -401,19 +441,57 @@ def test_build_structure_matches_reference(
     n, density, graph_seed, order_seed, source, data
 ):
     g = gnp(n, density, graph_seed)
-    if source == "swap1":
-        p = local_search_packing(g, order_seed, 1)
-    elif source == "swap2":
-        p = local_search_packing(g, order_seed, 2)
-    else:
-        tris = list(greedy_packing(g, order_seed).triangles)
-        if source == "drop_one" and tris:
-            tris.pop(data.draw(st.integers(0, len(tris) - 1)))
-        p = Packing(g, tris)
+    p = _packing(g, source, order_seed, data)
     s, ref = build_structure(g, p), _reference_build_structure(g, p)
     assert list(s.info.items()) == list(ref.info.items())
-    assert list(s.attachments.items()) == list(ref.attachments.items())
+    assert list(s.attachments.items()) == [
+        (t, att.owners) for t, att in ref.attachments.items()
+    ]
     assert s.edge_owner == ref.edge_owner
     assert s.nonsolution == ref.nonsolution
-    assert check_structure(s) == check_structure(ref)
-    assert check_structure(s) == list(s.violations) == _reference_check_structure(s)
+    assert check_structure(s) == list(s.violations)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(6, 40),
+    density=st.sampled_from([0.1, 0.2, 0.3, 0.5, 0.7]),
+    graph_seed=st.integers(0, 10**6),
+    order_seed=st.integers(0, 100),
+    source=st.sampled_from(["greedy", "drop_one", "swap1", "swap2", "swap3"]),
+    data=st.data(),
+)
+def test_every_violation_carries_a_valid_swap(
+    n, density, graph_seed, order_seed, source, data
+):
+    # the swaps are what structure repairs apply; a packing the two rules
+    # accept must also pass the six-rule reference check, so the engines
+    # only see structures they were already shown to handle
+    g = gnp(n, density, graph_seed)
+    p = _packing(g, source, order_seed, data)
+    s = build_structure(g, p)
+    for v in s.violations:
+        assert verify_swap(g, p, v.swap), v
+    if not s.violations:
+        assert _reference_check_structure(_reference_build_structure(g, p)) == []
+
+
+# local-search packings at max_swap=1 that the six-rule check accepted
+# and the engines then failed on (order 3 raised, order 6 failed verify):
+# each hides a 2-swap on a type-1/type-3 owner pair, which rule B flags
+HIDDEN_TWO_SWAPS = [((10, 0.3, 637720), 99), ((12, 0.5, 420884), 2), ((11, 0.7, 38), 0)]
+
+
+@pytest.mark.parametrize("args, seed", HIDDEN_TWO_SWAPS)
+def test_hidden_two_swaps_are_structure_repairs(args, seed):
+    g = gnp(*args)
+    p = local_search_packing(g, seed, 1)
+    s = build_structure(g, p)
+    assert _reference_check_structure(_reference_build_structure(g, p)) == []
+    assert set(_kinds_with_valid_swaps(g, p, s)) == {"OwnerSwap"}
+    for v in s.violations:
+        assert sorted(s.info[psi].type for psi in v.swap.removed) == [1, 3]
+    for k in (2, 3, 6):
+        r = cover(g, k, seed=seed, max_swap=1)
+        assert r.report.ok
+        assert [e["reason"] for e in r.repair_log] == ["structure:OwnerSwap"]
