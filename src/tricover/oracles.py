@@ -5,8 +5,9 @@ The integral solvers are two branch-and-bound searches, nu and tau*_k,
 designed for desk-scale graphs (a few hundred triangles at most); tau is
 tau*_1.  The LP optimum tau* comes from a fraction-free integer simplex:
 the tableau is kept in Python ints over one common denominator, each
-pivot divides exactly (Bareiss), and Bland's rule picks the pivots; the
-final tableau's packing certifies the value.  Values and witnesses are
+pivot divides exactly (Bareiss), and Dantzig's rule picks the entering
+column, with Bland's rule as the guard against cycling; the final
+tableau's packing certifies the value.  Values and witnesses are
 exact; no floating point anywhere.
 """
 
@@ -26,6 +27,8 @@ from .errors import (
 from .graph import Graph, Triangle, edge_masks, enumerate_triangles, memo
 
 DEFAULT_TRIANGLE_CAP = 200
+# consecutive degenerate pivots after which the simplex enters by Bland's rule
+_DEGENERATE_RUN = 50
 
 
 @dataclass
@@ -90,8 +93,8 @@ def tau_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult:
 def _simplex_min(
     rows: list[list[int]], cost: list[int], basis: list[int]
 ) -> tuple[Fraction, list[Fraction], int]:
-    """Bland-rule simplex for min c.x, rows = [A | b], x >= 0, on a
-    fraction-free integer tableau.
+    """Simplex for min c.x, rows = [A | b], x >= 0, on a fraction-free
+    integer tableau.
 
     The caller supplies integer rows whose ``basis`` columns form the
     identity (the slack columns) with b >= 0, so the starting basis is
@@ -103,9 +106,19 @@ def _simplex_min(
     stored entry is a minor of the starting matrix (Bareiss).
 
     As d > 0, signs and ratios are read off the integers, so the pivots
-    are those of the same tableau kept in fractions: the entering column
-    is the first with a negative reduced cost, and the leaving row has
-    the least ratio b_i/a_i, ties going to the smallest basis index.
+    are those of the same tableau kept in fractions.  The entering column
+    has the most negative reduced cost, ties going to the lowest column
+    (Dantzig).  A pivot is degenerate when its leaving row has b = 0;
+    after ``_DEGENERATE_RUN`` degenerate pivots in a row the entering
+    column is the first with a negative reduced cost (Bland), until the
+    next non-degenerate pivot.  The leaving row has the least ratio
+    b_i/a_i, ties going to the smallest basis index.
+
+    The method terminates.  A non-degenerate pivot strictly lowers the
+    objective, so no basis repeats across such pivots, and there are
+    finitely many bases.  A run of degenerate pivots keeps the objective;
+    past its first ``_DEGENERATE_RUN`` pivots both rules are Bland's,
+    which cannot cycle, so the run ends.
 
     Returns the optimal objective value, the final reduced-cost row (its
     last entry is minus the value) and the number of pivots.  ``rows``
@@ -123,10 +136,17 @@ def _simplex_min(
             f = cost[bi]
             z = [zj - f * aj for zj, aj in zip(z, rows[i])]
     pivots = 0
+    degenerate = 0
     while True:
-        enter = next((j for j in range(ncols) if z[j] < 0), None)
-        if enter is None:
-            break
+        if degenerate < _DEGENERATE_RUN:
+            low = min(z[:ncols])
+            if low >= 0:
+                break
+            enter = z.index(low)
+        else:
+            enter = next((j for j in range(ncols) if z[j] < 0), None)
+            if enter is None:
+                break
         leave, lead_b, lead_a = None, 0, 1
         for i in range(m):
             a = rows[i][enter]
@@ -137,6 +157,7 @@ def _simplex_min(
                     leave, lead_b, lead_a = i, rows[i][-1], a
         if leave is None:
             raise ArithmeticError("unbounded LP")
+        degenerate = degenerate + 1 if lead_b == 0 else 0
         prow = rows[leave]
         p = prow[enter]
         for i in range(m):

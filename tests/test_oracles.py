@@ -185,7 +185,7 @@ def test_lp_witness_is_exact_cover():
     g = complete_graph(6)
     res = tau_star_lp_exact(g)
     assert res.value == 5  # the all-1/3 assignment is optimal here
-    assert res.nodes_explored == 28  # Bland pivots, most of them degenerate
+    assert res.nodes_explored == 20  # Dantzig pivots; Bland's rule takes 28
     assert sum(res.witness.values(), F(0)) == 5
     for t in enumerate_triangles(g):
         assert sum(res.witness.get(e, F(0)) for e in t.edge_ids) >= 1
@@ -333,9 +333,13 @@ def test_witness_checks_raise_under_optimize_flag():
 def _reference_simplex_min(
     rows: list[list[Fraction]], cost: list[Fraction], basis: list[int]
 ) -> tuple[Fraction, list[Fraction]]:
-    """Bland-rule tableau simplex for min c.x, rows = [A | b], x >= 0.
+    """Tableau simplex for min c.x, rows = [A | b], x >= 0.
 
-    The caller supplies a feasible starting basis (slack columns).
+    The entering column has the most negative reduced cost, ties to the
+    lowest column, except after ``oracles._DEGENERATE_RUN`` degenerate
+    pivots in a row (leaving row with b = 0), when it is the first
+    negative column (Bland) until the next non-degenerate pivot.  The
+    caller supplies a feasible starting basis (slack columns).
     Returns the optimal objective value and the final reduced-cost row.
     """
     m = len(rows)
@@ -346,10 +350,15 @@ def _reference_simplex_min(
         if cost[bi]:
             f = cost[bi]
             z = [zj - f * aj for zj, aj in zip(z, rows[i] + [Fraction(0)])]
+    degenerate = 0
     while True:
-        enter = next((j for j in range(ncols) if z[j] < 0), None)
-        if enter is None:
+        negative = [j for j in range(ncols) if z[j] < 0]
+        if not negative:
             break
+        if degenerate < oracles._DEGENERATE_RUN:
+            enter = min(negative, key=lambda j: (z[j], j))
+        else:
+            enter = negative[0]
         leave, best_ratio = None, None
         for i in range(m):
             if rows[i][enter] > 0:
@@ -360,6 +369,7 @@ def _reference_simplex_min(
                     leave, best_ratio = i, ratio
         if leave is None:
             raise ArithmeticError("unbounded LP")
+        degenerate = degenerate + 1 if rows[leave][-1] == 0 else 0
         piv = rows[leave][enter]
         rows[leave] = [v / piv for v in rows[leave]]
         for i in range(m):
@@ -405,6 +415,29 @@ def test_simplex_matches_reference_on_fixed_graphs(g):
     _check_simplex_against_reference(g)
 
 
+@pytest.mark.parametrize("run", [0, 1])
+@pytest.mark.parametrize(
+    "g", [complete_graph(n) for n in range(5, 9)] + [gnp(9, 0.7, 1026)]
+)
+def test_simplex_matches_reference_with_bland_fallback(g, run, monkeypatch):
+    # no LP of the other tests has 50 degenerate pivots in a row, so the
+    # Bland fallback runs only with the limit lowered: at 0 every column
+    # enters by Bland's rule, at 1 the rule switches after each
+    # degenerate pivot and back after each non-degenerate one
+    monkeypatch.setattr(oracles, "_DEGENERATE_RUN", run)
+    _check_simplex_against_reference(g)
+
+
+def test_pivot_counts_of_the_three_entering_rules(monkeypatch):
+    # K6: Bland's rule alone takes 28 pivots, switching after every
+    # degenerate pivot 23, and Dantzig's rule 20
+    counts = []
+    for run in (0, 1, oracles._DEGENERATE_RUN):
+        monkeypatch.setattr(oracles, "_DEGENERATE_RUN", run)
+        counts.append(tau_star_lp_exact(complete_graph(6)).nodes_explored)
+    assert counts == [28, 23, 20]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     n=st.integers(4, 11),
@@ -417,13 +450,30 @@ def test_simplex_matches_reference(n, density, seed):
 
 def test_lp_sandwich_digest():
     # sha256 of repr([(value, sorted(witness.items()))]) of tau_star_lp_exact
-    # over the criterion-5 graphs, computed on the commit before the integer
-    # simplex (the Fraction tableau kept above as the reference)
+    # over the criterion-5 graphs, computed when Dantzig's rule replaced
+    # Bland's: the values are those of the value digest below, and the
+    # witness of graph 26, gnp(9, 0.7, 1026), is another optimal cover
     results = [tau_star_lp_exact(g) for g in random_instances(200)]
     digest = hashlib.sha256(
         repr([(r.value, sorted(r.witness.items())) for r in results]).encode()
     ).hexdigest()
-    assert digest == "f00cf3222fc2ef494ea16642f9985f41f67675b76602f40ec5d8f26624785d2d"
+    assert digest == "e07b52e0c5a2f11e90c9eee17f44a4af3f1a25c50eebbef14ce4db20822726c2"
+
+
+def test_lp_value_digest():
+    # sha256 of repr([value]) of tau_star_lp_exact over the criterion-5
+    # graphs, computed under Bland's rule: the LP optimum is unique, so it
+    # holds for any pivot rule
+    values = [tau_star_lp_exact(g).value for g in random_instances(200)]
+    digest = hashlib.sha256(repr(values).encode()).hexdigest()
+    assert digest == "d30c95b3c34bea56a9fffb1b2511d1f9b814f49cf5385f254399a3f3f4b3ce56"
+
+
+def test_lp_pivots_scale_on_gnp_20():
+    # 156 triangles: Dantzig's rule takes 216 pivots, Bland's 1561, so a
+    # silent fall back to Bland shows here
+    res = tau_star_lp_exact(gnp(20, 0.5, 1))
+    assert (res.value, res.nodes_explored) == (F(91, 3), 216)
 
 
 def test_tau_star_k_solves_the_lp_once_per_graph(monkeypatch):
@@ -485,8 +535,9 @@ def test_tau_star_k_sandwich_digest():
 def test_tau_star_k_witness_digest():
     # sha256 of repr([(k, value, nodes_explored, sorted witness numerators)])
     # of tau_star_k_exact at k = 1, 2, 3, 6 over the criterion-5 graphs,
-    # computed on the commit before propagation became local to the edge
-    # just frozen
+    # computed when Dantzig's rule replaced Bland's in the LP: only graph
+    # 26 moved, whose LP cover, integral at value 9, solves every k at the
+    # root and is now another optimal cover
     rows = [
         (k, r.value, r.nodes_explored, sorted(r.witness.numerators.items()))
         for g in random_instances(200)
@@ -494,7 +545,7 @@ def test_tau_star_k_witness_digest():
         for r in [tau_star_k_exact(g, k)]
     ]
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert digest == "94f25695d7fe9319243cf42af6d080e2140c1e8e392a0ab496f301068e7e9792"
+    assert digest == "17b7fc86e855814f5b6459be4602363e0c538a1e1904763b788f4248e0263c8c"
 
 
 def test_tau_star_k_complete_graph_7():
