@@ -15,7 +15,7 @@ from .errors import InstanceTooLargeError, RepairExhaustedError, TricoverError
 from .generators import InstanceSpec, generate
 from .graph import read_edge_list, write_edge_list
 from .oracles import nu_exact, tau_star_k_exact
-from .packing import local_search_packing
+from .packing import _nu_bound, local_search_packing
 from .pipeline import certificate_obj, cover, verify_certificate
 
 EXIT_OK = 0
@@ -116,6 +116,7 @@ def cmd_bench(args) -> int:
                 "n": g.n,
                 "seed": seed,
                 "nu": nu,
+                "nu_bound": _nu_bound(g),
                 "packing": len(result.packing),
                 "sum_f": str(result.assignment.total()),
                 "order": args.order,
@@ -123,7 +124,9 @@ def cmd_bench(args) -> int:
                 "ms": ms,
             }
         )
-    fieldnames = ["family", "n", "seed", "nu", "packing", "sum_f", "order", "repairs", "ms"]
+    fieldnames = [
+        "family", "n", "seed", "nu", "nu_bound", "packing", "sum_f", "order", "repairs", "ms"
+    ]
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = csv.DictWriter(out, fieldnames=fieldnames)

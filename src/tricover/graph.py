@@ -38,7 +38,8 @@ class Graph:
     ``enumerate_triangles``), the edge-id bitmask of each of those
     triangles (``"edge_masks"``, filled by ``edge_masks`` and read by
     ``packing.greedy_packing``, the swap search and ``oracles.nu_exact``),
-    each local-search packing
+    the degree bound on ν (``"nu_bound"``, filled by the swap search in
+    ``packing``), each local-search packing
     (``("local_search", seed, max_swap)``, filled by ``pipeline.cover``)
     and the tau* LP optimum (``"tau_star_lp"``, filled by
     ``oracles.tau_star_k_exact`` and so also by ``oracles.tau_exact``).

@@ -32,6 +32,19 @@ that a scan of the pool in order would not skip, visited in the same
 order, and a cut only drops branches without a selection, so the first
 selection found, and with it every swap, is the one a plain in-order
 backtracking scan finds.
+
+Before any of that, the search compares the packing with an upper bound
+on ν kept in the graph's memo.  Join two edges when they lie in a common
+triangle; every triangle then lies inside one of the resulting
+edge-components C, and edges in no triangle are left out.  A packed
+triangle of C uses two edges of C at each of its three vertices, so at
+most ⌊deg_C(v)/2⌋ packed triangles meet v and a packing holds at most
+⌊Σ_v ⌊deg_C(v)/2⌋ / 3⌋ triangles of C (never more than ⌊|E_C|/3⌋).
+The bound is the sum of these over the components.  A packing of that
+size is maximum, so no improving swap exists and the search returns
+None at once, as the full search would have: every packing, swap and
+result is unchanged, only the search that proves the negative is
+skipped.
 """
 
 from __future__ import annotations
@@ -39,7 +52,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import Graph, Triangle, edge_masks, enumerate_triangles
+from .graph import Graph, Triangle, edge_masks, enumerate_triangles, memo
 
 
 @dataclass(frozen=True)
@@ -191,6 +204,36 @@ def _disjoint_selection(masks: list[int], need: int) -> list[int] | None:
     return chosen if dfs((1 << len(masks)) - 1, need) else None
 
 
+def _nu_bound(g: Graph) -> int:
+    """The degree bound on ν of the module docstring, kept in the graph's memo."""
+    return memo(g, "nu_bound", lambda: _degree_bound(g))
+
+
+def _degree_bound(g: Graph) -> int:
+    root = list(range(g.m))
+
+    def find(e: int) -> int:
+        while root[e] != e:
+            root[e] = root[root[e]]
+            e = root[e]
+        return e
+
+    covered: set[int] = set()
+    for t in enumerate_triangles(g):
+        covered.update(t.edge_ids)
+        a, b, c = (find(e) for e in t.edge_ids)
+        root[b] = root[c] = a
+    degree: dict[tuple[int, int], int] = {}
+    for e in covered:
+        comp = find(e)
+        for v in g.edges[e]:
+            degree[comp, v] = degree.get((comp, v), 0) + 1
+    halves: dict[int, int] = {}
+    for (comp, _), d in degree.items():
+        halves[comp] = halves.get(comp, 0) + d // 2
+    return sum(h // 3 for h in halves.values())
+
+
 def _find_swap(
     g: Graph,
     p: Packing,
@@ -201,6 +244,8 @@ def _find_swap(
 
     ``candidates`` are packed triangles in sorted order.
     """
+    if len(p) >= _nu_bound(g):
+        return None
     tris = enumerate_triangles(g)
     emasks = edge_masks(g)
     # owner[e]: the bit of the candidate packing e, -1 for any other

@@ -66,7 +66,7 @@ def test_bench_csv(tmp_path, capsys):
     )
     assert code == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "family,n,seed,nu,packing,sum_f,order,repairs,ms"
+    assert lines[0] == "family,n,seed,nu,nu_bound,packing,sum_f,order,repairs,ms"
     assert len(lines) == 4
 
 

@@ -27,7 +27,8 @@ from tricover.order2 import (
     compute_demanding,
     initial_half_charge,
 )
-from tricover.packing import _disjoint_selection
+from tricover import packing
+from tricover.packing import _disjoint_selection, _nu_bound
 from tricover.structure import build_structure, check_structure
 
 from test_acceptance import suite_instances
@@ -176,6 +177,50 @@ def test_local_search_suite_digest():
 
 def test_local_search_gnp20_five_swaps():
     assert len(local_search_packing(gnp(20, 0.5, 1), 0, 5)) == 28
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(4, 10),
+    density=st.sampled_from([0.3, 0.5, 0.7]),
+    graph_seed=st.integers(0, 10**6),
+)
+def test_nu_bound_is_an_upper_bound(n, density, graph_seed):
+    g = gnp(n, density, graph_seed)
+    assert _nu_bound(g) >= nu_exact(g).value
+
+
+@pytest.mark.parametrize(
+    "g, bound, nu",
+    [
+        (complete_graph(4), 1, 1),
+        (complete_graph(5), 3, 2),
+        (complete_graph(6), 4, 4),
+        (complete_graph(7), 7, 7),
+        (complete_graph(8), 8, 8),
+        (bowtie(), 2, 2),
+        *[(glued_k4(k), k, k) for k in range(1, 5)],
+        (lend_chain(2), 4, 3),
+        (lend_chain(3), 5, 4),
+        (lend_chain(4), 6, 5),
+    ],
+)
+def test_nu_bound_pins(g, bound, nu):
+    assert (_nu_bound(g), nu_exact(g).value) == (bound, nu)
+
+
+def test_swap_search_skipped_when_packing_meets_nu_bound(monkeypatch):
+    def no_search(nbrs, size):
+        raise RuntimeError("swap search ran")
+
+    k7, k5 = complete_graph(7), complete_graph(5)
+    p7, p5 = local_search_packing(k7, 0, 5), local_search_packing(k5, 0, 5)
+    monkeypatch.setattr(packing, "_connected_subsets", no_search)
+    assert len(p7) == _nu_bound(k7) == 7
+    assert targeted_swap(k7, p7, set(range(k7.m)), 5) is None
+    # K5's bound of 3 is above its ν of 2, so the search still runs there
+    with pytest.raises(RuntimeError, match="swap search ran"):
+        targeted_swap(k5, p5, set(range(k5.m)), 5)
 
 
 def _relabeled(g, seed):
