@@ -1,6 +1,7 @@
 """Edge-disjoint triangle packings and exact fractional triangle covers."""
 
 from .charges import ChargeAssignment, Report, charge_order3, charge_order6, verify_cover
+from .checker import verify_certificate
 from .generators import InstanceSpec, generate
 from .graph import (
     Graph,
@@ -30,7 +31,7 @@ from .packing import (
     verify_packing,
     verify_swap,
 )
-from .pipeline import CoverResult, cover, certificate_obj, verify_certificate
+from .pipeline import CoverResult, cover, certificate_obj
 from .structure import (
     SolutionStructure,
     StructureViolation,

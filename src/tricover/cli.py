@@ -11,12 +11,13 @@ import json
 import sys
 import time
 
+from .checker import verify_certificate
 from .errors import InstanceTooLargeError, RepairExhaustedError, TricoverError
 from .generators import InstanceSpec, generate
 from .graph import read_edge_list, write_edge_list
 from .oracles import nu_exact, tau_star_k_exact
 from .packing import _nu_bound, local_search_packing
-from .pipeline import certificate_obj, cover, verify_certificate
+from .pipeline import certificate_dumps, cover
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
@@ -54,7 +55,7 @@ def cmd_cover(args) -> int:
     )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(certificate_obj(g, result), fh, indent=2)
+            fh.write(certificate_dumps(g, result))
         print(f"certificate written to {args.out}")
     if not result.report.ok:
         print("verification FAILED", file=sys.stderr)
@@ -65,7 +66,10 @@ def cmd_cover(args) -> int:
 def cmd_verify(args) -> int:
     g = read_edge_list(args.graph)
     with open(args.certificate, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{args.certificate}: JSON nested too deeply") from None
     outcome = verify_certificate(g, obj)
     if outcome.ok:
         print("OK")

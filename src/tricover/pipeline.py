@@ -19,14 +19,13 @@ Repairs build new packings from it and leave the memo as it is.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .charges import ChargeAssignment, Report, charge_order3, charge_order6, verify_cover
+from .checker import graph_sha256, verify_certificate  # noqa: F401 (re-exported)
 from .errors import InternalChargeError, MissingInputError, RepairExhaustedError
-from .graph import Graph, format_edge_list, memo
+from .graph import Graph, memo
 from .oracles import compose_order_k
 from .order2 import run_order2
 from .packing import Packing, local_search_packing, targeted_swap, verify_swap
@@ -48,7 +47,7 @@ class CoverResult:
 
 
 def graph_digest(g: Graph) -> str:
-    return hashlib.sha256(format_edge_list(g).encode()).hexdigest()
+    return graph_sha256(g.n, g.edges)
 
 
 def _apply(g, packing, cert, focus, log, reason) -> Packing:
@@ -179,91 +178,11 @@ def certificate_obj(g: Graph, result: CoverResult) -> dict:
 
 
 def certificate_dumps(g: Graph, result: CoverResult) -> str:
-    return json.dumps(certificate_obj(g, result), indent=2)
+    """The certificate as JSON text, one top-level field per line.
 
-
-@dataclass(frozen=True)
-class VerifyOutcome:
-    ok: bool
-    messages: tuple[str, ...]
-
-
-def _int_rows(rows: object) -> bool:
-    """A list of three-integer lists.  ``type(x) is int`` rejects JSON
-    booleans and floats; it is also the cheapest test per row."""
-    return type(rows) is list and all(
-        type(r) is list and len(r) == 3 and type(r[0]) is type(r[1]) is type(r[2]) is int
-        for r in rows
-    )
-
-
-def _schema_problem(obj: object) -> str | None:
-    """The first way ``obj`` breaks the certificate schema, or None."""
-    if not isinstance(obj, dict):
-        return "certificate is not a JSON object"
-    missing = [k for k in ("graph_sha256", "order", "packing", "weights") if k not in obj]
-    if missing:
-        return f"missing fields {missing}"
-    order = obj["order"]
-    if type(order) is not int or order < 2:
-        return f"order {order!r} is not an integer >= 2"
-    for key in ("packing", "weights"):
-        if not _int_rows(obj[key]):
-            return f"{key} is not a list of three-integer rows"
-    verdict = obj.get("verdict", {})
-    if not isinstance(verdict, dict):
-        return "verdict is not a JSON object"
-    for key in ("total_numerator", "total_denominator"):
-        if key in verdict and type(verdict[key]) is not int:
-            return f"verdict {key} {verdict[key]!r} is not an integer"
-    if verdict.get("total_denominator") == 0:
-        return "verdict total_denominator is 0"
-    return None
-
-
-def verify_certificate(g: Graph, obj: object) -> VerifyOutcome:
-    """Re-check a persisted certificate against the graph, exactly.
-
-    A certificate that breaks the schema (a missing field, an order
-    below 2, a number that is not an integer, an edge weighted twice, a
-    triangle packed twice, a zero total denominator) fails without
-    further checks.
+    Each value goes through ``json.dumps`` without ``indent``, which the
+    C encoder serves; with ``indent`` the pure-Python encoder runs.
     """
-    problem = _schema_problem(obj)
-    if problem is not None:
-        return VerifyOutcome(False, (f"bad certificate: {problem}",))
-    messages: list[str] = []
-    if obj["graph_sha256"] != graph_digest(g):
-        messages.append("graph digest mismatch")
-    try:
-        packing = Packing(g, [g.triangle(*vs) for vs in obj["packing"]])
-    except (KeyError, ValueError) as exc:
-        return VerifyOutcome(False, (f"bad packing: {exc}",))
-    if len(packing) != len(obj["packing"]):
-        return VerifyOutcome(False, ("bad packing: a triangle is listed twice",))
-    nums: dict[int, int] = {}
-    for u, v, num in obj["weights"]:
-        if not g.has_edge(u, v):
-            return VerifyOutcome(False, (f"weight on missing edge ({u},{v})",))
-        eid = g.edge_id(u, v)
-        if eid in nums:
-            return VerifyOutcome(False, (f"edge ({u},{v}) weighted twice",))
-        nums[eid] = num
-    f = ChargeAssignment(obj["order"], nums)
-    report = verify_cover(g, f, len(packing))
-    if not report.covered:
-        messages.append(
-            f"{len(report.failing)} triangles uncovered, first {report.failing[0].vertices}"
-        )
-    if not report.budget_ok:
-        messages.append(f"budget exceeded: total {report.total} > 2*{len(packing)}")
-    if not report.integrality_ok:
-        messages.append("weights outside 0..order")
-    claimed = obj.get("verdict", {})
-    if claimed:
-        total = Fraction(
-            claimed.get("total_numerator", 0), claimed.get("total_denominator", 1)
-        )
-        if total != f.total():
-            messages.append("stated total differs from recomputed total")
-    return VerifyOutcome(not messages, tuple(messages))
+    fields = certificate_obj(g, result).items()
+    lines = ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in fields)
+    return "{\n" + lines + "\n}"

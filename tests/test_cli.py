@@ -216,3 +216,12 @@ def test_verify_rejects_non_object_certificate(tmp_path, capsys):
     cert.write_text("[]")
     code, _, stderr = run(capsys, "verify", graph, str(cert))
     assert code == 2 and "not a JSON object" in stderr
+
+
+def test_verify_rejects_too_deeply_nested_json(tmp_path, capsys):
+    # the JSON decoder recurses once per bracket; input error, not a traceback
+    graph = k6_file(tmp_path)
+    cert = tmp_path / "deep.json"
+    cert.write_text("[" * 200000)
+    code, stdout, stderr = run(capsys, "verify", graph, str(cert))
+    assert code == 4 and stderr.startswith("error:") and stdout == ""

@@ -1,23 +1,34 @@
 """Cover drivers, repair loop and certificates."""
 
+import ast
+import functools
 import gc
 import hashlib
 import json
 import random
+import sys
 import weakref
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tricover.charges as charges
+import tricover.checker as checker
 import tricover.graph as graph
 import tricover.order2 as order2
 import tricover.pipeline as pl
 import tricover.structure as structure
 from tricover import (
+    ChargeAssignment,
+    Packing,
     build_graph,
     build_structure,
     cover,
+    format_edge_list,
     nu_exact,
+    parse_edge_list,
     tau_star_k_exact,
     verify_certificate,
     verify_cover,
@@ -87,6 +98,15 @@ def test_certificate_round_trip():
             return all(only_ints(v) for v in x.values())
         return True
     assert only_ints(obj)
+
+
+def test_certificate_dumps_is_the_certificate_object():
+    # one field per line changes whitespace only
+    for g in (complete_graph(6), lend_chain(3), build_graph(3, [])):
+        r = cover(g, 3)
+        text = certificate_dumps(g, r)
+        assert json.loads(text) == json.loads(json.dumps(certificate_obj(g, r)))
+        assert len(text.splitlines()) == len(certificate_obj(g, r)) + 2
 
 
 def test_certificate_rejects_zeroed_weight():
@@ -321,3 +341,144 @@ def test_cover_is_invariant_under_edge_order():
                 t.vertices for t in r.packing.triangles
             ), (name, order)
             assert rf.assignment.total() == r.assignment.total(), (name, order)
+
+
+def _reference_verify_certificate(g, obj):
+    """The certificate check as the library made it before the checker
+    module: on the producer's Packing, ChargeAssignment and verify_cover.
+    Only the schema check is shared; it moved unchanged."""
+    problem = checker._schema_problem(obj)
+    if problem is not None:
+        return False, (f"bad certificate: {problem}",)
+    messages = []
+    if obj["graph_sha256"] != hashlib.sha256(format_edge_list(g).encode()).hexdigest():
+        messages.append("graph digest mismatch")
+    try:
+        packing = Packing(g, [g.triangle(*vs) for vs in obj["packing"]])
+    except (KeyError, ValueError) as exc:
+        return False, (f"bad packing: {exc}",)
+    if len(packing) != len(obj["packing"]):
+        return False, ("bad packing: a triangle is listed twice",)
+    nums = {}
+    for u, v, num in obj["weights"]:
+        if not g.has_edge(u, v):
+            return False, (f"weight on missing edge ({u},{v})",)
+        eid = g.edge_id(u, v)
+        if eid in nums:
+            return False, (f"edge ({u},{v}) weighted twice",)
+        nums[eid] = num
+    f = ChargeAssignment(obj["order"], nums)
+    report = verify_cover(g, f, len(packing))
+    if not report.covered:
+        messages.append(
+            f"{len(report.failing)} triangles uncovered, first {report.failing[0].vertices}"
+        )
+    if not report.budget_ok:
+        messages.append(f"budget exceeded: total {report.total} > 2*{len(packing)}")
+    if not report.integrality_ok:
+        messages.append("weights outside 0..order")
+    claimed = obj.get("verdict", {})
+    if claimed:
+        total = Fraction(
+            claimed.get("total_numerator", 0), claimed.get("total_denominator", 1)
+        )
+        if total != f.total():
+            messages.append("stated total differs from recomputed total")
+    return not messages, tuple(messages)
+
+
+@functools.cache
+def _certificates():
+    """(edge-list text, certificate text) of every suite cover at orders
+    2, 3 and 6, and of gadget covers at m in the hundreds."""
+    graphs = [g for _, g in suite_instances()]
+    out = [(g, k) for g in graphs for k in (2, 3, 6)]
+    gadgets = [glued_k4(100), lend_chain(50)] + [gnp(100, 0.05, s) for s in (1, 2, 3)]
+    out += [(g, (2, 3, 6)[i % 3]) for i, g in enumerate(gadgets)]
+    return [(format_edge_list(g), certificate_dumps(g, cover(g, k))) for g, k in out]
+
+
+def _edit(data, obj, n):
+    """Apply one drawn edit to ``obj``: drop or duplicate a row, bump a
+    numerator, move a packing vertex, weight a random pair or bump the
+    stated total."""
+    kind = data.draw(
+        st.sampled_from(["drop", "duplicate", "numerator", "vertex", "pair", "total"])
+    )
+    key = "weights" if kind in ("numerator", "pair") else "packing"
+    if kind in ("drop", "duplicate"):
+        key = data.draw(st.sampled_from(["packing", "weights"]))
+    rows = obj[key]
+    if kind == "pair":
+        vertex = st.integers(-1, n)
+        rows.append([data.draw(vertex), data.draw(vertex), data.draw(st.integers(-1, 7))])
+    elif kind == "total":
+        obj["verdict"]["total_numerator"] += data.draw(st.sampled_from([-1, 1]))
+    elif rows:
+        i = data.draw(st.integers(0, len(rows) - 1))
+        if kind == "drop":
+            del rows[i]
+        elif kind == "duplicate":
+            row = data.draw(st.permutations(rows[i]))
+            rows.insert(data.draw(st.integers(0, len(rows))), list(row))
+        elif kind == "numerator":
+            rows[i][2] += data.draw(st.sampled_from([-2, -1, 1, 2]))
+        else:
+            rows[i][data.draw(st.integers(0, 2))] = data.draw(st.integers(-1, n))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_checker_matches_reference_on_edited_certificates(data):
+    certs = _certificates()
+    text, cert = certs[data.draw(st.integers(0, len(certs) - 1))]
+    g = parse_edge_list(text)
+    if data.draw(st.booleans()):
+        # new edge ids, and the graph no longer matches the digest
+        g = build_graph(g.n, data.draw(st.permutations(g.edges)))
+    obj = json.loads(cert)
+    if data.draw(st.booleans()):
+        _edit(data, obj, g.n)
+    outcome = checker.verify_certificate(g, obj)
+    assert (outcome.ok, outcome.messages) == _reference_verify_certificate(g, obj)
+
+
+def test_checker_agrees_with_reference_on_every_certificate():
+    for text, cert in _certificates():
+        g = parse_edge_list(text)
+        obj = json.loads(cert)
+        outcome = verify_certificate(g, obj)
+        assert outcome.ok and (outcome.ok, outcome.messages) == _reference_verify_certificate(
+            g, obj
+        )
+
+
+def test_checker_imports_only_the_standard_library():
+    tree = ast.parse(open(checker.__file__, encoding="utf-8").read())
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative import"
+            modules.append(node.module)
+    assert modules
+    for name in modules:
+        top = name.split(".")[0]
+        assert top in sys.stdlib_module_names and top != "tricover", name
+    # exact checks must survive python -O
+    assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))
+    assert pl.verify_certificate is checker.verify_certificate
+    assert verify_certificate is checker.verify_certificate
+
+
+def test_graph_digest_is_sha256_of_the_edge_list_text():
+    rng = random.Random(5)
+    graphs = [build_graph(0, []), build_graph(5, [])]
+    for _ in range(100):
+        n = rng.randint(1, 12)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        chosen = rng.sample(pairs, rng.randint(0, len(pairs)))
+        graphs.append(build_graph(n, [p if rng.random() < 0.5 else p[::-1] for p in chosen]))
+    for g in graphs:
+        assert pl.graph_digest(g) == hashlib.sha256(format_edge_list(g).encode()).hexdigest()
