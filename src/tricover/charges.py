@@ -7,7 +7,8 @@ all verification is exact rational arithmetic.  Every charging engine
 triangle places numerators on nearby edges, its contributions are kept
 apart from everyone else's so a triangle's whole share can be replaced,
 and contributions from different packed triangles accumulate per edge.
-``Ledger.to_assignment`` makes the single check that no edge went above
+No engine checks its own result: ``verify_cover`` is the single check
+that every triangle is covered, the budget holds and no edge went above
 weight one.
 """
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InternalChargeError, StructureInvalidError
+from .errors import StructureInvalidError
 from .graph import Graph, Triangle, enumerate_triangles
 from .structure import SolutionStructure
 
@@ -118,11 +119,6 @@ class Ledger:
         return Fraction(sum(self.contrib.get(psi, {}).values()), self.order)
 
     def to_assignment(self) -> ChargeAssignment:
-        over = sorted(e for e, v in self.numerators.items() if v > self.order)
-        if over:
-            raise InternalChargeError(
-                f"edge weight above one on edges {over}", focus_edges=over
-            )
         return ChargeAssignment(
             self.order,
             {e: v for e, v in self.numerators.items() if v},
@@ -252,10 +248,7 @@ def _spend_spare_thirds(s: SolutionStructure, led: Ledger) -> None:
     while missing:
         pool = donors()
         if not pool:
-            raise InternalChargeError(
-                "leftover triangles but no spare credit",
-                focus_edges={e for t in missing for e in t.edge_ids},
-            )
+            return
         # an extra third on e finishes t iff t currently sits at 2/3
         finishes: dict[int, int] = {}
         for t in missing:

@@ -54,12 +54,11 @@ class AlreadySpentError(TricoverError):
 
 
 class InternalChargeError(TricoverError):
-    """Charging produced an impossible state; carries repair focus edges.
+    """No longer raised by the library.
 
-    Raised when an intermediate invariant fails (for example an edge
-    accumulating more than one unit of credit, or a Discharge-and-Pin step
-    not finding a free triangle).  The cover pipeline catches it and feeds
-    ``focus_edges`` to the targeted swap search.
+    The charging engines return whatever they reach, and ``verify_cover``
+    reports any shortfall; the class is kept only for callers that still
+    import it.
     """
 
     def __init__(self, message: str, focus_edges=()):
@@ -68,9 +67,10 @@ class InternalChargeError(TricoverError):
 
 
 class RepairExhaustedError(TricoverError):
-    """A repair failed: the swap escalation found no improving swap for a
-    failing charging certificate, or a structure violation's own swap did
-    not verify (``detail`` "structure-swap")."""
+    """A repair failed: the swap escalation found no improving swap around
+    a failed demand-lemma check or verification (``detail`` "demand-shape"
+    or "verify"), a structure violation's own swap did not verify
+    ("structure-swap"), or the loop guard ran out ("loop-guard")."""
 
     def __init__(self, message: str, focus_edges=(), detail=None):
         super().__init__(message)

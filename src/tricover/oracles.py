@@ -98,12 +98,14 @@ def _simplex_min(
 
     The caller supplies integer rows whose ``basis`` columns form the
     identity (the slack columns) with b >= 0, so the starting basis is
-    feasible.  The tableau keeps one common denominator d > 0: every
-    stored entry, in the rows and in the reduced-cost row, is d times its
-    true value.  A pivot on p = T[r][c] replaces every other entry by
-    (p*T[i][j] - T[i][c]*T[r][j]) // d and then sets d = p.  The division
-    is exact, because d is the determinant of the current basis and each
-    stored entry is a minor of the starting matrix (Bareiss).
+    feasible, and zero cost on those columns, so the starting reduced
+    costs are the costs themselves.  The tableau keeps one common
+    denominator d > 0: every stored entry, in the rows and in the
+    reduced-cost row, is d times its true value.  A pivot on p = T[r][c]
+    replaces every other entry by (p*T[i][j] - T[i][c]*T[r][j]) // d and
+    then sets d = p.  The division is exact, because d is the determinant
+    of the current basis and each stored entry is a minor of the starting
+    matrix (Bareiss).
 
     As d > 0, signs and ratios are read off the integers, so the pivots
     are those of the same tableau kept in fractions.  The entering column
@@ -129,12 +131,7 @@ def _simplex_min(
     m = len(rows)
     ncols = len(rows[0]) - 1
     d = 1
-    # reduced cost row for the starting basis (slack costs are zero)
     z = cost + [0]
-    for i, bi in enumerate(basis):
-        if cost[bi]:
-            f = cost[bi]
-            z = [zj - f * aj for zj, aj in zip(z, rows[i])]
     pivots = 0
     degenerate = 0
     while True:

@@ -25,12 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .charges import ChargeAssignment, Ledger, require_clean
-from .errors import (
-    AlreadyPinnedError,
-    AlreadySpentError,
-    InternalChargeError,
-    PinBaseEdgeError,
-)
+from .errors import AlreadyPinnedError, AlreadySpentError, PinBaseEdgeError
 from .graph import Graph, Triangle
 from .structure import SolutionStructure
 
@@ -487,7 +482,11 @@ def _type0_edge_of(s: SolutionStructure, t: Triangle, type0: set[Triangle]) -> i
 
 
 def discharge_and_pin(s: SolutionStructure, cs: ChargeState, ds: DemandState) -> None:
-    """Cover every demanding triangle, spending each free triangle at most once."""
+    """Cover every demanding triangle, spending each free triangle at most once.
+
+    Where no step applies it returns, leaving the rest of the demand
+    uncovered for ``verify_cover`` to report.
+    """
     type0 = ds.type0
 
     def free13() -> list[Triangle]:
@@ -512,10 +511,7 @@ def discharge_and_pin(s: SolutionStructure, cs: ChargeState, ds: DemandState) ->
 
         candidates = [p for p in free13() if ds.demanding_on(p)]
         if not candidates:
-            focus = {e for t in ds.demanding for e in t.edge_ids}
-            raise InternalChargeError(
-                "no free triangle adjacent to remaining demand", focus_edges=focus
-            )
+            return
         psi = candidates[0]
         critical: int | None = None
         while True:
@@ -535,15 +531,9 @@ def discharge_and_pin(s: SolutionStructure, cs: ChargeState, ds: DemandState) ->
             t_i = ds.demanding_on_edge(e_i)[0]
             e0 = _type0_edge_of(s, t_i, type0)
             psi0 = s.owner(e0)
-            if psi0 not in ds.free:
-                raise InternalChargeError(
-                    f"type-0 {psi0} already spent", focus_edges=set(t_i.edge_ids)
-                )
             x = set(cs.g.edges[e_i]) & set(cs.g.edges[e0])
-            if len(x) != 1:
-                raise InternalChargeError(
-                    "demanding triangle edges do not meet", focus_edges=set(t_i.edge_ids)
-                )
+            if psi0 not in ds.free or len(x) != 1:
+                return
             xv = x.pop()
             e_far = next(e for e in psi0.edge_ids if xv not in cs.g.edges[e])
             discharge(ds, cs, psi0, e_i)
@@ -551,10 +541,7 @@ def discharge_and_pin(s: SolutionStructure, cs: ChargeState, ds: DemandState) ->
             if not leftovers:
                 break
             if len(leftovers) > 1:
-                raise InternalChargeError(
-                    "several demanding triangles on the far type-0 edge",
-                    focus_edges={e for t in leftovers for e in t.edge_ids},
-                )
+                return
             t_next = leftovers[0]
             options = [
                 (e, s.owner(e))
@@ -562,10 +549,7 @@ def discharge_and_pin(s: SolutionStructure, cs: ChargeState, ds: DemandState) ->
                 if (o := s.owner(e)) is not None and o in set(free13())
             ]
             if not options:
-                raise InternalChargeError(
-                    "no free rotatable triangle covers the leftover demand",
-                    focus_edges=set(t_next.edge_ids),
-                )
+                return
             critical, psi = options[0]
 
 

@@ -87,13 +87,15 @@ class Packing:
 
 
 def verify_packing(g: Graph, p: Packing) -> bool:
-    """True iff every triangle exists in g and no edge is used twice."""
+    """True iff every triangle is one of g's, with its canonical vertices
+    and edge ids, and no edge is used twice."""
     seen: set[int] = set()
     for t in p.triangles:
         a, b, c = t.vertices
         if not g.is_triangle(a, b, c):
             return False
-        if g.triangle(a, b, c) != t:
+        canon = g.triangle(a, b, c)
+        if (canon.vertices, canon.edge_ids) != (t.vertices, t.edge_ids):
             return False
         for e in t.edge_ids:
             if e in seen:

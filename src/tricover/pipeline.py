@@ -4,8 +4,12 @@ Every driver runs the same loop: build a locally optimal packing, check
 the structural facts, run the charging engine, verify the result
 exactly.  A structure violation carries its improving swap, which is
 applied after ``verify_swap``; a swap that fails is a bug and raises.
-Engine and verify failures yield a set of focus edges; a targeted swap
-search (escalating through larger swap sizes) must then improve the
+The engines do not raise: ``verify_cover`` alone judges what they
+return.  A failed order-2 demand-lemma check (reason ``demand-shape``)
+focuses on its witness edges, and a failed verification (reason
+``verify``) on the first uncovered triangle, or on every packed edge
+when all triangles are covered.  A targeted swap search (escalating
+through larger swap sizes) around the focus must then improve the
 packing.  Either way the loop restarts, and since each repair grows the
 packing by one, it terminates.  Each repair is logged with its reason,
 its focus edges (for a structure repair, the edges of the swap's
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .charges import ChargeAssignment, Report, charge_order3, charge_order6, verify_cover
 from .checker import graph_sha256, verify_certificate  # noqa: F401 (re-exported)
-from .errors import InternalChargeError, MissingInputError, RepairExhaustedError
+from .errors import MissingInputError, RepairExhaustedError
 from .graph import Graph, memo
 from .oracles import compose_order_k
 from .order2 import run_order2
@@ -128,22 +132,16 @@ def _cover_single(g, order, seed, max_swap) -> CoverResult:
                 )
             packing = _apply(g, packing, v.swap, focus, log, f"structure:{v.kind}")
             continue
-        try:
-            if order == 6:
-                assignment = charge_order6(s)
-            elif order == 3:
-                assignment = charge_order3(s)
-            else:
-                run, witness = run_order2(s)
-                if witness is not None:
-                    packing = _repair(g, packing, witness, max_swap, log, "demand-shape")
-                    continue
-                assignment = run.assignment
-        except InternalChargeError as exc:
-            packing = _repair(
-                g, packing, exc.focus_edges, max_swap, log, f"internal:{exc}"
-            )
-            continue
+        if order == 6:
+            assignment = charge_order6(s)
+        elif order == 3:
+            assignment = charge_order3(s)
+        else:
+            run, witness = run_order2(s)
+            if witness is not None:
+                packing = _repair(g, packing, witness, max_swap, log, "demand-shape")
+                continue
+            assignment = run.assignment
         report = verify_cover(g, assignment, len(packing))
         if report.ok:
             return CoverResult(packing, assignment, report, log)

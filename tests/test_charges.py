@@ -16,6 +16,7 @@ from tricover import (
     run_order2,
     verify_cover,
 )
+from tricover.charges import Ledger, _spend_spare_thirds
 from tricover.errors import StructureInvalidError
 from tricover.generators import complete_graph, gnp
 
@@ -158,3 +159,31 @@ def test_verify_cover_flags_failures():
     over = ChargeAssignment(6, {e: 13 for e in range(6)})
     report = verify_cover(g, over, 1)
     assert not report.budget_ok and not report.integrality_ok
+
+
+def test_ledger_leaves_overweight_edges_to_verify_cover():
+    # no engine checks its own result: an edge above weight one converts
+    # and verify_cover is what reports it
+    g = complete_graph(4)
+    psi = g.triangle(0, 1, 2)
+    led = Ledger(2)
+    for _ in range(3):
+        led.give(psi, psi.edge_ids[0], 1)
+    f = led.to_assignment()
+    assert f.numerators == {psi.edge_ids[0]: 3}
+    report = verify_cover(g, f, 1)
+    assert not report.integrality_ok and not report.ok
+
+
+def test_spare_thirds_stop_without_donors():
+    # every packed triangle has spent its six thirds: the leftovers stay
+    # uncovered for verify_cover to report
+    g = complete_graph(4)
+    s = structure_of(g, [g.triangle(0, 1, 2)])
+    led = Ledger(3)
+    e01 = g.edge_id(0, 1)
+    led.give(s.packing.triangles[0], e01, 6)
+    _spend_spare_thirds(s, led)
+    assert led.numerators == {e01: 6}
+    report = verify_cover(g, led.to_assignment(), 1)
+    assert [t.vertices for t in report.failing] == [(0, 2, 3), (1, 2, 3)]

@@ -119,6 +119,36 @@ def test_gen_rejects_oversized_instance(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen", "--family", "glued_k4"],
+        ["gen", "--family", "lend_chain"],
+        ["gen", "--family", "glued_k4", "--length", "0"],
+        ["gen", "--family", "lend_chain", "--length", "0"],
+        ["gen", "--family", "complete"],
+        ["gen", "--family", "complete", "--n", "0"],
+        ["cover", "GRAPH", "--order", "1"],
+    ],
+    ids=[
+        "glued_k4 no length", "lend_chain no length", "glued_k4 length 0",
+        "lend_chain length 0", "complete no n", "complete n 0", "cover order 1",
+    ],
+)
+def test_bad_parameters_exit_code(tmp_path, capsys, args):
+    out = tmp_path / "out.txt"
+    args = [k6_file(tmp_path) if a == "GRAPH" else a for a in args]
+    code, _, stderr = run(capsys, *args, "--out", str(out))
+    assert code == 4 and stderr.startswith("error:")
+    assert not out.exists()
+
+
+def test_gen_bowtie(tmp_path, capsys):
+    out = tmp_path / "bowtie.txt"
+    code, stdout, _ = run(capsys, "gen", "--family", "bowtie", "--out", str(out))
+    assert code == 0 and "n=5 m=6" in stdout
+
+
 def test_input_error_exit_code(tmp_path, capsys):
     missing = str(tmp_path / "missing.txt")
     code, _, stderr = run(capsys, "pack", missing)

@@ -337,6 +337,19 @@ def test_discharge_and_pin_identity_when_no_demand():
     assert {e: cs.f(e) for e in range(g.m)} == before
 
 
+def test_discharge_and_pin_returns_when_stuck():
+    # with no free triangle left the loop returns where it is, and what
+    # it leaves short is verify_cover's to report
+    g = gnp(10, 0.5, 25)
+    s, cs, chains, ds = pipeline_state(g, list(local_search_packing(g, 0, 5).triangles))
+    demanding = list(ds.demanding)
+    assert demanding and check_demand_lemma(s, ds) is None
+    before = dict(cs.numerators)
+    ds.free.clear()
+    discharge_and_pin(s, cs, ds)
+    assert ds.demanding == demanding and cs.numerators == before
+
+
 def test_discharge_twice_rejected():
     g, p = _bridge_instance()
     s, cs, chains, ds = pipeline_state(g, list(p.triangles))

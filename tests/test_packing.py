@@ -19,6 +19,7 @@ from tricover import (
     verify_packing,
     verify_swap,
 )
+from tricover.graph import Triangle
 from tricover.generators import bowtie, complete_graph, glued_k4, gnp, lend_chain
 from tricover.order2 import (
     build_chains,
@@ -67,6 +68,38 @@ def test_improve_bowtie_zero_swap():
     assert cert is not None and cert.removed == ()
     assert cert.added == (g.triangle(2, 3, 4),)
     assert verify_swap(g, p, cert)
+
+
+def _bad_swaps():
+    """verify_swap's rejections, each against glued_k4(2) packed with
+    (0,1,2): a swap must add one more triangle than it removes, remove
+    only packed triangles, and leave an edge-disjoint packing of the
+    graph's own triangles, canonical vertices and edge ids included."""
+    g = glued_k4(2)
+    a, b = g.triangle(0, 1, 2), g.triangle(3, 4, 5)
+    ids = b.edge_ids
+    return {
+        "adds nothing": SwapCertificate((), ()),
+        "adds two for none": SwapCertificate((), (b, g.triangle(4, 5, 6))),
+        "removes an unpacked triangle": SwapCertificate((b,), (a, g.triangle(4, 5, 6))),
+        "adds two sharing an edge": SwapCertificate(
+            (a,), (g.triangle(0, 1, 3), g.triangle(0, 2, 3))
+        ),
+        "adds a packed edge": SwapCertificate((), (Triangle((3, 4, 5), a.edge_ids),)),
+        "vertices not a triangle": SwapCertificate((), (Triangle((0, 4, 5), ids),)),
+        "vertex out of range": SwapCertificate((), (Triangle((3, 4, 9), ids),)),
+        "vertices not sorted": SwapCertificate((), (Triangle((5, 4, 3), ids),)),
+        "edge ids not the graph's": SwapCertificate((), (Triangle((3, 4, 5), (97, 98, 99)),)),
+        "edge ids permuted": SwapCertificate((), (Triangle((3, 4, 5), ids[::-1]),)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_bad_swaps()))
+def test_verify_swap_rejects(name):
+    g = glued_k4(2)
+    p = Packing(g, [g.triangle(0, 1, 2)])
+    assert verify_swap(g, p, SwapCertificate((), (g.triangle(3, 4, 5),)))
+    assert not verify_swap(g, p, _bad_swaps()[name])
 
 
 def test_improve_k4_already_optimal():

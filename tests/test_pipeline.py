@@ -155,6 +155,24 @@ def test_repair_exhausted_surfaces_with_focus(monkeypatch):
         raise AssertionError("expected RepairExhaustedError")
 
 
+def test_overweight_engine_result_is_a_verify_repair(monkeypatch):
+    # an engine result that covers every triangle but puts 7/6 on an edge
+    # fails verify_cover alone; with nothing uncovered the swap search
+    # looks around every packed edge, and K4's packing is already maximum
+    import tricover.pipeline as pl
+    from tricover.charges import ChargeAssignment
+    from tricover.errors import RepairExhaustedError
+
+    g = complete_graph(4)
+    over = {g.edge_id(0, 1): 7, g.edge_id(2, 3): 6}
+    monkeypatch.setattr(pl, "charge_order6", lambda s: ChargeAssignment(6, over))
+    with pytest.raises(RepairExhaustedError) as info:
+        pl.cover(g, 6)
+    packed = pl.local_search_packing(g, 0, 5).triangles
+    assert info.value.detail == "verify"
+    assert info.value.focus_edges == {e for t in packed for e in t.edge_ids}
+
+
 def test_structure_swap_that_fails_verify_raises(monkeypatch):
     # a violation's swap is applied, not searched for; one that does not
     # verify is a bug and must surface as exit 3, not an assert
@@ -184,8 +202,7 @@ def test_repair_log_records_swaps():
 # one weak-search cover (seed 0, max_swap 1) per repair reason: both
 # structure kinds (a two-attachment swap only ever follows an owner swap,
 # since local search removes every 1-swap), an order-2 demand shape, and
-# an order-2 charge that fails verify on a structure-clean packing; no
-# internal engine error was reached in a sweep of 59400 such covers
+# an order-2 charge that fails verify on a structure-clean packing
 WEAK_SEARCH_REPAIRS = [
     ((10, 0.6, 0), 2, ["structure:OwnerSwap"]),
     ((9, 0.5, 242), 2, ["structure:OwnerSwap", "structure:TwoAttachments"]),
