@@ -232,7 +232,7 @@ def _spend_spare_thirds(s: SolutionStructure, led: Ledger) -> None:
     def uncovered() -> list[Triangle]:
         return [
             t
-            for t in s.nonsolution
+            for t in s.attachments
             if value(t.edge_ids[0]) + value(t.edge_ids[1]) + value(t.edge_ids[2]) < 3
         ]
 

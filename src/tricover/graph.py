@@ -7,8 +7,7 @@ from the same edge list is bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Hashable, TypeVar
+from typing import Callable, Hashable, NamedTuple, TypeVar
 
 from .errors import DuplicateEdgeError, SelfLoopError, VertexOutOfRangeError
 
@@ -17,12 +16,15 @@ MAX_VERTICES = 100_000  # largest header n that parse_edge_list accepts
 _T = TypeVar("_T")
 
 
-@dataclass(frozen=True, order=True)
-class Triangle:
-    """Canonical triangle: strictly increasing vertex triple plus its edge ids."""
+class Triangle(NamedTuple):
+    """Canonical triangle: strictly increasing vertex triple plus its edge ids.
+
+    A plain value: equality, hashing and ordering cover both fields, so a
+    triple with edge ids that are not the graph's is a different triangle.
+    """
 
     vertices: tuple[int, int, int]
-    edge_ids: tuple[int, int, int] = field(compare=False)
+    edge_ids: tuple[int, int, int]
 
     def __repr__(self) -> str:
         return "T{}".format(self.vertices)
@@ -31,10 +33,14 @@ class Triangle:
 class Graph:
     """Undirected simple graph with stable vertex and edge identifiers.
 
+    A graph holds its canonical edge list ``edges`` (``edges[i]`` is the
+    pair ``(a, b)`` with ``a < b`` of edge id ``i``) and ``edge_index``,
+    the inverse map from pair to id; it keeps no per-vertex state.
+
     A graph is not mutated after construction.  Derived results that are
     deterministic in the graph are therefore computed once per graph and
     kept in ``_memo`` through ``memo``; they live exactly as long as the
-    graph.  The entries are the triangle list (``"triangles"``, filled by
+    graph.  The entries are the triangle tuple (``"triangles"``, filled by
     ``enumerate_triangles``), the edge-id bitmask of each of those
     triangles (``"edge_masks"``, filled by ``edge_masks`` and read by
     ``packing.greedy_packing``, the swap search and ``oracles.nu_exact``),
@@ -51,7 +57,6 @@ class Graph:
         self.n = n
         self.edges: list[tuple[int, int]] = []
         self.edge_index: dict[tuple[int, int], int] = {}
-        adj_sets: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n) or not (0 <= v < n):
                 raise VertexOutOfRangeError(f"edge ({u},{v}) outside 0..{n - 1}")
@@ -62,34 +67,23 @@ class Graph:
                 raise DuplicateEdgeError(f"duplicate edge ({a},{b})")
             self.edge_index[(a, b)] = len(self.edges)
             self.edges.append((a, b))
-            adj_sets[a].add(b)
-            adj_sets[b].add(a)
         self.m = len(self.edges)
-        self.adjacency: list[list[int]] = [sorted(s) for s in adj_sets]
-        self._adj_sets = adj_sets
         self._memo: dict[Hashable, object] = {}
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj_sets[u] if 0 <= u < self.n else False
+        return ((u, v) if u < v else (v, u)) in self.edge_index
 
     def edge_id(self, u: int, v: int) -> int:
         """Edge id of {u,v}; KeyError if the edge does not exist."""
         return self.edge_index[(u, v) if u < v else (v, u)]
 
     def triangle(self, a: int, b: int, c: int) -> Triangle:
-        """The canonical Triangle on {a,b,c}; all three edges must exist."""
+        """The canonical Triangle on {a,b,c}; KeyError unless all three
+        edges exist."""
         x, y, z = sorted((a, b, c))
         return Triangle(
             (x, y, z),
             (self.edge_id(x, y), self.edge_id(x, z), self.edge_id(y, z)),
-        )
-
-    def is_triangle(self, a: int, b: int, c: int) -> bool:
-        return (
-            len({a, b, c}) == 3
-            and self.has_edge(a, b)
-            and self.has_edge(b, c)
-            and self.has_edge(a, c)
         )
 
     def __repr__(self) -> str:
@@ -117,13 +111,13 @@ def memo(g: Graph, key: Hashable, compute: Callable[[], _T]) -> _T:
     return g._memo[key]  # type: ignore[return-value]
 
 
-def enumerate_triangles(g: Graph) -> list[Triangle]:
+def enumerate_triangles(g: Graph) -> tuple[Triangle, ...]:
     """All triangles of ``g`` exactly once, in lexicographic triple order.
 
-    The triangles are found once per graph and kept in its memo as a
-    tuple; every call returns a new list, which the caller may reorder.
+    The triangles are found once per graph and kept in its memo; every
+    call returns that same tuple, shared by all callers.
     """
-    return list(memo(g, "triangles", lambda: _find_triangles(g)))
+    return memo(g, "triangles", lambda: _find_triangles(g))
 
 
 def edge_masks(g: Graph) -> tuple[int, ...]:
@@ -140,17 +134,22 @@ def edge_masks(g: Graph) -> tuple[int, ...]:
 
 
 def _find_triangles(g: Graph) -> tuple[Triangle, ...]:
-    """Neighbor intersection on sorted adjacency with u < v < w, so each
-    triangle is produced from its smallest vertex only."""
+    """Neighbour intersection with u < v < w, so each triangle is produced
+    from its smallest vertex only: ``higher[u]`` lists the neighbours of u
+    above u in increasing order, and the edge ids come from ``edge_index``."""
+    higher: list[list[int]] = [[] for _ in range(g.n)]
+    for a, b in g.edges:
+        higher[a].append(b)
+    index = g.edge_index
     out: list[Triangle] = []
-    for u in range(g.n):
-        nbrs = g.adjacency[u]
+    for u, nbrs in enumerate(higher):
+        nbrs.sort()
         for i, v in enumerate(nbrs):
-            if v < u:
-                continue
+            uv = index[u, v]
             for w in nbrs[i + 1 :]:
-                if g.has_edge(v, w):
-                    out.append(g.triangle(u, v, w))
+                vw = index.get((v, w))
+                if vw is not None:
+                    out.append(Triangle((u, v, w), (uv, index[u, w], vw)))
     return tuple(out)
 
 
@@ -171,8 +170,8 @@ def parse_edge_list(text: str) -> Graph:
     starting with '#' are ignored.  Malformed text raises
     VertexOutOfRangeError; a valid text with a bad edge raises it,
     SelfLoopError or DuplicateEdgeError.  The cap on n is checked before
-    any graph is built, since a graph allocates per-vertex state from the
-    header alone.
+    any graph is built: the triangle scan allocates one list per vertex,
+    so n bounds its memory whatever the number of edges.
     """
     rows: list[list[str]] = []
     for line in text.splitlines():

@@ -38,7 +38,7 @@ class OracleResult:
     nodes_explored: int
 
 
-def _triangles_capped(g: Graph, cap: int) -> list[Triangle]:
+def _triangles_capped(g: Graph, cap: int) -> tuple[Triangle, ...]:
     tris = enumerate_triangles(g)
     if len(tris) > cap:
         raise InstanceTooLargeError(f"{len(tris)} triangles exceeds cap {cap}")

@@ -364,7 +364,7 @@ def compute_demanding(s: SolutionStructure, chains: ChainSet) -> DemandState:
     base_edges_type1 = {s.info[psi].base for psi in s.packed_of_type(1)}
 
     demanding: list[Triangle] = []
-    for t in s.nonsolution:
+    for t in s.attachments:
         zero_edges = [
             e for e in t.edge_ids if (o := s.owner(e)) is not None and o in type0
         ]

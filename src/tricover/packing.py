@@ -91,11 +91,10 @@ def verify_packing(g: Graph, p: Packing) -> bool:
     and edge ids, and no edge is used twice."""
     seen: set[int] = set()
     for t in p.triangles:
-        a, b, c = t.vertices
-        if not g.is_triangle(a, b, c):
-            return False
-        canon = g.triangle(a, b, c)
-        if (canon.vertices, canon.edge_ids) != (t.vertices, t.edge_ids):
+        try:
+            if g.triangle(*t.vertices) != t:
+                return False
+        except KeyError:
             return False
         for e in t.edge_ids:
             if e in seen:
@@ -302,7 +301,7 @@ def targeted_swap(
     if not focus_edges:
         return None
     verts0 = {v for e in focus_edges for v in g.edges[e]}
-    verts1 = verts0.union(*(g.adjacency[v] for v in verts0))
+    verts1 = {v for edge in g.edges if not verts0.isdisjoint(edge) for v in edge}
     eligible = [t for t in p.triangles if not verts1.isdisjoint(t.vertices)]
     return _find_swap(g, p, eligible, max_swap)
 

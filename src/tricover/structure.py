@@ -66,14 +66,14 @@ class StructureViolation:
 class SolutionStructure:
     """A packing's classification; ``violations`` is ``check_structure``
     of it, computed once when the structure is made.  ``attachments``
-    maps each non-packed triangle to its owners, in sorted order."""
+    maps each non-packed triangle, in enumeration order, to its owners,
+    in sorted order."""
 
     g: Graph
     packing: Packing
     info: dict[Triangle, PackedInfo]
     attachments: dict[Triangle, tuple[Triangle, ...]]
     edge_owner: dict[int, Triangle]
-    nonsolution: tuple[Triangle, ...] = field(default=())
     violations: tuple[StructureViolation, ...] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -148,7 +148,6 @@ def build_structure(g: Graph, p: Packing) -> SolutionStructure:
         info=info,
         attachments=attachments,
         edge_owner=edge_owner,
-        nonsolution=tuple(attachments),
     )
 
 

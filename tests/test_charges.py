@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -12,10 +13,12 @@ from tricover import (
     build_structure,
     charge_order3,
     charge_order6,
+    cover,
     local_search_packing,
     run_order2,
     verify_cover,
 )
+from tricover import charges
 from tricover.charges import Ledger, _spend_spare_thirds
 from tricover.errors import StructureInvalidError
 from tricover.generators import complete_graph, gnp
@@ -173,6 +176,29 @@ def test_ledger_leaves_overweight_edges_to_verify_cover():
     assert f.numerators == {psi.edge_ids[0]: 3}
     report = verify_cover(g, f, 1)
     assert not report.integrality_ok and not report.ok
+
+
+def test_spare_thirds_outside_a_k5_graph(monkeypatch):
+    # the loop fires on gnp(15, 0.3, 970918) at default settings, not on
+    # K5 alone; the two type-1 triangles with several attachments span a
+    # K5, and their spare thirds lift two bridges from 1/3 to 2/3
+    g = gnp(15, 0.3, 970918)
+    r = cover(g, 3, seed=0)
+    assert r.repairs == 0 and r.report.ok
+    assert r.assignment.total() == 2 * len(r.packing) == 16
+    s = build_structure(g, r.packing)
+    multi = [psi for psi, i in s.info.items() if i.type == 1 and len(i.cl_sin) > 1]
+    assert [psi.vertices for psi in multi] == [(1, 3, 10), (1, 8, 11)]
+    k5 = {v for psi in multi for v in psi.vertices}
+    assert all(g.has_edge(u, v) for u, v in combinations(k5, 2))
+    monkeypatch.setattr(charges, "_spend_spare_thirds", lambda s, led: None)
+    main = charge_order3(s).numerators
+    moved = {
+        g.edges[e]: (main.get(e, 0), k)
+        for e, k in r.assignment.numerators.items()
+        if main.get(e, 0) != k
+    }
+    assert moved == {(1, 3): (1, 2), (1, 10): (1, 2)}
 
 
 def test_spare_thirds_stop_without_donors():

@@ -1,5 +1,7 @@
 """End-to-end CLI runs through main()."""
 
+import csv
+import dataclasses
 import json
 
 import pytest
@@ -79,6 +81,18 @@ def test_bench_reproducible(tmp_path, capsys):
     assert strip_ms(a.read_text()) == strip_ms(b.read_text())
 
 
+def test_bench_leaves_nu_empty_above_the_oracle_cap(tmp_path, capsys):
+    # K12 has 220 triangles, above the default cap of 200 of nu_exact
+    out = tmp_path / "bench.csv"
+    code, _, _ = run(
+        capsys, "bench", "--family", "complete", "--n", "12",
+        "--trials", "1", "--order", "3", "--out", str(out),
+    )
+    assert code == 0
+    (row,) = csv.DictReader(out.read_text().splitlines())
+    assert (row["nu"], row["nu_bound"], row["packing"]) == ("", "20", "20")
+
+
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_bench_rejects_non_positive_trials(tmp_path, capsys, trials):
     out = tmp_path / "bench.csv"
@@ -100,6 +114,20 @@ def test_repair_exhausted_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "cover", boom)
     code, _, stderr = run(capsys, "cover", k6_file(tmp_path), "--order", "2")
     assert code == 3 and "repair exhausted" in stderr
+
+
+def test_cover_exit_code_when_the_result_does_not_verify(tmp_path, capsys, monkeypatch):
+    import tricover.cli as cli
+
+    real_cover = cli.cover
+
+    def unverified(*a, **k):
+        r = real_cover(*a, **k)
+        return dataclasses.replace(r, report=dataclasses.replace(r.report, covered=False))
+
+    monkeypatch.setattr(cli, "cover", unverified)
+    code, stdout, stderr = run(capsys, "cover", k6_file(tmp_path), "--order", "2")
+    assert code == 2 and "sum_f" in stdout and "verification FAILED" in stderr
 
 
 @pytest.mark.parametrize(

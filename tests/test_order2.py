@@ -9,6 +9,7 @@ import pytest
 
 from tricover import (
     Packing,
+    Triangle,
     build_graph,
     build_structure,
     check_structure,
@@ -21,6 +22,7 @@ from tricover import (
 from tricover.errors import AlreadyPinnedError, AlreadySpentError, PinBaseEdgeError
 from tricover.generators import complete_graph, glued_k4, gnp, lend_chain
 from tricover.order2 import (
+    DemandState,
     build_chains,
     build_lend,
     check_demand_lemma,
@@ -328,6 +330,59 @@ def test_triangle_on_full_base_edge_not_demanding():
     assert verify_cover(g, cs.to_assignment(), len(p)).ok
 
 
+def _k4_shape_instance():
+    # type-0 triangle (0,1,2) and the apex 3 over all three of its edges:
+    # the spokes (1,3) and (2,3) are packed in (1,3,4) and (2,3,5) and the
+    # spoke (0,3) is free, so (1,2,3) is hollow and (0,1,3), (0,2,3) are
+    # doubly attached; all three packed triangles are type 0
+    g = build_graph(
+        6,
+        [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3), (1, 4), (3, 4), (2, 5), (3, 5)],
+    )
+    return g, [g.triangle(0, 1, 2), g.triangle(1, 3, 4), g.triangle(2, 3, 5)]
+
+
+def _demand(*triangles):
+    return DemandState(list(triangles), [], set(), {})
+
+
+def test_demand_lemma_accepts_the_k4_shape():
+    # (0,1,2) meets one hollow and two doubly attached triangles on its
+    # three edges; (1,3,4) and (2,3,5) each meet two that fan out from
+    # the spoke it packs
+    g, packed = _k4_shape_instance()
+    s = structure_of(g, packed)
+    assert s.violations == () and all(i.type == 0 for i in s.info.values())
+    k4 = [g.triangle(0, 1, 3), g.triangle(0, 2, 3), g.triangle(1, 2, 3)]
+    assert check_demand_lemma(s, _demand(*k4)) is None
+
+
+def _illegal_demand_shapes(g):
+    """Demand sets on (0,1,2) that fail the lemma, one per witness return.
+    Only the first can come from ``compute_demanding``, which lists
+    distinct triangles of the graph; the others repeat a triangle or give
+    one vertices that are not those of its edge ids."""
+    t013, t023, t123 = g.triangle(0, 1, 3), g.triangle(0, 2, 3), g.triangle(1, 2, 3)
+    return {
+        "two on a spoke": (t013, t023),
+        "two apices": (t013, t023, Triangle((1, 2, 4), t123.edge_ids)),
+        "apex not on every vertex": tuple(
+            Triangle((*t.vertices[:2], 4), t.edge_ids) for t in (t013, t023, t123)
+        ),
+        "two hollow, one doubly": (t123, t123, t013),
+        "two edges of the packed triangle": (t013, t013, t123),
+    }
+
+
+@pytest.mark.parametrize("name", list(_illegal_demand_shapes(_k4_shape_instance()[0])))
+def test_demand_lemma_witnesses_an_illegal_shape(name):
+    g, packed = _k4_shape_instance()
+    s = structure_of(g, packed)
+    dem = _illegal_demand_shapes(g)[name]
+    witness = {e for t in dem for e in t.edge_ids} | set(packed[0].edge_ids)
+    assert check_demand_lemma(s, _demand(*dem)) == witness
+
+
 def test_discharge_and_pin_identity_when_no_demand():
     g = complete_graph(4)
     s, cs, chains, ds = pipeline_state(g, [g.triangle(0, 1, 2)])
@@ -366,6 +421,17 @@ def test_pin_base_edge_rejected():
     tail = chains.chains[0].tail()
     with pytest.raises(PinBaseEdgeError):
         pin(ds, cs, tail, s.info[tail].base)
+    with pytest.raises(PinBaseEdgeError):
+        pin(ds, cs, tail, next(e for e in range(g.m) if e not in tail.edge_ids))
+
+
+def test_pin_type0_rejected():
+    g, packed = _k4_shape_instance()
+    s, cs, chains, ds = pipeline_state(g, packed)
+    psi = packed[0]
+    assert psi in ds.free and psi in ds.type0
+    with pytest.raises(PinBaseEdgeError):
+        pin(ds, cs, psi, g.edge_id(0, 1))
 
 
 def test_pin_twice_rejected():

@@ -91,6 +91,9 @@ def _bad_swaps():
         "vertices not sorted": SwapCertificate((), (Triangle((5, 4, 3), ids),)),
         "edge ids not the graph's": SwapCertificate((), (Triangle((3, 4, 5), (97, 98, 99)),)),
         "edge ids permuted": SwapCertificate((), (Triangle((3, 4, 5), ids[::-1]),)),
+        "removes a triangle with foreign edge ids": SwapCertificate(
+            (Triangle(a.vertices, (97, 98, 99)),), (g.triangle(0, 1, 3), b)
+        ),
     }
 
 
@@ -100,6 +103,15 @@ def test_verify_swap_rejects(name):
     p = Packing(g, [g.triangle(0, 1, 2)])
     assert verify_swap(g, p, SwapCertificate((), (g.triangle(3, 4, 5),)))
     assert not verify_swap(g, p, _bad_swaps()[name])
+
+
+def test_packing_membership_compares_edge_ids():
+    # a Triangle is a value over both fields: the packed triple under
+    # other edge ids is not a member
+    g = glued_k4(2)
+    a = g.triangle(0, 1, 2)
+    p = Packing(g, [a])
+    assert a in p and Triangle(a.vertices, (97, 98, 99)) not in p
 
 
 def test_improve_k4_already_optimal():
@@ -114,7 +126,7 @@ def test_improve_k6_from_size_three():
     rng = random.Random(11)
     p = None
     while p is None or len(p) != 3:
-        order = tris[:]
+        order = list(tris)
         rng.shuffle(order)
         chosen, used = [], set()
         for t in order:

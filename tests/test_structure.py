@@ -448,7 +448,7 @@ def test_build_structure_matches_reference(
         (t, att.owners) for t, att in ref.attachments.items()
     ]
     assert s.edge_owner == ref.edge_owner
-    assert s.nonsolution == ref.nonsolution
+    assert tuple(s.attachments) == ref.nonsolution
     assert check_structure(s) == list(s.violations)
 
 
