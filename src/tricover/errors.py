@@ -67,10 +67,10 @@ class InternalChargeError(TricoverError):
 
 
 class RepairExhaustedError(TricoverError):
-    """A repair failed: the swap escalation found no improving swap around
-    a failed demand-lemma check or verification (``detail`` "demand-shape"
-    or "verify"), a structure violation's own swap did not verify
-    ("structure-swap"), or the loop guard ran out ("loop-guard")."""
+    """A repair failed: the swap search found no improving swap around a
+    failed verification (``detail`` "verify"), a structure violation's own
+    swap did not verify ("structure-swap"), or the loop guard ran out
+    ("loop-guard")."""
 
     def __init__(self, message: str, focus_edges=(), detail=None):
         super().__init__(message)

@@ -307,10 +307,14 @@ def tau_star_k_exact(
         for e in es:
             eligible_tris[e].append(ti)
 
-    def propagate(fixed: int, trail: list[tuple[int, int]]) -> int | None:
+    def propagate(fixed: int, trail: list[tuple[int, int]]) -> int:
         """Forced raises after edge ``fixed`` was frozen; returns the added
-        units, or None when a triangle through it is deficient with no free
-        edge left."""
+        units.
+
+        Afterwards no deficient triangle has fewer than two free edges:
+        one that had two before the freeze has its last free edge raised
+        here, so a deficient triangle never runs out of free edges.
+        """
         # Only the one-free-edge rule can fire.  With two or more free
         # edges, room - deficit = (free - 1) * k + sum(frozen y) >= k > 0,
         # so no triangle needs all its free edges at k; with one free edge
@@ -321,8 +325,6 @@ def tau_star_k_exact(
             if d <= 0:
                 continue
             free = [e for e in tri_edges[ti] if not frozen[e]]
-            if not free:
-                return None
             if len(free) == 1:
                 e = free[0]
                 raise_edge(e, d)
@@ -331,7 +333,11 @@ def tau_star_k_exact(
         return added
 
     def analyze():
-        """(lower bound in units, per-edge deficient counts, target), or None."""
+        """(lower bound in units, per-edge deficient counts, target).
+
+        Every deficient triangle has room for its deficit (see
+        ``propagate``), so the bound never proves a node infeasible.
+        """
         nonlocal gen
         gen += 1
         units = 0
@@ -343,15 +349,11 @@ def tau_star_k_exact(
             if d <= 0:
                 continue
             total_deficiency += d
-            room = 0
             free = 0
             for e in tri_edges[ti]:
                 if not frozen[e]:
-                    room += k - y[e]
                     hot[e] += 1
                     free += 1
-            if room < d:
-                return None
             key = (free, -d, ti)
             if target_key is None or key < target_key:
                 target, target_key = ti, key
@@ -362,7 +364,9 @@ def tau_star_k_exact(
         if not total_deficiency:
             return 0, hot, None
         # fractional bound: one unit on an edge settles at most its count
-        # of deficient triangles, so spend capacity on the busiest first
+        # of deficient triangles, so spend capacity on the busiest first;
+        # sum(hot * capacity) is the deficient triangles' total room, at
+        # least their total deficiency, so the loop always breaks
         rem = total_deficiency
         frac = 0
         for e in sorted((e for e in range(m) if hot[e]), key=lambda e: -hot[e]):
@@ -372,10 +376,7 @@ def tau_star_k_exact(
                 rem -= capacity * hot[e]
             else:
                 frac += -(-rem // hot[e])
-                rem = 0
                 break
-        if rem > 0:
-            return None
         return max(units, frac), hot, target
 
     def dfs(units: int, fixed: int | None) -> None:
@@ -386,16 +387,10 @@ def tau_star_k_exact(
         trail: list[tuple[int, int]] = []
         try:
             if fixed is not None:
-                added = propagate(fixed, trail)
-                if added is None:
-                    return
-                units += added
+                units += propagate(fixed, trail)
             if units >= best_units:
                 return
-            info = analyze()
-            if info is None:
-                return
-            lb, hot, ti = info
+            lb, hot, ti = analyze()
             if max(units + lb, lp_floor) >= best_units:
                 return
             if ti is None:

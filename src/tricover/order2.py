@@ -7,7 +7,9 @@ spends the spare half credit of type-0 triangles while rotating the K4
 charges of the unsatisfied tails and of the type-3 triangles outside
 every chain.  A type-3 triangle outside every chain that the chain
 cascade settles (a fixed half lands on one of its spokes) is fixed for
-good and never rotated.
+good and never rotated.  The shape of the demanding set is not checked
+at run time: the loop covers what it can, and ``verify_cover`` alone
+judges the result.
 
 Charge bookkeeping is the shared ``charges.Ledger`` at order 2, so every
 numerator counts half credits: a half on an edge is numerator 1, a full
@@ -384,42 +386,6 @@ def compute_demanding(s: SolutionStructure, chains: ChainSet) -> DemandState:
     return DemandState(sorted(demanding), free, type0, tails)
 
 
-def check_demand_lemma(s: SolutionStructure, ds: DemandState) -> set[int] | None:
-    """None if every type-0 triangle's demanding set has one of the three
-    legal shapes; otherwise witness edges for the repair search."""
-    for psi in s.packed_of_type(0):
-        dem = ds.demanding_on(psi)
-        if len(dem) <= 1:
-            continue
-        for ix, t1 in enumerate(dem):
-            for t2 in dem[ix + 1 :]:
-                if not set(t1.edge_ids) & set(t2.edge_ids):
-                    return set(t1.edge_ids) | set(t2.edge_ids) | set(psi.edge_ids)
-        common = set(dem[0].edge_ids)
-        for t in dem[1:]:
-            common &= set(t.edge_ids)
-        if common and next(iter(common)) in psi.edge_ids:
-            continue
-        witness = {e for t in dem for e in t.edge_ids} | set(psi.edge_ids)
-        if len(dem) != 3:
-            return witness
-        extra = {v for t in dem for v in t.vertices} - set(psi.vertices)
-        if len(extra) != 1:
-            return witness
-        u = extra.pop()
-        if not all(s.g.has_edge(u, x) for x in psi.vertices):
-            return witness
-        hollow = sum(1 for t in dem if len(s.attachments[t]) == 3)
-        doubly = sum(1 for t in dem if len(s.attachments[t]) == 2)
-        if (hollow, doubly) not in ((3, 0), (1, 2)):
-            return witness
-        if {next(e for e in t.edge_ids if e in psi.edge_ids) for t in dem} != set(
-            psi.edge_ids
-        ):
-            return witness
-    return None
-
-
 def discharge(ds: DemandState, cs: ChargeState, psi0: Triangle, eid: int) -> None:
     """Spend the reserved half credit of type-0 ``psi0`` on edge ``eid``."""
     if psi0 not in ds.free or psi0 not in ds.type0:
@@ -564,18 +530,16 @@ class Order2Run:
     assignment: ChargeAssignment
 
 
-def run_order2(s: SolutionStructure) -> tuple[Order2Run, set[int] | None]:
+def run_order2(s: SolutionStructure) -> tuple[Order2Run, None]:
     """One pass of the whole order-2 pipeline on a fixed packing.
 
-    Returns the run and, when the demanding-structure check fails, the
-    witness edges (the assignment is then not built).
+    Whatever discharge-and-pin leaves short is ``verify_cover``'s to
+    report.  The second item is always None; the pair is kept only for
+    callers that still unpack one.
     """
     cs = initial_half_charge(s)
     lend = build_lend(s)
     chains = build_chains(s, lend, cs)
     ds = compute_demanding(s, chains)
-    witness = check_demand_lemma(s, ds)
-    if witness is not None:
-        return Order2Run(cs, chains, ds, ChargeAssignment(2, {})), witness
     discharge_and_pin(s, cs, ds)
     return Order2Run(cs, chains, ds, cs.to_assignment()), None

@@ -5,15 +5,13 @@ the structural facts, run the charging engine, verify the result
 exactly.  A structure violation carries its improving swap, which is
 applied after ``verify_swap``; a swap that fails is a bug and raises.
 The engines do not raise: ``verify_cover`` alone judges what they
-return.  A failed order-2 demand-lemma check (reason ``demand-shape``)
-focuses on its witness edges, and a failed verification (reason
-``verify``) on the first uncovered triangle, or on every packed edge
-when all triangles are covered.  A targeted swap search (escalating
-through larger swap sizes) around the focus must then improve the
-packing.  Either way the loop restarts, and since each repair grows the
-packing by one, it terminates.  Each repair is logged with its reason,
-its focus edges (for a structure repair, the edges of the swap's
-triangles) and the swap.
+return.  A failed verification (reason ``verify``) focuses on the first
+uncovered triangle, or on every packed edge when all triangles are
+covered, and a targeted swap search of size up to ``max_swap + 2``
+around the focus must then improve the packing.  Either way the loop
+restarts, and since each repair grows the packing by one, it
+terminates.  Each repair is logged with its reason, its focus edges (for
+a structure repair, the edges of the swap's triangles) and the swap.
 
 The local search is deterministic in (graph, seed, max_swap), so it runs
 once per graph: every order, and both halves of a composed order, start
@@ -34,8 +32,6 @@ from .oracles import compose_order_k
 from .order2 import run_order2
 from .packing import Packing, local_search_packing, targeted_swap, verify_swap
 from .structure import build_structure
-
-ESCALATION = (0, 1, 2)  # added to max_swap before giving up
 
 
 @dataclass
@@ -67,18 +63,6 @@ def _apply(g, packing, cert, focus, log, reason) -> Packing:
         }
     )
     return new_packing
-
-
-def _repair(g, packing, focus, max_swap, log, reason) -> Packing:
-    for bump in ESCALATION:
-        cert = targeted_swap(g, packing, set(focus), max_swap + bump)
-        if cert is not None:
-            return _apply(g, packing, cert, focus, log, reason)
-    raise RepairExhaustedError(
-        f"no improving swap up to size {max_swap + ESCALATION[-1]} around focus",
-        focus_edges=focus,
-        detail=reason,
-    )
 
 
 def cover(
@@ -137,11 +121,7 @@ def _cover_single(g, order, seed, max_swap) -> CoverResult:
         elif order == 3:
             assignment = charge_order3(s)
         else:
-            run, witness = run_order2(s)
-            if witness is not None:
-                packing = _repair(g, packing, witness, max_swap, log, "demand-shape")
-                continue
-            assignment = run.assignment
+            assignment = run_order2(s)[0].assignment
         report = verify_cover(g, assignment, len(packing))
         if report.ok:
             return CoverResult(packing, assignment, report, log)
@@ -149,7 +129,14 @@ def _cover_single(g, order, seed, max_swap) -> CoverResult:
             focus = set(report.failing[0].edge_ids)
         else:
             focus = {e for t in packing.triangles for e in t.edge_ids}
-        packing = _repair(g, packing, focus, max_swap, log, "verify")
+        cert = targeted_swap(g, packing, focus, max_swap + 2)
+        if cert is None:
+            raise RepairExhaustedError(
+                f"no improving swap up to size {max_swap + 2} around focus",
+                focus_edges=focus,
+                detail="verify",
+            )
+        packing = _apply(g, packing, cert, focus, log, "verify")
     raise RepairExhaustedError("repair loop did not converge", detail="loop-guard")
 
 

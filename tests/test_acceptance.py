@@ -26,7 +26,6 @@ from tricover.generators import bowtie, complete_graph, glued_k4, gnp, lend_chai
 from tricover.order2 import (
     build_chains,
     build_lend,
-    check_demand_lemma,
     compute_demanding,
     initial_half_charge,
 )
@@ -160,6 +159,31 @@ def test_criterion_6_rounding():
           f"({time.time() - t0:.1f}s)")
 
 
+def demand_lemma_violation(s, ds):
+    """The first type-0 triangle whose demanding set has an illegal shape,
+    or None.
+
+    Reduced to the sets ``compute_demanding`` can give: distinct triangles
+    of the graph, each on one edge of the type-0 triangle psi.  Such a set
+    is legal iff it has at most one triangle, or no two of its triangles
+    are edge-disjoint and they either share an edge of psi or number
+    exactly three.  Three that pairwise share an edge, with no edge of
+    psi common to all, are one apex over the three edges of psi and
+    adjacent to all of psi; since psi is type 0, at most one spoke is
+    unowned, so the hollow and doubly attached counts are (3, 0) or
+    (1, 2): the K4 shape.
+    """
+    for psi in s.packed_of_type(0):
+        dem = ds.demanding_on(psi)
+        if len(dem) <= 1:
+            continue
+        if any(not set(a.edge_ids) & set(b.edge_ids) for a, b in combinations(dem, 2)):
+            return psi
+        if not set(psi.edge_ids).intersection(*(t.edge_ids for t in dem)) and len(dem) != 3:
+            return psi
+    return None
+
+
 def test_criterion_7_structure_postconditions():
     t0 = time.time()
     for name, g in suite_instances():
@@ -169,7 +193,7 @@ def test_criterion_7_structure_postconditions():
         cs = initial_half_charge(s)
         chains = build_chains(s, build_lend(s), cs)
         ds = compute_demanding(s, chains)
-        assert check_demand_lemma(s, ds) is None, name
+        assert demand_lemma_violation(s, ds) is None, name
     print(f"ACCEPTANCE 7 PASS: structure and demand checks clean on the suite "
           f"({time.time() - t0:.1f}s)")
 

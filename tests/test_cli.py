@@ -5,10 +5,14 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tricover.cli import main
 from tricover.generators import complete_graph
 from tricover.graph import write_edge_list
+
+from test_pipeline import JSON_VALUES
 
 
 def run(capsys, *argv):
@@ -283,3 +287,19 @@ def test_verify_rejects_too_deeply_nested_json(tmp_path, capsys):
     cert.write_text("[" * 200000)
     code, stdout, stderr = run(capsys, "verify", graph, str(cert))
     assert code == 4 and stderr.startswith("error:") and stdout == ""
+
+
+@settings(
+    max_examples=200, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(raw=st.binary(max_size=64) | JSON_VALUES.map(lambda v: json.dumps(v).encode()))
+def test_verify_on_random_bytes_exits_2_or_4(tmp_path, capsys, raw):
+    # bytes that are not UTF-8 JSON are an input error, JSON that is not
+    # a certificate fails verification; neither may end in a traceback
+    graph = k6_file(tmp_path)
+    cert = tmp_path / "raw.json"
+    cert.write_bytes(raw)
+    code, stdout, stderr = run(capsys, "verify", graph, str(cert))
+    assert (code, stdout) in ((2, ""), (4, ""))
+    assert stderr.startswith("FAIL: " if code == 2 else "error:")

@@ -9,7 +9,6 @@ import pytest
 
 from tricover import (
     Packing,
-    Triangle,
     build_graph,
     build_structure,
     check_structure,
@@ -25,7 +24,6 @@ from tricover.order2 import (
     DemandState,
     build_chains,
     build_lend,
-    check_demand_lemma,
     compute_demanding,
     discharge,
     discharge_and_pin,
@@ -33,6 +31,8 @@ from tricover.order2 import (
     pin,
     run_order2,
 )
+
+from test_acceptance import demand_lemma_violation
 
 F = Fraction
 HALF = F(1, 2)
@@ -295,7 +295,6 @@ def test_demanding_set_on_bridge_instance():
     s, cs, chains, ds = pipeline_state(g, list(p.triangles))
     bridge = g.triangle(1, 2, 3)
     assert bridge in ds.demanding
-    assert check_demand_lemma(s, ds) is None
     discharge_and_pin(s, cs, ds)
     assert ds.demanding == []
     f = cs.to_assignment()
@@ -308,7 +307,6 @@ def test_demanding_empty_when_all_satisfied():
     p = local_search_packing(g, 0, 5)
     s, cs, chains, ds = pipeline_state(g, list(p.triangles))
     assert ds.demanding == []
-    assert check_demand_lemma(s, ds) is None
 
 
 def test_triangle_on_full_base_edge_not_demanding():
@@ -354,24 +352,13 @@ def test_demand_lemma_accepts_the_k4_shape():
     s = structure_of(g, packed)
     assert s.violations == () and all(i.type == 0 for i in s.info.values())
     k4 = [g.triangle(0, 1, 3), g.triangle(0, 2, 3), g.triangle(1, 2, 3)]
-    assert check_demand_lemma(s, _demand(*k4)) is None
+    assert demand_lemma_violation(s, _demand(*k4)) is None
 
 
 def _illegal_demand_shapes(g):
-    """Demand sets on (0,1,2) that fail the lemma, one per witness return.
-    Only the first can come from ``compute_demanding``, which lists
-    distinct triangles of the graph; the others repeat a triangle or give
-    one vertices that are not those of its edge ids."""
-    t013, t023, t123 = g.triangle(0, 1, 3), g.triangle(0, 2, 3), g.triangle(1, 2, 3)
-    return {
-        "two on a spoke": (t013, t023),
-        "two apices": (t013, t023, Triangle((1, 2, 4), t123.edge_ids)),
-        "apex not on every vertex": tuple(
-            Triangle((*t.vertices[:2], 4), t.edge_ids) for t in (t013, t023, t123)
-        ),
-        "two hollow, one doubly": (t123, t123, t013),
-        "two edges of the packed triangle": (t013, t013, t123),
-    }
+    """Demand sets on (0,1,2) that fail the lemma and that
+    ``compute_demanding`` can give: distinct triangles of the graph."""
+    return {"two on a spoke": (g.triangle(0, 1, 3), g.triangle(0, 2, 3))}
 
 
 @pytest.mark.parametrize("name", list(_illegal_demand_shapes(_k4_shape_instance()[0])))
@@ -379,8 +366,7 @@ def test_demand_lemma_witnesses_an_illegal_shape(name):
     g, packed = _k4_shape_instance()
     s = structure_of(g, packed)
     dem = _illegal_demand_shapes(g)[name]
-    witness = {e for t in dem for e in t.edge_ids} | set(packed[0].edge_ids)
-    assert check_demand_lemma(s, _demand(*dem)) == witness
+    assert demand_lemma_violation(s, _demand(*dem)) == packed[0]
 
 
 def test_discharge_and_pin_identity_when_no_demand():
@@ -398,7 +384,7 @@ def test_discharge_and_pin_returns_when_stuck():
     g = gnp(10, 0.5, 25)
     s, cs, chains, ds = pipeline_state(g, list(local_search_packing(g, 0, 5).triangles))
     demanding = list(ds.demanding)
-    assert demanding and check_demand_lemma(s, ds) is None
+    assert demanding
     before = dict(cs.numerators)
     ds.free.clear()
     discharge_and_pin(s, cs, ds)

@@ -21,16 +21,8 @@ from tricover import (
 )
 from tricover.graph import Triangle
 from tricover.generators import bowtie, complete_graph, glued_k4, gnp, lend_chain
-from tricover.order2 import (
-    build_chains,
-    build_lend,
-    check_demand_lemma,
-    compute_demanding,
-    initial_half_charge,
-)
 from tricover import packing
 from tricover.packing import _disjoint_selection, _nu_bound
-from tricover.structure import build_structure, check_structure
 
 from test_acceptance import suite_instances
 
@@ -181,23 +173,6 @@ def test_targeted_swap_on_locally_optimal_k6():
     g = complete_graph(6)
     p = local_search_packing(g, 0, 5)
     assert targeted_swap(g, p, set(range(g.m)), 5) is None
-
-
-def test_targeted_swap_repairs_demand_violation():
-    # fuzz-found: a greedy packing that passes the structural checks but
-    # violates the demanding-triangle lemma; the witness edges localize
-    # an improving swap
-    g = gnp(7, 0.6, 4)
-    p = greedy_packing(g, 4)
-    s = build_structure(g, p)
-    assert check_structure(s) == []
-    cs = initial_half_charge(s)
-    chains = build_chains(s, build_lend(s), cs)
-    ds = compute_demanding(s, chains)
-    witness = check_demand_lemma(s, ds)
-    assert witness is not None
-    cert = targeted_swap(g, p, witness, 5)
-    assert cert is not None and verify_swap(g, p, cert)
 
 
 def test_local_search_terminates_within_edge_bound():

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tricover.charges as charges
@@ -141,7 +141,7 @@ def test_certificate_rejects_wrong_graph():
 
 def test_repair_exhausted_surfaces_with_focus(monkeypatch):
     # force the order-6 engine to emit a useless assignment on an optimal
-    # packing: no improving swap can exist, so escalation must give up
+    # packing: no improving swap can exist, so the swap search must give up
     import tricover.pipeline as pl
     from tricover.charges import ChargeAssignment
     from tricover.errors import RepairExhaustedError
@@ -202,19 +202,19 @@ def test_repair_log_records_swaps():
 
 # one weak-search cover (seed 0, max_swap 1) per repair reason: both
 # structure kinds (a two-attachment swap only ever follows an owner swap,
-# since local search removes every 1-swap), an order-2 demand shape, and
-# an order-2 charge that fails verify on a structure-clean packing
+# since local search removes every 1-swap) and an order-2 charge that
+# fails verify on a structure-clean packing
 WEAK_SEARCH_REPAIRS = [
     ((10, 0.6, 0), 2, ["structure:OwnerSwap"]),
     ((9, 0.5, 242), 2, ["structure:OwnerSwap", "structure:TwoAttachments"]),
-    ((10, 0.6, 15), 2, ["demand-shape"]),
     ((12, 0.5, 150), 2, ["verify", "structure:OwnerSwap"]),
 ]
 
 
 def test_weak_search_repair_logs_pinned():
-    # sha256 over each cover's full repair log, packing and numerators,
-    # computed when structure violations first carried their swaps
+    # sha256 over each cover's full repair log, packing and numerators;
+    # these three rows are unchanged since structure violations first
+    # carried their swaps
     rows = []
     for args, order, reasons in WEAK_SEARCH_REPAIRS:
         r = cover(gnp(*args), order, seed=0, max_swap=1)
@@ -228,7 +228,24 @@ def test_weak_search_repair_logs_pinned():
             )
         )
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert digest == "d549534571c35130cd1bac9ea781a25a5d6817b5375f0b76a03c2d146f532a83"
+    assert digest == "227b90b81e0a233b3366554313262ec8ad5d342e8e7b2f094f59e330c3f0cc75"
+
+
+# structure-clean weak-search packings whose demanding sets a run-time
+# demand-lemma check used to reject, so each cover once logged a swap
+# repair; discharge-and-pin covers all three as they are
+@pytest.mark.parametrize(
+    "args, seed, size, total",
+    [
+        ((9, 0.7, 84734), 13, 6, Fraction(23, 2)),
+        ((13, 0.7, 837263), 97, 14, Fraction(49, 2)),
+        ((14, 0.5, 542570), 58, 11, Fraction(20)),
+    ],
+)
+def test_order2_covers_without_repair(args, seed, size, total):
+    r = cover(gnp(*args), 2, seed=seed, max_swap=1)
+    assert r.report.ok and r.repair_log == []
+    assert (len(r.packing), r.assignment.total()) == (size, total)
 
 
 def _count_calls(monkeypatch, module, name):
@@ -249,7 +266,7 @@ def _outputs(r):
 
 
 # the last two repair the shared packing: structure swaps at every
-# order, and an engine repair (a demand shape) at order 2 only.  No
+# order, and an engine repair (a failed verification) at order 2 only.  No
 # weak-search cover repairs at order 6 alone any more: every repair in a
 # sweep of 59400 max_swap=1 covers at orders 2, 3 and 6 was a structure
 # swap, made at all three orders, or an order-2 engine repair
@@ -259,7 +276,7 @@ def _outputs(r):
         (gnp(11, 0.5, 2), 0, 5, [0, 0, 0]),
         (lend_chain(3), 0, 5, [0, 0, 0]),
         (gnp(10, 0.6, 2), 3, 1, [2, 2, 2]),
-        (gnp(8, 0.5, 147), 3, 1, [1, 0, 0]),
+        (gnp(12, 0.5, 150), 0, 1, [2, 0, 0]),
     ],
 )
 def test_orders_share_one_local_search(monkeypatch, g, seed, max_swap, repairs):
@@ -469,6 +486,51 @@ def test_checker_agrees_with_reference_on_every_certificate():
         assert outcome.ok and (outcome.ok, outcome.messages) == _reference_verify_certificate(
             g, obj
         )
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_checker_rejects_raw_json(data):
+    # any JSON value in place of the whole certificate, of one field, of
+    # one verdict field, or of the first packing or weight row or its
+    # first entry: the checker never raises, and it rejects every value
+    # that cannot be right.  Fields it does not read, a verdict object,
+    # and integers or rows of them in the packing or weights may still
+    # give a valid certificate.
+    certs = _certificates()
+    text, cert = certs[data.draw(st.integers(0, len(certs) - 1))]
+    obj = json.loads(cert)
+    assume(obj["packing"])  # a cover of total 0 holds for every order
+    g = parse_edge_list(text)
+    paths = [()] + [(k,) for k in obj] + [("verdict", k) for k in obj["verdict"]]
+    paths += [(k, 0, *tail) for k in ("packing", "weights") for tail in ((), (0,))]
+    path = data.draw(st.sampled_from(paths))
+    value = data.draw(JSON_VALUES)
+    if path:
+        slot = functools.reduce(lambda o, k: o[k], path[:-1], obj)
+        assume(json.dumps(value) != json.dumps(slot[path[-1]]))
+        slot[path[-1]] = value
+    else:
+        obj = value
+    outcome = verify_certificate(g, obj)
+    may_pass = (
+        path[:1] in (("n",), ("m",), ("repair_log",))
+        or path[1:] in (("covered",), ("budget_ok",), ("integrality_ok",))
+        or (path == ("verdict",) and type(value) is dict)
+        or (
+            path[:1] in (("packing",), ("weights",))
+            and (type(value) is int or checker._int_rows(value) or checker._int_rows([value]))
+        )
+    )
+    assert not outcome.ok or may_pass
 
 
 _PACKAGE = Path(checker.__file__).parent
