@@ -53,12 +53,13 @@ class Report:
         return self.covered and self.budget_ok and self.integrality_ok
 
 
-def uncovered_triangles(g: Graph, f: ChargeAssignment) -> tuple[Triangle, ...]:
+def uncovered_triangles(g: Graph, f: ChargeAssignment | Ledger) -> tuple[Triangle, ...]:
     """The triangles of ``g`` with weight below one under ``f``, in order.
 
-    Weights are numerators over ``f.order``, so a triangle has weight at
-    least one exactly when its three edges' numerators sum to at least
-    the order: the rational test, made on integers.
+    Weights are numerators over ``f.order``, in an assignment or a ledger
+    alike, so a triangle has weight at least one exactly when its three
+    edges' numerators sum to at least the order: the rational test, made
+    on integers.
     """
     get = f.numerators.get
     order = f.order
@@ -158,10 +159,8 @@ def charge_order6(s: SolutionStructure) -> ChargeAssignment:
                 led.give(psi, i.base, 6)
             else:
                 led.give(psi, i.base, 4)
-                t = i.cl_sin[0]
-                for e in t.edge_ids:
-                    if s.owner(e) is not psi:
-                        led.give(psi, e, 1)
+                for e in i.legs:
+                    led.give(psi, e, 1)
         else:
             for e in s.k4_region_edges(psi):
                 led.give(psi, e, 2)
@@ -177,7 +176,6 @@ def charge_order3(s: SolutionStructure) -> ChargeAssignment:
     non-base edge, otherwise the non-base edge alone gets 2/3.
     """
     require_clean(s)
-    g = s.g
     led = Ledger(3)
     singles: list[Triangle] = []
     for psi in s.packing.triangles:
@@ -198,12 +196,11 @@ def charge_order3(s: SolutionStructure) -> ChargeAssignment:
 
     for psi in sorted(singles):
         i = s.info[psi]
-        u, v = g.edges[i.base]
-        w = next(x for x in psi.vertices if x not in (u, v))
+        u, v = s.g.edges[i.base]
         led.give(psi, i.base, 2)
-        for end in (u, v):
-            leg = g.edge_id(end, i.anchor)
-            own_nonbase = g.edge_id(end, w)
+        for end, other in ((u, v), (v, u)):
+            leg = s.spoke(psi, end)
+            own_nonbase = psi.opposite(other)
             if led.numerators.get(leg, 0) == 0:
                 led.give(psi, leg, 1)
                 led.give(psi, own_nonbase, 1)
@@ -229,13 +226,6 @@ def _spend_spare_thirds(s: SolutionStructure, led: Ledger) -> None:
     def value(eid: int) -> int:
         return led.numerators.get(eid, 0)
 
-    def uncovered() -> list[Triangle]:
-        return [
-            t
-            for t in s.attachments
-            if value(t.edge_ids[0]) + value(t.edge_ids[1]) + value(t.edge_ids[2]) < 3
-        ]
-
     def donors() -> list[Triangle]:
         # a donor has a third to spare: at most 5 of its 6 thirds placed
         return [
@@ -244,7 +234,7 @@ def _spend_spare_thirds(s: SolutionStructure, led: Ledger) -> None:
             if sum(led.contrib.get(psi, {}).values()) <= 5
         ]
 
-    missing = uncovered()
+    missing = uncovered_triangles(s.g, led)
     while missing:
         pool = donors()
         if not pool:
@@ -261,4 +251,4 @@ def _spend_spare_thirds(s: SolutionStructure, led: Ledger) -> None:
         donor = donor_owners[0] if donor_owners else pool[0]
         led.give(donor, eid, 1)
         # every round spends one third, so the spare pool bounds the loop
-        missing = uncovered()
+        missing = uncovered_triangles(s.g, led)

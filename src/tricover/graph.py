@@ -26,6 +26,15 @@ class Triangle(NamedTuple):
     vertices: tuple[int, int, int]
     edge_ids: tuple[int, int, int]
 
+    # edge_ids[i] is the side that misses vertices[2 - i]
+    def opposite(self, x: int) -> int:
+        """The side that misses vertex ``x``."""
+        return self.edge_ids[2 - self.vertices.index(x)]
+
+    def off(self, e: int) -> int:
+        """The vertex off side ``e``."""
+        return self.vertices[2 - self.edge_ids.index(e)]
+
     def __repr__(self) -> str:
         return "T{}".format(self.vertices)
 

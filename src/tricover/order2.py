@@ -28,26 +28,14 @@ from dataclasses import dataclass, field
 
 from .charges import ChargeAssignment, Ledger, require_clean
 from .errors import AlreadyPinnedError, AlreadySpentError, PinBaseEdgeError
-from .graph import Graph, Triangle
+from .graph import Triangle
 from .structure import SolutionStructure
 
 
 # ---------------------------------------------------------------------------
-# charge state
+# initial charge
 
-class ChargeState(Ledger):
-    """The order-2 ledger of one packing's structure."""
-
-    def __init__(self, s: SolutionStructure):
-        super().__init__(2)
-        self.structure = s
-        self.g: Graph = s.g
-
-    def satisfied(self, psi: Triangle) -> bool:
-        return all(self.numerators.get(e, 0) >= 1 for e in psi.edge_ids)
-
-
-def initial_half_charge(s: SolutionStructure) -> ChargeState:
+def initial_half_charge(s: SolutionStructure) -> Ledger:
     """Tentative half-integral distribution before chains are grown.
 
     type-0: 1/2 on each edge (half a credit kept in reserve).
@@ -56,8 +44,7 @@ def initial_half_charge(s: SolutionStructure) -> ChargeState:
     of the smallest vertex with the opposite solution edge.
     """
     require_clean(s)
-    cs = ChargeState(s)
-    g = s.g
+    cs = Ledger(2)
     for psi in s.packing.triangles:
         i = s.info[psi]
         if i.type == 0:
@@ -67,12 +54,9 @@ def initial_half_charge(s: SolutionStructure) -> ChargeState:
             m[i.base] = 2
             cs.replace(psi, m)
         else:
-            a = i.anchor
-            smin = min(psi.vertices)
-            null_spoke = g.edge_id(smin, a)
-            null_solution = next(
-                e for e in psi.edge_ids if smin not in g.edges[e]
-            )
+            smin = psi.vertices[0]
+            null_spoke = s.spoke(psi, smin)
+            null_solution = psi.opposite(smin)
             m = {
                 e: 1
                 for e in s.k4_region_edges(psi)
@@ -109,8 +93,7 @@ def build_lend(s: SolutionStructure) -> dict[Triangle, LendArc]:
         i = s.info[psi]
         if i.type != 1 or len(i.cl_sin) != 1:
             continue
-        u, v = g.edges[i.base]
-        c = next(x for x in psi.vertices if x not in (u, v))
+        c = psi.off(i.base)
         a = i.anchor
         if a is None or not g.has_edge(c, a):
             continue
@@ -130,8 +113,6 @@ class ChainLink:
     psi: Triangle
     gain: int  # g_i, an edge of the predecessor
     legs: tuple[int, int]  # non-solution edges of the attachment
-    # own edge given 1/2 when a successor joins; on an unsatisfied tail, its spare half
-    h: int | None = None
     e1: int | None = None  # leg fixed to 1/2 when a successor joins
 
 
@@ -158,16 +139,8 @@ class ChainSet:
     settled: set[Triangle]  # type-3 triangles outside every chain fixed by the cascade
 
 
-def _legs_of(s: SolutionStructure, psi: Triangle) -> tuple[int, int]:
-    """Non-solution edges of the unique attachment of a type-1 triangle."""
-    i = s.info[psi]
-    w = i.cl_sin[0]
-    legs = tuple(sorted(e for e in w.edge_ids if s.owner(e) is not psi))
-    return legs  # type: ignore[return-value]
-
-
 def build_chains(
-    s: SolutionStructure, lend: dict[Triangle, LendArc], cs: ChargeState
+    s: SolutionStructure, lend: dict[Triangle, LendArc], cs: Ledger
 ) -> ChainSet:
     """Grow all chains on ``cs``, satisfy what can be satisfied, truncate
     the rest.
@@ -179,11 +152,10 @@ def build_chains(
     them would satisfy a triangle with credit that later disappears.
 
     An unsatisfied tail puts its spare half on the lower-id of its two
-    non-base edges, ``link.h``.  The choice follows edge ids alone: the
-    same graph read with its edges in reverse order picks the other one,
-    and its cover verifies all the same.
+    non-base edges and the other on the leg away from it.  The choice
+    follows edge ids alone, and the other choice can cover where this one
+    needs a repair: ``gnp(12, 0.5, 150)`` at seed 0 and ``max_swap`` 1.
     """
-    g = s.g
     chains: list[Chain] = []
     chained: set[Triangle] = set()  # heads and links of every chain
     settled: set[Triangle] = set()
@@ -196,7 +168,10 @@ def build_chains(
 
     def eligible_lender(psi: Triangle) -> bool:
         """A candidate may extend a chain while an attachment leg is unfixed."""
-        return any(e not in fixed_half for e in _legs_of(s, psi))
+        return any(e not in fixed_half for e in s.info[psi].legs)
+
+    def satisfied(psi: Triangle) -> bool:
+        return all(cs.numerators.get(e, 0) >= 1 for e in psi.edge_ids)
 
     def fix(edges: list[int]) -> None:
         fixed_half.update(edges)
@@ -225,7 +200,7 @@ def build_chains(
             # settle unsatisfied type-3 triangles outside every chain with
             # a half on this spoke: each own edge and one more spoke get 1/2
             unsatisfied = sorted(
-                psi for psi in threes if psi not in chained and not cs.satisfied(psi)
+                psi for psi in threes if psi not in chained and not satisfied(psi)
             )
             for psi in unsatisfied:
                 spokes = s.k4_region_edges(psi)[3:]
@@ -243,7 +218,7 @@ def build_chains(
         edge; returns the base."""
         base = s.info[arc.src].base
         cs.replace(arc.src, {arc.gain: 1, base: 1})
-        chain.links.append(ChainLink(arc.src, arc.gain, _legs_of(s, arc.src)))
+        chain.links.append(ChainLink(arc.src, arc.gain, s.info[arc.src].legs))
         chained.add(arc.src)
         return base
 
@@ -252,7 +227,7 @@ def build_chains(
         for psi, arc in lend.items():
             if s.info[arc.dst].type != 3:
                 continue
-            if cs.satisfied(arc.dst) or arc.dst in chained:
+            if satisfied(arc.dst) or arc.dst in chained:
                 continue
             if psi in chained or not eligible_lender(psi):
                 continue
@@ -266,7 +241,7 @@ def build_chains(
         arc = starts[0]
         head = arc.dst
         spokes = s.k4_region_edges(head)[3:]
-        null_spoke = g.edge_id(arc.common_vertex, s.info[head].anchor)
+        null_spoke = s.spoke(head, arc.common_vertex)
         half_spokes = tuple(sorted(e for e in spokes if e != null_spoke))
         # the lender's half sits on the gain edge, like in every later
         # step, so a pin of this triangle keeps the head region intact
@@ -302,13 +277,12 @@ def build_chains(
                 chain.terminated = True
                 break  # unsatisfied chain; tail's spare credit placed later
             nxt = growers[0]
-            prev_link = chain.links[-1]
             h_prev = next(
                 e for e in tail.edge_ids if e not in (s.info[tail].base, nxt.gain)
             )
-            hx = set(g.edges[h_prev])
-            e1_prev = next(e for e in prev_link.legs if set(g.edges[e]) & hx)
-            prev_link.h, prev_link.e1 = h_prev, e1_prev
+            # the leg at the base end that h_prev and the base share
+            e1_prev = s.spoke(tail, tail.off(nxt.gain))
+            chain.links[-1].e1 = e1_prev
             cs.give(tail, h_prev, 1)
             cs.give(tail, e1_prev, 1)
             base_n = join(chain, nxt)
@@ -319,14 +293,10 @@ def build_chains(
     for chain in chains:
         if chain.satisfied:
             continue
-        link = chain.links[-1]
-        tail = link.psi
+        tail = chain.tail()
         h_k = min(e for e in tail.edge_ids if e != s.info[tail].base)
-        hx = set(g.edges[h_k])
-        far_leg = next(e for e in link.legs if not (set(g.edges[e]) & hx))
         cs.give(tail, h_k, 1)
-        cs.give(tail, far_leg, 1)
-        link.h = h_k
+        cs.give(tail, s.spoke(tail, tail.off(h_k)), 1)  # the leg away from h_k
 
     return ChainSet(chains, settled)
 
@@ -338,8 +308,10 @@ def build_chains(
 class DemandState:
     """The demand set D, the free set A, and the roles in A: the type-0
     triangles and the unsatisfied tails (with their links); every other
-    free triangle is a rotatable type-3 triangle."""
+    free triangle is a rotatable type-3 triangle.  ``s`` is the structure
+    they belong to."""
 
+    s: SolutionStructure
     demanding: list[Triangle]
     free: list[Triangle]
     type0: set[Triangle]
@@ -361,32 +333,23 @@ def compute_demanding(s: SolutionStructure, chains: ChainSet) -> DemandState:
     tails = {c.tail(): c.links[-1] for c in chains.chains if not c.satisfied}
     heads = {c.head for c in chains.chains}
     free_threes = set(s.packed_of_type(3)) - heads - chains.settled
-    flexible_owners = tails.keys() | free_threes
-    half_edges = set().union(*(c.half_nonsolution_edges() for c in chains.chains))
-    base_edges_type1 = {s.info[psi].base for psi in s.packed_of_type(1)}
-
-    demanding: list[Triangle] = []
-    for t in s.attachments:
-        zero_edges = [
-            e for e in t.edge_ids if (o := s.owner(e)) is not None and o in type0
-        ]
-        if len(zero_edges) != 1:
-            continue
-        ok = True
-        for e in t.edge_ids:
-            o = s.owner(e)
-            if o is not None and o not in type0 and o not in flexible_owners:
-                ok = False
-            if e in base_edges_type1 or e in half_edges:
-                ok = False
-        if ok:
-            demanding.append(t)
-
-    free = sorted(type0 | flexible_owners)
-    return DemandState(sorted(demanding), free, type0, tails)
+    free = type0 | tails.keys() | free_threes
+    blocked = {s.info[psi].base for psi in s.packed_of_type(1)}.union(
+        *(c.half_nonsolution_edges() for c in chains.chains)
+    )
+    # a non-packed triangle shares at most one edge with each owner, so
+    # its owners count its type-0 edges
+    demanding = [
+        t
+        for t, owners in s.attachments.items()
+        if sum(o in type0 for o in owners) == 1
+        and all(o in free for o in owners)
+        and blocked.isdisjoint(t.edge_ids)
+    ]
+    return DemandState(s, sorted(demanding), sorted(free), type0, tails)
 
 
-def discharge(ds: DemandState, cs: ChargeState, psi0: Triangle, eid: int) -> None:
+def discharge(ds: DemandState, cs: Ledger, psi0: Triangle, eid: int) -> None:
     """Spend the reserved half credit of type-0 ``psi0`` on edge ``eid``."""
     if psi0 not in ds.free or psi0 not in ds.type0:
         raise AlreadySpentError(f"{psi0} is not a free type-0 triangle")
@@ -395,11 +358,11 @@ def discharge(ds: DemandState, cs: ChargeState, psi0: Triangle, eid: int) -> Non
     covered = ds.demanding_on_edge(eid)
     ds.demanding = [t for t in ds.demanding if t not in covered]
     ds.log.append(
-        {"op": "discharge", "triangle": list(psi0.vertices), "edge": list(cs.g.edges[eid])}
+        {"op": "discharge", "triangle": list(psi0.vertices), "edge": list(ds.s.g.edges[eid])}
     )
 
 
-def pin(ds: DemandState, cs: ChargeState, psi: Triangle, eid: int) -> None:
+def pin(ds: DemandState, cs: Ledger, psi: Triangle, eid: int) -> None:
     """Re-fix the K4 half-integral charge of ``psi`` so ``eid`` is null.
 
     The opposite spoke of the K4 goes null with it; for an unsatisfied
@@ -411,43 +374,25 @@ def pin(ds: DemandState, cs: ChargeState, psi: Triangle, eid: int) -> None:
         raise PinBaseEdgeError(f"{psi} is type-0, cannot pin")
     if eid not in psi.edge_ids:
         raise PinBaseEdgeError(f"edge {eid} not on {psi}")
-    g = cs.g
-    i = cs.structure.info[psi]
+    s = ds.s
+    i = s.info[psi]
     if psi in ds.tails:
         if eid == i.base:
             raise PinBaseEdgeError("cannot pin the base edge of a tail triangle")
-        u, v = g.edges[i.base]
-        x = next(w for w in g.edges[eid] if w in (u, v))
-        y = v if x == u else u
-        c = next(w for w in psi.vertices if w not in (u, v))
-        m = {
-            i.base: 1,
-            ds.tails[psi].gain: 1,
-            g.edge_id(y, c): 1,
-            g.edge_id(x, i.anchor): 1,
-        }
+        # the third side keeps its half, with the spoke of the base end off it
+        third = next(e for e in psi.edge_ids if e not in (i.base, eid))
+        m = {i.base: 1, ds.tails[psi].gain: 1, third: 1, s.spoke(psi, psi.off(third)): 1}
     else:
-        opposite = next(w for w in psi.vertices if w not in g.edges[eid])
-        null_spoke = g.edge_id(opposite, i.anchor)
-        m = {
-            e: 1
-            for e in cs.structure.k4_region_edges(psi)
-            if e not in (eid, null_spoke)
-        }
+        null_spoke = s.spoke(psi, psi.off(eid))
+        m = {e: 1 for e in s.k4_region_edges(psi) if e not in (eid, null_spoke)}
     cs.replace(psi, m)
     ds.free.remove(psi)
     ds.log.append(
-        {"op": "pin", "triangle": list(psi.vertices), "edge": list(g.edges[eid])}
+        {"op": "pin", "triangle": list(psi.vertices), "edge": list(s.g.edges[eid])}
     )
 
 
-def _type0_edge_of(s: SolutionStructure, t: Triangle, type0: set[Triangle]) -> int:
-    return next(
-        e for e in t.edge_ids if (o := s.owner(e)) is not None and o in type0
-    )
-
-
-def discharge_and_pin(s: SolutionStructure, cs: ChargeState, ds: DemandState) -> None:
+def discharge_and_pin(s: SolutionStructure, cs: Ledger, ds: DemandState) -> None:
     """Cover every demanding triangle, spending each free triangle at most once.
 
     Where no step applies it returns, leaving the rest of the demand
@@ -495,13 +440,12 @@ def discharge_and_pin(s: SolutionStructure, cs: ChargeState, ds: DemandState) ->
             ds.demanding = [t for t in ds.demanding if t not in covered]
 
             t_i = ds.demanding_on_edge(e_i)[0]
-            e0 = _type0_edge_of(s, t_i, type0)
-            psi0 = s.owner(e0)
-            x = set(cs.g.edges[e_i]) & set(cs.g.edges[e0])
-            if psi0 not in ds.free or len(x) != 1:
+            psi0 = next(o for o in s.attachments[t_i] if o in type0)
+            if psi0 not in ds.free:
                 return
-            xv = x.pop()
-            e_far = next(e for e in psi0.edge_ids if xv not in cs.g.edges[e])
+            # e_i meets psi0 in one vertex; the far edge of psi0 misses it
+            (xv,) = set(s.g.edges[e_i]).intersection(psi0.vertices)
+            e_far = psi0.opposite(xv)
             discharge(ds, cs, psi0, e_i)
             leftovers = ds.demanding_on_edge(e_far)
             if not leftovers:
@@ -524,7 +468,7 @@ def discharge_and_pin(s: SolutionStructure, cs: ChargeState, ds: DemandState) ->
 
 @dataclass
 class Order2Run:
-    charge: ChargeState
+    charge: Ledger
     chains: ChainSet
     demand: DemandState
     assignment: ChargeAssignment

@@ -62,7 +62,7 @@ class SwapCertificate:
 
 
 class Packing:
-    """A set of pairwise edge-disjoint triangles."""
+    """A set of pairwise edge-disjoint triangles, each listed once."""
 
     def __init__(self, g: Graph, triangles: list[Triangle]):
         self.g = g
@@ -74,6 +74,9 @@ class Packing:
                 if e in used:
                     raise ValueError(f"edge {e} used twice in packing")
                 used.add(e)
+        # checked after the edges, so a shared edge is reported first, as in checker
+        if len(self.triangles) != len(triangles):
+            raise ValueError("a triangle is listed twice")
         self.used_edges: frozenset[int] = frozenset(used)
 
     def __len__(self) -> int:

@@ -86,11 +86,10 @@ def cover(
         extra = _cover_single(g, 3, seed, max_swap)
         f3 = extra.assignment
     composed = compose_order_k(f2, f3, order)
-    sizes = [len(r.packing) for r in (base, extra) if r is not None]
     biggest = max(
         (r for r in (base, extra) if r is not None), key=lambda r: len(r.packing)
     )
-    report = verify_cover(g, composed, max(sizes))
+    report = verify_cover(g, composed, len(biggest.packing))
     log = (base.repair_log if base else []) + (extra.repair_log if extra else [])
     return CoverResult(biggest.packing, composed, report, log)
 

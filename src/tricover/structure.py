@@ -55,6 +55,13 @@ class PackedInfo:
         (b,) = self.base_edges
         return b
 
+    @property
+    def legs(self) -> tuple[int, int]:
+        """The two sides of the unique attachment of a type-1 triangle off
+        its base: the spokes of the base's ends to the anchor."""
+        (w,) = self.cl_sin
+        return tuple(e for e in w.edge_ids if e != self.base)  # type: ignore[return-value]
+
 
 @dataclass(frozen=True)
 class StructureViolation:
@@ -85,14 +92,16 @@ class SolutionStructure:
     def packed_of_type(self, k: int) -> list[Triangle]:
         return [t for t in self.packing.triangles if self.info[t].type == k]
 
+    def spoke(self, psi: Triangle, x: int) -> int:
+        """The edge from vertex ``x`` to the anchor of ``psi``."""
+        return self.g.edge_id(x, self.info[psi].anchor)  # type: ignore[arg-type]
+
     def k4_region_edges(self, psi: Triangle) -> list[int]:
         """Edge ids of the K4 induced by V(psi) and its anchor: psi's own
         three edges, then the three spokes to the anchor."""
-        a = self.info[psi].anchor
-        if a is None:
+        if self.info[psi].anchor is None:
             raise ValueError(f"{psi} has no anchor")
-        spokes = [self.g.edge_id(x, a) for x in psi.vertices]
-        return list(psi.edge_ids) + spokes
+        return list(psi.edge_ids) + [self.spoke(psi, x) for x in psi.vertices]
 
 
 def _apex(t: Triangle, psi: Triangle) -> int:

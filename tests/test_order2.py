@@ -72,10 +72,19 @@ def fixed_charge(s):
     return {e: v for e, v in cs.numerators.items() if v and e not in flexible}
 
 
+def spare_half(s, chain):
+    """The non-base edge of an unsatisfied tail that gets its spare half:
+    the lower-id one."""
+    tail = chain.tail()
+    return min(e for e in tail.edge_ids if e != s.info[tail].base)
+
+
 def spare_edge(s, chain):
     """The non-base edge of an unsatisfied tail that gets no spare half."""
-    link = chain.links[-1]
-    return next(e for e in link.psi.edge_ids if e not in (s.info[link.psi].base, link.h))
+    tail = chain.tail()
+    return next(
+        e for e in tail.edge_ids if e not in (s.info[tail].base, spare_half(s, chain))
+    )
 
 
 def members(chain):
@@ -260,7 +269,7 @@ def test_f_fix_zeroes_unsatisfied_tail_region():
     chain = chains.chains[0]
     link = chain.links[-1]
     assert fix.get(spare_edge(s, chain), 0) == 0
-    assert fix.get(link.h, 0) == 0
+    assert fix.get(spare_half(s, chain), 0) == 0
     for leg in link.legs:
         assert fix.get(leg, 0) == 0
     assert fix.get(s.info[link.psi].base, 0) == 1  # numerator 1 is HALF at order 2
@@ -340,8 +349,8 @@ def _k4_shape_instance():
     return g, [g.triangle(0, 1, 2), g.triangle(1, 3, 4), g.triangle(2, 3, 5)]
 
 
-def _demand(*triangles):
-    return DemandState(list(triangles), [], set(), {})
+def _demand(s, *triangles):
+    return DemandState(s, list(triangles), [], set(), {})
 
 
 def test_demand_lemma_accepts_the_k4_shape():
@@ -352,7 +361,7 @@ def test_demand_lemma_accepts_the_k4_shape():
     s = structure_of(g, packed)
     assert s.violations == () and all(i.type == 0 for i in s.info.values())
     k4 = [g.triangle(0, 1, 3), g.triangle(0, 2, 3), g.triangle(1, 2, 3)]
-    assert demand_lemma_violation(s, _demand(*k4)) is None
+    assert demand_lemma_violation(s, _demand(s, *k4)) is None
 
 
 def _illegal_demand_shapes(g):
@@ -366,7 +375,7 @@ def test_demand_lemma_witnesses_an_illegal_shape(name):
     g, packed = _k4_shape_instance()
     s = structure_of(g, packed)
     dem = _illegal_demand_shapes(g)[name]
-    assert demand_lemma_violation(s, _demand(*dem)) == packed[0]
+    assert demand_lemma_violation(s, _demand(s, *dem)) == packed[0]
 
 
 def test_discharge_and_pin_identity_when_no_demand():
@@ -626,7 +635,7 @@ def test_tail_renaming_invariance():
             s, _, chains, _ = pipeline_state(h, list(r.packing.triangles))
             chain = chains.chains[0]
             named.append(
-                (set(h.edges[chain.links[-1].h]), set(h.edges[spare_edge(s, chain)]))
+                (set(h.edges[spare_half(s, chain)]), set(h.edges[spare_edge(s, chain)]))
             )
         (h0, g0), (h1, g1) = named
         assert h0 == g1 and g0 == h1

@@ -106,6 +106,17 @@ def test_packing_membership_compares_edge_ids():
     assert a in p and Triangle(a.vertices, (97, 98, 99)) not in p
 
 
+def test_packing_rejects_a_triangle_listed_twice():
+    # a repeated triangle is not folded into a smaller packing; a shared
+    # edge is still reported first, as the certificate checker does
+    g = glued_k4(2)
+    a, b = g.triangle(0, 1, 2), g.triangle(0, 1, 3)
+    with pytest.raises(ValueError, match="a triangle is listed twice"):
+        Packing(g, [a, a])
+    with pytest.raises(ValueError, match="used twice in packing"):
+        Packing(g, [a, b, a])
+
+
 def test_improve_k4_already_optimal():
     g = complete_graph(4)
     p = Packing(g, [g.triangle(0, 1, 2)])

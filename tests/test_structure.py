@@ -452,6 +452,33 @@ def test_build_structure_matches_reference(
     assert check_structure(s) == list(s.violations)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(6, 14),
+    density=st.sampled_from([0.3, 0.5, 0.7]),
+    graph_seed=st.integers(0, 10**6),
+    order_seed=st.integers(0, 100),
+    source=st.sampled_from(["greedy", "swap1", "swap2", "drop_one"]),
+    data=st.data(),
+)
+def test_k4_geometry_helpers(n, density, graph_seed, order_seed, source, data):
+    # the sides, spokes and legs that the charging engines read
+    g = gnp(n, density, graph_seed)
+    s = build_structure(g, _packing(g, source, order_seed, data))
+    for t in enumerate_triangles(g):
+        for x in t.vertices:
+            (side,) = [e for e in t.edge_ids if x not in g.edges[e]]
+            assert t.opposite(x) == side
+        for e in t.edge_ids:
+            (v,) = set(t.vertices) - set(g.edges[e])
+            assert t.off(e) == v
+    for psi, i in s.info.items():
+        if i.type != 1 or len(i.cl_sin) != 1:
+            continue
+        assert i.legs == tuple(e for e in i.cl_sin[0].edge_ids if s.owner(e) is not psi)
+        assert set(i.legs) == {s.spoke(psi, x) for x in g.edges[i.base]}
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     n=st.integers(6, 40),
