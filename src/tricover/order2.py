@@ -112,7 +112,6 @@ def build_lend(s: SolutionStructure) -> dict[Triangle, LendArc]:
 class ChainLink:
     psi: Triangle
     gain: int  # g_i, an edge of the predecessor
-    legs: tuple[int, int]  # non-solution edges of the attachment
     e1: int | None = None  # leg fixed to 1/2 when a successor joins
 
 
@@ -193,7 +192,7 @@ def build_chains(
             e = queue.pop(0)
             # terminated, still unsatisfied chains whose tail attachment touches e
             for c in chains:
-                if c.terminated and not c.satisfied and e in c.links[-1].legs:
+                if c.terminated and not c.satisfied and e in s.info[c.tail()].legs:
                     satisfy(c)
             if s.owner(e) is not None:
                 continue
@@ -218,7 +217,7 @@ def build_chains(
         edge; returns the base."""
         base = s.info[arc.src].base
         cs.replace(arc.src, {arc.gain: 1, base: 1})
-        chain.links.append(ChainLink(arc.src, arc.gain, s.info[arc.src].legs))
+        chain.links.append(ChainLink(arc.src, arc.gain))
         chained.add(arc.src)
         return base
 
@@ -262,7 +261,7 @@ def build_chains(
 
         while True:
             tail = chain.tail()
-            if any(e in fixed_half for e in chain.links[-1].legs):
+            if any(e in fixed_half for e in s.info[tail].legs):
                 satisfy(chain)  # and truncate: the chain grows no further
                 cascade()
                 break

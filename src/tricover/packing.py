@@ -33,6 +33,31 @@ order, and a cut only drops branches without a selection, so the first
 selection found, and with it every swap, is the one a plain in-order
 backtracking scan finds.
 
+The search returns a free triangle first and then tries removal sizes
+r = 1, 2, ... in order, stopping at the first swap.  So when it reaches
+size r, no connected removal set smaller than r has a selection, and
+then every removed triangle ρ of a size-r swap (R, A) shares an edge
+with at least two triangles of A.  Suppose ρ shared an edge with at most
+one, a.  Drop ρ and a (or any triangle of A if none touches ρ): the r
+triangles left use only free edges and edges of R minus ρ.  For r = 1 the
+one left is a free triangle.  Otherwise none is free, and each conflicts
+only with candidates in one vertex-sharing component of R minus ρ,
+because two edges of a triangle meet in a vertex; by pigeonhole some
+component C holds more than |C| of them: a connected improving swap of
+size below r, which the search would have returned.  Two triangles of A
+on ρ are edge-disjoint, so they use two distinct edges of ρ.  The
+requirement masks of a candidate's edge follow: for each listed triangle
+through the edge, the other candidates it conflicts with, kept when
+minimal.  A removal set has a selection only if each member has two edges
+with a mask inside the set.  From size 2 on, the removal sets are grown
+with a cut as soon as a taken member has fewer than two edges with a
+mask that the ids still open to the branch can fill within the slots
+left, and a candidate with fewer than two edges with a mask is never
+removed.  The sets that remain come in the same order, so the first swap
+found is unchanged.  The masks are built when a search first reaches
+size 2, since most searches end before it, and are kept per edge: their
+unions over two edges run to hundreds per candidate on dense graphs.
+
 Before any of that, the search compares the packing with an upper bound
 on ν kept in the graph's memo.  Join two edges when they lie in a common
 triangle; every triangle then lies inside one of the resulting
@@ -137,34 +162,94 @@ def greedy_packing(g: Graph, order_seed: int = 0) -> Packing:
     return Packing(g, chosen)
 
 
-def _connected_subsets(nbrs: list[int], size: int):
-    """Connected size-`size` subsets of the vertex-sharing graph on ids 0..c-1.
+def _requirements(
+    candidates: tuple[Triangle, ...] | list[Triangle],
+    tris: tuple[Triangle, ...],
+    owner: list[int],
+    listed: list[list[tuple[int, int]]],
+) -> list[list[list[int]]]:
+    """The requirement masks (module docstring) of each candidate's edges.
 
-    ``nbrs[i]`` is the bitmask of the ids sharing a vertex with ``i``.
-    Each subset is produced once, as its ids in the order taken plus its
-    bitmask: grown from its lowest id, the frontier extended only with
-    higher ids, and every frontier member either taken now or excluded
-    from the rest of this root's search tree.  Frontier members are taken
-    lowest id first.
+    A listed triangle through a candidate's edge can join a selection
+    only once the other candidates it conflicts with are removed too.
+    Each candidate gets one list of minimal masks per edge that has any.
+    """
+    masks_at: dict[int, set[int]] = {}
+    for entries in listed:
+        for i, conflict in entries:
+            for e in tris[i].edge_ids:
+                if bit := owner[e]:
+                    masks_at.setdefault(e, set()).add(conflict ^ bit)
+    return [
+        [_minimal(masks_at[e]) for e in t.edge_ids if e in masks_at] for t in candidates
+    ]
+
+
+def _minimal(masks: set[int]) -> list[int]:
+    """The masks that contain no other one, fewest bits first."""
+    kept: list[int] = []
+    for q in sorted(masks, key=int.bit_count):
+        for k in kept:
+            if not k & ~q:
+                break
+        else:
+            kept.append(q)
+    return kept
+
+
+def _removal_sets(nbrs: list[int], reqs: list[list[list[int]]], size: int):
+    """Connected size-`size` removal sets whose members can each lose two edges.
+
+    ``nbrs[i]`` is the bitmask of the ids sharing a vertex with ``i`` and
+    ``reqs[i]`` the requirement masks of its edges.  Each set is produced
+    once, as its ids in the order taken plus its bitmask: grown from its
+    lowest id, the frontier extended only with higher ids, and every
+    frontier member either taken now or excluded from the rest of this
+    root's search tree.  Frontier members are taken lowest id first.  A
+    branch is cut as soon as a taken member has fewer than two edges with
+    a mask that the ids still open to it (taken, or above the root and
+    not excluded) can fill within the slots left, and an id with fewer
+    than two edges with a mask is never taken.  The sets a cut drops have
+    no selection, and the others come in the same order.
     """
 
+    def fits(members: tuple[int, ...], taken: int, excluded: int, slots: int) -> bool:
+        closed = ~(taken | (allowed & ~excluded))
+        for m in members:
+            hit = 0
+            for masks in reqs[m]:
+                for q in masks:
+                    if not q & closed and (q & ~taken).bit_count() <= slots:
+                        hit += 1
+                        break
+                if hit == 2:
+                    break
+            else:
+                return False
+        return True
+
     def grow(current: tuple[int, ...], taken: int, frontier: int, excluded: int):
-        if len(current) == size:
-            yield current, taken
-            return
+        slots = size - len(current) - 1  # left once the next member is taken
         todo = frontier & ~excluded
         while todo:
             low = todo & -todo
             t = low.bit_length() - 1
+            now = current + (t,)
             now_taken = taken | low
-            nxt = (frontier | (nbrs[t] & allowed)) & ~now_taken
-            yield from grow(current + (t,), now_taken, nxt, excluded)
+            if fits(now, now_taken, excluded, slots):
+                if slots:
+                    nxt = (frontier | (nbrs[t] & allowed)) & ~now_taken
+                    yield from grow(now, now_taken, nxt, excluded)
+                else:
+                    yield now, now_taken
             excluded |= low
             todo ^= low
 
+    live = sum(1 << i for i, edges in enumerate(reqs) if len(edges) > 1)
     for root in range(len(nbrs)):
-        allowed = -2 << root  # every id above root
-        yield from grow((root,), 1 << root, nbrs[root] & allowed, 0)
+        if live >> root & 1:
+            allowed = live & (-2 << root)  # every live id above root
+            yield from grow((), 0, 1 << root, 0)
 
 
 def _disjoint_selection(masks: list[int], need: int) -> list[int] | None:
@@ -278,7 +363,13 @@ def _find_swap(
             listed[(conflict & -conflict).bit_length() - 1].append((i, conflict))
 
     for r in range(1, max_swap + 1):
-        for removal, rm in _connected_subsets(nbrs, r):
+        if r == 1:
+            sets = (((c,), 1 << c) for c in range(len(candidates)))
+        else:
+            if r == 2:  # built only now: most searches end before size 2
+                reqs = _requirements(candidates, tris, owner, listed)
+            sets = _removal_sets(nbrs, reqs, r)
+        for removal, rm in sets:
             pool = sorted(
                 i for c in removal for i, conflict in listed[c] if not conflict & ~rm
             )

@@ -270,7 +270,7 @@ def test_f_fix_zeroes_unsatisfied_tail_region():
     link = chain.links[-1]
     assert fix.get(spare_edge(s, chain), 0) == 0
     assert fix.get(spare_half(s, chain), 0) == 0
-    for leg in link.legs:
+    for leg in s.info[link.psi].legs:
         assert fix.get(leg, 0) == 0
     assert fix.get(s.info[link.psi].base, 0) == 1  # numerator 1 is HALF at order 2
     assert fix.get(link.gain, 0) == 1

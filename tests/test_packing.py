@@ -241,12 +241,12 @@ def test_nu_bound_pins(g, bound, nu):
 
 
 def test_swap_search_skipped_when_packing_meets_nu_bound(monkeypatch):
-    def no_search(nbrs, size):
+    def no_search(nbrs, reqs, size):
         raise RuntimeError("swap search ran")
 
     k7, k5 = complete_graph(7), complete_graph(5)
     p7, p5 = local_search_packing(k7, 0, 5), local_search_packing(k5, 0, 5)
-    monkeypatch.setattr(packing, "_connected_subsets", no_search)
+    monkeypatch.setattr(packing, "_removal_sets", no_search)
     assert len(p7) == _nu_bound(k7) == 7
     assert targeted_swap(k7, p7, set(range(k7.m)), 5) is None
     # K5's bound of 3 is above its ν of 2, so the search still runs there
@@ -429,3 +429,58 @@ def test_swap_search_matches_reference(
     focus = data.draw(st.sets(st.sampled_from(range(g.m)), max_size=4)) if g.m else set()
     assert any_swap(g, p, max_swap) == _ref_find_swap(g, p, max_swap)
     assert targeted_swap(g, p, focus, max_swap) == _ref_targeted_swap(g, p, focus, max_swap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    chain=st.booleans(),
+    size=st.integers(6, 12),
+    density=st.sampled_from([0.3, 0.5, 0.7]),
+    graph_seed=st.integers(0, 10**6),
+    order_seed=st.integers(0, 100),
+    max_swap=st.integers(1, 3),
+)
+def test_repair_search_matches_reference(
+    chain, size, density, graph_seed, order_seed, max_swap
+):
+    # cover's repair search on a local-search packing, two sizes past the
+    # search that made it: the removal sets it tries from size 2 on are
+    # pruned to those whose every member can lose two edges
+    if chain:
+        g = _relabeled(lend_chain(size - 5), graph_seed)
+    else:
+        g = gnp(size, density, graph_seed)
+    p = local_search_packing(g, order_seed, max_swap)
+    focus = set(range(g.m))
+    assert targeted_swap(g, p, focus, max_swap + 2) == _ref_targeted_swap(
+        g, p, focus, max_swap + 2
+    )
+
+
+def test_candidate_hit_on_one_edge_is_never_removed(monkeypatch):
+    # 012 and 234 can lose only the edge each shares with the non-packed
+    # 123; next to them K5 on 5..9, packed with two triangles, keeps the ν
+    # bound above |P|, so the search runs through size 2 and finds nothing
+    edges = [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (1, 3)]
+    edges += [(u, v) for u in range(5, 10) for v in range(u + 1, 10)]
+    g = build_graph(10, edges)
+    packed = [g.triangle(*vs) for vs in [(0, 1, 2), (2, 3, 4), (5, 6, 7), (5, 8, 9)]]
+    p = Packing(g, packed)
+    assert len(p) < _nu_bound(g)
+    tried = []
+    removal_sets = packing._removal_sets
+
+    def recording(nbrs, reqs, size):
+        for removal, rm in removal_sets(nbrs, reqs, size):
+            tried.append(removal)
+            yield removal, rm
+
+    monkeypatch.setattr(packing, "_removal_sets", recording)
+    assert any_swap(g, p, 3) is None
+    assert tried == [(2, 3)]  # the two K5 triangles, ids 2 and 3
+    # the unpruned enumeration also removes 012 and 234 together
+    nbrs = {
+        t: {u for u in packed if u != t and set(u.vertices) & set(t.vertices)}
+        for t in packed
+    }
+    assert (packed[0], packed[1]) in _ref_connected_subsets(packed, nbrs, 2)
