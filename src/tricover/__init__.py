@@ -15,29 +15,15 @@ from .graph import (
 )
 from .oracles import (
     OracleResult,
-    compose_order_k,
     nu_exact,
     round_third_integral,
     tau_exact,
     tau_star_k_exact,
 )
 from .order2 import run_order2
-from .packing import (
-    Packing,
-    SwapCertificate,
-    greedy_packing,
-    local_search_packing,
-    targeted_swap,
-    verify_packing,
-    verify_swap,
-)
+from .packing import Packing, greedy_packing, local_search_packing, verify_packing
 from .pipeline import CoverResult, cover, certificate_obj
-from .structure import (
-    SolutionStructure,
-    StructureViolation,
-    build_structure,
-    check_structure,
-)
+from .structure import SolutionStructure, build_structure, check_structure
 
 __version__ = "0.1.0"
 
@@ -50,8 +36,6 @@ __all__ = [
     "Packing",
     "Report",
     "SolutionStructure",
-    "StructureViolation",
-    "SwapCertificate",
     "Triangle",
     "build_graph",
     "build_structure",
@@ -59,7 +43,6 @@ __all__ = [
     "charge_order3",
     "charge_order6",
     "check_structure",
-    "compose_order_k",
     "cover",
     "enumerate_triangles",
     "format_edge_list",
@@ -71,12 +54,10 @@ __all__ = [
     "read_edge_list",
     "round_third_integral",
     "run_order2",
-    "targeted_swap",
     "tau_exact",
     "tau_star_k_exact",
     "verify_certificate",
     "verify_cover",
     "verify_packing",
-    "verify_swap",
     "write_edge_list",
 ]

@@ -6,10 +6,10 @@ all verification is exact rational arithmetic.  Every charging engine
 (orders 6, 3 and 2) books its credits on one ``Ledger``: each packed
 triangle places numerators on nearby edges, its contributions are kept
 apart from everyone else's so a triangle's whole share can be replaced,
-and contributions from different packed triangles accumulate per edge.
-No engine checks its own result: ``verify_cover`` is the single check
-that every triangle is covered, the budget holds and no edge went above
-weight one.
+and contributions from different packed triangles accumulate per edge;
+the ledger's read-out caps each edge at weight one.  No engine checks
+its own result: ``verify_cover`` is the single check that every
+triangle is covered, the budget holds and no edge is above weight one.
 """
 
 from __future__ import annotations
@@ -120,10 +120,17 @@ class Ledger:
         return Fraction(sum(self.contrib.get(psi, {}).values()), self.order)
 
     def to_assignment(self) -> ChargeAssignment:
+        """The booked credits with every edge capped at weight one.
+
+        An edge at weight one covers each triangle through it alone, so
+        the cap keeps every triangle covered and can only lower the total.
+        ``per_triangle`` is what each triangle placed, before the cap.
+        """
+        nums = {e: v for e, v in self.numerators.items() if v}
+        if max(nums.values(), default=0) > self.order:
+            nums = {e: min(v, self.order) for e, v in nums.items()}
         return ChargeAssignment(
-            self.order,
-            {e: v for e, v in self.numerators.items() if v},
-            {psi: self.spent(psi) for psi in self.contrib},
+            self.order, nums, {psi: self.spent(psi) for psi in self.contrib}
         )
 
 

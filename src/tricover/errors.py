@@ -37,22 +37,6 @@ class NotThirdIntegralError(TricoverError):
     pass
 
 
-class MissingInputError(TricoverError):
-    pass
-
-
-class PinBaseEdgeError(TricoverError):
-    pass
-
-
-class AlreadyPinnedError(TricoverError):
-    pass
-
-
-class AlreadySpentError(TricoverError):
-    pass
-
-
 class InternalChargeError(TricoverError):
     """No longer raised by the library.
 
@@ -67,10 +51,12 @@ class InternalChargeError(TricoverError):
 
 
 class RepairExhaustedError(TricoverError):
-    """A repair failed: the swap search found no improving swap around a
-    failed verification (``detail`` "verify"), a structure violation's own
-    swap did not verify ("structure-swap"), or the loop guard ran out
-    ("loop-guard")."""
+    """A repair failed.  ``detail`` says where: "verify" for a failed
+    verification that no swap mends, either because every triangle is
+    covered (an engine fault) or because the swap search found no
+    improving swap around the first uncovered triangle; "structure-swap"
+    for a structure violation's own swap that did not verify; and
+    "loop-guard" for a repair loop that ran out."""
 
     def __init__(self, message: str, focus_edges=(), detail=None):
         super().__init__(message)

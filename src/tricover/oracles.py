@@ -1,5 +1,5 @@
-"""Exact brute-force baselines for small instances, plus rounding and
-order composition.
+"""Exact brute-force baselines for small instances, plus the rounding of
+third-integral covers.
 
 The integral solvers are two branch-and-bound searches, nu and tau*_k,
 designed for desk-scale graphs (a few hundred triangles at most); tau is
@@ -18,12 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .charges import ChargeAssignment, uncovered_triangles
-from .errors import (
-    InstanceTooLargeError,
-    MissingInputError,
-    NotACoverError,
-    NotThirdIntegralError,
-)
+from .errors import InstanceTooLargeError, NotACoverError, NotThirdIntegralError
 from .graph import Graph, Triangle, edge_masks, enumerate_triangles, memo
 
 DEFAULT_TRIANGLE_CAP = 200
@@ -471,33 +466,3 @@ def round_third_integral(g: Graph, f: ChargeAssignment) -> list[int]:
     if missed:
         raise AssertionError(f"rounded set misses triangle {missed[0].vertices}")
     return result
-
-
-def compose_order_k(
-    f2: ChargeAssignment | None, f3: ChargeAssignment | None, k: int
-) -> ChargeAssignment:
-    """k-multi-transversal from order-2 and order-3 covers.
-
-    Even k uses k/2 copies of the order-2 multiset; odd k > 3 adds one
-    order-3 copy to (k-3)/2 order-2 copies; k = 3 passes f3 through.
-    """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if k == 3:
-        if f3 is None:
-            raise MissingInputError("k=3 needs an order-3 cover")
-        return ChargeAssignment(3, dict(f3.numerators))
-    if k % 2 == 0:
-        if f2 is None:
-            raise MissingInputError("even k needs an order-2 cover")
-        q = k // 2
-        return ChargeAssignment(k, {e: q * v for e, v in f2.numerators.items() if v})
-    if f2 is None or f3 is None:
-        raise MissingInputError("odd k > 3 needs both order-2 and order-3 covers")
-    q = (k - 3) // 2
-    nums: dict[int, int] = {}
-    for e, v in f2.numerators.items():
-        nums[e] = nums.get(e, 0) + q * v
-    for e, v in f3.numerators.items():
-        nums[e] = nums.get(e, 0) + v
-    return ChargeAssignment(k, {e: v for e, v in nums.items() if v})

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .charges import ChargeAssignment, Ledger, require_clean
-from .errors import AlreadyPinnedError, AlreadySpentError, PinBaseEdgeError
 from .graph import Triangle
 from .structure import SolutionStructure
 
@@ -349,9 +348,7 @@ def compute_demanding(s: SolutionStructure, chains: ChainSet) -> DemandState:
 
 
 def discharge(ds: DemandState, cs: Ledger, psi0: Triangle, eid: int) -> None:
-    """Spend the reserved half credit of type-0 ``psi0`` on edge ``eid``."""
-    if psi0 not in ds.free or psi0 not in ds.type0:
-        raise AlreadySpentError(f"{psi0} is not a free type-0 triangle")
+    """Spend the reserved half credit of free type-0 ``psi0`` on edge ``eid``."""
     cs.give(psi0, eid, 1)
     ds.free.remove(psi0)
     covered = ds.demanding_on_edge(eid)
@@ -362,22 +359,15 @@ def discharge(ds: DemandState, cs: Ledger, psi0: Triangle, eid: int) -> None:
 
 
 def pin(ds: DemandState, cs: Ledger, psi: Triangle, eid: int) -> None:
-    """Re-fix the K4 half-integral charge of ``psi`` so ``eid`` is null.
+    """Re-fix the K4 half-integral charge of free non-type-0 ``psi`` so its
+    own edge ``eid`` (never a tail's base) is null.
 
     The opposite spoke of the K4 goes null with it; for an unsatisfied
     tail the base and gain edges stay half no matter the rotation.
     """
-    if psi not in ds.free:
-        raise AlreadyPinnedError(f"{psi} is not free to pin")
-    if psi in ds.type0:
-        raise PinBaseEdgeError(f"{psi} is type-0, cannot pin")
-    if eid not in psi.edge_ids:
-        raise PinBaseEdgeError(f"edge {eid} not on {psi}")
     s = ds.s
     i = s.info[psi]
     if psi in ds.tails:
-        if eid == i.base:
-            raise PinBaseEdgeError("cannot pin the base edge of a tail triangle")
         # the third side keeps its half, with the spoke of the base end off it
         third = next(e for e in psi.edge_ids if e not in (i.base, eid))
         m = {i.base: 1, ds.tails[psi].gain: 1, third: 1, s.spoke(psi, psi.off(third)): 1}
@@ -395,7 +385,12 @@ def discharge_and_pin(s: SolutionStructure, cs: Ledger, ds: DemandState) -> None
     """Cover every demanding triangle, spending each free triangle at most once.
 
     Where no step applies it returns, leaving the rest of the demand
-    uncovered for ``verify_cover`` to report.
+    uncovered for ``verify_cover`` to report.  It is the only caller of
+    ``discharge`` and ``pin`` and meets their preconditions itself: it
+    discharges only free type-0 triangles, and it pins only free
+    non-type-0 triangles on their own edges, never on a tail's base.
+    Each call removes its triangle from ``ds.free``, so none is spent
+    twice.
     """
     type0 = ds.type0
 

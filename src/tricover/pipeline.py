@@ -5,18 +5,21 @@ the structural facts, run the charging engine, verify the result
 exactly.  A structure violation carries its improving swap, which is
 applied after ``verify_swap``; a swap that fails is a bug and raises.
 The engines do not raise: ``verify_cover`` alone judges what they
-return.  A failed verification (reason ``verify``) focuses on the first
-uncovered triangle, or on every packed edge when all triangles are
-covered, and a targeted swap search of size up to ``max_swap + 2``
-around the focus must then improve the packing.  Either way the loop
+return.  A failed verification (reason ``verify``) with a triangle left
+uncovered focuses on the first such triangle, and a targeted swap search
+of size up to ``max_swap + 2`` around it must then improve the packing.
+A failed verification with every triangle covered is an engine fault
+that no swap mends, so it raises at once.  Either way the loop
 restarts, and since each repair grows the packing by one, it
 terminates.  Each repair is logged with its reason, its focus edges (for
 a structure repair, the edges of the swap's triangles) and the swap.
 
-The local search is deterministic in (graph, seed, max_swap), so it runs
-once per graph: every order, and both halves of a composed order, start
-from the same packing, kept in the graph's memo as its triangles.
-Repairs build new packings from it and leave the memo as it is.
+Orders 2, 3 and 6 run their own engine; ``cover`` composes every other
+order from the order-2 and order-3 covers.  The local search is
+deterministic in (graph, seed, max_swap), so it runs once per graph:
+every order, and both halves of a composed order, start from the same
+packing, kept in the graph's memo as its triangles.  Repairs build new
+packings from it and leave the memo as it is.
 """
 
 from __future__ import annotations
@@ -25,10 +28,9 @@ import json
 from dataclasses import dataclass, field
 
 from .charges import ChargeAssignment, Report, charge_order3, charge_order6, verify_cover
-from .checker import graph_sha256, verify_certificate  # noqa: F401 (re-exported)
-from .errors import MissingInputError, RepairExhaustedError
+from .checker import graph_sha256
+from .errors import BadParamsError, RepairExhaustedError
 from .graph import Graph, memo
-from .oracles import compose_order_k
 from .order2 import run_order2
 from .packing import Packing, local_search_packing, targeted_swap, verify_swap
 from .structure import build_structure
@@ -71,26 +73,27 @@ def cover(
     seed: int = 0,
     max_swap: int = 5,
 ) -> CoverResult:
-    """Verified order-{2,3,6} cover; other orders are composed from 2 and 3."""
+    """Verified order-``order`` cover, for every order of at least 2.
+
+    Orders 2, 3 and 6 run their own engine.  Any other order takes
+    order//2 copies of the order-2 cover, or one copy fewer plus the
+    order-3 cover when the order is odd.
+    """
     if order in (2, 3, 6):
         return _cover_single(g, order, seed, max_swap)
     if order < 2:
-        raise MissingInputError("order must be at least 2")
-    f2 = f3 = None
-    base = None
-    if order % 2 == 0 or order > 3:
-        base = _cover_single(g, 2, seed, max_swap)
-        f2 = base.assignment
-    extra: CoverResult | None = None
-    if order % 2 == 1:
-        extra = _cover_single(g, 3, seed, max_swap)
-        f3 = extra.assignment
-    composed = compose_order_k(f2, f3, order)
-    biggest = max(
-        (r for r in (base, extra) if r is not None), key=lambda r: len(r.packing)
-    )
+        raise BadParamsError(f"order must be at least 2, got {order}")
+    q = order // 2 - order % 2  # copies of the order-2 cover
+    parts = [_cover_single(g, 2, seed, max_swap)]
+    nums = {e: q * v for e, v in parts[0].assignment.numerators.items()}
+    if order % 2:
+        parts.append(_cover_single(g, 3, seed, max_swap))
+        for e, v in parts[1].assignment.numerators.items():
+            nums[e] = nums.get(e, 0) + v
+    composed = ChargeAssignment(order, nums)
+    biggest = max(parts, key=lambda r: len(r.packing))
     report = verify_cover(g, composed, len(biggest.packing))
-    log = (base.repair_log if base else []) + (extra.repair_log if extra else [])
+    log = [entry for r in parts for entry in r.repair_log]
     return CoverResult(biggest.packing, composed, report, log)
 
 
@@ -124,10 +127,13 @@ def _cover_single(g, order, seed, max_swap) -> CoverResult:
         report = verify_cover(g, assignment, len(packing))
         if report.ok:
             return CoverResult(packing, assignment, report, log)
-        if report.failing:
-            focus = set(report.failing[0].edge_ids)
-        else:
-            focus = {e for t in packing.triangles for e in t.edge_ids}
+        if not report.failing:
+            raise RepairExhaustedError(
+                "engine result covers every triangle but fails verification",
+                focus_edges={e for t in packing.triangles for e in t.edge_ids},
+                detail="verify",
+            )
+        focus = set(report.failing[0].edge_ids)
         cert = targeted_swap(g, packing, focus, max_swap + 2)
         if cert is None:
             raise RepairExhaustedError(

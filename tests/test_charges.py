@@ -164,18 +164,22 @@ def test_verify_cover_flags_failures():
     assert not report.budget_ok and not report.integrality_ok
 
 
-def test_ledger_leaves_overweight_edges_to_verify_cover():
-    # no engine checks its own result: an edge above weight one converts
-    # and verify_cover is what reports it
+def test_ledger_caps_each_edge_at_weight_one():
+    # an edge at weight one covers every triangle through it alone, so the
+    # read-out caps it there: the same triangles stay covered, the total
+    # falls, and per_triangle keeps what each triangle placed
     g = complete_graph(4)
     psi = g.triangle(0, 1, 2)
+    a, b, _ = psi.edge_ids
     led = Ledger(2)
-    for _ in range(3):
-        led.give(psi, psi.edge_ids[0], 1)
+    for e in (a, a, a, b):
+        led.give(psi, e, 1)
     f = led.to_assignment()
-    assert f.numerators == {psi.edge_ids[0]: 3}
+    assert f.numerators == {a: 2, b: 1} and led.numerators == {a: 3, b: 1}
+    assert f.per_triangle == {psi: 2} and f.total() == F(3, 2)
+    assert charges.uncovered_triangles(g, f) == charges.uncovered_triangles(g, led)
     report = verify_cover(g, f, 1)
-    assert not report.integrality_ok and not report.ok
+    assert report.integrality_ok and report.budget_ok and not report.covered
 
 
 def test_spare_thirds_outside_a_k5_graph(monkeypatch):

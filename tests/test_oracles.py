@@ -1,4 +1,4 @@
-"""Exact baselines, LP bound, rounding and order composition."""
+"""Exact baselines, LP bound and rounding."""
 
 import hashlib
 import itertools
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from tricover import (
     ChargeAssignment,
     build_graph,
-    compose_order_k,
     enumerate_triangles,
     nu_exact,
     round_third_integral,
@@ -25,12 +24,7 @@ from tricover import (
     tau_star_k_exact,
     verify_cover,
 )
-from tricover.errors import (
-    InstanceTooLargeError,
-    MissingInputError,
-    NotACoverError,
-    NotThirdIntegralError,
-)
+from tricover.errors import InstanceTooLargeError, NotACoverError, NotThirdIntegralError
 from tricover import oracles
 from tricover.generators import bowtie, complete_graph, glued_k4, gnp
 from tricover.oracles import tau_star_lp_exact
@@ -233,40 +227,6 @@ def test_round_rejects_wrong_order():
     g = complete_graph(4)
     with pytest.raises(NotThirdIntegralError):
         round_third_integral(g, ChargeAssignment(2, {e: 1 for e in range(6)}))
-
-
-def test_compose_even_k_preserves_values():
-    f2 = ChargeAssignment(2, {0: 1, 1: 2, 2: 1})
-    f4 = compose_order_k(f2, None, 4)
-    assert f4.order == 4
-    assert all(f4.value(e) == f2.value(e) for e in (0, 1, 2))
-    assert f4.total() == f2.total()
-
-
-def test_compose_k5_weighted_average():
-    f2 = ChargeAssignment(2, {0: 2, 1: 1})
-    f3 = ChargeAssignment(3, {1: 3, 2: 1})
-    f5 = compose_order_k(f2, f3, 5)
-    assert f5.order == 5
-    assert f5.value(0) == F(2, 5)
-    assert f5.value(1) == F(1 + 3, 5)
-    assert f5.value(2) == F(1, 5)
-
-
-def test_compose_k2_and_k3_pass_through():
-    f2 = ChargeAssignment(2, {0: 1})
-    f3 = ChargeAssignment(3, {0: 2})
-    assert compose_order_k(f2, None, 2).numerators == f2.numerators
-    assert compose_order_k(None, f3, 3).numerators == f3.numerators
-
-
-def test_compose_missing_inputs():
-    with pytest.raises(MissingInputError):
-        compose_order_k(None, None, 2)
-    with pytest.raises(MissingInputError):
-        compose_order_k(ChargeAssignment(2, {}), None, 5)
-    with pytest.raises(MissingInputError):
-        compose_order_k(None, ChargeAssignment(3, {}), 4)
 
 
 def test_witness_checks_raise_under_optimize_flag():

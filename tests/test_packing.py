@@ -9,20 +9,23 @@ from hypothesis import strategies as st
 
 from tricover import (
     Packing,
-    SwapCertificate,
     build_graph,
     enumerate_triangles,
     greedy_packing,
     local_search_packing,
     nu_exact,
-    targeted_swap,
     verify_packing,
-    verify_swap,
 )
 from tricover.graph import Triangle
 from tricover.generators import bowtie, complete_graph, glued_k4, gnp, lend_chain
 from tricover import packing
-from tricover.packing import _disjoint_selection, _nu_bound
+from tricover.packing import (
+    SwapCertificate,
+    _disjoint_selection,
+    _nu_bound,
+    targeted_swap,
+    verify_swap,
+)
 
 from test_acceptance import suite_instances
 

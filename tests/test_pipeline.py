@@ -50,13 +50,22 @@ def test_cover_all_orders_on_small_suite():
 
 
 def test_cover_composed_orders():
-    g = complete_graph(6)
-    for k in (4, 5, 7, 12):
-        r = cover(g, k)
-        assert r.report.ok
-        assert r.assignment.order == k
-        # integer numerators only
-        assert all(isinstance(v, int) for v in r.assignment.numerators.values())
+    # order k takes k//2 copies of the order-2 cover, or one copy fewer
+    # plus the order-3 cover when k is odd; orders below 2 are bad params
+    from tricover.errors import BadParamsError
+
+    for g in (complete_graph(6), lend_chain(3), gnp(11, 0.5, 2), gnp(12, 0.5, 150)):
+        f2 = cover(g, 2).assignment.numerators
+        f3 = cover(g, 3).assignment.numerators
+        for k in (4, 5, 7, 8, 12):
+            q, odd = k // 2 - k % 2, k % 2
+            expected = {e: q * f2.get(e, 0) + odd * f3.get(e, 0) for e in f2.keys() | f3.keys()}
+            r = cover(g, k)
+            assert r.report.ok and r.assignment.order == k
+            assert r.assignment.numerators == {e: v for e, v in expected.items() if v}
+    for k in (0, 1):
+        with pytest.raises(BadParamsError):
+            cover(complete_graph(4), k)
 
 
 def test_cover_with_weak_search_repairs_until_verified():
@@ -158,8 +167,8 @@ def test_repair_exhausted_surfaces_with_focus(monkeypatch):
 
 def test_overweight_engine_result_is_a_verify_repair(monkeypatch):
     # an engine result that covers every triangle but puts 7/6 on an edge
-    # fails verify_cover alone; with nothing uncovered the swap search
-    # looks around every packed edge, and K4's packing is already maximum
+    # fails verify_cover alone; with nothing uncovered no swap can mend
+    # it, so cover raises at once with every packed edge as its focus
     import tricover.pipeline as pl
     from tricover.charges import ChargeAssignment
     from tricover.errors import RepairExhaustedError
@@ -170,6 +179,27 @@ def test_overweight_engine_result_is_a_verify_repair(monkeypatch):
     with pytest.raises(RepairExhaustedError) as info:
         pl.cover(g, 6)
     packed = pl.local_search_packing(g, 0, 5).triangles
+    assert info.value.detail == "verify"
+    assert info.value.focus_edges == {e for t in packed for e in t.edge_ids}
+
+
+def test_covered_engine_fault_raises_without_a_swap_search(monkeypatch):
+    # the local search leaves |P| < nu here, so a swap search around the
+    # packed edges would find a swap; an engine result that covers every
+    # triangle but is overweight must still raise without searching
+    from tricover.errors import RepairExhaustedError
+
+    def no_search(*args):
+        raise AssertionError("targeted_swap called")
+
+    g = gnp(12, 0.5, 150)
+    packed = pl.local_search_packing(g, 0, 1).triangles
+    assert len(packed) < nu_exact(g).value
+    over = ChargeAssignment(6, {e: 7 for e in range(g.m)})
+    monkeypatch.setattr(pl, "charge_order6", lambda s: over)
+    monkeypatch.setattr(pl, "targeted_swap", no_search)
+    with pytest.raises(RepairExhaustedError) as info:
+        cover(g, 6, seed=0, max_swap=1)
     assert info.value.detail == "verify"
     assert info.value.focus_edges == {e for t in packed for e in t.edge_ids}
 
@@ -551,7 +581,6 @@ def test_module_imports_only_the_standard_library(module):
     assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))
     if module == "checker":
         assert modules and not relative, relative
-        assert pl.verify_certificate is checker.verify_certificate
         assert verify_certificate is checker.verify_certificate
 
 

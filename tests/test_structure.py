@@ -17,10 +17,10 @@ from tricover import (
     enumerate_triangles,
     greedy_packing,
     local_search_packing,
-    verify_swap,
 )
 from tricover.generators import bowtie, complete_graph, gnp
 from tricover.graph import Graph, Triangle
+from tricover.packing import verify_swap
 from tricover.structure import PackedInfo, _apex
 
 
