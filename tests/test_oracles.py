@@ -1,4 +1,4 @@
-"""Exact baselines, LP bound and rounding."""
+"""Exact baselines, LP bound, rounding and cover's order composition."""
 
 import hashlib
 import itertools
@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from tricover import (
     ChargeAssignment,
     build_graph,
+    build_structure,
+    cover,
     enumerate_triangles,
     nu_exact,
     round_third_integral,
@@ -24,9 +26,14 @@ from tricover import (
     tau_star_k_exact,
     verify_cover,
 )
-from tricover.errors import InstanceTooLargeError, NotACoverError, NotThirdIntegralError
+from tricover.errors import (
+    BadParamsError,
+    InstanceTooLargeError,
+    NotACoverError,
+    NotThirdIntegralError,
+)
 from tricover import oracles
-from tricover.generators import bowtie, complete_graph, glued_k4, gnp
+from tricover.generators import bowtie, complete_graph, glued_k4, gnp, lend_chain
 from tricover.oracles import tau_star_lp_exact
 
 from test_acceptance import random_instances
@@ -227,6 +234,54 @@ def test_round_rejects_wrong_order():
     g = complete_graph(4)
     with pytest.raises(NotThirdIntegralError):
         round_third_integral(g, ChargeAssignment(2, {e: 1 for e in range(6)}))
+
+
+COMPOSE_GRAPHS = (complete_graph(6), lend_chain(3), gnp(11, 0.5, 2), gnp(12, 0.5, 150))
+
+
+def test_compose_even_k_preserves_values():
+    # an even order takes order//2 copies of the order-2 cover
+    for g in COMPOSE_GRAPHS:
+        f2 = cover(g, 2).assignment
+        for k in (4, 8, 12):
+            fk = cover(g, k)
+            assert fk.report.ok and fk.assignment.order == k
+            assert fk.assignment.numerators == {e: k // 2 * v for e, v in f2.numerators.items()}
+            assert all(fk.assignment.value(e) == f2.value(e) for e in range(g.m))
+            assert fk.assignment.total() == f2.total()
+
+
+def test_compose_k5_weighted_average():
+    # an odd order takes one order-2 copy fewer plus the order-3 cover
+    for g in COMPOSE_GRAPHS:
+        f2 = cover(g, 2).assignment.numerators
+        f3 = cover(g, 3).assignment.numerators
+        for k in (5, 7):
+            q = k // 2 - 1
+            fk = cover(g, k)
+            assert fk.report.ok and fk.assignment.order == k
+            for e in range(g.m):
+                want = F(q * f2.get(e, 0) + f3.get(e, 0), k)
+                assert fk.assignment.value(e) == want
+
+
+def test_compose_k2_and_k3_pass_through():
+    # orders 2 and 3 are their own engine's read-out on the cover's packing
+    from tricover.charges import charge_order3
+    from tricover.order2 import run_order2
+
+    for g in COMPOSE_GRAPHS:
+        r2, r3 = cover(g, 2), cover(g, 3)
+        engine2 = run_order2(build_structure(g, r2.packing))[0].assignment
+        assert r2.assignment.numerators == engine2.numerators
+        assert r3.assignment.numerators == charge_order3(build_structure(g, r3.packing)).numerators
+
+
+def test_compose_missing_inputs():
+    # below order 2 there is no cover to compose from
+    for k in (-1, 0, 1):
+        with pytest.raises(BadParamsError):
+            cover(complete_graph(4), k)
 
 
 def test_witness_checks_raise_under_optimize_flag():
