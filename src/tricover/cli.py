@@ -13,10 +13,10 @@ import time
 
 from .checker import verify_certificate
 from .errors import InstanceTooLargeError, RepairExhaustedError, TricoverError
-from .generators import InstanceSpec, generate
+from .generators import FAMILIES, InstanceSpec, generate
 from .graph import read_edge_list, write_edge_list
-from .oracles import nu_exact, tau_star_k_exact
-from .packing import _nu_bound, local_search_packing
+from .oracles import DEFAULT_TRIANGLE_CAP, nu_exact, tau_star_k_exact
+from .packing import DEFAULT_MAX_SWAP, _nu_bound, local_search_packing
 from .pipeline import certificate_dumps, cover
 
 EXIT_OK = 0
@@ -24,15 +24,12 @@ EXIT_VERIFY = 2
 EXIT_REPAIR = 3
 EXIT_INPUT = 4
 
+# ``oracle --what``: the order k of tau*_k, or None for nu
+_ORACLE_ORDERS = {"nu": None, "tau": 1, "taustar2": 2, "taustar3": 3}
 
-def _spec_from_args(args) -> InstanceSpec:
-    return InstanceSpec(
-        family=args.family,
-        n=args.n,
-        p=args.p,
-        seed=args.seed,
-        length=args.length,
-    )
+
+def _spec_from_args(args, seed: int | None) -> InstanceSpec:
+    return InstanceSpec(args.family, n=args.n, p=args.p, seed=seed, length=args.length)
 
 
 def cmd_pack(args) -> int:
@@ -81,17 +78,17 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     g = read_edge_list(args.graph)
-    if args.what == "nu":
+    k = _ORACLE_ORDERS[args.what]
+    if k is None:
         res = nu_exact(g, cap=args.cap)
     else:
-        k = {"tau": 1, "taustar2": 2, "taustar3": 3}[args.what]
         res = tau_star_k_exact(g, k, cap=args.cap)
     print(res.value if res.value.denominator > 1 else res.value.numerator)
     return EXIT_OK
 
 
 def cmd_gen(args) -> int:
-    g = generate(_spec_from_args(args))
+    g = generate(_spec_from_args(args, args.seed))
     write_edge_list(g, args.out)
     print(f"wrote {args.out}: n={g.n} m={g.m}")
     return EXIT_OK
@@ -103,10 +100,7 @@ def cmd_bench(args) -> int:
     rows = []
     for trial in range(args.trials):
         seed = args.seed + trial
-        spec = InstanceSpec(
-            family=args.family, n=args.n, p=args.p, seed=seed, length=args.length
-        )
-        g = generate(spec)
+        g = generate(_spec_from_args(args, seed))
         t0 = time.perf_counter()
         result = cover(g, args.order, seed=seed, max_swap=args.max_swap)
         ms = int(1000 * (time.perf_counter() - t0))
@@ -128,12 +122,9 @@ def cmd_bench(args) -> int:
                 "ms": ms,
             }
         )
-    fieldnames = [
-        "family", "n", "seed", "nu", "nu_bound", "packing", "sum_f", "order", "repairs", "ms"
-    ]
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
-        writer = csv.DictWriter(out, fieldnames=fieldnames)
+        writer = csv.DictWriter(out, fieldnames=rows[0])
         writer.writeheader()
         writer.writerows(rows)
     finally:
@@ -148,18 +139,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Triangle packings and exact fractional triangle covers.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    # flags shared by the commands that run the local search
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--seed", type=int, default=0)
+    search.add_argument("--max-swap", type=int, default=DEFAULT_MAX_SWAP)
+    # flags shared by the commands that generate an instance
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--family", required=True, choices=FAMILIES)
+    family.add_argument("--n", type=int)
+    family.add_argument("--p", type=float)
+    family.add_argument("--length", type=int)
 
-    p = sub.add_parser("pack", help="local-search triangle packing")
+    p = sub.add_parser("pack", parents=[search], help="local-search triangle packing")
     p.add_argument("graph")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-swap", type=int, default=5)
     p.set_defaults(func=cmd_pack)
 
-    p = sub.add_parser("cover", help="verified k-multi-transversal")
+    p = sub.add_parser("cover", parents=[search], help="verified k-multi-transversal")
     p.add_argument("graph")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-swap", type=int, default=5)
     p.add_argument("--out", help="write certificate JSON here")
     p.set_defaults(func=cmd_cover)
 
@@ -170,30 +167,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact brute-force baselines")
     p.add_argument("graph")
-    p.add_argument("--what", required=True, choices=["nu", "tau", "taustar2", "taustar3"])
-    p.add_argument("--cap", type=int, default=200)
+    p.add_argument("--what", required=True, choices=_ORACLE_ORDERS)
+    p.add_argument("--cap", type=int, default=DEFAULT_TRIANGLE_CAP)
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("gen", help="write a generated instance")
-    p.add_argument("--family", required=True,
-                   choices=["complete", "gnp", "glued_k4", "lend_chain", "bowtie"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=float)
+    p = sub.add_parser("gen", parents=[family], help="write a generated instance")
     p.add_argument("--seed", type=int)
-    p.add_argument("--length", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("bench", help="run the cover pipeline over a family")
-    p.add_argument("--family", required=True,
-                   choices=["complete", "gnp", "glued_k4", "lend_chain", "bowtie"])
+    p = sub.add_parser(
+        "bench", parents=[family, search], help="run the cover pipeline over a family"
+    )
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--order", type=int, default=2)
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--length", type=int)
-    p.add_argument("--max-swap", type=int, default=5)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
 

@@ -41,13 +41,9 @@ class InternalChargeError(TricoverError):
     """No longer raised by the library.
 
     The charging engines return whatever they reach, and ``verify_cover``
-    reports any shortfall; the class is kept only for callers that still
-    import it.
+    reports any shortfall; the class is kept only because
+    ``perfbench/workloads.py`` still imports and catches it.
     """
-
-    def __init__(self, message: str, focus_edges=()):
-        super().__init__(message)
-        self.focus_edges = frozenset(focus_edges)
 
 
 class RepairExhaustedError(TricoverError):

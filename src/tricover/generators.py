@@ -113,36 +113,25 @@ def lend_chain(length: int) -> Graph:
         u, v, c = 2 * j, 2 * j + 1, 2 * j + 2
         anchor = a1 if c == c1 else c + 2
         edges += [(u, anchor), (v, anchor)]
-    # drop duplicates introduced by the two views of the head region
-    seen: set[tuple[int, int]] = set()
-    uniq = []
-    for u, v in edges:
-        key = (min(u, v), max(u, v))
-        if key not in seen:
-            seen.add(key)
-            uniq.append(key)
-    return build_graph(2 * L + 4, uniq)
+    return build_graph(2 * L + 4, edges)
+
+
+# each family's builder and the spec fields it takes, in argument order
+FAMILIES = {
+    "complete": (complete_graph, ("n",)),
+    "gnp": (gnp, ("n", "p", "seed")),
+    "glued_k4": (glued_k4, ("length",)),
+    "lend_chain": (lend_chain, ("length",)),
+    "bowtie": (bowtie, ()),
+}
 
 
 def generate(spec: InstanceSpec) -> Graph:
     """Deterministic graph for an instance spec."""
-    fam = spec.family
-    if fam == "complete":
-        if spec.n is None:
-            raise BadParamsError("complete needs n")
-        return complete_graph(spec.n)
-    if fam == "bowtie":
-        return bowtie()
-    if fam == "gnp":
-        if spec.n is None or spec.p is None or spec.seed is None:
-            raise BadParamsError("gnp needs n, p and seed")
-        return gnp(spec.n, spec.p, spec.seed)
-    if fam == "glued_k4":
-        if spec.length is None:
-            raise BadParamsError("glued_k4 needs length")
-        return glued_k4(spec.length)
-    if fam == "lend_chain":
-        if spec.length is None:
-            raise BadParamsError("lend_chain needs length")
-        return lend_chain(spec.length)
-    raise BadParamsError(f"unknown family {fam!r}")
+    if spec.family not in FAMILIES:
+        raise BadParamsError(f"unknown family {spec.family!r}")
+    build, fields = FAMILIES[spec.family]
+    args = [getattr(spec, f) for f in fields]
+    if None in args:
+        raise BadParamsError(f"{spec.family} needs {', '.join(fields)}")
+    return build(*args)

@@ -54,7 +54,7 @@ class Graph:
     triangles (``"edge_masks"``, filled by ``edge_masks`` and read by
     ``packing.greedy_packing``, the swap search and ``oracles.nu_exact``),
     the degree bound on ν (``"nu_bound"``, filled by the swap search in
-    ``packing``), each local-search packing
+    ``packing`` and by ``oracles.nu_exact``), each local-search packing
     (``("local_search", seed, max_swap)``, filled by ``pipeline.cover``)
     and the tau* LP optimum (``"tau_star_lp"``, filled by
     ``oracles.tau_star_k_exact`` and so also by ``oracles.tau_exact``).

@@ -20,6 +20,7 @@ from fractions import Fraction
 from .charges import ChargeAssignment, uncovered_triangles
 from .errors import InstanceTooLargeError, NotACoverError, NotThirdIntegralError
 from .graph import Graph, Triangle, edge_masks, enumerate_triangles, memo
+from .packing import _nu_bound
 
 DEFAULT_TRIANGLE_CAP = 200
 # consecutive degenerate pivots after which the simplex enters by Bland's rule
@@ -41,9 +42,14 @@ def _triangles_capped(g: Graph, cap: int) -> tuple[Triangle, ...]:
 
 
 def nu_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult:
-    """Maximum number of pairwise edge-disjoint triangles, exactly."""
+    """Maximum number of pairwise edge-disjoint triangles, exactly.
+
+    No branch can beat the degree bound on ν (``packing._nu_bound``), so
+    the search ends once the best packing found meets it.
+    """
     tris = _triangles_capped(g, cap)
     masks = edge_masks(g)
+    bound = _nu_bound(g)
     nodes = 0
 
     best: list[int] = []
@@ -52,7 +58,7 @@ def nu_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult:
     def dfs(candidates: list[int], used: int) -> None:
         nonlocal nodes, best
         nodes += 1
-        if len(chosen) + len(candidates) <= len(best):
+        if min(bound, len(chosen) + len(candidates)) <= len(best):
             return
         # the candidates avoid ``used``, and each further triangle takes
         # three of their edges; a branch that cannot beat ``best``

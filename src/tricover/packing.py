@@ -79,6 +79,8 @@ from dataclasses import dataclass
 
 from .graph import Graph, Triangle, edge_masks, enumerate_triangles, memo
 
+DEFAULT_MAX_SWAP = 5  # largest removal set the local search tries
+
 
 @dataclass(frozen=True)
 class SwapCertificate:
@@ -385,7 +387,7 @@ def _find_swap(
 
 
 def targeted_swap(
-    g: Graph, p: Packing, focus_edges: set[int], max_swap: int = 5
+    g: Graph, p: Packing, focus_edges: set[int], max_swap: int
 ) -> SwapCertificate | None:
     """Improving swap whose removals lie within 2 hops (edge-adjacency) of focus_edges.
 
@@ -400,7 +402,9 @@ def targeted_swap(
     return _find_swap(g, p, eligible, max_swap)
 
 
-def local_search_packing(g: Graph, seed: int = 0, max_swap: int = 5) -> Packing:
+def local_search_packing(
+    g: Graph, seed: int = 0, max_swap: int = DEFAULT_MAX_SWAP
+) -> Packing:
     """Greedy packing improved until no swap of size <= max_swap is found."""
     if max_swap < 1:
         raise ValueError("max_swap must be >= 1")

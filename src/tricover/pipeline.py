@@ -32,7 +32,13 @@ from .checker import graph_sha256
 from .errors import BadParamsError, RepairExhaustedError
 from .graph import Graph, memo
 from .order2 import run_order2
-from .packing import Packing, local_search_packing, targeted_swap, verify_swap
+from .packing import (
+    DEFAULT_MAX_SWAP,
+    Packing,
+    local_search_packing,
+    targeted_swap,
+    verify_swap,
+)
 from .structure import build_structure
 
 
@@ -68,10 +74,7 @@ def _apply(g, packing, cert, focus, log, reason) -> Packing:
 
 
 def cover(
-    g: Graph,
-    order: int,
-    seed: int = 0,
-    max_swap: int = 5,
+    g: Graph, order: int, seed: int = 0, max_swap: int = DEFAULT_MAX_SWAP
 ) -> CoverResult:
     """Verified order-``order`` cover, for every order of at least 2.
 

@@ -47,6 +47,13 @@ def test_nu_values():
     assert nu_exact(bowtie()).value == 2
 
 
+def test_nu_stops_at_the_degree_bound():
+    # K10 meets its degree bound of 13; without the stop the search
+    # proves 13 maximal over 5,493,151 nodes
+    res = nu_exact(complete_graph(10))
+    assert res.value == 13 and res.nodes_explored <= 1000
+
+
 def test_nu_witness_is_disjoint():
     res = nu_exact(complete_graph(6))
     edges = [e for t in res.witness for e in t.edge_ids]
