@@ -16,7 +16,6 @@ from .graph import (
 from .oracles import (
     OracleResult,
     nu_exact,
-    round_third_integral,
     tau_exact,
     tau_star_k_exact,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "nu_exact",
     "parse_edge_list",
     "read_edge_list",
-    "round_third_integral",
     "run_order2",
     "tau_exact",
     "tau_star_k_exact",

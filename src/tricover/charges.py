@@ -241,11 +241,8 @@ def _spend_spare_thirds(s: SolutionStructure, led: Ledger) -> None:
             if sum(led.contrib.get(psi, {}).values()) <= 5
         ]
 
-    missing = uncovered_triangles(s.g, led)
-    while missing:
-        pool = donors()
-        if not pool:
-            return
+    # most packings have no donor, so look for one before scanning for leftovers
+    while (pool := donors()) and (missing := uncovered_triangles(s.g, led)):
         # an extra third on e finishes t iff t currently sits at 2/3
         finishes: dict[int, int] = {}
         for t in missing:
@@ -256,6 +253,5 @@ def _spend_spare_thirds(s: SolutionStructure, led: Ledger) -> None:
         eid = max(sorted(finishes), key=lambda e: finishes[e])
         donor_owners = [p for p in pool if eid in p.edge_ids]
         donor = donor_owners[0] if donor_owners else pool[0]
-        led.give(donor, eid, 1)
         # every round spends one third, so the spare pool bounds the loop
-        missing = uncovered_triangles(s.g, led)
+        led.give(donor, eid, 1)

@@ -33,10 +33,6 @@ class NotACoverError(TricoverError):
     pass
 
 
-class NotThirdIntegralError(TricoverError):
-    pass
-
-
 class InternalChargeError(TricoverError):
     """No longer raised by the library.
 

@@ -1,5 +1,4 @@
-"""Exact brute-force baselines for small instances, plus the rounding of
-third-integral covers.
+"""Exact brute-force baselines for small instances.
 
 The integral solvers are two branch-and-bound searches, nu and tau*_k,
 designed for desk-scale graphs (a few hundred triangles at most); tau is
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .charges import ChargeAssignment, uncovered_triangles
-from .errors import InstanceTooLargeError, NotACoverError, NotThirdIntegralError
+from .errors import InstanceTooLargeError, NotACoverError
 from .graph import Graph, Triangle, edge_masks, enumerate_triangles, memo
 from .packing import _nu_bound
 
@@ -418,57 +417,3 @@ def tau_star_k_exact(
     dfs(0, None)
     witness = ChargeAssignment(k, {e: v for e, v in enumerate(best_y) if v})
     return OracleResult(Fraction(best_units, k), witness, nodes)
-
-
-def _greedy_max_cut(n: int, edges: list[tuple[int, int]]) -> list[int]:
-    """Two-sides cut with at least half the edges crossing.
-
-    Sequential placement guarantees the half bound; a single improvement
-    pass can only raise the cut.
-    """
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    side = [0] * n
-
-    def gain_of_flip(v: int) -> int:
-        same = sum(1 for w in adj.get(v, ()) if side[w] == side[v])
-        return same - (len(adj.get(v, ()))) + same  # same - cross
-
-    placed: set[int] = set()
-    for v in range(n):
-        cross0 = sum(1 for w in adj.get(v, ()) if w in placed and side[w] != 0)
-        cross1 = sum(1 for w in adj.get(v, ()) if w in placed and side[w] != 1)
-        side[v] = 1 if cross1 > cross0 else 0
-        placed.add(v)
-    for v in range(n):
-        if gain_of_flip(v) > 0:
-            side[v] = 1 - side[v]
-    return side
-
-
-def round_third_integral(g: Graph, f: ChargeAssignment) -> list[int]:
-    """Turn a (1/3)-integral cover into an integral cover of size <= 1.5 total.
-
-    Keeps every edge at weight >= 2/3, then removes a bipartizing half of
-    the remaining 1/3-edges; what stays uncut hits every leftover
-    triangle.
-    """
-    if f.order != 3 or any(not (0 <= v <= 3) for v in f.numerators.values()):
-        raise NotThirdIntegralError("assignment is not a valid 1/3-integral vector")
-    missed = uncovered_triangles(g, f)
-    if missed:
-        raise NotACoverError(f"triangle {missed[0].vertices} not covered")
-
-    heavy = {e for e, v in f.numerators.items() if v >= 2}
-    thirds = sorted(e for e, v in f.numerators.items() if v == 1)
-    side = _greedy_max_cut(g.n, [g.edges[e] for e in thirds])
-    uncut = [e for e in thirds if side[g.edges[e][0]] == side[g.edges[e][1]]]
-    if 2 * len(uncut) > len(thirds):
-        raise AssertionError(f"cut leaves {len(uncut)} of {len(thirds)} third-edges uncut")
-    result = sorted(heavy | set(uncut))
-    missed = uncovered_triangles(g, ChargeAssignment(1, {e: 1 for e in result}))
-    if missed:
-        raise AssertionError(f"rounded set misses triangle {missed[0].vertices}")
-    return result

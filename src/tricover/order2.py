@@ -94,11 +94,13 @@ def build_lend(s: SolutionStructure) -> dict[Triangle, LendArc]:
             continue
         c = psi.off(i.base)
         a = i.anchor
-        if a is None or not g.has_edge(c, a):
+        # an attached type-1 triangle has an anchor, and the anchor lies
+        # outside psi, so psi never owns the gain edge c-a
+        if not g.has_edge(c, a):
             continue
         gain = g.edge_id(c, a)
         dst = s.owner(gain)
-        if dst is None or dst == psi or s.info[dst].type not in (1, 3):
+        if dst is None or s.info[dst].type not in (1, 3):
             continue
         arcs[psi] = LendArc(psi, dst, gain, c)
     return arcs

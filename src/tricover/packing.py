@@ -47,16 +47,16 @@ component C holds more than |C| of them: a connected improving swap of
 size below r, which the search would have returned.  Two triangles of A
 on ρ are edge-disjoint, so they use two distinct edges of ρ.  The
 requirement masks of a candidate's edge follow: for each listed triangle
-through the edge, the other candidates it conflicts with, kept when
-minimal.  A removal set has a selection only if each member has two edges
-with a mask inside the set.  From size 2 on, the removal sets are grown
-with a cut as soon as a taken member has fewer than two edges with a
-mask that the ids still open to the branch can fill within the slots
-left, and a candidate with fewer than two edges with a mask is never
-removed.  The sets that remain come in the same order, so the first swap
-found is unchanged.  The masks are built when a search first reaches
-size 2, since most searches end before it, and are kept per edge: their
-unions over two edges run to hundreds per candidate on dense graphs.
+through the edge, the other candidates it conflicts with.  A removal set
+has a selection only if each member has two edges with a mask inside the
+set.  From size 2 on, the removal sets are grown with a cut as soon as a
+taken member has fewer than two edges with a mask that the ids still
+open to the branch can fill within the slots left, and a candidate with
+fewer than two edges with a mask is never removed.  The sets that remain
+come in the same order, so the first swap found is unchanged.  The masks
+are built when a search first reaches size 2, since most searches end
+before it, and are kept per edge: their unions over two edges run to
+hundreds per candidate on dense graphs.
 
 Before any of that, the search compares the packing with an upper bound
 on ν kept in the graph's memo.  Join two edges when they lie in a common
@@ -174,7 +174,8 @@ def _requirements(
 
     A listed triangle through a candidate's edge can join a selection
     only once the other candidates it conflicts with are removed too.
-    Each candidate gets one list of minimal masks per edge that has any.
+    Each candidate gets one sorted list of distinct masks per edge that
+    has any.
     """
     masks_at: dict[int, set[int]] = {}
     for entries in listed:
@@ -182,21 +183,7 @@ def _requirements(
             for e in tris[i].edge_ids:
                 if bit := owner[e]:
                     masks_at.setdefault(e, set()).add(conflict ^ bit)
-    return [
-        [_minimal(masks_at[e]) for e in t.edge_ids if e in masks_at] for t in candidates
-    ]
-
-
-def _minimal(masks: set[int]) -> list[int]:
-    """The masks that contain no other one, fewest bits first."""
-    kept: list[int] = []
-    for q in sorted(masks, key=int.bit_count):
-        for k in kept:
-            if not k & ~q:
-                break
-        else:
-            kept.append(q)
-    return kept
+    return [[sorted(masks_at[e]) for e in t.edge_ids if e in masks_at] for t in candidates]
 
 
 def _removal_sets(nbrs: list[int], reqs: list[list[list[int]]], size: int):
@@ -309,19 +296,21 @@ def _degree_bound(g: Graph) -> int:
             e = root[e]
         return e
 
-    covered: set[int] = set()
-    for t in enumerate_triangles(g):
-        covered.update(t.edge_ids)
-        a, b, c = (find(e) for e in t.edge_ids)
+    in_triangle = bytearray(g.m)
+    for a, b, c in (t.edge_ids for t in enumerate_triangles(g)):
+        in_triangle[a] = in_triangle[b] = in_triangle[c] = 1
+        a, b, c = find(a), find(b), find(c)
         root[b] = root[c] = a
-    degree: dict[tuple[int, int], int] = {}
-    for e in covered:
-        comp = find(e)
-        for v in g.edges[e]:
-            degree[comp, v] = degree.get((comp, v), 0) + 1
+    n = g.n
+    degree: dict[int, int] = {}  # keyed by component * n + vertex
+    for e, (u, v) in enumerate(g.edges):
+        if in_triangle[e]:
+            key = find(e) * n
+            degree[key + u] = degree.get(key + u, 0) + 1
+            degree[key + v] = degree.get(key + v, 0) + 1
     halves: dict[int, int] = {}
-    for (comp, _), d in degree.items():
-        halves[comp] = halves.get(comp, 0) + d // 2
+    for key, d in degree.items():
+        halves[key // n] = halves.get(key // n, 0) + d // 2
     return sum(h // 3 for h in halves.values())
 
 

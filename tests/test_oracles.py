@@ -1,4 +1,4 @@
-"""Exact baselines, LP bound, rounding and cover's order composition."""
+"""Exact baselines, LP bound and cover's order composition."""
 
 import hashlib
 import itertools
@@ -21,17 +21,11 @@ from tricover import (
     cover,
     enumerate_triangles,
     nu_exact,
-    round_third_integral,
     tau_exact,
     tau_star_k_exact,
     verify_cover,
 )
-from tricover.errors import (
-    BadParamsError,
-    InstanceTooLargeError,
-    NotACoverError,
-    NotThirdIntegralError,
-)
+from tricover.errors import BadParamsError, InstanceTooLargeError
 from tricover import oracles
 from tricover.generators import bowtie, complete_graph, glued_k4, gnp, lend_chain
 from tricover.oracles import tau_star_lp_exact
@@ -208,41 +202,6 @@ def test_instance_cap():
         tau_star_k_exact(complete_graph(12), 2, cap=100)
 
 
-def test_round_third_integral_k6_all_thirds():
-    g = complete_graph(6)
-    f = ChargeAssignment(3, {e: 1 for e in range(g.m)})
-    rounded = round_third_integral(g, f)
-    assert tau_exact(g).value <= len(rounded) <= 7  # floor of 1.5 * 5
-    covered = set(rounded)
-    for t in enumerate_triangles(g):
-        assert any(e in covered for e in t.edge_ids)
-
-
-def test_round_already_integral_unchanged():
-    g = complete_graph(4)
-    cover = tau_exact(g).witness
-    f = ChargeAssignment(3, {e: 3 for e in cover})
-    assert round_third_integral(g, f) == sorted(cover)
-
-
-def test_round_all_two_thirds_keeps_support():
-    g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-    f = ChargeAssignment(3, {0: 2, 1: 2, 2: 2})
-    assert round_third_integral(g, f) == [0, 1, 2]
-
-
-def test_round_rejects_non_cover():
-    g = complete_graph(4)
-    with pytest.raises(NotACoverError):
-        round_third_integral(g, ChargeAssignment(3, {0: 1}))
-
-
-def test_round_rejects_wrong_order():
-    g = complete_graph(4)
-    with pytest.raises(NotThirdIntegralError):
-        round_third_integral(g, ChargeAssignment(2, {e: 1 for e in range(6)}))
-
-
 COMPOSE_GRAPHS = (complete_graph(6), lend_chain(3), gnp(11, 0.5, 2), gnp(12, 0.5, 150))
 
 
@@ -297,7 +256,6 @@ def test_witness_checks_raise_under_optimize_flag():
         """
         from fractions import Fraction
         import tricover.oracles as o
-        from tricover import ChargeAssignment
         from tricover.errors import NotACoverError
         from tricover.generators import complete_graph
 
@@ -333,12 +291,6 @@ def test_witness_checks_raise_under_optimize_flag():
             except expected:
                 print(expected.__name__)
         o._simplex_min = solve
-
-        o._greedy_max_cut = lambda n, edges: [0] * n
-        try:
-            o.round_third_integral(complete_graph(4), ChargeAssignment(3, {e: 1 for e in range(6)}))
-        except AssertionError:
-            print("AssertionError")
         """
     )
     src_dir = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -347,9 +299,7 @@ def test_witness_checks_raise_under_optimize_flag():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == [
-        "NotACoverError", "ArithmeticError", "ArithmeticError", "AssertionError"
-    ]
+    assert out.stdout.split() == ["NotACoverError", "ArithmeticError", "ArithmeticError"]
 
 
 def _reference_simplex_min(
