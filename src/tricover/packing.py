@@ -70,6 +70,20 @@ size is maximum, so no improving swap exists and the search returns
 None at once, as the full search would have: every packing, swap and
 result is unchanged, only the search that proves the negative is
 skipped.
+
+A second bound, also kept in the memo, settles the chains of K4s that
+the degree bound leaves loose.  Two triangles of one K4 share an edge:
+they miss different vertices of its four, so both contain the other two
+and the edge between them.  A packing therefore holds at most one
+triangle of a K4, and with k K4s that have no triangle in common,
+ν ≤ t − 3k for t triangles.  The K4s are picked greedily: each triangle
+abc not yet claimed, in enumeration order, takes the first d > c on its
+side ab whose triangles abd, acd and bcd are all unclaimed, and the four
+are claimed.  When t ≥ 4 times the degree bound, t − 3k ≥ t/4 cannot go
+below it, so the scan is skipped and the bound is t; dense graphs thus
+pay nothing for it.  The bound is asked for only when a search reaches
+size 2: searches that end at a free triangle or at size 1, and every
+graph that the degree bound settles, do not need it.
 """
 
 from __future__ import annotations
@@ -314,6 +328,34 @@ def _degree_bound(g: Graph) -> int:
     return sum(h // 3 for h in halves.values())
 
 
+def _block_bound(g: Graph) -> int:
+    """The K4-block bound on ν of the module docstring, kept in the graph's memo."""
+    return memo(g, "block_bound", lambda: _k4_block_bound(g))
+
+
+def _k4_block_bound(g: Graph) -> int:
+    tris = enumerate_triangles(g)
+    if len(tris) >= 4 * _nu_bound(g):
+        return len(tris)
+    above: dict[int, list[int]] = {}  # side ab of a < b: each d > b with abd a triangle
+    for (_, _, d), (ab, _, _) in tris:
+        above.setdefault(ab, []).append(d)
+    claimed: set[tuple[int, int, int]] = set()
+    blocks = 0
+    for (a, b, c), (ab, _, _) in tris:
+        if (a, b, c) in claimed:
+            continue
+        for d in above[ab]:
+            if d > c and g.has_edge(c, d):
+                rest = ((a, b, d), (a, c, d), (b, c, d))
+                if claimed.isdisjoint(rest):
+                    claimed.add((a, b, c))
+                    claimed.update(rest)
+                    blocks += 1
+                    break
+    return len(tris) - 3 * blocks
+
+
 def _find_swap(
     g: Graph,
     p: Packing,
@@ -358,6 +400,8 @@ def _find_swap(
             sets = (((c,), 1 << c) for c in range(len(candidates)))
         else:
             if r == 2:  # built only now: most searches end before size 2
+                if len(p) >= _block_bound(g):
+                    return None
                 reqs = _requirements(candidates, tris, owner, listed)
             sets = _removal_sets(nbrs, reqs, r)
         for removal, rm in sets:

@@ -97,6 +97,19 @@ def test_bench_leaves_nu_empty_above_the_oracle_cap(tmp_path, capsys):
     assert (row["nu"], row["nu_bound"], row["packing"]) == ("", "20", "20")
 
 
+def test_bench_bounds_a_long_chain_by_its_k4_blocks(tmp_path, capsys):
+    # lend_chain(100) has 404 triangles, too many for nu_exact; its degree
+    # bound is 134 and its K4-block bound 101, which its packing meets
+    out = tmp_path / "bench.csv"
+    code, _, _ = run(
+        capsys, "bench", "--family", "lend_chain", "--length", "100",
+        "--trials", "1", "--order", "2", "--out", str(out),
+    )
+    assert code == 0
+    (row,) = csv.DictReader(out.read_text().splitlines())
+    assert (row["nu"], row["nu_bound"], row["packing"]) == ("", "101", "101")
+
+
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_bench_rejects_non_positive_trials(tmp_path, capsys, trials):
     out = tmp_path / "bench.csv"

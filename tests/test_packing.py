@@ -21,6 +21,7 @@ from tricover.generators import bowtie, complete_graph, glued_k4, gnp, lend_chai
 from tricover import packing
 from tricover.packing import (
     SwapCertificate,
+    _block_bound,
     _disjoint_selection,
     _nu_bound,
     targeted_swap,
@@ -28,6 +29,7 @@ from tricover.packing import (
 )
 
 from test_acceptance import suite_instances
+from test_order2 import gadget_union
 
 
 def any_swap(g, p, max_swap):
@@ -213,6 +215,12 @@ def test_local_search_gnp20_five_swaps():
     assert len(local_search_packing(gnp(20, 0.5, 1), 0, 5)) == 28
 
 
+def _relabeled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     n=st.integers(4, 10),
@@ -243,10 +251,11 @@ def test_nu_bound_pins(g, bound, nu):
     assert (_nu_bound(g), nu_exact(g).value) == (bound, nu)
 
 
-def test_swap_search_skipped_when_packing_meets_nu_bound(monkeypatch):
-    def no_search(nbrs, reqs, size):
-        raise RuntimeError("swap search ran")
+def no_search(nbrs, reqs, size):
+    raise RuntimeError("swap search ran")
 
+
+def test_swap_search_skipped_when_packing_meets_nu_bound(monkeypatch):
     k7, k5 = complete_graph(7), complete_graph(5)
     p7, p5 = local_search_packing(k7, 0, 5), local_search_packing(k5, 0, 5)
     monkeypatch.setattr(packing, "_removal_sets", no_search)
@@ -257,10 +266,51 @@ def test_swap_search_skipped_when_packing_meets_nu_bound(monkeypatch):
         targeted_swap(k5, p5, set(range(k5.m)), 5)
 
 
-def _relabeled(g, seed):
-    perm = list(range(g.n))
-    random.Random(seed).shuffle(perm)
-    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+def test_swap_search_skipped_when_packing_meets_block_bound(monkeypatch):
+    # the degree bound of 68 leaves the chain's search running; the block
+    # bound of 51 ends it before the removal sets of size 2
+    g = _relabeled(lend_chain(50), 1)
+    monkeypatch.setattr(packing, "_removal_sets", no_search)
+    p = local_search_packing(g, 0, 5)
+    assert (len(p), _block_bound(g), _nu_bound(g)) == (51, 51, 68)
+    assert any_swap(g, p, 5) is None
+
+
+@pytest.mark.parametrize(
+    "g, degree, block",
+    [
+        (complete_graph(4), 1, 4),  # t >= 4 * degree bound: no scan
+        (complete_graph(5), 3, 7),
+        (bowtie(), 2, 2),
+        (glued_k4(3), 3, 12),  # t = 4 * degree bound: no scan
+        (lend_chain(2), 4, 3),
+        (lend_chain(3), 5, 4),
+        (lend_chain(4), 6, 5),
+        (lend_chain(100), 134, 101),  # its greedy packing holds 101: ν = 101
+    ],
+)
+def test_block_bound_pins(g, degree, block):
+    assert (_nu_bound(g), _block_bound(g)) == (degree, block)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    g=st.one_of(
+        st.builds(
+            lambda length, seed: _relabeled(lend_chain(length), seed),
+            st.integers(1, 8),
+            st.integers(0, 10**6),
+        ),
+        st.builds(
+            lambda length, seed: _relabeled(glued_k4(length), seed),
+            st.integers(1, 4),
+            st.integers(0, 10**6),
+        ),
+        st.builds(lambda seed: gadget_union(random.Random(seed)), st.integers(0, 10**6)),
+    )
+)
+def test_block_bound_is_an_upper_bound(g):
+    assert _block_bound(g) >= nu_exact(g).value
 
 
 def test_local_search_relabeled_chains_digest():
@@ -448,9 +498,13 @@ def test_repair_search_matches_reference(
 ):
     # cover's repair search on a local-search packing, two sizes past the
     # search that made it: the removal sets it tries from size 2 on are
-    # pruned to those whose every member can lose two edges
+    # pruned to those whose every member can lose two edges.  A chain's
+    # packing meets its block bound, so a K5 lies beside it: K5 packs 2
+    # of its bounds of 3 and 7, and the chain's search runs in full
     if chain:
-        g = _relabeled(lend_chain(size - 5), graph_seed)
+        h = lend_chain(size - 5)
+        k5 = [(u, v) for u in range(h.n, h.n + 5) for v in range(u + 1, h.n + 5)]
+        g = _relabeled(build_graph(h.n + 5, h.edges + k5), graph_seed)
     else:
         g = gnp(size, density, graph_seed)
     p = local_search_packing(g, order_seed, max_swap)
