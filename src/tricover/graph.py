@@ -52,14 +52,18 @@ class Graph:
     graph.  The entries are the triangle tuple (``"triangles"``, filled by
     ``enumerate_triangles``), the edge-id bitmask of each of those
     triangles (``"edge_masks"``, filled by ``edge_masks`` and read by
-    ``packing.greedy_packing``, the swap search and ``oracles.nu_exact``),
+    ``packing.greedy_packing``, the swap search, ``oracles.nu_exact`` and
+    ``oracles.tau_star_k_exact``),
     the degree bound on ν (``"nu_bound"``, filled by the swap search in
     ``packing`` and by ``oracles.nu_exact``), the K4-block bound on ν
     (``"block_bound"``, filled by the swap search and by ``cli.cmd_bench``),
     each local-search packing (``("local_search", seed, max_swap)``,
-    filled by ``pipeline.cover``)
-    and the tau* LP optimum (``"tau_star_lp"``, filled by
-    ``oracles.tau_star_k_exact`` and so also by ``oracles.tau_exact``).
+    filled by ``pipeline.cover``),
+    the tau* LP optimum (``"tau_star_lp"``, filled by
+    ``oracles.tau_star_k_exact`` and so also by ``oracles.tau_exact``)
+    and the sorted edge ids of a minimum triangle-hitting edge set
+    (``"tau"``, filled by ``oracles.tau_star_k_exact`` at k = 1 when it
+    searches, and read there as the incumbent of every k > 1).
     A memo value holds no reference to its graph, so no reference cycle
     keeps a dead graph alive.
     """

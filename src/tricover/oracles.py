@@ -2,17 +2,19 @@
 
 The integral solvers are two branch-and-bound searches, nu and tau*_k,
 designed for desk-scale graphs (a few hundred triangles at most); tau is
-tau*_1.  The LP optimum tau* comes from a fraction-free integer simplex:
-the tableau is kept in Python ints over one common denominator, each
-pivot divides exactly (Bareiss), and Dantzig's rule picks the entering
-column, with Bland's rule as the guard against cycling; the final
-tableau's packing certifies the value.  Values and witnesses are
-exact; no floating point anywhere.
+tau*_1.  The LP optimum tau* comes from a fraction-free integer simplex
+over the edges that lie in a triangle.  Its tableau is condensed (the
+nonbasic columns and b only) and each row keeps its own integer scale:
+a pivot leaves a row with a zero in the entering column alone and moves
+any other row to the new scale as (p*a - f*b) // d_i, exact because
+the result is p times a true value, a minor of the starting matrix
+(Bareiss).  Dantzig's rule picks the entering column, with Bland's rule
+as the guard against cycling; the final tableau's packing certifies the
+value.  Values and witnesses are exact; no floating point anywhere.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +26,10 @@ from .packing import _nu_bound
 DEFAULT_TRIANGLE_CAP = 200
 # consecutive degenerate pivots after which the simplex enters by Bland's rule
 _DEGENERATE_RUN = 50
+# the node of nu_exact's search at which it computes the degree bound on nu:
+# the bound costs about as much as that many nodes, and most searches on
+# small graphs end before it
+_NU_BOUND_NODE = 8
 
 
 @dataclass
@@ -44,19 +50,24 @@ def nu_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult:
     """Maximum number of pairwise edge-disjoint triangles, exactly.
 
     No branch can beat the degree bound on ν (``packing._nu_bound``), so
-    the search ends once the best packing found meets it.
+    the search ends once the best packing found meets it.  The bound is
+    computed at node ``_NU_BOUND_NODE``, so a search that ends sooner
+    never pays for it; the cut only stops branches that cannot beat the
+    best packing strictly, so the packing found is the same either way.
     """
     tris = _triangles_capped(g, cap)
     masks = edge_masks(g)
-    bound = _nu_bound(g)
+    bound = len(tris)  # until the degree bound replaces it
     nodes = 0
 
     best: list[int] = []
     chosen: list[int] = []
 
     def dfs(candidates: list[int], used: int) -> None:
-        nonlocal nodes, best
+        nonlocal nodes, best, bound
         nodes += 1
+        if nodes == _NU_BOUND_NODE:
+            bound = _nu_bound(g)
         if min(bound, len(chosen) + len(candidates)) <= len(best):
             return
         # the candidates avoid ``used``, and each further triangle takes
@@ -91,30 +102,43 @@ def tau_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult:
 
 
 def _simplex_min(
-    rows: list[list[int]], cost: list[int], basis: list[int]
-) -> tuple[Fraction, list[Fraction], int]:
-    """Simplex for min c.x, rows = [A | b], x >= 0, on a fraction-free
-    integer tableau.
+    rows: list[list[int]], z: list[int], basis: list[int], cols: list[int]
+) -> tuple[int, list[int], list[int], int]:
+    """Simplex for min c.x, x >= 0, on a condensed fraction-free integer
+    tableau: the dictionary form of Bareiss elimination, as in Avis's lrs.
 
-    The caller supplies integer rows whose ``basis`` columns form the
-    identity (the slack columns) with b >= 0, so the starting basis is
-    feasible, and zero cost on those columns, so the starting reduced
-    costs are the costs themselves.  The tableau keeps one common
-    denominator d > 0: every stored entry, in the rows and in the
-    reduced-cost row, is d times its true value.  A pivot on p = T[r][c]
-    replaces every other entry by (p*T[i][j] - T[i][c]*T[r][j]) // d and
-    then sets d = p.  The division is exact, because d is the determinant
-    of the current basis and each stored entry is a minor of the starting
-    matrix (Bareiss).
+    Variables are named by ids.  Row i holds the basic variable
+    ``basis[i]``: its coefficients on the nonbasic columns, column j
+    holding variable ``cols[j]``, then its right-hand side b_i.  The
+    basic columns, an identity, are not stored.  The caller supplies
+    b >= 0, so the starting basis is feasible, and in ``z`` the costs of
+    the nonbasic columns followed by 0, as the starting basic variables
+    cost nothing; the last entry of ``z`` is minus the objective.
 
-    As d > 0, signs and ratios are read off the integers, so the pivots
-    are those of the same tableau kept in fractions.  The entering column
-    has the most negative reduced cost, ties going to the lowest column
-    (Dantzig).  A pivot is degenerate when its leaving row has b = 0;
-    after ``_DEGENERATE_RUN`` degenerate pivots in a row the entering
-    column is the first with a negative reduced cost (Bland), until the
-    next non-degenerate pivot.  The leaving row has the least ratio
-    b_i/a_i, ties going to the smallest basis index.
+    Row i has its own scale d_i > 0: each of its entries is d_i times
+    the true value.  ``z`` has the scale d > 0 of the latest pivot, and
+    every scale starts at 1.  A pivot on p = T[r][s], with row r first
+    brought to scale d, moves each other row whose entry f in column s
+    is not zero to scale p, as a -> (p*a - f*b) // d_i with b the pivot
+    row's entry, and ``z`` likewise with d_i = d.  A row with f = 0 is
+    not touched: its true values do not change.  Column s then holds
+    the leaving variable: its entries follow the same formula with a = 0
+    and b = d (so d sits at row r), and the two variables swap ids.  The
+    pivot row keeps its integers, now at scale p, and d becomes p.  Each
+    division is exact: (p*a - f*b) // d_i is p times the row's new true
+    value, and d times any true value of the tableau whose basis has
+    determinant d is a minor of the starting matrix (Bareiss).
+
+    As every scale is positive, signs and ratios are read off the
+    integers, so the pivots are those of the same tableau kept in
+    fractions.  The entering column has the most negative reduced cost,
+    ties going to the lowest variable id (Dantzig).  A pivot is
+    degenerate when its leaving row has b = 0; after
+    ``_DEGENERATE_RUN`` degenerate pivots in a row the entering column
+    is the one of lowest variable id with a negative reduced cost
+    (Bland), until the next non-degenerate pivot.  The leaving row has
+    the least ratio b_i/a_i, ties going to the smallest basic variable
+    id.
 
     The method terminates.  A non-degenerate pivot strictly lowers the
     objective, so no basis repeats across such pivots, and there are
@@ -122,33 +146,36 @@ def _simplex_min(
     past its first ``_DEGENERATE_RUN`` pivots both rules are Bland's,
     which cannot cycle, so the run ends.
 
-    Returns the optimal objective value, the final reduced-cost row (its
-    last entry is minus the value) and the number of pivots.  ``rows``
-    and ``basis`` are left holding the final tableau and basis: row i
-    holds d times the value of its basic variable, and d sits in its
-    basic column, ``rows[i][basis[i]]``.
+    Returns d, the final ``z`` at scale d, x with x[i] = d times the
+    value of ``basis[i]``, and the number of pivots.  ``rows``,
+    ``basis`` and ``cols`` are left holding the final tableau, each row
+    at its own scale.
     """
     m = len(rows)
-    ncols = len(rows[0]) - 1
+    scale = [1] * m
     d = 1
-    z = cost + [0]
     pivots = 0
     degenerate = 0
     while True:
+        # the objective starts at 0 and never rises, so the last entry of
+        # z is never negative and min(z) < 0 only on a column
         if degenerate < _DEGENERATE_RUN:
-            low = min(z[:ncols])
+            low = min(z)
             if low >= 0:
                 break
             enter = z.index(low)
+            if z.count(low) > 1:
+                enter = min((j for j, v in enumerate(z) if v == low), key=cols.__getitem__)
         else:
-            enter = next((j for j in range(ncols) if z[j] < 0), None)
+            enter = min((j for j, v in enumerate(z) if v < 0), key=cols.__getitem__, default=None)
             if enter is None:
                 break
         leave, lead_b, lead_a = None, 0, 1
         for i in range(m):
             a = rows[i][enter]
             if a > 0:
-                # b_i / a < lead_b / lead_a, cross-multiplied (a, lead_a > 0)
+                # b_i / a < lead_b / lead_a within each row's own scale,
+                # cross-multiplied (a, lead_a > 0)
                 lhs, rhs = rows[i][-1] * lead_a, lead_b * a
                 if leave is None or lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave, lead_b, lead_a = i, rows[i][-1], a
@@ -156,76 +183,91 @@ def _simplex_min(
             raise ArithmeticError("unbounded LP")
         degenerate = degenerate + 1 if lead_b == 0 else 0
         prow = rows[leave]
+        if scale[leave] != d:
+            prow = [a * d // scale[leave] for a in prow]
         p = prow[enter]
+        prow[enter] = d
         for i in range(m):
-            if i == leave:
-                continue
-            f = rows[i][enter]
-            if f:
-                rows[i] = [(p * a - f * b) // d for a, b in zip(rows[i], prow)]
-            elif p != d:
-                rows[i] = [p * a // d for a in rows[i]]
+            row = rows[i]
+            f = row[enter]
+            if f and i != leave:
+                row[enter] = 0
+                di = scale[i]
+                rows[i] = [(p * a - f * b) // di for a, b in zip(row, prow)]
+                scale[i] = p
         f = z[enter]
+        z[enter] = 0
         z = [(p * a - f * b) // d for a, b in zip(z, prow)]
+        rows[leave] = prow
+        scale[leave] = p
+        basis[leave], cols[enter] = cols[enter], basis[leave]
         d = p
-        basis[leave] = enter
         pivots += 1
-    value = Fraction(sum(cost[basis[i]] * rows[i][-1] for i in range(m)), d)
-    return value, [Fraction(v, d) for v in z], pivots
+    x = [row[-1] * d // di for row, di in zip(rows, scale)]
+    return d, z, x, pivots
 
 
 def tau_star_lp_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult:
     """The LP optimum over all fractional covers, exactly.
 
     Solved through the dual (maximum fractional triangle packing), whose
-    all-slack basis is feasible, so no phase-1 is needed.  The value
-    carries its own certificate, checked by weak duality whatever the
-    pivot rule: the final tableau holds a fractional triangle packing of
-    that total, and the witness, an optimal primal cover read off the
-    final reduced costs, is a cover of that total.
-    ``nodes_explored`` counts the simplex pivots.
+    all-slack basis is feasible, so no phase-1 is needed.  Its rows are
+    the edges that lie in a triangle: an edge in none has a row of zeros
+    on every triangle column, so its slack would stay basic through
+    every pivot and change no other row, and the pivots are those of the
+    LP over all edges.  The value carries its own certificate, checked
+    by weak duality whatever the pivot rule: the final tableau holds a
+    fractional triangle packing of that total, and the witness, an
+    optimal primal cover read off the final reduced costs of the slacks,
+    is a cover of that total.  ``nodes_explored`` counts the simplex
+    pivots.
     """
     tris = _triangles_capped(g, cap)
     if not tris:
         return OracleResult(Fraction(0), {}, 0)
-    m = g.m
     nv = len(tris)
-    rows = [[0] * (nv + m + 1) for _ in range(m)]
+    edges = sorted({e for t in tris for e in t.edge_ids})
+    row_of = dict(zip(edges, range(len(edges))))
+    rows = [[0] * nv + [1] for _ in edges]
     for j, t in enumerate(tris):
         for e in t.edge_ids:
-            rows[e][j] = 1
-    for i in range(m):
-        rows[i][nv + i] = 1
-        rows[i][-1] = 1
-    cost = [-1] * nv + [0] * m
-    basis = list(range(nv, nv + m))
-    neg_value, z, pivots = _simplex_min(rows, cost, basis)
-    value = -neg_value
-    # the optimal fractional packing: each basic triangle at its basic
-    # value, over the common denominator d
-    d = rows[0][basis[0]]
-    load = [0] * m
+            rows[row_of[e]][j] = 1
+    basis = list(range(nv, nv + len(edges)))
+    cols = list(range(nv))
+    d, z, x, pivots = _simplex_min(rows, [-1] * nv + [0], basis, cols)
+    # the simplex minimizes minus the packing's total, so z's last entry
+    # is d times the value; the optimal fractional packing is each basic
+    # triangle at its value
+    total = z[-1]
+    load = [0] * g.m
     packed = 0
-    for row, b in zip(rows, basis):
+    for b, xi in zip(basis, x):
         if b < nv:
-            packed += row[-1]
+            packed += xi
             for e in tris[b].edge_ids:
-                load[e] += row[-1]
-    if d <= 0 or min(row[-1] for row in rows) < 0 or max(load) > d or packed != value * d:
-        raise ArithmeticError(f"LP tableau holds no fractional packing of total {value}")
-    cover = {e: z[nv + e] for e in range(m) if z[nv + e]}
-    total = sum(cover.values(), Fraction(0))
-    if total != value:
-        raise ArithmeticError(f"LP cover witness sums to {total}, not the LP value {value}")
-    # the cover test of verify_cover, over the witness's common denominator
-    den = math.lcm(*(v.denominator for v in cover.values()))
-    scaled = ChargeAssignment(
-        den, {e: v.numerator * (den // v.denominator) for e, v in cover.items()}
-    )
-    missed = uncovered_triangles(g, scaled)
+                load[e] += xi
+    if d <= 0 or min(x) < 0 or max(load) > d or packed != total:
+        raise ArithmeticError(
+            f"LP tableau holds no fractional packing of total {Fraction(total, d)}"
+        )
+    # the cover: each nonbasic slack's reduced cost, in edge order
+    y = [0] * len(edges)
+    for c, v in zip(cols, z):
+        if c >= nv:
+            y[c - nv] = v
+    numerators = {e: v for e, v in zip(edges, y) if v}
+    if sum(numerators.values()) != total:
+        raise ArithmeticError(
+            f"LP cover witness sums to {Fraction(sum(numerators.values()), d)}, "
+            f"not the LP value {Fraction(total, d)}"
+        )
+    # the cover test of verify_cover, over the common denominator d
+    missed = uncovered_triangles(g, ChargeAssignment(d, numerators))
     if missed:
         raise NotACoverError(f"LP cover witness misses triangle {missed[0].vertices}")
-    return OracleResult(value, cover, pivots)
+    return OracleResult(
+        Fraction(total, d), {e: Fraction(v, d) for e, v in numerators.items()}, pivots
+    )
 
 
 def tau_star_k_exact(
@@ -259,6 +301,7 @@ def tau_star_k_exact(
     nt = len(tris)
     m = g.m
     tri_edges = [t.edge_ids for t in tris]
+    tri_masks = edge_masks(g)
 
     # the LP optimum bounds every node from below globally; when its
     # primal witness is already (1/k)-integral it solves the instance.
@@ -267,14 +310,18 @@ def tau_star_k_exact(
     lp_res = memo(g, "tau_star_lp", lambda: tau_star_lp_exact(g, cap))
     lp = lp_res.value * k
     lp_floor = -((-lp.numerator) // lp.denominator)  # ceil in units
-    scaled = {e: v * k for e, v in lp_res.witness.items()}
-    if all(v.denominator == 1 for v in scaled.values()):
-        witness = ChargeAssignment(k, {e: int(v) for e, v in scaled.items() if v})
+    # v is in lowest terms, so k * v is an integer exactly when its
+    # denominator divides k
+    if all(k % v.denominator == 0 for v in lp_res.witness.values()):
+        witness = ChargeAssignment(
+            k, {e: v.numerator * (k // v.denominator) for e, v in lp_res.witness.items() if v}
+        )
         return OracleResult(lp_res.value, witness, 1)
 
     # incumbent: an integral cover at value k; for k = 1 the greedy one
     # (repeatedly take the edge in most uncovered triangles), for k > 1
-    # the optimum of k = 1, which prunes far more than a greedy start
+    # the optimum of k = 1, which prunes far more than a greedy start and
+    # is kept in the graph's memo, so every k > 1 shares one k = 1 search
     if k == 1:
         cover: set[int] = set()
         uncovered = tri_edges
@@ -287,15 +334,13 @@ def tau_star_k_exact(
             cover.add(e_best)
             uncovered = [es for es in uncovered if e_best not in es]
     else:
-        cover = set(tau_exact(g, cap).witness)
+        cover = set(memo(g, "tau", lambda: tuple(tau_exact(g, cap).witness)))
     best_y = [k if e in cover else 0 for e in range(m)]
     best_units = k * len(cover)
 
     y = [0] * m
     frozen = bytearray(m)
     deficit = [k] * nt  # k - current sum over the triangle's edges
-    edge_used = [0] * m  # generation stamps for the disjoint-triangle bound
-    gen = 0
 
     def raise_edge(e: int, delta: int) -> None:
         y[e] += delta
@@ -332,44 +377,60 @@ def tau_star_k_exact(
                 added += d
         return added
 
-    def analyze():
+    def analyze(units: int):
         """(lower bound in units, per-edge deficient counts, target).
+
+        The counts and the target are None when no triangle is deficient,
+        and also once ``units`` plus the disjoint-triangle bound reaches
+        the incumbent: the scan stops there, and the node is cut before
+        they are built.
 
         Every deficient triangle has room for its deficit (see
         ``propagate``), so the bound never proves a node infeasible.
         """
-        nonlocal gen
-        gen += 1
-        units = 0
+        need = best_units - units  # the disjoint bound cuts the node here
+        disjoint = 0
+        used = 0  # edge mask of the greedy edge-disjoint deficient family
         total_deficiency = 0
-        hot = [0] * m
-        target, target_key = None, None
+        open_tris = []
         for ti in range(nt):
             d = deficit[ti]
-            if d <= 0:
-                continue
-            total_deficiency += d
+            if d > 0:
+                open_tris.append(ti)
+                total_deficiency += d
+                if not used & tri_masks[ti]:
+                    used |= tri_masks[ti]
+                    disjoint += d
+                    if disjoint >= need:
+                        return disjoint, None, None
+        if not open_tris:
+            return 0, None, None
+        hot = [0] * m
+        # the target is the first deficient triangle of fewest free edges,
+        # then largest deficit: the least free * (k + 1) - d, as d <= k
+        target, target_key = None, None
+        for ti in open_tris:
             free = 0
-            for e in tri_edges[ti]:
-                if not frozen[e]:
-                    hot[e] += 1
-                    free += 1
-            key = (free, -d, ti)
+            a, b, c = tri_edges[ti]
+            if not frozen[a]:
+                hot[a] += 1
+                free += 1
+            if not frozen[b]:
+                hot[b] += 1
+                free += 1
+            if not frozen[c]:
+                hot[c] += 1
+                free += 1
+            key = free * (k + 1) - deficit[ti]
             if target_key is None or key < target_key:
                 target, target_key = ti, key
-            es = tri_edges[ti]
-            if edge_used[es[0]] != gen and edge_used[es[1]] != gen and edge_used[es[2]] != gen:
-                edge_used[es[0]] = edge_used[es[1]] = edge_used[es[2]] = gen
-                units += d
-        if not total_deficiency:
-            return 0, hot, None
         # fractional bound: one unit on an edge settles at most its count
         # of deficient triangles, so spend capacity on the busiest first;
         # sum(hot * capacity) is the deficient triangles' total room, at
         # least their total deficiency, so the loop always breaks
         rem = total_deficiency
         frac = 0
-        for e in sorted((e for e in range(m) if hot[e]), key=lambda e: -hot[e]):
+        for e in sorted(filter(hot.__getitem__, range(m)), key=hot.__getitem__, reverse=True):
             capacity = k - y[e]
             if capacity * hot[e] < rem:
                 frac += capacity
@@ -377,7 +438,7 @@ def tau_star_k_exact(
             else:
                 frac += -(-rem // hot[e])
                 break
-        return max(units, frac), hot, target
+        return max(disjoint, frac), hot, target
 
     def dfs(units: int, fixed: int | None) -> None:
         nonlocal nodes, best_units, best_y
@@ -390,7 +451,7 @@ def tau_star_k_exact(
                 units += propagate(fixed, trail)
             if units >= best_units:
                 return
-            lb, hot, ti = analyze()
+            lb, hot, ti = analyze(units)
             if max(units + lb, lp_floor) >= best_units:
                 return
             if ti is None:
@@ -416,4 +477,7 @@ def tau_star_k_exact(
 
     dfs(0, None)
     witness = ChargeAssignment(k, {e: v for e, v in enumerate(best_y) if v})
+    if k == 1:
+        # the incumbent of every k > 1 on this graph
+        memo(g, "tau", lambda: tuple(witness.numerators))
     return OracleResult(Fraction(best_units, k), witness, nodes)

@@ -261,24 +261,28 @@ def test_witness_checks_raise_under_optimize_flag():
 
         solve = o._simplex_min
 
-        def misplaced(rows, cost, basis):
-            # the LP value, all of it on edge 0: right total, not a cover
-            value, z, pivots = solve(rows, cost, basis)
-            z = [Fraction(0)] * len(z)
-            z[len(cost) - len(rows)] = -value
-            return value, z, pivots
+        def misplaced(rows, z, basis, cols):
+            # the LP value, all of it on one edge: right total, not a cover
+            nv = len(cols)
+            d, z, x, pivots = solve(rows, z, basis, cols)
+            j = next(j for j, c in enumerate(cols) if c >= nv)
+            z = [0] * len(cols) + [z[-1]]
+            z[j] = z[-1]
+            return d, z, x, pivots
 
-        def inflated(rows, cost, basis):
-            value, z, pivots = solve(rows, cost, basis)
-            return value, [2 * v for v in z], pivots
+        def inflated(rows, z, basis, cols):
+            # every reduced cost doubled, the value kept
+            d, z, x, pivots = solve(rows, z, basis, cols)
+            return d, [2 * v for v in z[:-1]] + [z[-1]], x, pivots
 
-        def overpacked(rows, cost, basis):
+        def overpacked(rows, z, basis, cols):
             # one basic triangle's value raised by one: the tableau's
             # packing overloads its edges and misses the value
-            value, z, pivots = solve(rows, cost, basis)
-            i = next(i for i, b in enumerate(basis) if b < len(cost) - len(rows))
-            rows[i][-1] += rows[i][basis[i]]
-            return value, z, pivots
+            nv = len(cols)
+            d, z, x, pivots = solve(rows, z, basis, cols)
+            i = next(i for i, b in enumerate(basis) if b < nv)
+            x[i] += d
+            return d, z, x, pivots
 
         for corrupt, expected in (
             (misplaced, NotACoverError),
@@ -304,7 +308,7 @@ def test_witness_checks_raise_under_optimize_flag():
 
 def _reference_simplex_min(
     rows: list[list[Fraction]], cost: list[Fraction], basis: list[int]
-) -> tuple[Fraction, list[Fraction]]:
+) -> tuple[Fraction, list[Fraction], int]:
     """Tableau simplex for min c.x, rows = [A | b], x >= 0.
 
     The entering column has the most negative reduced cost, ties to the
@@ -312,7 +316,8 @@ def _reference_simplex_min(
     pivots in a row (leaving row with b = 0), when it is the first
     negative column (Bland) until the next non-degenerate pivot.  The
     caller supplies a feasible starting basis (slack columns).
-    Returns the optimal objective value and the final reduced-cost row.
+    Returns the optimal objective value, the final reduced-cost row and
+    the number of pivots.
     """
     m = len(rows)
     ncols = len(rows[0]) - 1
@@ -322,7 +327,7 @@ def _reference_simplex_min(
         if cost[bi]:
             f = cost[bi]
             z = [zj - f * aj for zj, aj in zip(z, rows[i] + [Fraction(0)])]
-    degenerate = 0
+    degenerate = pivots = 0
     while True:
         negative = [j for j in range(ncols) if z[j] < 0]
         if not negative:
@@ -352,31 +357,80 @@ def _reference_simplex_min(
             f = z[enter]
             z = [a - f * b for a, b in zip(z, rows[leave] + [Fraction(0)])]
         basis[leave] = enter
+        pivots += 1
     value = sum(cost[basis[i]] * rows[i][-1] for i in range(m))
-    return value, z
+    return value, z, pivots
+
+
+def _expand(cols, basis, entries, last):
+    """A condensed row (one entry per nonbasic column, then ``last``) as
+    a full row over every variable id: 0 on the basic variables."""
+    full = [0] * (len(cols) + len(basis)) + [last]
+    for c, v in zip(cols, entries):
+        full[c] = v
+    return full
 
 
 def _check_simplex_against_reference(g):
     """Solve the LP that tau_star_lp_exact builds both ways: the integer
-    simplex must reach the same value, reduced costs and final basis."""
+    simplex on the condensed tableau, expanded to every variable, must
+    reach the same value, reduced costs and final basis as the reference
+    on the full tableau."""
     seen = []
     solve = oracles._simplex_min
 
-    def both(rows, cost, basis):
+    def both(rows, z, basis, cols):
+        nv = len(cols)
+        full = [_expand(cols, basis, row, row[-1]) for row in rows]
+        for i, b in enumerate(basis):
+            full[i][b] = 1
         ref_basis = basis[:]
         ref = _reference_simplex_min(
-            [[F(v) for v in row] for row in rows], [F(c) for c in cost], ref_basis
+            [[F(v) for v in row] for row in full],
+            [F(c) for c in _expand(cols, basis, z, 0)[:-1]],
+            ref_basis,
         )
-        value, z, pivots = solve(rows, cost, basis)
-        assert (value, z, basis) == (ref[0], ref[1], ref_basis)
-        nv = len(cost) - len(rows)
+        d, z, x, pivots = solve(rows, z, basis, cols)
+        value = -sum(F(xi, d) for b, xi in zip(basis, x) if b < nv)
+        full_z = [F(v, d) for v in _expand(cols, basis, z, z[-1])]
+        assert (value, full_z, basis) == (ref[0], ref[1], ref_basis)
+        assert pivots == ref[2]
         assert pivots >= sum(1 for b in basis if b < nv)
         seen.append(pivots)
-        return value, z, pivots
+        return d, z, x, pivots
 
     with mock.patch.object(oracles, "_simplex_min", both):
         res = tau_star_lp_exact(g)
     assert seen == ([res.nodes_explored] if enumerate_triangles(g) else [])
+
+
+def test_lp_drops_the_rows_of_triangle_free_edges():
+    # K4 on 0-3 and a triangle 4-5-6 sharing no edge with it, plus a
+    # pendant edge, and an edge and a 4-edge path between the two (6 of
+    # 15 edges in no triangle, their ids among the others): the witness
+    # puts nothing on those edges, and the value and pivots are those of
+    # the reference simplex on the full LP, a row and a slack per edge
+    edges = [(0, 10), (0, 1), (0, 2), (3, 4), (0, 3), (1, 2), (6, 7), (1, 3)]
+    edges += [(2, 3), (7, 8), (4, 5), (8, 9), (4, 6), (2, 9), (5, 6)]
+    g = build_graph(11, edges)
+    tris = enumerate_triangles(g)
+    in_triangle = {e for t in tris for e in t.edge_ids}
+    assert len(in_triangle) == 9 and g.m == 15
+    res = tau_star_lp_exact(g)
+    assert set(res.witness) <= in_triangle
+    nv, m = len(tris), g.m
+    rows = [[F(0)] * (nv + m) + [F(1)] for _ in range(m)]
+    for j, t in enumerate(tris):
+        for e in t.edge_ids:
+            rows[e][j] = F(1)
+    for e in range(m):
+        rows[e][nv + e] = F(1)
+    value, z, pivots = _reference_simplex_min(
+        rows, [F(-1)] * nv + [F(0)] * m, list(range(nv, nv + m))
+    )
+    assert (res.value, res.nodes_explored) == (-value, pivots)
+    assert res.value == 3 and res.witness == {e: v for e, v in enumerate(z[nv:-1]) if v}
+    _check_simplex_against_reference(g)
 
 
 @pytest.mark.parametrize(
@@ -441,6 +495,16 @@ def test_lp_value_digest():
     assert digest == "d30c95b3c34bea56a9fffb1b2511d1f9b814f49cf5385f254399a3f3f4b3ce56"
 
 
+def test_lp_pivot_digest():
+    # sha256 of repr([nodes_explored]) of tau_star_lp_exact over the
+    # criterion-5 graphs (1576 pivots in all), computed on the full
+    # m-row tableau before the LP kept only the rows of triangle edges
+    pivots = [tau_star_lp_exact(g).nodes_explored for g in random_instances(200)]
+    assert sum(pivots) == 1576
+    digest = hashlib.sha256(repr(pivots).encode()).hexdigest()
+    assert digest == "800e89a01aeb17006d8451e30cd97c1589c03899b914721cb2b93f3a0e67c26d"
+
+
 def test_lp_pivots_scale_on_gnp_20():
     # 156 triangles: Dantzig's rule takes 216 pivots, Bland's 1561, so a
     # silent fall back to Bland shows here
@@ -468,6 +532,34 @@ def test_tau_star_k_solves_the_lp_once_per_graph(monkeypatch):
     a, b = oracles.tau_star_lp_exact(g), oracles.tau_star_lp_exact(g)
     assert a is not b and a.witness is not b.witness and a.value == b.value
     assert len(solves) == 4
+
+
+def test_tau_star_k_searches_order_one_once_per_graph(monkeypatch):
+    # every k > 1 starts from the k = 1 optimum, kept in the graph's memo
+    searches = []
+    solve = oracles.tau_exact
+
+    def counted(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        searches.append(res)
+        return res
+
+    monkeypatch.setattr(oracles, "tau_exact", counted)
+    g = gnp(9, 0.7, 1110)  # the heaviest criterion-5 search, at k = 2
+    results = [tau_star_k_exact(g, k) for k in (2, 3, 6)]
+    assert len(searches) == 1 and results[0].nodes_explored == 3676
+    fresh = build_graph(g.n, g.edges)
+    tau_star_k_exact(fresh, 1)
+    again = [tau_star_k_exact(fresh, k) for k in (2, 3, 6)]
+    assert len(searches) == 1
+    assert [(r.value, r.nodes_explored) for r in again] == [
+        (r.value, r.nodes_explored) for r in results
+    ]
+    # the public tau oracle is not memoized: a fresh search on every call
+    a, b = oracles.tau_exact(g), oracles.tau_exact(g)
+    assert a is not b and a.witness is not b.witness
+    assert a.witness == b.witness and a.nodes_explored == b.nodes_explored > 1
+    assert len(searches) == 3
 
 
 def test_nu_sandwich_digest():
