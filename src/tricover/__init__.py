@@ -22,7 +22,7 @@ from .oracles import (
 from .order2 import run_order2
 from .packing import Packing, greedy_packing, local_search_packing, verify_packing
 from .pipeline import CoverResult, cover, certificate_obj
-from .structure import SolutionStructure, build_structure, check_structure
+from .structure import build_structure, check_structure
 
 __version__ = "0.1.0"
 
@@ -34,7 +34,6 @@ __all__ = [
     "OracleResult",
     "Packing",
     "Report",
-    "SolutionStructure",
     "Triangle",
     "build_graph",
     "build_structure",

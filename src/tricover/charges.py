@@ -1,9 +1,9 @@
 """Exact fractional charge assignments, the credit ledger, and the
-order-6 / order-3 engines.
+order-3 engine, read at order 6 as well.
 
 Weights are integer numerators over a fixed denominator (the order), so
-all verification is exact rational arithmetic.  Every charging engine
-(orders 6, 3 and 2) books its credits on one ``Ledger``: each packed
+all verification is exact rational arithmetic.  Both charging engines
+(orders 3 and 2) book their credits on one ``Ledger``: each packed
 triangle places numerators on nearby edges, its contributions are kept
 apart from everyone else's so a triangle's whole share can be replaced,
 and contributions from different packed triangles accumulate per edge;
@@ -144,34 +144,9 @@ def require_clean(s: SolutionStructure) -> None:
 
 
 def charge_order6(s: SolutionStructure) -> ChargeAssignment:
-    """Distribute exactly 2 credits per packed triangle in sixths.
-
-    type-0: 2/3 on each edge.  type-1 with several attachments: base 1,
-    non-base 1/2 each.  type-1 with a unique attachment: base 2/3,
-    non-base 1/2 each, 1/6 on both non-solution edges of the attachment.
-    type-3: 1/3 on all six edges of its K4.
-    """
-    require_clean(s)
-    led = Ledger(6)
-    for psi in s.packing.triangles:
-        i = s.info[psi]
-        if i.type == 0:
-            for e in psi.edge_ids:
-                led.give(psi, e, 4)
-        elif i.type == 1:
-            for e in psi.edge_ids:
-                if e != i.base:
-                    led.give(psi, e, 3)
-            if len(i.cl_sin) > 1:
-                led.give(psi, i.base, 6)
-            else:
-                led.give(psi, i.base, 4)
-                for e in i.legs:
-                    led.give(psi, e, 1)
-        else:
-            for e in s.k4_region_edges(psi):
-                led.give(psi, e, 2)
-    return led.to_assignment()
+    """The order-3 charge in sixths: a (1/3)-integral cover is (1/6)-integral."""
+    f = charge_order3(s)
+    return ChargeAssignment(6, {e: 2 * v for e, v in f.numerators.items()}, f.per_triangle)
 
 
 def charge_order3(s: SolutionStructure) -> ChargeAssignment:

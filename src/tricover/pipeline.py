@@ -14,12 +14,12 @@ restarts, and since each repair grows the packing by one, it
 terminates.  Each repair is logged with its reason, its focus edges (for
 a structure repair, the edges of the swap's triangles) and the swap.
 
-Orders 2, 3 and 6 run their own engine; ``cover`` composes every other
-order from the order-2 and order-3 covers.  The local search is
-deterministic in (graph, seed, max_swap), so it runs once per graph:
-every order, and both halves of a composed order, start from the same
-packing, kept in the graph's memo as its triangles.  Repairs build new
-packings from it and leave the memo as it is.
+Orders 2 and 3 run their own engine, order 6 the order-3 one doubled;
+``cover`` composes every other order from the order-2 and order-3
+covers.  The local search is deterministic in (graph, seed, max_swap),
+so it runs once per graph: every order, and both halves of a composed
+order, start from the same packing, kept in the graph's memo as its
+triangles; repairs build new packings and leave the memo alone.
 """
 
 from __future__ import annotations
@@ -78,9 +78,9 @@ def cover(
 ) -> CoverResult:
     """Verified order-``order`` cover, for every order of at least 2.
 
-    Orders 2, 3 and 6 run their own engine.  Any other order takes
-    order//2 copies of the order-2 cover, or one copy fewer plus the
-    order-3 cover when the order is odd.
+    Orders 2 and 3 run their own engine, order 6 the order-3 one doubled.
+    Any other order takes order//2 copies of the order-2 cover, or one
+    copy fewer plus the order-3 cover when the order is odd.
     """
     if order in (2, 3, 6):
         return _cover_single(g, order, seed, max_swap)

@@ -1,4 +1,4 @@
-"""Order-6 and order-3 charging engines."""
+"""The order-3 charging engine, its order-6 doubling, and the ledger."""
 
 import random
 from fractions import Fraction
@@ -30,45 +30,29 @@ def structure_of(g, triangles):
     return build_structure(g, Packing(g, triangles))
 
 
-def test_order6_isolated_triangle():
-    g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-    f = charge_order6(structure_of(g, [g.triangle(0, 1, 2)]))
-    assert all(f.value(e) == F(2, 3) for e in range(3))
-    assert f.total() == 2
-
-
-def test_order6_k4_type3():
+def test_order3_k4_type3():
     g = complete_graph(4)
-    f = charge_order6(structure_of(g, [g.triangle(0, 1, 2)]))
+    f = charge_order3(structure_of(g, [g.triangle(0, 1, 2)]))
     assert all(f.value(e) == F(1, 3) for e in range(6))
     assert f.total() == 2
     assert verify_cover(g, f, 1).ok
 
 
-def test_order6_type1_many_attachments():
-    # base edge (0,2) with two pendant apexes sharing no structure
+def test_order3_type1_many_attachments():
+    # base edge (0,2) with two pendant apexes sharing no structure: the
+    # base alone covers both, and the spare third stays unspent
     g = build_graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (2, 3), (0, 4), (2, 4)])
-    f = charge_order6(structure_of(g, [g.triangle(0, 1, 2)]))
+    f = charge_order3(structure_of(g, [g.triangle(0, 1, 2)]))
     assert f.value(g.edge_id(0, 2)) == 1
-    assert f.value(g.edge_id(0, 1)) == F(1, 2)
-    assert f.value(g.edge_id(1, 2)) == F(1, 2)
-    assert f.total() == 2
+    assert f.value(g.edge_id(0, 1)) == F(1, 3)
+    assert f.value(g.edge_id(1, 2)) == F(1, 3)
+    assert f.total() == F(5, 3)
     assert verify_cover(g, f, 1).ok
 
 
-def test_order6_type1_unique_attachment_gets_sixths():
-    g = build_graph(4, [(0, 1), (1, 2), (0, 2), (0, 3), (2, 3)])
-    f = charge_order6(structure_of(g, [g.triangle(0, 1, 2)]))
-    assert f.value(g.edge_id(0, 2)) == F(2, 3)
-    assert f.value(g.edge_id(0, 3)) == F(1, 6)
-    assert f.value(g.edge_id(2, 3)) == F(1, 6)
-    assert f.total() == 2
-    assert verify_cover(g, f, 1).ok
-
-
-def test_order6_triangle_free_zero():
+def test_order3_triangle_free_zero():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    f = charge_order6(structure_of(g, []))
+    f = charge_order3(structure_of(g, []))
     assert f.total() == 0
 
 
@@ -141,9 +125,8 @@ def test_per_triangle_ledger_totals():
         g = gnp(rng.randint(5, 10), 0.6, rng.randint(0, 10**6))
         p = local_search_packing(g, rng.randint(0, 30), 5)
         s = build_structure(g, p)
-        f6 = charge_order6(s)
-        assert all(v == 2 for v in f6.per_triangle.values())
         f3 = charge_order3(s)
+        assert charge_order6(s).per_triangle == f3.per_triangle
         for psi, spent in f3.per_triangle.items():
             info = s.info[psi]
             if info.type == 1 and len(info.cl_sin) > 1:

@@ -506,7 +506,7 @@ def test_gadget_union_digest():
             run.demand.log,
         )).encode())
     assert satisfied and settled
-    assert h.hexdigest() == "7beca325a9d3d4a39e205f9fd6159aaf95eec490b7b8f9632e7f037a20f3563a"
+    assert h.hexdigest() == "300f22d3c0940a51045eff937df129c9019047c9598ffd3021f7fd637136130d"
 
 
 def test_deep_discharge_and_pin_iteration():

@@ -367,8 +367,9 @@ def test_cover_enumerates_triangles_once_per_graph(monkeypatch):
 
 def test_cover_suite_digest():
     # sha256 over the acceptance suite x orders 2, 3, 6 of each cover's
-    # numerators, packing, repair log and per-triangle spending, computed
-    # on the commit before the memoised triangle list
+    # numerators, packing, repair log and per-triangle spending; its
+    # orders 2 and 3 rows are as on the commit before the memoised
+    # triangle list, its order 6 rows are those rows of order 3 doubled
     rows = []
     for _, g in suite_instances():
         for k in (2, 3, 6):
@@ -382,7 +383,22 @@ def test_cover_suite_digest():
                 )
             )
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert digest == "c3e808bf944a876feff0f91d6e84e19f62af556545bc512b363a4b2c338a7245"
+    assert digest == "3daa75a9f90302aad15bb1ba96945a637095a2abc214352a4bfcdc6b41bd0fd6"
+
+
+def test_order6_is_the_order3_cover_doubled():
+    # a (1/3)-integral cover is (1/6)-integral with the same total, so
+    # order 6 keeps order 3's packing, repairs and weights; on
+    # gnp(8, 0.3, 45) that total, 11/3, is below 2|P| = 4
+    for name, g in suite_instances():
+        r3, r6 = cover(g, 3), cover(g, 6)
+        assert r6.packing.triangles == r3.packing.triangles, name
+        assert r6.repair_log == r3.repair_log, name
+        assert r6.assignment.numerators == {
+            e: 2 * v for e, v in r3.assignment.numerators.items()
+        }, name
+        if name == "gnp(8,0.3,45)":
+            assert (len(r6.packing), r6.assignment.total()) == (2, Fraction(11, 3))
 
 
 def test_cover_is_invariant_under_edge_order():
