@@ -16,7 +16,7 @@ from .errors import InstanceTooLargeError, RepairExhaustedError, TricoverError
 from .generators import FAMILIES, InstanceSpec, generate
 from .graph import read_edge_list, write_edge_list
 from .oracles import DEFAULT_TRIANGLE_CAP, nu_exact, tau_star_k_exact
-from .packing import DEFAULT_MAX_SWAP, _block_bound, _nu_bound, local_search_packing
+from .packing import DEFAULT_MAX_SWAP, _nu_bound, local_search_packing
 from .pipeline import certificate_dumps, cover
 
 EXIT_OK = 0
@@ -114,7 +114,7 @@ def cmd_bench(args) -> int:
                 "n": g.n,
                 "seed": seed,
                 "nu": nu,
-                "nu_bound": min(_nu_bound(g), _block_bound(g)),
+                "nu_bound": _nu_bound(g),
                 "packing": len(result.packing),
                 "sum_f": str(result.assignment.total()),
                 "order": args.order,

@@ -54,9 +54,9 @@ class Graph:
     triangles (``"edge_masks"``, filled by ``edge_masks`` and read by
     ``packing.greedy_packing``, the swap search, ``oracles.nu_exact`` and
     ``oracles.tau_star_k_exact``),
-    the degree bound on ν (``"nu_bound"``, filled by the swap search in
-    ``packing`` and by ``oracles.nu_exact``), the K4-block bound on ν
-    (``"block_bound"``, filled by the swap search and by ``cli.cmd_bench``),
+    the smaller of the degree and K4-block bounds on ν (``"nu_bound"``,
+    filled by the swap search in ``packing``, by ``oracles.nu_exact`` and
+    by ``cli.cmd_bench``),
     each local-search packing (``("local_search", seed, max_swap)``,
     filled by ``pipeline.cover``),
     the tau* LP optimum (``"tau_star_lp"``, filled by

@@ -26,7 +26,7 @@ from .packing import _nu_bound
 DEFAULT_TRIANGLE_CAP = 200
 # consecutive degenerate pivots after which the simplex enters by Bland's rule
 _DEGENERATE_RUN = 50
-# the node of nu_exact's search at which it computes the degree bound on nu:
+# the node of nu_exact's search at which it reads the upper bound on nu:
 # the bound costs about as much as that many nodes, and most searches on
 # small graphs end before it
 _NU_BOUND_NODE = 8
@@ -49,30 +49,32 @@ def _triangles_capped(g: Graph, cap: int) -> tuple[Triangle, ...]:
 def nu_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult:
     """Maximum number of pairwise edge-disjoint triangles, exactly.
 
-    No branch can beat the degree bound on ν (``packing._nu_bound``), so
-    the search ends once the best packing found meets it.  The bound is
-    computed at node ``_NU_BOUND_NODE``, so a search that ends sooner
-    never pays for it; the cut only stops branches that cannot beat the
-    best packing strictly, so the packing found is the same either way.
+    No branch can beat the swap search's upper bound on ν, the smaller
+    of the degree and K4-block bounds (``packing._nu_bound``), so the
+    search ends once the best packing found meets it; on chains of K4s
+    that is ν.  The bound is read at node ``_NU_BOUND_NODE``, so a search
+    that ends sooner never pays for it; the cut only stops branches that
+    cannot beat the best packing strictly, so the packing found is the
+    same either way.
     """
     tris = _triangles_capped(g, cap)
     masks = edge_masks(g)
-    bound = len(tris)  # until the degree bound replaces it
+    bound = len(tris)  # until the bound on ν replaces it
     nodes = 0
 
     best: list[int] = []
     chosen: list[int] = []
 
-    def dfs(candidates: list[int], used: int) -> None:
+    def dfs(candidates: list[int]) -> None:
         nonlocal nodes, best, bound
         nodes += 1
         if nodes == _NU_BOUND_NODE:
             bound = _nu_bound(g)
         if min(bound, len(chosen) + len(candidates)) <= len(best):
             return
-        # the candidates avoid ``used``, and each further triangle takes
-        # three of their edges; a branch that cannot beat ``best``
-        # strictly is cut, so the first maximum found stays the same
+        # the candidates avoid every chosen triangle, and each further
+        # triangle takes three of their edges; a branch that cannot beat
+        # ``best`` strictly is cut, so the first maximum found stays the same
         free = 0
         for j in candidates:
             free |= masks[j]
@@ -85,12 +87,12 @@ def nu_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult:
         head, rest = candidates[0], candidates[1:]
         # include head
         chosen.append(head)
-        dfs([j for j in rest if masks[j] & (used | masks[head]) == 0], used | masks[head])
+        dfs([j for j in rest if not masks[j] & masks[head]])
         chosen.pop()
         # exclude head
-        dfs(rest, used)
+        dfs(rest)
 
-    dfs(list(range(len(tris))), 0)
+    dfs(list(range(len(tris))))
     return OracleResult(Fraction(len(best)), [tris[j] for j in best], nodes)
 
 

@@ -223,15 +223,13 @@ def build_chains(
         return base
 
     def start_candidates() -> list[LendArc]:
-        out = []
-        for psi, arc in lend.items():
-            if s.info[arc.dst].type != 3:
-                continue
-            if satisfied(arc.dst) or arc.dst in chained:
-                continue
-            if psi in chained or not eligible_lender(psi):
-                continue
-            out.append(arc)
+        out = [
+            arc
+            for psi, arc in lend.items()
+            if s.info[arc.dst].type == 3
+            and not (satisfied(arc.dst) or arc.dst in chained)
+            and eligible_lender(psi)
+        ]
         return sorted(out, key=lambda a: (a.dst, a.src))
 
     while True:

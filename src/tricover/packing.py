@@ -59,31 +59,27 @@ before it, and are kept per edge: their unions over two edges run to
 hundreds per candidate on dense graphs.
 
 Before any of that, the search compares the packing with an upper bound
-on ν kept in the graph's memo.  Join two edges when they lie in a common
-triangle; every triangle then lies inside one of the resulting
-edge-components C, and edges in no triangle are left out.  A packed
-triangle of C uses two edges of C at each of its three vertices, so at
-most ⌊deg_C(v)/2⌋ packed triangles meet v and a packing holds at most
+on ν kept in the graph's memo, the smaller of two bounds.  The degree
+bound: join two edges when they lie in a common triangle; every
+triangle then lies inside one of the resulting edge-components C, and
+edges in no triangle are left out.  A packed triangle of C uses two
+edges of C at each of its three vertices, so at most ⌊deg_C(v)/2⌋
+packed triangles meet v and a packing holds at most
 ⌊Σ_v ⌊deg_C(v)/2⌋ / 3⌋ triangles of C (never more than ⌊|E_C|/3⌋).
-The bound is the sum of these over the components.  A packing of that
-size is maximum, so no improving swap exists and the search returns
-None at once, as the full search would have: every packing, swap and
-result is unchanged, only the search that proves the negative is
-skipped.
-
-A second bound, also kept in the memo, settles the chains of K4s that
-the degree bound leaves loose.  Two triangles of one K4 share an edge:
-they miss different vertices of its four, so both contain the other two
-and the edge between them.  A packing therefore holds at most one
-triangle of a K4, and with k K4s that have no triangle in common,
-ν ≤ t − 3k for t triangles.  The K4s are picked greedily: each triangle
-abc not yet claimed, in enumeration order, takes the first d > c on its
-side ab whose triangles abd, acd and bcd are all unclaimed, and the four
-are claimed.  When t ≥ 4 times the degree bound, t − 3k ≥ t/4 cannot go
-below it, so the scan is skipped and the bound is t; dense graphs thus
-pay nothing for it.  The bound is asked for only when a search reaches
-size 2: searches that end at a free triangle or at size 1, and every
-graph that the degree bound settles, do not need it.
+The bound is the sum of these over the components.  The K4-block
+bound settles the chains of K4s that the degree bound leaves loose.
+Two triangles of one K4 share an edge: they miss different vertices of
+its four, so both contain the other two and the edge between them.  A
+packing therefore holds at most one triangle of a K4, and with k K4s
+that have no triangle in common, ν ≤ t − 3k for t triangles.  The K4s
+are picked greedily: each triangle abc not yet claimed, in enumeration
+order, takes the first d > c on its side ab whose triangles abd, acd
+and bcd are all unclaimed, and the four are claimed.  When t ≥ 4 times
+the degree bound, t − 3k ≥ t/4 cannot go below it, so the scan is
+skipped; dense graphs thus pay nothing for it.  A packing that meets
+the bound is maximum, so the search returns None at once, as the full
+search would have: every packing, swap and result is unchanged.
+``oracles.nu_exact`` and ``cli``'s ``bench`` read the same bound.
 """
 
 from __future__ import annotations
@@ -297,8 +293,8 @@ def _disjoint_selection(masks: list[int], need: int) -> list[int] | None:
 
 
 def _nu_bound(g: Graph) -> int:
-    """The degree bound on ν of the module docstring, kept in the graph's memo."""
-    return memo(g, "nu_bound", lambda: _degree_bound(g))
+    """The upper bound on ν of the module docstring, kept in the graph's memo."""
+    return memo(g, "nu_bound", lambda: _k4_block_bound(g, _degree_bound(g)))
 
 
 def _degree_bound(g: Graph) -> int:
@@ -328,15 +324,11 @@ def _degree_bound(g: Graph) -> int:
     return sum(h // 3 for h in halves.values())
 
 
-def _block_bound(g: Graph) -> int:
-    """The K4-block bound on ν of the module docstring, kept in the graph's memo."""
-    return memo(g, "block_bound", lambda: _k4_block_bound(g))
-
-
-def _k4_block_bound(g: Graph) -> int:
+def _k4_block_bound(g: Graph, degree: int) -> int:
+    """The K4-block bound, or `degree` when that is smaller."""
     tris = enumerate_triangles(g)
-    if len(tris) >= 4 * _nu_bound(g):
-        return len(tris)
+    if len(tris) >= 4 * degree:
+        return degree
     above: dict[int, list[int]] = {}  # side ab of a < b: each d > b with abd a triangle
     for (_, _, d), (ab, _, _) in tris:
         above.setdefault(ab, []).append(d)
@@ -353,7 +345,7 @@ def _k4_block_bound(g: Graph) -> int:
                     claimed.update(rest)
                     blocks += 1
                     break
-    return len(tris) - 3 * blocks
+    return min(degree, len(tris) - 3 * blocks)
 
 
 def _find_swap(
@@ -400,8 +392,6 @@ def _find_swap(
             sets = (((c,), 1 << c) for c in range(len(candidates)))
         else:
             if r == 2:  # built only now: most searches end before size 2
-                if len(p) >= _block_bound(g):
-                    return None
                 reqs = _requirements(candidates, tris, owner, listed)
             sets = _removal_sets(nbrs, reqs, r)
         for removal, rm in sets:

@@ -31,6 +31,7 @@ from tricover.generators import bowtie, complete_graph, glued_k4, gnp, lend_chai
 from tricover.oracles import tau_star_lp_exact
 
 from test_acceptance import random_instances
+from test_packing import _relabeled
 
 F = Fraction
 
@@ -46,6 +47,16 @@ def test_nu_stops_at_the_degree_bound():
     # proves 13 maximal over 5,493,151 nodes
     res = nu_exact(complete_graph(10))
     assert res.value == 13 and res.nodes_explored <= 1000
+
+
+@pytest.mark.parametrize("length, relabel", [(2, None), (4, None), (10, None), (12, 1)])
+def test_nu_stops_at_the_block_bound(length, relabel):
+    # a lend chain's K4-block bound is its ν of length + 1, well below its
+    # degree bound; with the degree bound alone the search took 575,253
+    # nodes on lend_chain(10) and about 6 million on lend_chain(12)
+    g = lend_chain(length) if relabel is None else _relabeled(lend_chain(length), relabel)
+    res = nu_exact(g)
+    assert res.value == length + 1 and res.nodes_explored <= 30
 
 
 def test_nu_witness_is_disjoint():

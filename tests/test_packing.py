@@ -21,8 +21,9 @@ from tricover.generators import bowtie, complete_graph, glued_k4, gnp, lend_chai
 from tricover import packing
 from tricover.packing import (
     SwapCertificate,
-    _block_bound,
+    _degree_bound,
     _disjoint_selection,
+    _k4_block_bound,
     _nu_bound,
     targeted_swap,
     verify_swap,
@@ -233,7 +234,7 @@ def test_nu_bound_is_an_upper_bound(n, density, graph_seed):
 
 
 @pytest.mark.parametrize(
-    "g, bound, nu",
+    "g, degree, nu",
     [
         (complete_graph(4), 1, 1),
         (complete_graph(5), 3, 2),
@@ -247,11 +248,14 @@ def test_nu_bound_is_an_upper_bound(n, density, graph_seed):
         (lend_chain(4), 6, 5),
     ],
 )
-def test_nu_bound_pins(g, bound, nu):
-    assert (_nu_bound(g), nu_exact(g).value) == (bound, nu)
+def test_nu_bound_pins(g, degree, nu):
+    # the degree bound and ν; the bound on ν lies between them, and
+    # test_block_bound_pins pins it where the two differ
+    assert (_degree_bound(g), nu_exact(g).value) == (degree, nu)
+    assert nu <= _nu_bound(g) <= degree
 
 
-def no_search(nbrs, reqs, size):
+def no_search(*args):
     raise RuntimeError("swap search ran")
 
 
@@ -267,30 +271,31 @@ def test_swap_search_skipped_when_packing_meets_nu_bound(monkeypatch):
 
 
 def test_swap_search_skipped_when_packing_meets_block_bound(monkeypatch):
-    # the degree bound of 68 leaves the chain's search running; the block
-    # bound of 51 ends it before the removal sets of size 2
+    # the degree bound of 68 would leave the chain's search running; the
+    # block bound of 51 ends it on entry, before any selection is tried
     g = _relabeled(lend_chain(50), 1)
     monkeypatch.setattr(packing, "_removal_sets", no_search)
+    monkeypatch.setattr(packing, "_disjoint_selection", no_search)
     p = local_search_packing(g, 0, 5)
-    assert (len(p), _block_bound(g), _nu_bound(g)) == (51, 51, 68)
+    assert (len(p), _nu_bound(g), _degree_bound(g)) == (51, 51, 68)
     assert any_swap(g, p, 5) is None
 
 
 @pytest.mark.parametrize(
-    "g, degree, block",
+    "g, degree, bound",
     [
-        (complete_graph(4), 1, 4),  # t >= 4 * degree bound: no scan
-        (complete_graph(5), 3, 7),
+        (complete_graph(4), 1, 1),  # t >= 4 * degree bound: no scan
+        (complete_graph(5), 3, 3),  # a block bound of 7 loses to the degree bound
         (bowtie(), 2, 2),
-        (glued_k4(3), 3, 12),  # t = 4 * degree bound: no scan
+        (glued_k4(3), 3, 3),  # t = 4 * degree bound: no scan
         (lend_chain(2), 4, 3),
         (lend_chain(3), 5, 4),
         (lend_chain(4), 6, 5),
         (lend_chain(100), 134, 101),  # its greedy packing holds 101: ν = 101
     ],
 )
-def test_block_bound_pins(g, degree, block):
-    assert (_nu_bound(g), _block_bound(g)) == (degree, block)
+def test_block_bound_pins(g, degree, bound):
+    assert (_degree_bound(g), _nu_bound(g)) == (degree, bound)
 
 
 @settings(max_examples=150, deadline=None)
@@ -310,7 +315,9 @@ def test_block_bound_pins(g, degree, block):
     )
 )
 def test_block_bound_is_an_upper_bound(g):
-    assert _block_bound(g) >= nu_exact(g).value
+    # a degree bound of t never skips the block scan, so this is t - 3k
+    t = len(enumerate_triangles(g))
+    assert _k4_block_bound(g, t) >= nu_exact(g).value
 
 
 def test_local_search_relabeled_chains_digest():
