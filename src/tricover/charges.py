@@ -7,15 +7,18 @@ all verification is exact rational arithmetic.  Both charging engines
 triangle places numerators on nearby edges, its contributions are kept
 apart from everyone else's so a triangle's whole share can be replaced,
 and contributions from different packed triangles accumulate per edge;
-the ledger's read-out caps each edge at weight one.  No engine checks
-its own result: ``verify_cover`` is the single check that every
-triangle is covered, the budget holds and no edge is above weight one.
+the ledger's read-out caps each edge at weight one.  Order 3 places its
+spare thirds by a stated rule on pairs of packed triangles, not by a
+search, and no engine checks its own result: ``verify_cover`` is the
+single check that every triangle is covered, the budget holds and no
+edge is above weight one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import StructureInvalidError
 from .graph import Graph, Triangle, enumerate_triangles
@@ -53,13 +56,12 @@ class Report:
         return self.covered and self.budget_ok and self.integrality_ok
 
 
-def uncovered_triangles(g: Graph, f: ChargeAssignment | Ledger) -> tuple[Triangle, ...]:
+def uncovered_triangles(g: Graph, f: ChargeAssignment) -> tuple[Triangle, ...]:
     """The triangles of ``g`` with weight below one under ``f``, in order.
 
-    Weights are numerators over ``f.order``, in an assignment or a ledger
-    alike, so a triangle has weight at least one exactly when its three
-    edges' numerators sum to at least the order: the rational test, made
-    on integers.
+    A triangle has weight at least one exactly when its three edges'
+    numerators sum to at least ``f.order``: the rational test, made on
+    integers.
     """
     get = f.numerators.get
     order = f.order
@@ -194,39 +196,37 @@ def charge_order3(s: SolutionStructure) -> ChargeAssignment:
 
 
 def _spend_spare_thirds(s: SolutionStructure, led: Ledger) -> None:
-    """Cover leftovers with the thirds the main scheme never spent.
+    """Finish the bridges between type-1 triangles with several
+    attachments, which place only 5/3 of their two credits.
 
-    Type-1 triangles with several attachments only use 5/3 of their two
-    credits.  Bridges between two such triangles that avoid both bases
-    can end up at 2/3 (two triangles sharing a vertex inside a K5 are the
-    smallest case), so the spare thirds go, greedily, onto the edges that
-    finish the most leftovers.  Everything stays within two credits per
-    packed triangle; anything this cannot finish is left to the caller's
-    verification.
+    Two such triangles psi1 < psi2 meet in at most one vertex x, as in a
+    K5.  A bridge x-u-w, with u in psi1, w in psi2 and u-w an edge, is
+    short at 2/3: x-u and x-w hold a third each and u-w none.  The short
+    bridges lie on the grid of psi1's two sides at x by psi2's two, so a
+    third on each of psi1's sides that they use finishes them all, and so
+    does a third on each of psi2's.  The side needing fewer edges gets
+    them, psi1's on a tie: its owner pays the first third, the other
+    triangle the second.  Pairs go in order, found through a map from
+    each vertex to its triangles, and a triangle that has paid pays for
+    no later pair, so none spends more than two credits.
     """
-
-    def value(eid: int) -> int:
-        return led.numerators.get(eid, 0)
-
-    def donors() -> list[Triangle]:
-        # a donor has a third to spare: at most 5 of its 6 thirds placed
-        return [
-            psi
-            for psi in s.packing.triangles
-            if sum(led.contrib.get(psi, {}).values()) <= 5
+    g, get = s.g, led.numerators.get
+    at: dict[int, list[Triangle]] = {}
+    for psi in s.packing.triangles:
+        if s.info[psi].type == 1 and len(s.info[psi].cl_sin) > 1:
+            for x in psi.vertices:
+                at.setdefault(x, []).append(psi)
+    paid: set[Triangle] = set()
+    for p1, p2, x in sorted((*pair, x) for x, ts in at.items() for pair in combinations(ts, 2)):
+        if p1 in paid or p2 in paid:
+            continue
+        short = [
+            (u, w) for u in p1.vertices for w in p2.vertices
+            if x not in (u, w) and g.has_edge(u, w)
+            and get(g.edge_id(x, u), 0) + get(g.edge_id(x, w), 0) + get(g.edge_id(u, w), 0) == 2
         ]
-
-    # most packings have no donor, so look for one before scanning for leftovers
-    while (pool := donors()) and (missing := uncovered_triangles(s.g, led)):
-        # an extra third on e finishes t iff t currently sits at 2/3
-        finishes: dict[int, int] = {}
-        for t in missing:
-            short = 3 - sum(value(e) for e in t.edge_ids)
-            for e in t.edge_ids:
-                if value(e) < 3:
-                    finishes[e] = finishes.get(e, 0) + (short == 1)
-        eid = max(sorted(finishes), key=lambda e: finishes[e])
-        donor_owners = [p for p in pool if eid in p.edge_ids]
-        donor = donor_owners[0] if donor_owners else pool[0]
-        # every round spends one third, so the spare pool bounds the loop
-        led.give(donor, eid, 1)
+        us, ws = sorted({u for u, _ in short}), sorted({w for _, w in short})
+        side, payers = (ws, (p2, p1)) if len(ws) < len(us) else (us, (p1, p2))
+        for v, payer in zip(side, payers):
+            led.give(payer, g.edge_id(x, v), 1)
+            paid.add(payer)

@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tricover import (
     ChargeAssignment,
@@ -22,6 +24,8 @@ from tricover import charges
 from tricover.charges import Ledger, _spend_spare_thirds
 from tricover.errors import StructureInvalidError
 from tricover.generators import complete_graph, gnp
+
+from test_census import relabeled
 
 F = Fraction
 
@@ -160,15 +164,17 @@ def test_ledger_caps_each_edge_at_weight_one():
     f = led.to_assignment()
     assert f.numerators == {a: 2, b: 1} and led.numerators == {a: 3, b: 1}
     assert f.per_triangle == {psi: 2} and f.total() == F(3, 2)
-    assert charges.uncovered_triangles(g, f) == charges.uncovered_triangles(g, led)
+    booked = ChargeAssignment(2, dict(led.numerators))
+    assert charges.uncovered_triangles(g, f) == charges.uncovered_triangles(g, booked)
     report = verify_cover(g, f, 1)
     assert report.integrality_ok and report.budget_ok and not report.covered
 
 
 def test_spare_thirds_outside_a_k5_graph(monkeypatch):
-    # the loop fires on gnp(15, 0.3, 970918) at default settings, not on
-    # K5 alone; the two type-1 triangles with several attachments span a
-    # K5, and their spare thirds lift two bridges from 1/3 to 2/3
+    # the pair rule fires on gnp(15, 0.3, 970918) at default settings, not
+    # on K5 alone; the two type-1 triangles with several attachments span
+    # a K5, and their spare thirds lift (1, 3) and (1, 10), the first
+    # triangle's sides at the shared vertex 1, from 1/3 to 2/3
     g = gnp(15, 0.3, 970918)
     r = cover(g, 3, seed=0)
     assert r.repairs == 0 and r.report.ok
@@ -189,8 +195,9 @@ def test_spare_thirds_outside_a_k5_graph(monkeypatch):
 
 
 def test_spare_thirds_stop_without_donors():
-    # every packed triangle has spent its six thirds: the leftovers stay
-    # uncovered for verify_cover to report
+    # no type-1 triangle with several attachments, so no third to spare:
+    # the pass places nothing, and the leftovers stay uncovered for
+    # verify_cover to report
     g = complete_graph(4)
     s = structure_of(g, [g.triangle(0, 1, 2)])
     led = Ledger(3)
@@ -200,3 +207,59 @@ def test_spare_thirds_stop_without_donors():
     assert led.numerators == {e01: 6}
     report = verify_cover(g, led.to_assignment(), 1)
     assert [t.vertices for t in report.failing] == [(0, 2, 3), (1, 2, 3)]
+
+
+def test_spare_thirds_k5_pair_takes_the_first_side_on_a_tie():
+    # the four bridges 0-u-w of K5 all sit at 2/3 and fill the 2 x 2 grid;
+    # on the tie the first triangle's sides at 0 get a third each, and
+    # each triangle pays one, spending its two credits
+    g = complete_graph(5)
+    s = structure_of(g, [g.triangle(0, 1, 2), g.triangle(0, 3, 4)])
+    assert s.violations == ()
+    f = charge_order3(s)
+    assert {g.edges[e]: v for e, v in f.numerators.items()} == {
+        (0, 1): 2, (0, 2): 2, (1, 2): 3, (0, 3): 1, (0, 4): 1, (3, 4): 3,
+    }
+    assert set(f.per_triangle.values()) == {2} and f.total() == 4
+    assert verify_cover(g, f, 2).ok
+
+
+def test_spare_thirds_take_the_side_with_fewer_edges():
+    # (2, 3, 5) and (2, 6, 7) meet at 2, and the short bridges 2-3-6 and
+    # 2-3-7 need one edge on the first side, 2-3, against two on the
+    # second; the first triangle pays for it and the second keeps 5/3
+    edges = [(2, 3), (0, 4), (1, 4), (2, 5), (3, 5), (4, 5), (1, 6), (2, 6), (3, 6),
+             (4, 6), (5, 6), (0, 7), (2, 7), (3, 7), (4, 7), (5, 7), (6, 7)]
+    g = build_graph(8, edges)
+    packed = [(0, 4, 7), (1, 4, 6), (2, 3, 5), (2, 6, 7)]
+    s = structure_of(g, [g.triangle(*t) for t in packed])
+    assert s.violations == ()
+    f = charge_order3(s)
+    assert f.value(g.edge_id(2, 3)) == F(2, 3)
+    assert {t.vertices: v for t, v in f.per_triangle.items()} == {
+        (0, 4, 7): 2, (1, 4, 6): 2, (2, 3, 5): 2, (2, 6, 7): F(5, 3),
+    }
+    assert verify_cover(g, f, 4).ok
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(8, 11),
+    st.floats(0.2, 0.8),
+    st.integers(0, 10**6),
+    st.sampled_from([1, 2, 3]),
+    st.integers(0, 10**6),
+    st.randoms(use_true_random=False),
+)
+def test_clean_packings_charge_and_verify(n, p, graph_seed, max_swap, seed, rng):
+    # the sampled half of the census: packings of a weak local search, on
+    # relabeled graphs, charge and verify at orders 3 and 6 whenever their
+    # structure is clean, and no packed triangle spends over two credits
+    g = relabeled(gnp(n, p, graph_seed), rng)
+    packing = local_search_packing(g, seed, max_swap)
+    s = build_structure(g, packing)
+    if s.violations:
+        return
+    for f in (charge_order3(s), charge_order6(s)):
+        assert verify_cover(g, f, len(packing)).ok, (f.order, g.edges)
+        assert max(f.per_triangle.values(), default=0) <= 2

@@ -629,6 +629,11 @@ def test_tau_star_k_complete_graph_7():
     assert (res.value, res.nodes_explored) == (9, 4996)
 
 
+def test_tau_star_k_rejects_k_below_one():
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        tau_star_k_exact(complete_graph(4), 0)
+
+
 def _exhaustive_tau_star_k(g, k):
     """tau*_k as the least sum(y) / k over every y in {0..k}^E on the
     edges that lie in a triangle, among those giving each triangle at

@@ -11,6 +11,8 @@ from tricover import (
     Packing,
     build_graph,
     build_structure,
+    charge_order3,
+    charge_order6,
     check_structure,
     cover,
     enumerate_triangles,
@@ -652,3 +654,85 @@ def test_run_order2_spends_each_triangle_at_most_twice():
         fix = fixed_charge(s)
         for e in range(g.m):
             assert run.charge.numerators.get(e, 0) >= fix.get(e, 0)
+
+
+# ---------------------------------------------------------------------------
+# the gap graphs: clean packings below nu that the order-2 engine leaves
+# one triangle short on
+
+GAPS = {
+    # an unsatisfied tail puts its spare half on the wrong non-base edge
+    "B": (
+        [(0, 3), (1, 4), (0, 5), (2, 5), (3, 5), (0, 6), (1, 6), (2, 6), (4, 6),
+         (5, 6), (1, 7), (2, 7), (3, 7), (4, 7), (5, 7), (6, 7)],
+        [(0, 3, 5), (1, 6, 7), (2, 5, 6)],
+        (0, 5, 6),
+        4,
+    ),
+    # no tail; discharge-and-pin's walk discharges a type-0 triangle, goes
+    # on, and gives up at a type-0 triangle already spent while (1, 2, 7)
+    # and (2, 5, 7) still demand
+    "D": (
+        [(0, 1), (0, 2), (0, 4), (0, 6), (0, 7), (0, 8), (0, 9), (1, 2), (1, 3),
+         (1, 5), (1, 6), (1, 7), (1, 8), (2, 3), (2, 5), (2, 7), (2, 8), (2, 9),
+         (3, 5), (3, 6), (3, 7), (3, 8), (3, 9), (4, 5), (4, 6), (4, 7), (4, 8),
+         (5, 6), (5, 7), (5, 8), (5, 9), (6, 7), (6, 8), (6, 9), (7, 8), (8, 9)],
+        [(0, 1, 8), (0, 2, 9), (0, 4, 6), (1, 3, 5), (1, 6, 7), (2, 7, 8),
+         (3, 6, 9), (4, 5, 7), (5, 8, 9)],
+        (2, 5, 7),
+        11,
+    ),
+    # one tail, and neither of its non-base edges verifies; the short
+    # triangle sits at 1/2 yet the demand set never lists it
+    "E": (
+        [(0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 9), (1, 3), (1, 4),
+         (1, 5), (1, 6), (1, 7), (1, 8), (1, 9), (2, 5), (2, 6), (2, 8), (2, 9),
+         (3, 4), (3, 5), (3, 6), (3, 7), (3, 9), (4, 6), (4, 9), (5, 6), (5, 9),
+         (6, 7), (6, 8), (6, 9), (7, 8), (7, 9), (8, 9)],
+        [(0, 2, 6), (0, 3, 4), (0, 5, 9), (1, 3, 9), (1, 6, 7), (2, 8, 9),
+         (3, 5, 6), (4, 6, 9)],
+        (1, 5, 9),
+        9,
+    ),
+}
+
+
+def gap_structure(name):
+    edges, packed, _, _ = GAPS[name]
+    g = build_graph(1 + max(map(max, edges)), edges)
+    s = structure_of(g, [g.triangle(*t) for t in packed])
+    assert s.violations == ()
+    return s
+
+
+@pytest.mark.parametrize("name", sorted(GAPS))
+def test_gap_graphs_verify_at_orders_3_and_6_and_by_default(name):
+    # the engines of orders 3 and 6 verify on the packing the order-2
+    # engine leaves short, and the default order-2 cover packs nu triangles
+    # with no repair
+    s = gap_structure(name)
+    for f in (charge_order3(s), charge_order6(s)):
+        assert verify_cover(s.g, f, len(s.packing)).ok, f.order
+    r = cover(s.g, 2)
+    assert r.report.ok and r.repairs == 0
+    assert len(r.packing) == GAPS[name][3] == nu_exact(s.g).value
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(
+            name,
+            marks=pytest.mark.xfail(
+                strict=True, raises=AssertionError,
+                reason=f"gap {name}: order 2 leaves T{GAPS[name][2]} uncovered",
+            ),
+        )
+        for name in sorted(GAPS)
+    ],
+)
+def test_gap_graphs_order2(name):
+    s = gap_structure(name)
+    run, _ = run_order2(s)
+    report = verify_cover(s.g, run.assignment, len(s.packing))
+    assert report.ok, [t.vertices for t in report.failing]

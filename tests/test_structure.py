@@ -56,6 +56,14 @@ def test_bowtie_both_packed_type0():
     assert check_structure(s) == []
 
 
+def test_k4_region_needs_an_anchor():
+    # a type-0 triangle has no anchor, so no K4 region
+    g = bowtie()
+    s = build_structure(g, Packing(g, [g.triangle(0, 1, 2), g.triangle(2, 3, 4)]))
+    with pytest.raises(ValueError, match="has no anchor"):
+        s.k4_region_edges(g.triangle(0, 1, 2))
+
+
 def test_pendant_triangle_is_type1():
     # inner triangle packed, one pendant triangle hanging off edge (0,2)
     g = build_graph(4, [(0, 1), (1, 2), (0, 2), (0, 3), (2, 3)])
