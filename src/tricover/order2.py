@@ -2,14 +2,17 @@
 
 Half-integral initial charge, credit lending along chains of type-1
 triangles into a type-3 head (grown with the satisfy-and-truncate rules),
-demanding-triangle analysis, and the final discharge-and-pin loop that
-spends the spare half credit of type-0 triangles while rotating the K4
-charges of the unsatisfied tails and of the type-3 triangles outside
-every chain.  A type-3 triangle outside every chain that the chain
-cascade settles (a fixed half lands on one of its spokes) is fixed for
-good and never rotated.  The shape of the demanding set is not checked
-at run time: the loop covers what it can, and ``verify_cover`` alone
-judges the result.
+demanding-triangle analysis, and a final discharge-and-pin of three
+stated steps, with no search.  It spends the spare half credit of type-0
+triangles and rotates the K4 charges of the rotatables: the unsatisfied
+tails and the type-3 triangles outside every chain that the chain
+cascade has not settled (a fixed half on a spoke fixes one for good).
+First, a type-0 triangle whose demand sits on one edge discharges there.
+Then each rotatable with demand pins an edge: one with no demand, else
+one a free type-0 owner of its demand pays for, else its lowest.  Last,
+a rotatable whose null edge leaves a triangle outside its K4 short pins
+the edge that leaves the fewest short.  The shape of the demanding set
+is not checked at run time: ``verify_cover`` alone judges the result.
 
 Charge bookkeeping is the shared ``charges.Ledger`` at order 2, so every
 numerator counts half credits: a half on an edge is numerator 1, a full
@@ -18,7 +21,7 @@ so a rotation replaces one triangle's share without touching anyone
 else's, and the budget check (at most 2 credits each) is a sum over it.
 Values read back through ``f`` and ``spent`` are exact ``Fraction``s.
 
-Which triangles the loop may still spend is kept in one place,
+Which triangles the steps may still spend is kept in one place,
 ``DemandState.free``: a discharge or a pin removes its triangle from it.
 """
 
@@ -152,9 +155,8 @@ def build_chains(
     them would satisfy a triangle with credit that later disappears.
 
     An unsatisfied tail puts its spare half on the lower-id of its two
-    non-base edges and the other on the leg away from it.  The choice
-    follows edge ids alone, and the other choice can cover where this one
-    needs a repair: ``gnp(12, 0.5, 150)`` at seed 0 and ``max_swap`` 1.
+    non-base edges and the other on the leg away from it, until
+    discharge-and-pin rotates it.
     """
     chains: list[Chain] = []
     chained: set[Triangle] = set()  # heads and links of every chain
@@ -305,9 +307,9 @@ def build_chains(
 @dataclass
 class DemandState:
     """The demand set D, the free set A, and the roles in A: the type-0
-    triangles and the unsatisfied tails (with their links); every other
-    free triangle is a rotatable type-3 triangle.  ``s`` is the structure
-    they belong to."""
+    triangles and the unsatisfied tails (with their links).  The free
+    non-type-0 triangles, tails and type-3 alike, are the rotatables.
+    ``s`` is the structure they belong to."""
 
     s: SolutionStructure
     demanding: list[Triangle]
@@ -325,8 +327,8 @@ class DemandState:
 
 
 def compute_demanding(s: SolutionStructure, chains: ChainSet) -> DemandState:
-    """The set D of triangles the discharge-and-pin loop must cover, and
-    the free set A whose credits it may still move."""
+    """The set D of triangles discharge-and-pin must cover, and the free
+    set A whose credits it may still move."""
     type0 = set(s.packed_of_type(0))
     tails = {c.tail(): c.links[-1] for c in chains.chains if not c.satisfied}
     heads = {c.head for c in chains.chains}
@@ -351,8 +353,7 @@ def discharge(ds: DemandState, cs: Ledger, psi0: Triangle, eid: int) -> None:
     """Spend the reserved half credit of free type-0 ``psi0`` on edge ``eid``."""
     cs.give(psi0, eid, 1)
     ds.free.remove(psi0)
-    covered = ds.demanding_on_edge(eid)
-    ds.demanding = [t for t in ds.demanding if t not in covered]
+    ds.demanding = [t for t in ds.demanding if eid not in t.edge_ids]
     ds.log.append(
         {"op": "discharge", "triangle": list(psi0.vertices), "edge": list(ds.s.g.edges[eid])}
     )
@@ -363,7 +364,9 @@ def pin(ds: DemandState, cs: Ledger, psi: Triangle, eid: int) -> None:
     own edge ``eid`` (never a tail's base) is null.
 
     The opposite spoke of the K4 goes null with it; for an unsatisfied
-    tail the base and gain edges stay half no matter the rotation.
+    tail the base and gain edges stay half no matter the rotation.  The
+    other two sides carry a half, which covers each demanding triangle
+    on them.
     """
     s = ds.s
     i = s.info[psi]
@@ -376,85 +379,81 @@ def pin(ds: DemandState, cs: Ledger, psi: Triangle, eid: int) -> None:
         m = {e: 1 for e in s.k4_region_edges(psi) if e not in (eid, null_spoke)}
     cs.replace(psi, m)
     ds.free.remove(psi)
+    ds.demanding = [
+        t for t in ds.demanding if eid in t.edge_ids or set(psi.edge_ids).isdisjoint(t.edge_ids)
+    ]
     ds.log.append(
         {"op": "pin", "triangle": list(psi.vertices), "edge": list(s.g.edges[eid])}
     )
 
 
 def discharge_and_pin(s: SolutionStructure, cs: Ledger, ds: DemandState) -> None:
-    """Cover every demanding triangle, spending each free triangle at most once.
+    """Spend free triangles on the demand in three stated steps.
 
-    Where no step applies it returns, leaving the rest of the demand
-    uncovered for ``verify_cover`` to report.  It is the only caller of
-    ``discharge`` and ``pin`` and meets their preconditions itself: it
-    discharges only free type-0 triangles, and it pins only free
-    non-type-0 triangles on their own edges, never on a tail's base.
-    Each call removes its triangle from ``ds.free``, so none is spent
-    twice.
+    1. While a free type-0 triangle has demand on exactly one of its
+       edges, it discharges there.
+    2. Each rotatable with demand, in order, pins its lowest eligible
+       edge with no demand.  If every one has demand, it pins the lowest
+       where a demanding triangle has a free type-0 owner, and the lowest
+       such owner discharges onto it; else its lowest eligible edge.
+    3. Each rotatable still free whose null edge leaves a triangle outside
+       its K4 below weight one, read from the ledger, pins the eligible
+       edge that leaves the fewest such triangles, the lowest on a tie.
+       The K4 holds every singly attached triangle of a rotatable, so
+       only owners of a triangle with two or more owners are visited.
+
+    Eligible edges are a rotatable's own but for a tail's base.  What stays
+    short is ``verify_cover``'s to report.  The only caller of ``discharge``
+    and ``pin``, it meets their preconditions, and each removes its
+    triangle from ``ds.free``: none is spent twice.
     """
     type0 = ds.type0
 
-    def free13() -> list[Triangle]:
-        return [p for p in ds.free if p not in type0]
-
     def eligible_edges(psi: Triangle) -> list[int]:
-        if psi in ds.tails:
-            return sorted(e for e in psi.edge_ids if e != s.info[psi].base)
-        return sorted(psi.edge_ids)
+        return sorted(e for e in psi.edge_ids if psi not in ds.tails or e != s.info[psi].base)
 
-    while ds.demanding:
-        # type-0 triangles whose remaining demand sits on a single edge
-        acted = False
-        for psi0 in sorted(p for p in ds.free if p in type0):
+    while ds.demanding:  # 1.
+        for psi0 in [p for p in ds.free if p in type0]:
             hot = [e for e in psi0.edge_ids if ds.demanding_on_edge(e)]
             if len(hot) == 1:
                 discharge(ds, cs, psi0, hot[0])
-                acted = True
                 break
-        if acted:
+        else:
+            break
+
+    demanded = {e for t in ds.demanding for e in t.edge_ids}  # 2.
+    for psi in [p for p in ds.free if p not in type0 and not demanded.isdisjoint(p.edge_ids)]:
+        edges = eligible_edges(psi)
+        payers = {e: sorted({o for t in ds.demanding_on_edge(e) for o in s.attachments[t]
+                             if o in type0 and o in ds.free})
+                  for e in edges if ds.demanding_on_edge(e)}
+        if not payers:
             continue
+        eid = ([e for e in edges if e not in payers] or [e for e in edges if payers[e]] or edges)[0]
+        pin(ds, cs, psi, eid)
+        if payers.get(eid):
+            discharge(ds, cs, payers[eid][0], eid)
 
-        candidates = [p for p in free13() if ds.demanding_on(p)]
-        if not candidates:
-            return
-        psi = candidates[0]
-        critical: int | None = None
-        while True:
-            choices = [e for e in eligible_edges(psi) if e != critical]
-            idle = [e for e in choices if not ds.demanding_on_edge(e)]
-            if idle:
-                pin(ds, cs, psi, idle[0])
-                covered = ds.demanding_on(psi)
-                ds.demanding = [t for t in ds.demanding if t not in covered]
-                break
-            e_i = choices[0]
-            pin(ds, cs, psi, e_i)
-            keep = set(ds.demanding_on_edge(e_i))
-            covered = [t for t in ds.demanding_on(psi) if t not in keep]
-            ds.demanding = [t for t in ds.demanding if t not in covered]
+    near: dict[Triangle, list[Triangle]] = {p: [] for p in ds.free if p not in type0}  # 3.
+    for t, owners in s.attachments.items():
+        if near and len(owners) > 1:
+            for o in owners:
+                if o in near:
+                    near[o].append(t)
+    for psi in [p for p, ts in near.items() if ts]:
+        anchor, mine = s.info[psi].anchor, cs.contrib[psi]
 
-            t_i = ds.demanding_on_edge(e_i)[0]
-            psi0 = next(o for o in s.attachments[t_i] if o in type0)
-            if psi0 not in ds.free:
-                return
-            # e_i meets psi0 in one vertex; the far edge of psi0 misses it
-            (xv,) = set(s.g.edges[e_i]).intersection(psi0.vertices)
-            e_far = psi0.opposite(xv)
-            discharge(ds, cs, psi0, e_i)
-            leftovers = ds.demanding_on_edge(e_far)
-            if not leftovers:
-                break
-            if len(leftovers) > 1:
-                return
-            t_next = leftovers[0]
-            options = [
-                (e, s.owner(e))
-                for e in t_next.edge_ids
-                if (o := s.owner(e)) is not None and o in set(free13())
-            ]
-            if not options:
-                return
-            critical, psi = options[0]
+        def short(e: int) -> int:
+            """Triangles outside the K4 through e left below weight one by a null e."""
+            return sum(
+                e in t.edge_ids and anchor not in t.vertices
+                and sum(cs.numerators.get(x, 0) for x in t.edge_ids) - mine.get(e, 0) < 2
+                for t in near[psi]
+            )
+
+        edges = eligible_edges(psi)
+        if short(next(e for e in edges if not mine.get(e))):
+            pin(ds, cs, psi, min(edges, key=short))
 
 
 # ---------------------------------------------------------------------------

@@ -253,13 +253,14 @@ def test_spare_thirds_take_the_side_with_fewer_edges():
 )
 def test_clean_packings_charge_and_verify(n, p, graph_seed, max_swap, seed, rng):
     # the sampled half of the census: packings of a weak local search, on
-    # relabeled graphs, charge and verify at orders 3 and 6 whenever their
-    # structure is clean, and no packed triangle spends over two credits
+    # relabeled graphs, charge and verify at orders 2, 3 and 6 whenever
+    # their structure is clean, and no packed triangle spends over two
+    # credits
     g = relabeled(gnp(n, p, graph_seed), rng)
     packing = local_search_packing(g, seed, max_swap)
     s = build_structure(g, packing)
     if s.violations:
         return
-    for f in (charge_order3(s), charge_order6(s)):
+    for f in (run_order2(s)[0].assignment, charge_order3(s), charge_order6(s)):
         assert verify_cover(g, f, len(packing)).ok, (f.order, g.edges)
         assert max(f.per_triangle.values(), default=0) <= 2

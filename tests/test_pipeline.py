@@ -196,6 +196,31 @@ def test_covered_engine_fault_raises_without_a_swap_search(monkeypatch):
     assert info.value.focus_edges == {e for t in packed for e in t.edge_ids}
 
 
+def test_short_charge_is_a_verify_repair(monkeypatch):
+    # no structure-clean packing in the tests leaves an engine short, so
+    # the first order-2 charge here is made short: it drops the half on
+    # (5, 8) of gnp(12, 0.5, 150) and leaves T(4, 5, 8) uncovered.  The
+    # swap search around that triangle grows the packing, a structure
+    # repair follows, and the cover verifies
+    real = pl.run_order2
+    charged = []
+
+    def short_first(s):
+        run, witness = real(s)
+        if not charged:
+            run.assignment.numerators[s.g.edge_id(5, 8)] -= 1
+        charged.append(s)
+        return run, witness
+
+    monkeypatch.setattr(pl, "run_order2", short_first)
+    g = gnp(12, 0.5, 150)
+    r = cover(g, 2, seed=0, max_swap=1)
+    assert [e["reason"] for e in r.repair_log] == ["verify", "structure:OwnerSwap"]
+    assert r.repair_log[0]["focus"] == [[4, 5], [4, 8], [5, 8]]
+    assert r.report.ok and len(charged) == 2
+    assert verify_cover(g, r.assignment, len(r.packing)).ok
+
+
 def test_structure_swap_that_fails_verify_raises(monkeypatch):
     # a violation's swap is applied, not searched for; one that does not
     # verify is a bug and must surface as exit 3, not an assert
@@ -222,20 +247,21 @@ def test_repair_log_records_swaps():
     assert len(entry["added"]) == len(entry["removed"]) + 1
 
 
-# one weak-search cover (seed 0, max_swap 1) per repair reason: both
-# structure kinds (a two-attachment swap only ever follows an owner swap,
-# since local search removes every 1-swap) and an order-2 charge that
-# fails verify on a structure-clean packing
+# weak-search covers (seed 0, max_swap 1): both structure kinds (a
+# two-attachment swap only ever follows an owner swap, since local search
+# removes every 1-swap), and the structure-clean packing whose order-2
+# charge failed verify until discharge-and-pin read the structure
+# (test_short_charge_is_a_verify_repair keeps that repair under test)
 WEAK_SEARCH_REPAIRS = [
     ((10, 0.6, 0), 2, ["structure:OwnerSwap"]),
     ((9, 0.5, 242), 2, ["structure:OwnerSwap", "structure:TwoAttachments"]),
-    ((12, 0.5, 150), 2, ["verify", "structure:OwnerSwap"]),
+    ((12, 0.5, 150), 2, []),
 ]
 
 
 def test_weak_search_repair_logs_pinned():
     # sha256 over each cover's full repair log, packing and numerators;
-    # these three rows are unchanged since structure violations first
+    # the first two rows are unchanged since structure violations first
     # carried their swaps
     rows = []
     for args, order, reasons in WEAK_SEARCH_REPAIRS:
@@ -250,7 +276,7 @@ def test_weak_search_repair_logs_pinned():
             )
         )
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert digest == "227b90b81e0a233b3366554313262ec8ad5d342e8e7b2f094f59e330c3f0cc75"
+    assert digest == "d9288a312e81b09091199a6f8c05de7bf33dc41117a150ead241d74d3d564f25"
 
 
 # structure-clean weak-search packings whose demanding sets a run-time
@@ -261,7 +287,7 @@ def test_weak_search_repair_logs_pinned():
     [
         ((9, 0.7, 84734), 13, 6, Fraction(23, 2)),
         ((13, 0.7, 837263), 97, 14, Fraction(49, 2)),
-        ((14, 0.5, 542570), 58, 11, Fraction(20)),
+        ((14, 0.5, 542570), 58, 11, Fraction(19)),
     ],
 )
 def test_order2_covers_without_repair(args, seed, size, total):
@@ -287,8 +313,9 @@ def _outputs(r):
     return r.packing.triangles, r.assignment, r.report, r.repair_log
 
 
-# the last two repair the shared packing: structure swaps at every
-# order, and an engine repair (a failed verification) at order 2 only.  No
+# the third repairs the shared packing by structure swaps at every order;
+# the last once needed an engine repair (a failed verification) at order 2
+# only, and since discharge-and-pin reads the structure it needs none.  No
 # weak-search cover repairs at order 6 alone any more: every repair in a
 # sweep of 59400 max_swap=1 covers at orders 2, 3 and 6 was a structure
 # swap, made at all three orders, or an order-2 engine repair
@@ -298,7 +325,7 @@ def _outputs(r):
         (gnp(11, 0.5, 2), 0, 5, [0, 0, 0]),
         (lend_chain(3), 0, 5, [0, 0, 0]),
         (gnp(10, 0.6, 2), 3, 1, [2, 2, 2]),
-        (gnp(12, 0.5, 150), 0, 1, [2, 0, 0]),
+        (gnp(12, 0.5, 150), 0, 1, [0, 0, 0]),
     ],
 )
 def test_orders_share_one_local_search(monkeypatch, g, seed, max_swap, repairs):
