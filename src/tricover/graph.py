@@ -57,8 +57,10 @@ class Graph:
     the smaller of the degree and K4-block bounds on ν (``"nu_bound"``,
     filled by the swap search in ``packing``, by ``oracles.nu_exact`` and
     by ``cli.cmd_bench``),
-    each local-search packing (``("local_search", seed, max_swap)``,
-    filled by ``pipeline.cover``),
+    each start packing of ``pipeline.cover`` with its classification
+    (``("start", seed, max_swap)``: the local-search packing's triangles,
+    its structure's ``info``, ``attachments`` and ``edge_owner`` as
+    read-only mappings, and its ``violations``; filled by ``cover``),
     the tau* LP optimum (``"tau_star_lp"``, filled by
     ``oracles.tau_star_k_exact`` and so also by ``oracles.tau_exact``)
     and the sorted edge ids of a minimum triangle-hitting edge set

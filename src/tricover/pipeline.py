@@ -16,16 +16,19 @@ a structure repair, the edges of the swap's triangles) and the swap.
 
 Orders 2 and 3 run their own engine, order 6 the order-3 one doubled;
 ``cover`` composes every other order from the order-2 and order-3
-covers.  The local search is deterministic in (graph, seed, max_swap),
-so it runs once per graph: every order, and both halves of a composed
-order, start from the same packing, kept in the graph's memo as its
-triangles; repairs build new packings and leave the memo alone.
+covers.  The local search and the classification of its packing do not
+depend on the order, so both run once per graph: every order, and both
+halves of a composed order, start from the same packing and its checked
+structure, kept in the graph's memo as values that do not hold the graph
+(triangles, read-only maps, violations) and not checked again; repairs
+build new packings and structures and leave the memo alone.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .charges import ChargeAssignment, Report, charge_order3, charge_order6, verify_cover
 from .checker import graph_sha256
@@ -39,7 +42,7 @@ from .packing import (
     targeted_swap,
     verify_swap,
 )
-from .structure import build_structure
+from .structure import SolutionStructure, build_structure
 
 
 @dataclass
@@ -100,17 +103,23 @@ def cover(
     return CoverResult(biggest.packing, composed, report, log)
 
 
+def _classify_start(g, seed, max_swap) -> tuple:
+    """The local-search packing's triangles and its checked structure's
+    info, attachments, edge owners and violations, none holding ``g``."""
+    s = build_structure(g, local_search_packing(g, seed, max_swap))
+    parts = (s.info, s.attachments, s.edge_owner)
+    return (s.packing.triangles, *map(MappingProxyType, parts), s.violations)
+
+
 def _cover_single(g, order, seed, max_swap) -> CoverResult:
-    start = memo(
-        g,
-        ("local_search", seed, max_swap),
-        lambda: local_search_packing(g, seed, max_swap).triangles,
+    start, *parts = memo(
+        g, ("start", seed, max_swap), lambda: _classify_start(g, seed, max_swap)
     )
     packing = Packing(g, list(start))
+    s = SolutionStructure(g, packing, *parts)
     log: list[dict] = []
     guard = g.m + 2  # each repair grows the packing, at most m/3 times
     for _ in range(guard):
-        s = build_structure(g, packing)
         if s.violations:
             v = s.violations[0]
             focus = {e for t in v.swap.removed + v.swap.added for e in t.edge_ids}
@@ -120,6 +129,7 @@ def _cover_single(g, order, seed, max_swap) -> CoverResult:
                     detail="structure-swap",
                 )
             packing = _apply(g, packing, v.swap, focus, log, f"structure:{v.kind}")
+            s = build_structure(g, packing)
             continue
         if order == 6:
             assignment = charge_order6(s)
@@ -145,6 +155,7 @@ def _cover_single(g, order, seed, max_swap) -> CoverResult:
                 detail="verify",
             )
         packing = _apply(g, packing, cert, focus, log, "verify")
+        s = build_structure(g, packing)
     raise RepairExhaustedError("repair loop did not converge", detail="loop-guard")
 
 

@@ -31,12 +31,14 @@ first one found in product order.  There are two rules:
 
 Each swap has at most three removals, so a maximal packing that no swap
 of size three improves has no violation.  Each structure runs the check once,
-when it is made, and keeps the result as its ``violations``.
+when it is made, and keeps the result as its ``violations``; a structure
+made from the parts of one already checked takes its ``violations`` along.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 from .graph import Graph, Triangle, enumerate_triangles
 from .packing import Packing, SwapCertificate
@@ -72,19 +74,21 @@ class StructureViolation:
 @dataclass
 class SolutionStructure:
     """A packing's classification; ``violations`` is ``check_structure``
-    of it, computed once when the structure is made.  ``attachments``
-    maps each non-packed triangle, in enumeration order, to its owners,
-    in sorted order."""
+    of it, computed once when the structure is made unless it is passed
+    in with the other parts of a structure already checked.
+    ``attachments`` maps each non-packed triangle, in enumeration order,
+    to its owners, in sorted order."""
 
     g: Graph
     packing: Packing
-    info: dict[Triangle, PackedInfo]
-    attachments: dict[Triangle, tuple[Triangle, ...]]
-    edge_owner: dict[int, Triangle]
-    violations: tuple[StructureViolation, ...] = field(init=False)
+    info: Mapping[Triangle, PackedInfo]
+    attachments: Mapping[Triangle, tuple[Triangle, ...]]
+    edge_owner: Mapping[int, Triangle]
+    violations: tuple[StructureViolation, ...] | None = None
 
     def __post_init__(self) -> None:
-        self.violations = tuple(check_structure(self))
+        if self.violations is None:
+            self.violations = tuple(check_structure(self))
 
     def owner(self, eid: int) -> Triangle | None:
         return self.edge_owner.get(eid)

@@ -319,15 +319,15 @@ def _outputs(r):
 # weak-search cover repairs at order 6 alone any more: every repair in a
 # sweep of 59400 max_swap=1 covers at orders 2, 3 and 6 was a structure
 # swap, made at all three orders, or an order-2 engine repair
-@pytest.mark.parametrize(
-    "g, seed, max_swap, repairs",
-    [
-        (gnp(11, 0.5, 2), 0, 5, [0, 0, 0]),
-        (lend_chain(3), 0, 5, [0, 0, 0]),
-        (gnp(10, 0.6, 2), 3, 1, [2, 2, 2]),
-        (gnp(12, 0.5, 150), 0, 1, [0, 0, 0]),
-    ],
-)
+SHARED_START_CASES = [
+    (gnp(11, 0.5, 2), 0, 5, [0, 0, 0]),
+    (lend_chain(3), 0, 5, [0, 0, 0]),
+    (gnp(10, 0.6, 2), 3, 1, [2, 2, 2]),
+    (gnp(12, 0.5, 150), 0, 1, [0, 0, 0]),
+]
+
+
+@pytest.mark.parametrize("g, seed, max_swap, repairs", SHARED_START_CASES)
 def test_orders_share_one_local_search(monkeypatch, g, seed, max_swap, repairs):
     calls = _count_calls(monkeypatch, pl, "local_search_packing")
     results = {k: cover(g, k, seed=seed, max_swap=max_swap) for k in (2, 3, 6)}
@@ -337,6 +337,20 @@ def test_orders_share_one_local_search(monkeypatch, g, seed, max_swap, repairs):
         fresh = build_graph(g.n, g.edges)
         assert _outputs(r) == _outputs(cover(fresh, k, seed=seed, max_swap=max_swap))
     assert len(calls) == 4  # one per fresh graph
+
+
+@pytest.mark.parametrize("g, seed, max_swap", [case[:3] for case in SHARED_START_CASES])
+@pytest.mark.parametrize("orders", [(2, 3, 6), (6, 3, 2), (3, 5, 2, 4)])
+def test_shared_start_does_not_depend_on_order_sequence(g, seed, max_swap, orders):
+    # every order after the first starts from the memoised packing and
+    # structure; its cover must be the one a fresh graph gives, whichever
+    # order filled the memo and whatever repairs the earlier orders made
+    g = build_graph(g.n, g.edges)
+    for k in orders:
+        fresh = build_graph(g.n, g.edges)
+        assert _outputs(cover(g, k, seed, max_swap)) == _outputs(
+            cover(fresh, k, seed, max_swap)
+        ), k
 
 
 def test_composed_order_runs_one_local_search(monkeypatch):
@@ -383,6 +397,45 @@ def test_memo_keeps_no_reference_to_its_graph():
         gc.enable()
 
 
+def test_memo_of_every_order_keeps_no_reference_to_its_graph():
+    # the memoised start structure of a repaired weak search and of the
+    # default search, read by orders 2, 3 and 6, holds no path back to g
+    g = gnp(10, 0.6, 2)
+    ref = weakref.ref(g)
+    rs = [cover(g, k, seed=3, max_swap=1) for k in (3, 6, 2)]
+    rs += [cover(g, k) for k in (6, 3, 2)]
+    assert all(r.report.ok for r in rs) and rs[0].repairs
+    assert {("start", 3, 1), ("start", 0, 5)} <= set(g._memo)
+    gc.collect()
+    gc.disable()
+    try:
+        del g, rs
+        assert ref() is None  # freed by reference counting, no cycle
+    finally:
+        gc.enable()
+
+
+def test_memoised_start_structure_is_read_only(monkeypatch):
+    # every cover of g hands the engines the same memoised classification,
+    # so an engine must not be able to write into it
+    g = gnp(11, 0.5, 2)
+    assert cover(g, 3).report.ok and cover(g, 6).report.ok
+    seen = _count_calls(monkeypatch, pl, "run_order2")
+    r = cover(g, 2)
+    assert r.report.ok and not r.repairs
+    ((s,),) = seen
+    psi = s.packing.triangles[0]
+    t = next(iter(s.attachments))
+    for mapping, key, value in (
+        (s.info, psi, s.info[psi]),
+        (s.attachments, t, ()),
+        (s.edge_owner, psi.edge_ids[0], psi),
+    ):
+        with pytest.raises(TypeError):
+            mapping[key] = value
+    assert isinstance(s.violations, tuple)
+
+
 def test_cover_enumerates_triangles_once_per_graph(monkeypatch):
     calls = _count_calls(monkeypatch, graph, "_find_triangles")
     instances = suite_instances()
@@ -390,6 +443,20 @@ def test_cover_enumerates_triangles_once_per_graph(monkeypatch):
         for k in (2, 3, 6):
             assert cover(g, k).report.ok
     assert len(calls) == len(instances) == 114
+
+
+def test_cover_classifies_each_start_packing_once(monkeypatch):
+    # one structure per graph at default arguments, where no suite cover
+    # repairs; a composed order's two halves share it too
+    built = _count_calls(monkeypatch, pl, "build_structure")
+    instances = suite_instances()
+    for _, g in instances:
+        for k in (2, 3, 6):
+            assert cover(g, k).report.ok
+    assert len(built) == len(instances) == 114
+    del built[:]
+    assert cover(gnp(11, 0.5, 2), 5).report.ok
+    assert len(built) == 1
 
 
 def test_cover_suite_digest():
