@@ -3,18 +3,21 @@
 The integral solvers are two branch-and-bound searches, nu and tau*_k,
 designed for desk-scale graphs (a few hundred triangles at most); tau is
 tau*_1.  The LP optimum tau* comes from a fraction-free integer simplex
-over the edges that lie in a triangle.  Its tableau is condensed (the
-nonbasic columns and b only) and each row keeps its own integer scale:
-a pivot leaves a row with a zero in the entering column alone and moves
-any other row to the new scale as (p*a - f*b) // d_i, exact because
-the result is p times a true value, a minor of the starting matrix
-(Bareiss).  Dantzig's rule picks the entering column, with Bland's rule
-as the guard against cycling; the final tableau's packing certifies the
-value.  Values and witnesses are exact; no floating point anywhere.
+over the edges that lie in a triangle, on a condensed tableau whose rows
+keep their own integer scales and are each one integer, an entry per
+fixed-width lane: a pivot moves a row to the new scale as
+(p*R - f*G) // d_i in a few big-integer operations, exact in every lane
+(Bareiss), reads the entering column only in rows whose support mask has
+it, and widens the lanes only when a bound on the entries says it must.
+Dantzig's rule picks the entering column, with Bland's as the guard
+against cycling; the final tableau's packing certifies the value.
+Values and witnesses are exact; no floating point anywhere.
 """
 
 from __future__ import annotations
 
+import functools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +33,8 @@ _DEGENERATE_RUN = 50
 # the bound costs about as much as that many nodes, and most searches on
 # small graphs end before it
 _NU_BOUND_NODE = 8
+# bits per lane of a packed tableau row at the start of a solve: 8, 16, 32 or 64
+_LANE = 64
 
 
 @dataclass
@@ -103,110 +108,152 @@ def tau_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult:
     return OracleResult(res.value, sorted(res.witness.numerators), res.nodes_explored)
 
 
+@functools.lru_cache(maxsize=256)
+def _bias(w: int, count: int) -> int:
+    """2**(w-1) in each of ``count`` lanes of ``w`` bits."""
+    return int.from_bytes((bytes(w // 8 - 1) + b"\x80") * count, "little")
+
+
+def _lanes(row: int, w: int, bias: int):
+    """The entries of a packed row, ``w`` bits a lane; ``bias`` (``_bias``
+    of its lane count) puts every lane in [0, 2**w), so none borrows."""
+    raw = ((row + bias) ^ bias).to_bytes(bias.bit_length() // 8, "little")
+    if w == 64 and sys.byteorder == "little":  # a memoryview reads the machine's order
+        return memoryview(raw).cast("q")
+    return [int.from_bytes(c, "little", signed=True) for c in zip(*[iter(raw)] * (w // 8))]
+
+
+def _pack(entries: list[int], w: int) -> int:
+    bias = _bias(w, len(entries))
+    raw = b"".join(v.to_bytes(w // 8, "little", signed=True) for v in entries)
+    return (int.from_bytes(raw, "little") ^ bias) - bias
+
+
 def _simplex_min(
-    rows: list[list[int]], z: list[int], basis: list[int], cols: list[int]
+    rows: list[int], masks: list[int], z: int, basis: list[int], cols: list[int]
 ) -> tuple[int, list[int], list[int], int]:
     """Simplex for min c.x, x >= 0, on a condensed fraction-free integer
-    tableau: the dictionary form of Bareiss elimination, as in Avis's lrs.
+    tableau (the dictionary form of Bareiss elimination, as in Avis's
+    lrs) whose rows are each packed into one integer.
 
     Variables are named by ids.  Row i holds the basic variable
     ``basis[i]``: its coefficients on the nonbasic columns, column j
-    holding variable ``cols[j]``, then its right-hand side b_i.  The
-    basic columns, an identity, are not stored.  The caller supplies
-    b >= 0, so the starting basis is feasible, and in ``z`` the costs of
-    the nonbasic columns followed by 0, as the starting basic variables
-    cost nothing; the last entry of ``z`` is minus the objective.
+    holding variable ``cols[j]``, then its right-hand side b_i (the basic
+    columns, an identity, are not stored), as sum(e_j * 2**(w*j)): entry
+    j in lane j, w bits wide, b_i in lane n, w = ``_LANE`` at the start.
+    ``masks[i]`` has bit j set where row i may be nonzero in column j.
+    ``z`` is packed alike: the nonbasic costs, then minus the objective.
+    The tableau is that of ``tau_star_lp_exact``: columns of three 1s,
+    b all ones (so the slack basis is feasible), costs -1.
 
-    Row i has its own scale d_i > 0: each of its entries is d_i times
-    the true value.  ``z`` has the scale d > 0 of the latest pivot, and
-    every scale starts at 1.  A pivot on p = T[r][s], with row r first
-    brought to scale d, moves each other row whose entry f in column s
-    is not zero to scale p, as a -> (p*a - f*b) // d_i with b the pivot
-    row's entry, and ``z`` likewise with d_i = d.  A row with f = 0 is
-    not touched: its true values do not change.  Column s then holds
-    the leaving variable: its entries follow the same formula with a = 0
-    and b = d (so d sits at row r), and the two variables swap ids.  The
-    pivot row keeps its integers, now at scale p, and d becomes p.  Each
-    division is exact: (p*a - f*b) // d_i is p times the row's new true
-    value, and d times any true value of the tableau whose basis has
-    determinant d is a minor of the starting matrix (Bareiss).
+    Row i has its own scale d_i > 0, and ``z`` that of the latest pivot,
+    d; all start at 1, and an entry is its scale times the true value.  A
+    pivot on p = T[r][s], row r first brought to scale d, moves each
+    other row R with an entry f != 0 in column s to scale p as
+    (p*R - f*G) // d_i, G being row r with d added in lane s, and ``z``
+    likewise with d_i = d.  Packing is linear, so lane s becomes
+    -f*d / d_i, the entry of the leaving variable, which takes column s,
+    and each other lane (p*a - f*b) / d_i.  That is exact: it is p times
+    the row's new true value, and d times any true value of the tableau
+    whose basis has determinant d is a minor of the starting matrix
+    (Bareiss); so the packed quotient is exact too.  A row with f = 0
+    keeps its true values and is not touched.  Row r keeps its lanes,
+    lane s set to d, at scale p; each updated row's mask takes in row
+    r's; and d becomes p.
 
-    As every scale is positive, signs and ratios are read off the
-    integers, so the pivots are those of the same tableau kept in
-    fractions.  The entering column has the most negative reduced cost,
-    ties going to the lowest variable id (Dantzig).  A pivot is
-    degenerate when its leaving row has b = 0; after
-    ``_DEGENERATE_RUN`` degenerate pivots in a row the entering column
-    is the one of lowest variable id with a negative reduced cost
-    (Bland), until the next non-degenerate pivot.  The leaving row has
-    the least ratio b_i/a_i, ties going to the smallest basic variable
-    id.
+    Lanes are read by adding 2**(w-1) to each (``_lanes``), which needs
+    every entry below 2**(w-1) in size; a pivot reads all of ``z``, and
+    column s only in the rows whose mask has bit s.  An entry a pivot
+    writes is, up to sign, a minor of the tableau bordered by the costs
+    (Cramer) with t columns of norm at most 2 and one of norm at most
+    max(2, sqrt(t + 1)), t <= min(pivots, m, n) the structural columns in
+    the basis: below 2**t * max(2, sqrt(t + 1)) (Hadamard), so below
+    2**(w-1) while t <= w - 4 at w = ``_LANE`` <= 64.  Past that each row
+    keeps a bound on its entries, (p*u_i + |f|*u_r) // d_i after an
+    update; when one could reach 2**(w-1), every row is measured, and if
+    one still could, every row is repacked at twice the width or more.
 
-    The method terminates.  A non-degenerate pivot strictly lowers the
-    objective, so no basis repeats across such pivots, and there are
-    finitely many bases.  A run of degenerate pivots keeps the objective;
-    past its first ``_DEGENERATE_RUN`` pivots both rules are Bland's,
-    which cannot cycle, so the run ends.
+    Signs and ratios are read off the integers, every scale being
+    positive, so the pivots are those of the same tableau in fractions.
+    The entering column has the most negative reduced cost, ties to the
+    lowest variable id (Dantzig); after ``_DEGENERATE_RUN`` degenerate
+    pivots in a row (leaving row with b = 0) it is the negative one of
+    lowest id (Bland), until the next non-degenerate pivot.  The leaving
+    row has the least ratio b_i/a_i, ties to the smallest basic id.  This
+    terminates: a non-degenerate pivot strictly lowers the objective, so
+    no basis repeats across them, and past the first ``_DEGENERATE_RUN``
+    pivots of a degenerate run both rules are Bland's, which cannot cycle.
 
-    Returns d, the final ``z`` at scale d, x with x[i] = d times the
-    value of ``basis[i]``, and the number of pivots.  ``rows``,
-    ``basis`` and ``cols`` are left holding the final tableau, each row
-    at its own scale.
+    Returns d, the final ``z`` at scale d as a list, x with x[i] = d
+    times the value of ``basis[i]``, and the number of pivots; ``basis``
+    and ``cols`` are left holding the final ids.
     """
-    m = len(rows)
-    scale = [1] * m
-    d = 1
-    pivots = 0
-    degenerate = 0
+    n, m = len(cols), len(rows)
+    w, bias = _LANE, _bias(_LANE, n + 1)
+    half, lane, top = 1 << w - 1, (1 << w) - 1, w * n
+    scale, size, zsize = [1] * m, [half] * m, half  # size: a bound on a row's entries
+    d, pivots, degenerate = 1, 0, 0
     while True:
-        # the objective starts at 0 and never rises, so the last entry of
-        # z is never negative and min(z) < 0 only on a column
+        zl = _lanes(z, w, bias)
         if degenerate < _DEGENERATE_RUN:
-            low = min(z)
+            low, _, enter = min(zip(zl, cols, range(n)))
             if low >= 0:
                 break
-            enter = z.index(low)
-            if z.count(low) > 1:
-                enter = min((j for j, v in enumerate(z) if v == low), key=cols.__getitem__)
         else:
-            enter = min((j for j, v in enumerate(z) if v < 0), key=cols.__getitem__, default=None)
+            enter = min((j for j in range(n) if zl[j] < 0), key=cols.__getitem__, default=None)
             if enter is None:
                 break
-        leave, lead_b, lead_a = None, 0, 1
+        s, bit = w * enter, 1 << enter
+        touched, leave, lead_b, lead_a = [], None, 0, 1
         for i in range(m):
-            a = rows[i][enter]
-            if a > 0:
-                # b_i / a < lead_b / lead_a within each row's own scale,
-                # cross-multiplied (a, lead_a > 0)
-                lhs, rhs = rows[i][-1] * lead_a, lead_b * a
-                if leave is None or lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave, lead_b, lead_a = i, rows[i][-1], a
+            if masks[i] & bit:
+                x = rows[i] + bias
+                a = (x >> s & lane) - half
+                if a:
+                    touched.append((i, a))
+                    if a > 0:
+                        # b_i / a < lead_b / lead_a, cross-multiplied (a, lead_a > 0)
+                        b = (x >> top) - half
+                        lhs, rhs = b * lead_a, lead_b * a
+                        if leave is None or lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                            leave, lead_b, lead_a, at = i, b, a, len(touched) - 1
         if leave is None:
             raise ArithmeticError("unbounded LP")
         degenerate = degenerate + 1 if lead_b == 0 else 0
-        prow = rows[leave]
-        if scale[leave] != d:
-            prow = [a * d // scale[leave] for a in prow]
-        p = prow[enter]
-        prow[enter] = d
-        for i in range(m):
-            row = rows[i]
-            f = row[enter]
-            if f and i != leave:
-                row[enter] = 0
-                di = scale[i]
-                rows[i] = [(p * a - f * b) // di for a, b in zip(row, prow)]
-                scale[i] = p
-        f = z[enter]
-        z[enter] = 0
-        z = [(p * a - f * b) // d for a, b in zip(z, prow)]
-        rows[leave] = prow
-        scale[leave] = p
+        sl, fz, p = scale[leave], zl[enter], lead_a * d // scale[leave]
+        del touched[at]  # the rows to update: all but the pivot row
+        if pivots >= _LANE - 4 < min(m, n):  # t may pass _LANE - 4: bound the rows
+            for measured in (False, True):
+                big = max(size[leave] * d // sl, d)
+                bounds = [(p * size[i] + abs(f) * big) // scale[i] for i, f in touched]
+                zbound = (p * zsize + abs(fz) * big) // d
+                need = max(big, zbound, *bounds)
+                if not need >> w - 1:
+                    break
+                if not measured:
+                    size = [max(map(abs, _lanes(r, w, bias))) for r in rows]
+                    zsize = max(map(abs, zl))
+                    continue
+                wide = w << (need.bit_length() // w).bit_length()  # need < 2**(wide - 1)
+                rows[:] = [_pack(_lanes(r, w, bias), wide) for r in rows]
+                z = _pack(_lanes(z, w, bias), wide)
+                w, bias = wide, _bias(wide, n + 1)
+                half, lane, top, s = 1 << w - 1, (1 << w) - 1, w * n, w * enter
+            for (i, _), bound in zip(touched, bounds):
+                size[i] = bound
+            size[leave], zsize = big, zbound
+        prow = rows[leave] if sl == d else rows[leave] * d // sl
+        g = prow + (d << s)
+        for i, f in touched:
+            rows[i] = (p * rows[i] - f * g) // scale[i]
+            scale[i] = p
+            masks[i] |= masks[leave]
+        z = (p * z - fz * g) // d
+        rows[leave], scale[leave] = prow + (d - p << s), p
         basis[leave], cols[enter] = cols[enter], basis[leave]
-        d = p
-        pivots += 1
-    x = [row[-1] * d // di for row, di in zip(rows, scale)]
-    return d, z, x, pivots
+        d, pivots = p, pivots + 1
+    x = [((r + bias >> top) - half) * d // di for r, di in zip(rows, scale)]
+    return d, list(zl), x, pivots
 
 
 def tau_star_lp_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult:
@@ -230,19 +277,18 @@ def tau_star_lp_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult
     nv = len(tris)
     edges = sorted({e for t in tris for e in t.edge_ids})
     row_of = dict(zip(edges, range(len(edges))))
-    rows = [[0] * nv + [1] for _ in edges]
+    rows, masks = [1 << _LANE * nv] * len(edges), [0] * len(edges)
     for j, t in enumerate(tris):
         for e in t.edge_ids:
-            rows[row_of[e]][j] = 1
+            rows[row_of[e]] += 1 << _LANE * j
+            masks[row_of[e]] |= 1 << j
     basis = list(range(nv, nv + len(edges)))
     cols = list(range(nv))
-    d, z, x, pivots = _simplex_min(rows, [-1] * nv + [0], basis, cols)
+    d, z, x, pivots = _simplex_min(rows, masks, -(_bias(_LANE, nv) >> _LANE - 1), basis, cols)
     # the simplex minimizes minus the packing's total, so z's last entry
     # is d times the value; the optimal fractional packing is each basic
     # triangle at its value
-    total = z[-1]
-    load = [0] * g.m
-    packed = 0
+    total, load, packed = z[-1], [0] * g.m, 0
     for b, xi in zip(basis, x):
         if b < nv:
             packed += xi
@@ -253,11 +299,7 @@ def tau_star_lp_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult
             f"LP tableau holds no fractional packing of total {Fraction(total, d)}"
         )
     # the cover: each nonbasic slack's reduced cost, in edge order
-    y = [0] * len(edges)
-    for c, v in zip(cols, z):
-        if c >= nv:
-            y[c - nv] = v
-    numerators = {e: v for e, v in zip(edges, y) if v}
+    numerators = dict(sorted((edges[c - nv], v) for c, v in zip(cols, z) if c >= nv and v))
     if sum(numerators.values()) != total:
         raise ArithmeticError(
             f"LP cover witness sums to {Fraction(sum(numerators.values()), d)}, "
@@ -299,19 +341,12 @@ def tau_star_k_exact(
     if k < 1:
         raise ValueError("k must be >= 1")
     tris = _triangles_capped(g, cap)
-    nodes = 0
-    nt = len(tris)
-    m = g.m
-    tri_edges = [t.edge_ids for t in tris]
-    tri_masks = edge_masks(g)
 
     # the LP optimum bounds every node from below globally; when its
     # primal witness is already (1/k)-integral it solves the instance.
     # It does not depend on k, so it is solved once per graph (the cap
     # was checked above).
     lp_res = memo(g, "tau_star_lp", lambda: tau_star_lp_exact(g, cap))
-    lp = lp_res.value * k
-    lp_floor = -((-lp.numerator) // lp.denominator)  # ceil in units
     # v is in lowest terms, so k * v is an integer exactly when its
     # denominator divides k
     if all(k % v.denominator == 0 for v in lp_res.witness.values()):
@@ -319,6 +354,11 @@ def tau_star_k_exact(
             k, {e: v.numerator * (k // v.denominator) for e, v in lp_res.witness.items() if v}
         )
         return OracleResult(lp_res.value, witness, 1)
+    lp = lp_res.value * k
+    lp_floor = -((-lp.numerator) // lp.denominator)  # ceil in units
+    nodes, nt, m = 0, len(tris), g.m
+    tri_edges = [t.edge_ids for t in tris]
+    tri_masks = edge_masks(g)
 
     # incumbent: an integral cover at value k; for k = 1 the greedy one
     # (repeatedly take the edge in most uncovered triangles), for k > 1

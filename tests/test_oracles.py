@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -272,25 +273,25 @@ def test_witness_checks_raise_under_optimize_flag():
 
         solve = o._simplex_min
 
-        def misplaced(rows, z, basis, cols):
+        def misplaced(rows, masks, z, basis, cols):
             # the LP value, all of it on one edge: right total, not a cover
             nv = len(cols)
-            d, z, x, pivots = solve(rows, z, basis, cols)
+            d, z, x, pivots = solve(rows, masks, z, basis, cols)
             j = next(j for j, c in enumerate(cols) if c >= nv)
             z = [0] * len(cols) + [z[-1]]
             z[j] = z[-1]
             return d, z, x, pivots
 
-        def inflated(rows, z, basis, cols):
+        def inflated(rows, masks, z, basis, cols):
             # every reduced cost doubled, the value kept
-            d, z, x, pivots = solve(rows, z, basis, cols)
+            d, z, x, pivots = solve(rows, masks, z, basis, cols)
             return d, [2 * v for v in z[:-1]] + [z[-1]], x, pivots
 
-        def overpacked(rows, z, basis, cols):
+        def overpacked(rows, masks, z, basis, cols):
             # one basic triangle's value raised by one: the tableau's
             # packing overloads its edges and misses the value
             nv = len(cols)
-            d, z, x, pivots = solve(rows, z, basis, cols)
+            d, z, x, pivots = solve(rows, masks, z, basis, cols)
             i = next(i for i, b in enumerate(basis) if b < nv)
             x[i] += d
             return d, z, x, pivots
@@ -382,26 +383,35 @@ def _expand(cols, basis, entries, last):
     return full
 
 
+def _unpacked(row, nv):
+    """The nv + 1 entries of a packed starting row (or cost row)."""
+    w = oracles._LANE
+    return list(oracles._lanes(row, w, oracles._bias(w, nv + 1)))
+
+
 def _check_simplex_against_reference(g):
     """Solve the LP that tau_star_lp_exact builds both ways: the integer
-    simplex on the condensed tableau, expanded to every variable, must
-    reach the same value, reduced costs and final basis as the reference
-    on the full tableau."""
+    simplex on the condensed packed tableau, its starting rows decoded
+    and expanded to every variable, must reach the same value, reduced
+    costs, final basis and pivot count as the reference on the full
+    tableau; each starting mask is its row's support."""
     seen = []
     solve = oracles._simplex_min
 
-    def both(rows, z, basis, cols):
+    def both(rows, masks, z, basis, cols):
         nv = len(cols)
-        full = [_expand(cols, basis, row, row[-1]) for row in rows]
+        start = [_unpacked(row, nv) for row in rows]
+        assert masks == [sum(1 << j for j, v in enumerate(row[:-1]) if v) for row in start]
+        full = [_expand(cols, basis, row, row[-1]) for row in start]
         for i, b in enumerate(basis):
             full[i][b] = 1
         ref_basis = basis[:]
         ref = _reference_simplex_min(
             [[F(v) for v in row] for row in full],
-            [F(c) for c in _expand(cols, basis, z, 0)[:-1]],
+            [F(c) for c in _expand(cols, basis, _unpacked(z, nv), 0)[:-1]],
             ref_basis,
         )
-        d, z, x, pivots = solve(rows, z, basis, cols)
+        d, z, x, pivots = solve(rows, masks, z, basis, cols)
         value = -sum(F(xi, d) for b, xi in zip(basis, x) if b < nv)
         full_z = [F(v, d) for v in _expand(cols, basis, z, z[-1])]
         assert (value, full_z, basis) == (ref[0], ref[1], ref_basis)
@@ -475,14 +485,107 @@ def test_pivot_counts_of_the_three_entering_rules(monkeypatch):
     assert counts == [28, 23, 20]
 
 
+def _disjoint_union(blocks):
+    edges, offset = [], 0
+    for b in blocks:
+        edges += [(u + offset, v + offset) for u, v in b.edges]
+        offset += b.n
+    return build_graph(offset, edges)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     n=st.integers(4, 11),
     density=st.sampled_from([0.3, 0.5, 0.7]),
     seed=st.integers(0, 10**6),
+    blocks=st.one_of(
+        st.just([]),
+        st.lists(
+            st.tuples(st.integers(3, 7), st.sampled_from([0.5, 0.7, None]), st.integers(0, 10**6)),
+            min_size=2,
+            max_size=5,
+        ),
+    ),
 )
-def test_simplex_matches_reference(n, density, seed):
-    _check_simplex_against_reference(gnp(n, density, seed))
+def test_simplex_matches_reference(n, density, seed, blocks):
+    # either gnp(n, density, seed) or a disjoint union of 2 to 5 small
+    # blocks, gnp or (None) complete: a block-structured LP, whose scales
+    # multiply across blocks
+    g = gnp(n, density, seed)
+    if blocks:
+        g = _disjoint_union(
+            [complete_graph(min(k, 5)) if p is None else gnp(k, p, s) for k, p, s in blocks]
+        )
+    _check_simplex_against_reference(g)
+
+
+@pytest.mark.parametrize("lane", [8, 16])
+@pytest.mark.parametrize(
+    "g",
+    [complete_graph(n) for n in range(5, 9)]
+    + [glued_k4(4), gnp(9, 0.7, 1026)]
+    + [_disjoint_union([complete_graph(5)] * 3), _disjoint_union([complete_graph(4)] * 4)],
+)
+def test_simplex_matches_reference_with_narrow_lanes(g, lane, monkeypatch):
+    # with lanes of 8 or 16 bits, the entries of these LPs outgrow what
+    # Hadamard's bound covers and then their lanes: at 8 bits each one
+    # bounds its rows, measures them and widens (K8 and the three K5s
+    # twice, to 32 bits); at 16 bits all but K5 bound their rows, and K8
+    # and the three K5s widen
+    monkeypatch.setattr(oracles, "_LANE", lane)
+    _check_simplex_against_reference(g)
+
+
+@pytest.mark.parametrize("w", [8, 16, 64, 128])
+def test_lanes_read_back_what_was_packed(w, monkeypatch):
+    rng = random.Random(w)
+    top = 2 ** (w - 1)
+    entries = [-top, top - 1, 0, -1, 1] + [rng.randrange(-top, top) for _ in range(40)]
+    row, bias = oracles._pack(entries, w), oracles._bias(w, 45)
+    assert list(oracles._lanes(row, w, bias)) == entries
+    # a big-endian machine reads 64-bit lanes the way it reads the others
+    monkeypatch.setattr(oracles, "sys", SimpleNamespace(byteorder="big"))
+    assert list(oracles._lanes(row, w, bias)) == entries
+
+
+@pytest.mark.parametrize(
+    "make, value, pivots, digest",
+    [
+        (
+            lambda: _disjoint_union([complete_graph(6)] * 10),
+            F(50),
+            200,
+            "07097352ba38d5381003b94f1261c656c2165e05e983cfa7afc2246270c2fa93",
+        ),
+        (
+            lambda: _disjoint_union([complete_graph(5)] * 20),
+            F(200, 3),
+            220,
+            "c5b70c323bd64d8cb8c1a04db611cf1b6e249c98ffbe9700989f62984a27e12c",
+        ),
+        (
+            lambda: _disjoint_union([complete_graph(3)] * 200),
+            F(200),
+            200,
+            "c265057f2b3c84bdf477fa5454116a02c3d34f31e8c56f5d186abc0c71668d13",
+        ),
+        (
+            lambda: glued_k4(40),
+            F(80),
+            160,
+            "397f2e7e64c5fbe82fea15895aede7fff2c77be99902d57e47191231da98654b",
+        ),
+    ],
+    ids=["10 K6", "20 K5", "200 K3", "glued_k4(40)"],
+)
+def test_lp_pins_block_structured_shapes(make, value, pivots, digest):
+    # value, sha256 of repr(sorted(witness.items())) and pivots, recorded
+    # on the unpacked tableau: the K6s and the K5s outgrow 64-bit lanes
+    # (their entries reach 72 and 118 bits), the triangles and
+    # glued_k4(40) keep sparse rows
+    res = tau_star_lp_exact(make())
+    witness = hashlib.sha256(repr(sorted(res.witness.items())).encode()).hexdigest()
+    assert (res.value, res.nodes_explored, witness) == (value, pivots, digest)
 
 
 def test_lp_sandwich_digest():
