@@ -23,10 +23,14 @@ Values read back through ``f`` and ``spent`` are exact ``Fraction``s.
 
 Which triangles the steps may still spend is kept in one place,
 ``DemandState.free``: a discharge or a pin removes its triangle from it.
+The steps reach their work through indexes, not by rescanning lists:
+the chain starts, the ended chains and the spokes in ``build_chains``,
+and the demand by edge in ``DemandState.by_edge``.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from .charges import ChargeAssignment, Ledger, require_clean
@@ -125,7 +129,6 @@ class Chain:
     links: list[ChainLink]
     head_half_spokes: tuple[int, int]
     satisfied: bool = False
-    terminated: bool = False
 
     def tail(self) -> Triangle:
         return self.links[-1].psi
@@ -148,11 +151,19 @@ def build_chains(
     """Grow all chains on ``cs``, satisfy what can be satisfied, truncate
     the rest.
 
-    Satisfaction and candidate-eligibility tests look only at *fixed*
-    half-edges (the ones some construction step placed for good), never
-    at the tentative C4 charges of type-3 triangles outside chains: those
-    are revoked the moment such a triangle becomes a head, so counting
-    them would satisfy a triangle with credit that later disappears.
+    ``satisfied`` reads ledger numerators but is asked only about type-3
+    triangles outside every chain, whose own edges carry only their own
+    charge (a lender into one joins only when it heads a chain): the
+    tentative C4, which leaves one own edge at 0, until the cascade
+    settles the triangle with a fixed half on each.  So it holds exactly
+    for the settled ones, counts only fixed half-edges, and only grows.
+
+    The start arcs wait in ``(dst, src)`` order, and the front one is
+    dropped for good once its head is chained or satisfied or its lender
+    has both legs fixed: each of these only grows.  The cascade finds the
+    chains that ended unsatisfied by tail leg, in the order they ended,
+    and the type-3 triangles by spoke, sorted, in an index built when it
+    first meets an unowned edge.
 
     An unsatisfied tail puts its spare half on the lower-id of its two
     non-base edges and the other on the leg away from it, until
@@ -161,12 +172,16 @@ def build_chains(
     chains: list[Chain] = []
     chained: set[Triangle] = set()  # heads and links of every chain
     settled: set[Triangle] = set()
-    threes = set(s.packed_of_type(3))
     fixed_half: set[int] = set()
-    queue: list[int] = []  # fixed half-edges the cascade has not looked at
+    queue: deque[int] = deque()  # fixed half-edges the cascade has not looked at
     incoming: dict[Triangle, list[LendArc]] = {}
     for src in sorted(lend):
         incoming.setdefault(lend[src].dst, []).append(lend[src])
+    starts = deque(sorted(
+        (a for a in lend.values() if s.info[a.dst].type == 3), key=lambda a: (a.dst, a.src)
+    ))
+    ended_on_leg: dict[int, list[Chain]] = {}  # unsatisfied ended chains by tail leg
+    on_spoke: dict[int, list[Triangle]] = {}  # type-3 triangles by spoke, once needed
 
     def eligible_lender(psi: Triangle) -> bool:
         """A candidate may extend a chain while an attachment leg is unfixed."""
@@ -186,29 +201,31 @@ def build_chains(
         own = [e for e in tail.edge_ids if e != s.info[tail].base]
         for e in own:
             cs.give(tail, e, 1)
-        chain.satisfied = chain.terminated = True
+        chain.satisfied = True
         fix(own)
 
     def cascade() -> None:
         """Satisfy and settle what the freshly fixed half-edges allow."""
         while queue:
-            e = queue.pop(0)
-            # terminated, still unsatisfied chains whose tail attachment touches e
-            for c in chains:
-                if c.terminated and not c.satisfied and e in s.info[c.tail()].legs:
+            e = queue.popleft()
+            # a chain ends only with both tail legs unfixed, so none ends
+            # on e once e is fixed: one look at e finds them all
+            for c in ended_on_leg.pop(e, ()):
+                if not c.satisfied:
                     satisfy(c)
             if s.owner(e) is not None:
                 continue
+            if not on_spoke:
+                for psi in sorted(s.packed_of_type(3)):
+                    for x in s.k4_region_edges(psi)[3:]:
+                        on_spoke.setdefault(x, []).append(psi)
             # settle unsatisfied type-3 triangles outside every chain with
             # a half on this spoke: each own edge and one more spoke get 1/2
-            unsatisfied = sorted(
-                psi for psi in threes if psi not in chained and not satisfied(psi)
-            )
+            unsatisfied = [
+                psi for psi in on_spoke.get(e, ()) if psi not in chained and not satisfied(psi)
+            ]
             for psi in unsatisfied:
-                spokes = s.k4_region_edges(psi)[3:]
-                if e not in spokes:
-                    continue
-                other = min(x for x in spokes if x != e)
+                other = min(x for x in s.k4_region_edges(psi)[3:] if x != e)
                 m = {se: 1 for se in psi.edge_ids}
                 m[other] = 1
                 cs.replace(psi, m)
@@ -224,18 +241,10 @@ def build_chains(
         chained.add(arc.src)
         return base
 
-    def start_candidates() -> list[LendArc]:
-        out = [
-            arc
-            for psi, arc in lend.items()
-            if s.info[arc.dst].type == 3
-            and not (satisfied(arc.dst) or arc.dst in chained)
-            and eligible_lender(psi)
-        ]
-        return sorted(out, key=lambda a: (a.dst, a.src))
-
     while True:
-        starts = start_candidates()
+        while starts and (starts[0].dst in chained or satisfied(starts[0].dst)
+                          or not eligible_lender(starts[0].src)):
+            starts.popleft()
         if not starts:
             break
         arc = starts[0]
@@ -245,14 +254,8 @@ def build_chains(
         half_spokes = tuple(sorted(e for e in spokes if e != null_spoke))
         # the lender's half sits on the gain edge, like in every later
         # step, so a pin of this triangle keeps the head region intact
-        cs.replace(
-            head,
-            {
-                **{e: 1 for e in head.edge_ids if e != arc.gain},
-                half_spokes[0]: 1,
-                half_spokes[1]: 1,
-            },
-        )
+        m = {e: 1 for e in head.edge_ids if e != arc.gain}
+        cs.replace(head, {**m, half_spokes[0]: 1, half_spokes[1]: 1})
         chain = Chain(head, [], half_spokes)  # type: ignore[arg-type]
         chains.append(chain)
         chained.add(head)
@@ -266,20 +269,15 @@ def build_chains(
                 satisfy(chain)  # and truncate: the chain grows no further
                 cascade()
                 break
-            growers = [
-                a
-                for a in incoming.get(tail, ())
-                if a.gain != s.info[tail].base
-                and a.src not in chained
-                and eligible_lender(a.src)
-            ]
+            base = s.info[tail].base
+            growers = [a for a in incoming.get(tail, ())
+                       if a.gain != base and a.src not in chained and eligible_lender(a.src)]
             if not growers:
-                chain.terminated = True
+                for leg in s.info[tail].legs:
+                    ended_on_leg.setdefault(leg, []).append(chain)
                 break  # unsatisfied chain; tail's spare credit placed later
             nxt = growers[0]
-            h_prev = next(
-                e for e in tail.edge_ids if e not in (s.info[tail].base, nxt.gain)
-            )
+            h_prev = next(e for e in tail.edge_ids if e not in (base, nxt.gain))
             # the leg at the base end that h_prev and the base share
             e1_prev = s.spoke(tail, tail.off(nxt.gain))
             chain.links[-1].e1 = e1_prev
@@ -309,7 +307,9 @@ class DemandState:
     """The demand set D, the free set A, and the roles in A: the type-0
     triangles and the unsatisfied tails (with their links).  The free
     non-type-0 triangles, tails and type-3 alike, are the rotatables.
-    ``s`` is the structure they belong to."""
+    ``s`` is the structure they belong to.  ``by_edge`` maps each edge
+    with demand to its demanding triangles, in ``demanding`` order;
+    ``drop`` keeps the two in step."""
 
     s: SolutionStructure
     demanding: list[Triangle]
@@ -317,9 +317,25 @@ class DemandState:
     type0: set[Triangle]
     tails: dict[Triangle, ChainLink]
     log: list[dict] = field(default_factory=list)
+    by_edge: dict[int, dict[Triangle, None]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.by_edge = {}
+        for t in self.demanding:
+            for e in t.edge_ids:
+                self.by_edge.setdefault(e, {})[t] = None
 
     def demanding_on_edge(self, eid: int) -> list[Triangle]:
-        return [t for t in self.demanding if eid in t.edge_ids]
+        return list(self.by_edge.get(eid, ()))
+
+    def drop(self, gone: list[Triangle]) -> None:
+        """Take the triangles ``gone`` out of the demand."""
+        for t in dict.fromkeys(gone):
+            self.demanding.remove(t)
+            for e in t.edge_ids:
+                del self.by_edge[e][t]
+                if not self.by_edge[e]:
+                    del self.by_edge[e]
 
     def demanding_on(self, psi: Triangle) -> list[Triangle]:
         es = set(psi.edge_ids)
@@ -342,9 +358,9 @@ def compute_demanding(s: SolutionStructure, chains: ChainSet) -> DemandState:
     demanding = [
         t
         for t, owners in s.attachments.items()
-        if sum(o in type0 for o in owners) == 1
-        and all(o in free for o in owners)
-        and blocked.isdisjoint(t.edge_ids)
+        if blocked.isdisjoint(t.edge_ids)
+        and free.issuperset(owners)
+        and len(type0.intersection(owners)) == 1
     ]
     return DemandState(s, sorted(demanding), sorted(free), type0, tails)
 
@@ -353,7 +369,7 @@ def discharge(ds: DemandState, cs: Ledger, psi0: Triangle, eid: int) -> None:
     """Spend the reserved half credit of free type-0 ``psi0`` on edge ``eid``."""
     cs.give(psi0, eid, 1)
     ds.free.remove(psi0)
-    ds.demanding = [t for t in ds.demanding if eid not in t.edge_ids]
+    ds.drop(ds.demanding_on_edge(eid))
     ds.log.append(
         {"op": "discharge", "triangle": list(psi0.vertices), "edge": list(ds.s.g.edges[eid])}
     )
@@ -379,9 +395,9 @@ def pin(ds: DemandState, cs: Ledger, psi: Triangle, eid: int) -> None:
         m = {e: 1 for e in s.k4_region_edges(psi) if e not in (eid, null_spoke)}
     cs.replace(psi, m)
     ds.free.remove(psi)
-    ds.demanding = [
-        t for t in ds.demanding if eid in t.edge_ids or set(psi.edge_ids).isdisjoint(t.edge_ids)
-    ]
+    ds.drop([
+        t for e in psi.edge_ids if e != eid for t in ds.by_edge.get(e, ()) if eid not in t.edge_ids
+    ])
     ds.log.append(
         {"op": "pin", "triangle": list(psi.vertices), "edge": list(s.g.edges[eid])}
     )
@@ -412,27 +428,29 @@ def discharge_and_pin(s: SolutionStructure, cs: Ledger, ds: DemandState) -> None
     def eligible_edges(psi: Triangle) -> list[int]:
         return sorted(e for e in psi.edge_ids if psi not in ds.tails or e != s.info[psi].base)
 
-    while ds.demanding:  # 1.
-        for psi0 in [p for p in ds.free if p in type0]:
-            hot = [e for e in psi0.edge_ids if ds.demanding_on_edge(e)]
-            if len(hot) == 1:
-                discharge(ds, cs, psi0, hot[0])
-                break
-        else:
-            break
+    # 1. a demanding triangle has one type-0 owner, so a discharge leaves
+    # every other type-0 triangle's hot edges as they were: one pass over
+    # the free type-0 triangles, in free order, discharges what a rescan
+    # after each discharge would.  Without demand steps 1 and 2 spend nothing
+    free0 = dict.fromkeys(p for p in ds.free if p in type0) if ds.by_edge else {}
+    for psi0 in list(free0):
+        hot = [e for e in psi0.edge_ids if e in ds.by_edge]
+        if len(hot) == 1:
+            discharge(ds, cs, psi0, hot[0])
+            del free0[psi0]
 
-    demanded = {e for t in ds.demanding for e in t.edge_ids}  # 2.
+    demanded = set(ds.by_edge)  # 2.
     for psi in [p for p in ds.free if p not in type0 and not demanded.isdisjoint(p.edge_ids)]:
         edges = eligible_edges(psi)
-        payers = {e: sorted({o for t in ds.demanding_on_edge(e) for o in s.attachments[t]
-                             if o in type0 and o in ds.free})
-                  for e in edges if ds.demanding_on_edge(e)}
+        payers = {e: sorted({o for t in ds.by_edge[e] for o in s.attachments[t] if o in free0})
+                  for e in edges if e in ds.by_edge}
         if not payers:
             continue
         eid = ([e for e in edges if e not in payers] or [e for e in edges if payers[e]] or edges)[0]
         pin(ds, cs, psi, eid)
         if payers.get(eid):
             discharge(ds, cs, payers[eid][0], eid)
+            del free0[payers[eid][0]]
 
     near: dict[Triangle, list[Triangle]] = {p: [] for p in ds.free if p not in type0}  # 3.
     for t, owners in s.attachments.items():

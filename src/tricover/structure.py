@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graph import Graph, Triangle, enumerate_triangles
 from .packing import Packing, SwapCertificate
@@ -57,10 +58,12 @@ class PackedInfo:
         (b,) = self.base_edges
         return b
 
-    @property
+    @cached_property
     def legs(self) -> tuple[int, int]:
         """The two sides of the unique attachment of a type-1 triangle off
-        its base: the spokes of the base's ends to the anchor."""
+        its base: the spokes of the base's ends to the anchor.  Kept from
+        the first read on, and shared with every structure that shares
+        this info."""
         (w,) = self.cl_sin
         return tuple(e for e in w.edge_ids if e != self.base)  # type: ignore[return-value]
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -31,6 +32,7 @@ from tricover.order2 import (
     pin,
     run_order2,
 )
+from tricover.structure import PackedInfo, SolutionStructure
 
 from test_acceptance import demand_lemma_violation
 
@@ -753,3 +755,108 @@ def test_gap_graphs_order2(name):
     run, _ = run_order2(s)
     report = verify_cover(s.g, run.assignment, len(s.packing))
     assert report.ok, [t.vertices for t in report.failing]
+
+
+# ---------------------------------------------------------------------------
+# many chains: relabelled lend chains, whose chains meet, and glued K4 paths
+
+def _relabel(g, key):
+    """``g`` with its vertices permuted by ``random.Random(key)``, as the
+    benchmark relabels its instances."""
+    perm = list(range(g.n))
+    random.Random(key).shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def _many_chain_structures():
+    for base in (lend_chain(20), lend_chain(50), lend_chain(100), lend_chain(200), glued_k4(50)):
+        for key in ("z", "y"):
+            g = _relabel(base, key)
+            for max_swap in (2, 5):
+                s = build_structure(g, local_search_packing(g, 0, max_swap))
+                assert not s.violations
+                yield s
+
+
+def test_many_chain_digest():
+    # the only inputs in the suite with many chains, many settled K4s and
+    # chains satisfied by the cascade.  The sha256 covers the charge after
+    # build_chains, each chain's links and flag, the settled set, the
+    # demanding set, the discharge-and-pin log and the final numerators,
+    # recorded before build_chains and discharge-and-pin were indexed.
+    h = hashlib.sha256()
+    chained = satisfied = settled = 0
+    for s in _many_chain_structures():
+        cs = initial_half_charge(s)
+        chains = build_chains(s, build_lend(s), cs)
+        chained += len(chains.chains)
+        satisfied += sum(c.satisfied for c in chains.chains)
+        settled += len(chains.settled)
+        ds = compute_demanding(s, chains)
+        run, _ = run_order2(s)
+        h.update(repr((
+            sorted((e, v) for e, v in cs.numerators.items() if v),
+            [([(l.psi.vertices, l.gain, l.e1) for l in c.links], c.satisfied)
+             for c in chains.chains],
+            sorted(t.vertices for t in chains.settled),
+            [t.vertices for t in ds.demanding],
+            run.demand.log,
+            sorted((e, v) for e, v in run.charge.numerators.items() if v),
+        )).encode())
+    assert (chained, satisfied, settled) == (338, 36, 66)
+    assert h.hexdigest() == "a3abeebb968c29d4d4528b70c7c0ed038cded1b9e148518b1fdde663e0171052"
+
+
+def test_type3_outside_chains_is_satisfied_iff_settled():
+    # build_chains drops a start arc for good once its head is satisfied,
+    # which is safe as satisfaction of a type-3 triangle outside every
+    # chain means it was settled, and settling is for good
+    rng = random.Random(2)
+    structures = list(_many_chain_structures())
+    for _ in range(300):
+        g = gadget_union(rng, with_gnp=True)
+        structures.append(build_structure(g, cover(g, 2, seed=rng.randint(0, 4)).packing))
+    settled = 0
+    for s in structures:
+        cs = initial_half_charge(s)
+        chains = build_chains(s, build_lend(s), cs)
+        members = {t for c in chains.chains for t in (c.head, *(l.psi for l in c.links))}
+        for psi in s.packed_of_type(3):
+            if psi not in members:
+                full = all(cs.numerators.get(e, 0) >= 1 for e in psi.edge_ids)
+                assert full == (psi in chains.settled), psi
+        settled += len(chains.settled)
+    assert settled > 66
+
+
+def _structure_reads(s):
+    """How often ``run_order2(s)`` reads the K4 regions, spokes, owners
+    and attachment legs of the structure."""
+    calls = Counter()
+
+    def counted(name, read):
+        def wrapper(*args):
+            calls[name] += 1
+            return read(*args)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("k4_region_edges", "spoke", "owner"):
+            mp.setattr(SolutionStructure, name, counted(name, getattr(SolutionStructure, name)))
+        legs = PackedInfo.__dict__["legs"]
+        mp.setattr(PackedInfo, "legs", property(counted("legs", lambda i: legs.__get__(i, PackedInfo))))
+        run_order2(s)
+    return calls
+
+
+def test_order2_work_grows_linearly():
+    # counts, not wall clock: on a chain four times as long run_order2
+    # reads the structure at most five times as often.  Before the chain
+    # cascade, the chain starts and the demand were indexed the counts
+    # were 12268 and 175734, a ratio of 14.3
+    small, large = (
+        _structure_reads(build_structure(g, local_search_packing(g, 0, 5)))
+        for g in (_relabel(lend_chain(100), "z"), _relabel(lend_chain(400), "z"))
+    )
+    assert all(small.values()) and small.keys() == large.keys()
+    assert sum(large.values()) <= 5 * sum(small.values()), (small, large)
