@@ -45,8 +45,8 @@ class InternalChargeError(TricoverError):
 class RepairExhaustedError(TricoverError):
     """A repair failed.  ``detail`` says where: "verify" for a failed
     verification that no swap mends, either because every triangle is
-    covered (an engine fault) or because the swap search found no
-    improving swap around the first uncovered triangle; "structure-swap"
+    covered (an engine fault) or because a search of the whole packing
+    found no improving swap of size up to ``max_swap + 2``; "structure-swap"
     for a structure violation's own swap that did not verify; and
     "loop-guard" for a repair loop that ran out."""
 

@@ -151,15 +151,15 @@ def build_chains(
     """Grow all chains on ``cs``, satisfy what can be satisfied, truncate
     the rest.
 
-    ``satisfied`` reads ledger numerators but is asked only about type-3
-    triangles outside every chain, whose own edges carry only their own
-    charge (a lender into one joins only when it heads a chain): the
-    tentative C4, which leaves one own edge at 0, until the cascade
-    settles the triangle with a fixed half on each.  So it holds exactly
-    for the settled ones, counts only fixed half-edges, and only grows.
+    A type-3 triangle outside every chain is satisfied, a half on each
+    own edge, exactly when the cascade has settled it: its own edges
+    carry only its own charge (a lender into one joins only when it
+    heads a chain), the tentative C4, which leaves one own edge at 0,
+    until settling puts a fixed half on each.  So ``settled`` is the one
+    record of that, and it only grows.
 
     The start arcs wait in ``(dst, src)`` order, and the front one is
-    dropped for good once its head is chained or satisfied or its lender
+    dropped for good once its head is chained or settled or its lender
     has both legs fixed: each of these only grows.  The cascade finds the
     chains that ended unsatisfied by tail leg, in the order they ended,
     and the type-3 triangles by spoke, sorted, in an index built when it
@@ -186,9 +186,6 @@ def build_chains(
     def eligible_lender(psi: Triangle) -> bool:
         """A candidate may extend a chain while an attachment leg is unfixed."""
         return any(e not in fixed_half for e in s.info[psi].legs)
-
-    def satisfied(psi: Triangle) -> bool:
-        return all(cs.numerators.get(e, 0) >= 1 for e in psi.edge_ids)
 
     def fix(edges: list[int]) -> None:
         fixed_half.update(edges)
@@ -222,7 +219,7 @@ def build_chains(
             # settle unsatisfied type-3 triangles outside every chain with
             # a half on this spoke: each own edge and one more spoke get 1/2
             unsatisfied = [
-                psi for psi in on_spoke.get(e, ()) if psi not in chained and not satisfied(psi)
+                psi for psi in on_spoke.get(e, ()) if psi not in chained and psi not in settled
             ]
             for psi in unsatisfied:
                 other = min(x for x in s.k4_region_edges(psi)[3:] if x != e)
@@ -242,7 +239,7 @@ def build_chains(
         return base
 
     while True:
-        while starts and (starts[0].dst in chained or satisfied(starts[0].dst)
+        while starts and (starts[0].dst in chained or starts[0].dst in settled
                           or not eligible_lender(starts[0].src)):
             starts.popleft()
         if not starts:

@@ -6,19 +6,18 @@ search enumerates removal sets that are connected under vertex sharing;
 a minimal improving swap always has that form because any added triangle
 bridging two removed ones shares a vertex with both.
 
-The search runs on integers.  The packed triangles it may remove (the
-candidates) get ids 0..c-1 in sorted order, so a removal set is a
-bitmask, vertex-sharing neighbours are bitmasks, and taking the lowest
-set bit first is taking the smallest triangle first.  Every triangle is
-an index into ``enumerate_triangles`` order with a 3-bit mask of its edge
-ids, and pairwise disjointness is a test on those masks.  Each
-non-packed triangle has a conflict mask: the candidates that pack one of
-its edges.  One that uses an edge packed outside the candidates can
-never be added and is dropped; the others are listed under their lowest
-conflicting candidate.  The pool for a removal mask ``rm`` is then the
-listed triangles of its members whose conflict mask lies inside ``rm``,
-in enumeration order.  The triangles and their edge masks come from the
-graph's memo, so both are built once per graph, not once per swap.
+The search runs on integers.  The packed triangles get ids 0..|P|-1 in
+sorted order, so a removal set is a bitmask, vertex-sharing neighbours
+are bitmasks, and taking the lowest set bit first is taking the smallest
+triangle first.  Every triangle is an index into ``enumerate_triangles``
+order with a 3-bit mask of its edge ids, and pairwise disjointness is a
+test on those masks.  Each non-packed triangle has a conflict mask: the
+packed triangles that hold one of its edges.  It is listed under its
+lowest conflicting one, and the pool for a removal mask ``rm`` is then
+the listed triangles of its members whose conflict mask lies inside
+``rm``, in enumeration order.  The triangles and their edge masks come
+from the graph's memo, so both are built once per graph, not once per
+swap.
 
 The added triangles are picked from the pool by an ordered clique search
 on bitsets of pool positions (the bit-parallel search of San Segundo et
@@ -41,22 +40,23 @@ with at least two triangles of A.  Suppose ρ shared an edge with at most
 one, a.  Drop ρ and a (or any triangle of A if none touches ρ): the r
 triangles left use only free edges and edges of R minus ρ.  For r = 1 the
 one left is a free triangle.  Otherwise none is free, and each conflicts
-only with candidates in one vertex-sharing component of R minus ρ,
+only with packed triangles in one vertex-sharing component of R minus ρ,
 because two edges of a triangle meet in a vertex; by pigeonhole some
 component C holds more than |C| of them: a connected improving swap of
 size below r, which the search would have returned.  Two triangles of A
 on ρ are edge-disjoint, so they use two distinct edges of ρ.  The
-requirement masks of a candidate's edge follow: for each listed triangle
-through the edge, the other candidates it conflicts with.  A removal set
-has a selection only if each member has two edges with a mask inside the
-set.  From size 2 on, the removal sets are grown with a cut as soon as a
-taken member has fewer than two edges with a mask that the ids still
-open to the branch can fill within the slots left, and a candidate with
-fewer than two edges with a mask is never removed.  The sets that remain
-come in the same order, so the first swap found is unchanged.  The masks
-are built when a search first reaches size 2, since most searches end
-before it, and are kept per edge: their unions over two edges run to
-hundreds per candidate on dense graphs.
+requirement masks of a packed triangle's edge follow: for each listed
+triangle through the edge, the other packed triangles it conflicts
+with.  A removal set has a selection only if each member has two edges
+with a mask inside the set.  From size 2 on, the removal sets are grown
+with a cut as soon as a taken member has fewer than two edges with a
+mask that the ids still open to the branch can fill within the slots
+left, and a packed triangle with fewer than two edges with a mask is
+never removed.  The sets that remain come in the same order, so the
+first swap found is unchanged.  The masks are built when a search first
+reaches size 2, since most searches end before it, and are kept per
+edge: their unions over two edges run to hundreds per packed triangle
+on dense graphs.
 
 Before any of that, the search compares the packing with an upper bound
 on ν kept in the graph's memo, the smaller of two bounds.  The degree
@@ -175,17 +175,17 @@ def greedy_packing(g: Graph, order_seed: int = 0) -> Packing:
 
 
 def _requirements(
-    candidates: tuple[Triangle, ...] | list[Triangle],
+    packed: tuple[Triangle, ...],
     tris: tuple[Triangle, ...],
     owner: list[int],
     listed: list[list[tuple[int, int]]],
 ) -> list[list[list[int]]]:
-    """The requirement masks (module docstring) of each candidate's edges.
+    """The requirement masks (module docstring) of each packed triangle's edges.
 
-    A listed triangle through a candidate's edge can join a selection
-    only once the other candidates it conflicts with are removed too.
-    Each candidate gets one sorted list of distinct masks per edge that
-    has any.
+    A listed triangle through a packed triangle's edge can join a
+    selection only once the other packed triangles it conflicts with are
+    removed too.  Each packed triangle gets one sorted list of distinct
+    masks per edge that has any.
     """
     masks_at: dict[int, set[int]] = {}
     for entries in listed:
@@ -193,7 +193,7 @@ def _requirements(
             for e in tris[i].edge_ids:
                 if bit := owner[e]:
                     masks_at.setdefault(e, set()).add(conflict ^ bit)
-    return [[sorted(masks_at[e]) for e in t.edge_ids if e in masks_at] for t in candidates]
+    return [[sorted(masks_at[e]) for e in t.edge_ids if e in masks_at] for t in packed]
 
 
 def _removal_sets(nbrs: list[int], reqs: list[list[list[int]]], size: int):
@@ -348,51 +348,41 @@ def _k4_block_bound(g: Graph, degree: int) -> int:
     return min(degree, len(tris) - 3 * blocks)
 
 
-def _find_swap(
-    g: Graph,
-    p: Packing,
-    candidates: tuple[Triangle, ...] | list[Triangle],
-    max_swap: int,
-) -> SwapCertificate | None:
-    """The first improving swap whose removals are a connected set of candidates.
-
-    ``candidates`` are packed triangles in sorted order.
-    """
+def find_swap(g: Graph, p: Packing, max_swap: int) -> SwapCertificate | None:
+    """The first improving swap of ``p`` whose removals are a connected set
+    of at most ``max_swap`` packed triangles, or None."""
     if len(p) >= _nu_bound(g):
         return None
+    packed = p.triangles
     tris = enumerate_triangles(g)
     emasks = edge_masks(g)
-    # owner[e]: the bit of the candidate packing e, -1 for any other
-    # packed triangle, 0 when e is free
-    owner = [0] * g.m
-    for e in p.used_edges:
-        owner[e] = -1
+    owner = [0] * g.m  # owner[e]: the bit of the packed triangle on e, 0 when e is free
     at_vertex = [0] * g.n
-    for i, t in enumerate(candidates):
+    for i, t in enumerate(packed):
         for e in t.edge_ids:
             owner[e] = 1 << i
         for v in t.vertices:
             at_vertex[v] |= 1 << i
     nbrs = [
         (at_vertex[a] | at_vertex[b] | at_vertex[c]) & ~(1 << i)
-        for i, (a, b, c) in enumerate(t.vertices for t in candidates)
+        for i, (a, b, c) in enumerate(t.vertices for t in packed)
     ]
 
-    listed: list[list[tuple[int, int]]] = [[] for _ in candidates]
+    listed: list[list[tuple[int, int]]] = [[] for _ in packed]
     for i, t in enumerate(tris):
         a, b, c = t.edge_ids
         conflict = owner[a] | owner[b] | owner[c]
         if conflict == 0:
             return SwapCertificate(removed=(), added=(t,))
-        if conflict > 0 and t not in p:
+        if t not in p:
             listed[(conflict & -conflict).bit_length() - 1].append((i, conflict))
 
     for r in range(1, max_swap + 1):
         if r == 1:
-            sets = (((c,), 1 << c) for c in range(len(candidates)))
+            sets = (((c,), 1 << c) for c in range(len(packed)))
         else:
             if r == 2:  # built only now: most searches end before size 2
-                reqs = _requirements(candidates, tris, owner, listed)
+                reqs = _requirements(packed, tris, owner, listed)
             sets = _removal_sets(nbrs, reqs, r)
         for removal, rm in sets:
             pool = sorted(
@@ -403,26 +393,10 @@ def _find_swap(
             found = _disjoint_selection([emasks[i] for i in pool], r + 1)
             if found is not None:
                 return SwapCertificate(
-                    removed=tuple(candidates[c] for c in removal),
+                    removed=tuple(packed[c] for c in removal),
                     added=tuple(tris[pool[j]] for j in found),
                 )
     return None
-
-
-def targeted_swap(
-    g: Graph, p: Packing, focus_edges: set[int], max_swap: int
-) -> SwapCertificate | None:
-    """Improving swap whose removals lie within 2 hops (edge-adjacency) of focus_edges.
-
-    The region is every packed triangle with a vertex on an edge that
-    touches a focus edge: a vertex of a focus edge or a neighbour of one.
-    """
-    if not focus_edges:
-        return None
-    verts0 = {v for e in focus_edges for v in g.edges[e]}
-    verts1 = {v for edge in g.edges if not verts0.isdisjoint(edge) for v in edge}
-    eligible = [t for t in p.triangles if not verts1.isdisjoint(t.vertices)]
-    return _find_swap(g, p, eligible, max_swap)
 
 
 def local_search_packing(
@@ -432,6 +406,6 @@ def local_search_packing(
     if max_swap < 1:
         raise ValueError("max_swap must be >= 1")
     p = greedy_packing(g, seed)
-    while (cert := _find_swap(g, p, p.triangles, max_swap)) is not None:
+    while (cert := find_swap(g, p, max_swap)) is not None:
         p = p.with_swap(cert)
     return p

@@ -6,13 +6,14 @@ exactly.  A structure violation carries its improving swap, which is
 applied after ``verify_swap``; a swap that fails is a bug and raises.
 The engines do not raise: ``verify_cover`` alone judges what they
 return.  A failed verification (reason ``verify``) with a triangle left
-uncovered focuses on the first such triangle, and a targeted swap search
-of size up to ``max_swap + 2`` around it must then improve the packing.
-A failed verification with every triangle covered is an engine fault
-that no swap mends, so it raises at once.  Either way the loop
-restarts, and since each repair grows the packing by one, it
-terminates.  Each repair is logged with its reason, its focus edges (for
-a structure repair, the edges of the swap's triangles) and the swap.
+uncovered takes the first improving swap of size up to ``max_swap + 2``
+anywhere in the packing, the search that local search runs; with none,
+it raises.  A failed verification with every triangle covered is an
+engine fault that no swap mends, so it raises at once.  Either way the
+loop restarts, and since each repair grows the packing by one, it
+terminates.  Each repair is logged with its reason, its focus edges (the
+edges of the swap's triangles for a structure repair, of the first
+uncovered triangle for a verify repair) and the swap.
 
 Orders 2 and 3 run their own engine, order 6 the order-3 one doubled;
 ``cover`` composes every other order from the order-2 and order-3
@@ -35,13 +36,7 @@ from .checker import graph_sha256
 from .errors import BadParamsError, RepairExhaustedError
 from .graph import Graph, memo
 from .order2 import run_order2
-from .packing import (
-    DEFAULT_MAX_SWAP,
-    Packing,
-    local_search_packing,
-    targeted_swap,
-    verify_swap,
-)
+from .packing import DEFAULT_MAX_SWAP, Packing, find_swap, local_search_packing, verify_swap
 from .structure import SolutionStructure, build_structure
 
 
@@ -59,21 +54,6 @@ class CoverResult:
 
 def graph_digest(g: Graph) -> str:
     return graph_sha256(g.n, g.edges)
-
-
-def _apply(g, packing, cert, focus, log, reason) -> Packing:
-    """Apply a repair swap and log it."""
-    new_packing = packing.with_swap(cert)
-    log.append(
-        {
-            "reason": reason,
-            "focus": sorted(list(g.edges[e]) for e in focus),
-            "removed": [list(t.vertices) for t in cert.removed],
-            "added": [list(t.vertices) for t in cert.added],
-            "size_after": len(new_packing),
-        }
-    )
-    return new_packing
 
 
 def cover(
@@ -122,39 +102,47 @@ def _cover_single(g, order, seed, max_swap) -> CoverResult:
     for _ in range(guard):
         if s.violations:
             v = s.violations[0]
-            focus = {e for t in v.swap.removed + v.swap.added for e in t.edge_ids}
-            if not verify_swap(g, packing, v.swap):
+            cert, reason = v.swap, f"structure:{v.kind}"
+            focus = {e for t in cert.removed + cert.added for e in t.edge_ids}
+            if not verify_swap(g, packing, cert):
                 raise RepairExhaustedError(
                     f"{v.kind} swap does not verify", focus_edges=focus,
                     detail="structure-swap",
                 )
-            packing = _apply(g, packing, v.swap, focus, log, f"structure:{v.kind}")
-            s = build_structure(g, packing)
-            continue
-        if order == 6:
-            assignment = charge_order6(s)
-        elif order == 3:
-            assignment = charge_order3(s)
         else:
-            assignment = run_order2(s)[0].assignment
-        report = verify_cover(g, assignment, len(packing))
-        if report.ok:
-            return CoverResult(packing, assignment, report, log)
-        if not report.failing:
-            raise RepairExhaustedError(
-                "engine result covers every triangle but fails verification",
-                focus_edges={e for t in packing.triangles for e in t.edge_ids},
-                detail="verify",
-            )
-        focus = set(report.failing[0].edge_ids)
-        cert = targeted_swap(g, packing, focus, max_swap + 2)
-        if cert is None:
-            raise RepairExhaustedError(
-                f"no improving swap up to size {max_swap + 2} around focus",
-                focus_edges=focus,
-                detail="verify",
-            )
-        packing = _apply(g, packing, cert, focus, log, "verify")
+            if order == 6:
+                assignment = charge_order6(s)
+            elif order == 3:
+                assignment = charge_order3(s)
+            else:
+                assignment = run_order2(s)[0].assignment
+            report = verify_cover(g, assignment, len(packing))
+            if report.ok:
+                return CoverResult(packing, assignment, report, log)
+            if not report.failing:
+                raise RepairExhaustedError(
+                    "engine result covers every triangle but fails verification",
+                    focus_edges={e for t in packing.triangles for e in t.edge_ids},
+                    detail="verify",
+                )
+            focus = set(report.failing[0].edge_ids)
+            cert, reason = find_swap(g, packing, max_swap + 2), "verify"
+            if cert is None:
+                raise RepairExhaustedError(
+                    f"no improving swap up to size {max_swap + 2} in the packing",
+                    focus_edges=focus,
+                    detail="verify",
+                )
+        packing = packing.with_swap(cert)
+        log.append(
+            {
+                "reason": reason,
+                "focus": sorted(list(g.edges[e]) for e in focus),
+                "removed": [list(t.vertices) for t in cert.removed],
+                "added": [list(t.vertices) for t in cert.added],
+                "size_after": len(packing),
+            }
+        )
         s = build_structure(g, packing)
     raise RepairExhaustedError("repair loop did not converge", detail="loop-guard")
 

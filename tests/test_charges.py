@@ -242,6 +242,27 @@ def test_spare_thirds_take_the_side_with_fewer_edges():
     assert verify_cover(g, f, 4).ok
 
 
+def test_spare_thirds_skip_a_pair_with_a_paid_triangle():
+    # four triangles with several attachments meet in four pairs; (5, 6,
+    # 8) pays for its pair at 8 and (1, 3, 5) for its pair at 3, so their
+    # own pair at 5 comes after both paid and is skipped; no triangle
+    # spends over two credits, and the covers verify at every order
+    g = gnp(11, 0.7, 391863)
+    packed = [(0, 1, 4), (0, 2, 9), (0, 7, 8), (1, 3, 5), (2, 4, 6), (2, 8, 10),
+              (3, 4, 8), (3, 7, 10), (4, 7, 9), (5, 6, 8), (6, 9, 10)]
+    s = structure_of(g, [g.triangle(*t) for t in packed])
+    assert s.violations == ()
+    multi = [psi.vertices for psi, i in s.info.items() if i.type == 1 and len(i.cl_sin) > 1]
+    assert multi == [(0, 7, 8), (1, 3, 5), (3, 7, 10), (5, 6, 8)]
+    f3 = charge_order3(s)
+    assert max(f3.per_triangle.values()) <= 2
+    assert {t.vertices: v for t, v in f3.per_triangle.items() if v != 2} == {
+        (0, 7, 8): F(5, 3), (3, 7, 10): F(5, 3),
+    }
+    for f in (run_order2(s)[0].assignment, f3, charge_order6(s)):
+        assert verify_cover(g, f, len(s.packing)).ok, f.order
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(8, 11),

@@ -402,6 +402,28 @@ def test_discharge_and_pin_returns_when_stuck():
     assert ds.demanding == demanding and cs.numerators == before
 
 
+def test_rotatable_whose_demand_an_earlier_pin_dropped_pins_nothing():
+    # step 2 starts with (1, 5, 8) and (3, 5, 9) both on demanded edges;
+    # the pin of (1, 5, 8) on (5, 8) drops (1, 3, 5), the demand on
+    # (3, 5), so (3, 5, 9) has none left and stays free
+    g = gnp(11, 0.5, 801710)
+    packed = [(0, 5, 10), (1, 2, 10), (1, 3, 4), (1, 5, 8), (3, 5, 9)]
+    s = structure_of(g, [g.triangle(*t) for t in packed])
+    assert s.violations == ()
+    run, _ = run_order2(s)
+    assert run.demand.log == [
+        {"op": "discharge", "triangle": [0, 5, 10], "edge": [0, 5]},
+        {"op": "discharge", "triangle": [1, 2, 10], "edge": [1, 2]},
+        {"op": "pin", "triangle": [1, 5, 8], "edge": [5, 8]},
+    ]
+    assert [t.vertices for t in run.demand.free] == [(1, 3, 4), (3, 5, 9)]
+    assert run.demand.demanding == []
+    f3 = charge_order3(s)
+    for f in (run.assignment, f3, charge_order6(s)):
+        assert verify_cover(g, f, len(s.packing)).ok, f.order
+    assert max(f3.per_triangle.values()) <= 2
+
+
 def test_pin_type3_rotates_to_requested_null_edge():
     g = complete_graph(4)
     s, cs, chains, ds = pipeline_state(g, [g.triangle(0, 1, 2)])
@@ -757,6 +779,80 @@ def test_gap_graphs_order2(name):
     assert report.ok, [t.vertices for t in report.failing]
 
 
+# the E family: clean local-search packings of gnp graphs whose short
+# triangle has gap E's shape: its two owners are an unsatisfied tail and
+# a type-1 or type-3 triangle, and it has no type-0 owner.  Each is the
+# start packing of an order-2 cover, at the seed and max_swap named,
+# that mends it with one verify repair (tests/test_pipeline.py)
+E_FAMILY = {
+    # seed 11, max_swap 2
+    "565391": (
+        (12, 0.6, 565391),
+        [(0, 2, 6), (0, 3, 10), (0, 5, 8), (1, 3, 11), (1, 4, 8), (2, 4, 11),
+         (5, 6, 10), (5, 7, 9), (6, 8, 11), (7, 10, 11)],
+        (0, 2, 8),
+    ),
+    # seed 42, max_swap 1
+    "871043": (
+        (11, 0.7, 871043),
+        [(0, 1, 4), (0, 3, 7), (0, 5, 6), (0, 9, 10), (1, 6, 7), (1, 8, 10),
+         (2, 3, 8), (3, 5, 9), (3, 6, 10), (4, 5, 8), (4, 7, 10), (6, 8, 9)],
+        (4, 6, 7),
+    ),
+    # seed 78, max_swap 1 and 2
+    "76099": (
+        (16, 0.6, 76099),
+        [(0, 1, 4), (0, 6, 15), (0, 9, 14), (1, 3, 10), (1, 6, 7), (1, 9, 13),
+         (2, 6, 10), (2, 7, 11), (2, 8, 15), (2, 12, 14), (4, 7, 10), (4, 8, 14),
+         (4, 11, 15), (5, 8, 9), (5, 13, 14), (6, 8, 13), (10, 12, 13)],
+        (1, 4, 13),
+    ),
+    # seed 79, max_swap 2; the other owner is of type 3
+    "225439": (
+        (14, 0.5, 225439),
+        [(0, 2, 6), (0, 5, 11), (0, 10, 13), (1, 8, 10), (1, 11, 12), (2, 5, 9),
+         (3, 6, 12), (4, 7, 8), (6, 7, 11), (7, 9, 10)],
+        (2, 5, 6),
+    ),
+}
+
+
+def e_family_structure(name):
+    args, packed, _ = E_FAMILY[name]
+    g = gnp(*args)
+    s = structure_of(g, [g.triangle(*t) for t in packed])
+    assert s.violations == ()
+    return s
+
+
+@pytest.mark.parametrize("name", sorted(E_FAMILY))
+def test_e_family_shape(name):
+    # order 2 leaves the named triangle, and it alone, short, in gap E's
+    # shape; the engines of orders 3 and 6 verify
+    s = e_family_structure(name)
+    run, _ = run_order2(s)
+    failing = verify_cover(s.g, run.assignment, len(s.packing)).failing
+    assert [t.vertices for t in failing] == [E_FAMILY[name][2]]
+    tails = {c.tail() for c in run.chains.chains if not c.satisfied}
+    tail, other = sorted(s.attachments[failing[0]], key=lambda o: o not in tails)
+    assert tail in tails and other not in tails and s.info[other].type in (1, 3)
+    for f in (charge_order3(s), charge_order6(s)):
+        assert verify_cover(s.g, f, len(s.packing)).ok, f.order
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="gap E's shape: the short triangle's owners are an unsatisfied tail "
+    "and a type-1 or type-3 triangle, and it has no type-0 owner",
+)
+@pytest.mark.parametrize("name", sorted(E_FAMILY))
+def test_e_family_order2(name):
+    s = e_family_structure(name)
+    run, _ = run_order2(s)
+    report = verify_cover(s.g, run.assignment, len(s.packing))
+    assert report.ok, [t.vertices for t in report.failing]
+
+
 # ---------------------------------------------------------------------------
 # many chains: relabelled lend chains, whose chains meet, and glued K4 paths
 
@@ -827,6 +923,35 @@ def test_type3_outside_chains_is_satisfied_iff_settled():
                 assert full == (psi in chains.settled), psi
         settled += len(chains.settled)
     assert settled > 66
+
+
+def test_start_arc_lender_with_both_legs_fixed_starts_no_chain():
+    # the lender (0, 1, 2) lends into the type-3 head (2, 3, 4), and its
+    # legs (0, 3) and (1, 3) are half spokes of the heads (0, 6, 7) and
+    # (1, 10, 11), whose chains start first; so its arc is dropped and
+    # (2, 3, 4) stays a free rotatable.  Started anyway, it would make a
+    # third chain, satisfied at once on the fixed legs
+    edges = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3), (2, 4), (3, 4), (2, 5),
+             (3, 5), (4, 5), (0, 6), (0, 7), (6, 7), (3, 6), (3, 7), (8, 9), (6, 8),
+             (6, 9), (7, 8), (7, 9), (1, 10), (1, 11), (10, 11), (3, 10), (3, 11),
+             (12, 13), (10, 12), (10, 13), (11, 12), (11, 13)]
+    g = build_graph(14, edges)
+    packed = [(0, 1, 2), (0, 6, 7), (1, 10, 11), (2, 3, 4), (6, 8, 9), (10, 12, 13)]
+    s, cs, chains, ds = pipeline_state(g, [g.triangle(*t) for t in packed])
+    lend = build_lend(s)
+    lender, head = g.triangle(0, 1, 2), g.triangle(2, 3, 4)
+    assert lend[lender].dst == head
+    assert set(s.info[lender].legs) == {g.edge_id(0, 3), g.edge_id(1, 3)}
+    assert [(c.head.vertices, [l.psi.vertices for l in c.links], c.satisfied)
+            for c in chains.chains] == [((0, 6, 7), [(6, 8, 9)], False),
+                                        ((1, 10, 11), [(10, 12, 13)], False)]
+    assert {g.edge_id(0, 3), g.edge_id(1, 3)} <= set().union(
+        *(c.half_nonsolution_edges() for c in chains.chains)
+    )
+    assert head in ds.free and not chains.settled
+    run, _ = run_order2(s)
+    for f in (run.assignment, charge_order3(s), charge_order6(s)):
+        assert verify_cover(g, f, len(s.packing)).ok, f.order
 
 
 def _structure_reads(s):

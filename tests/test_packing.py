@@ -25,17 +25,12 @@ from tricover.packing import (
     _disjoint_selection,
     _k4_block_bound,
     _nu_bound,
-    targeted_swap,
+    find_swap,
     verify_swap,
 )
 
 from test_acceptance import suite_instances
 from test_order2 import gadget_union
-
-
-def any_swap(g, p, max_swap):
-    """An improving swap anywhere in the packing: every edge is in focus."""
-    return targeted_swap(g, p, set(range(g.m)), max_swap)
 
 
 def test_greedy_k4_single_triangle():
@@ -62,7 +57,7 @@ def test_greedy_deterministic_given_seed():
 def test_improve_bowtie_zero_swap():
     g = bowtie()
     p = Packing(g, [g.triangle(0, 1, 2)])
-    cert = any_swap(g, p, 5)
+    cert = find_swap(g, p, 5)
     assert cert is not None and cert.removed == ()
     assert cert.added == (g.triangle(2, 3, 4),)
     assert verify_swap(g, p, cert)
@@ -126,7 +121,7 @@ def test_packing_rejects_a_triangle_listed_twice():
 def test_improve_k4_already_optimal():
     g = complete_graph(4)
     p = Packing(g, [g.triangle(0, 1, 2)])
-    assert any_swap(g, p, 5) is None
+    assert find_swap(g, p, 5) is None
 
 
 def test_improve_k6_from_size_three():
@@ -145,7 +140,7 @@ def test_improve_k6_from_size_three():
                 chosen.append(t)
                 used.update(t.edge_ids)
         p = Packing(g, chosen)
-    cert = any_swap(g, p, 5)
+    cert = find_swap(g, p, 5)
     assert cert is not None and verify_swap(g, p, cert)
     assert len(p.with_swap(cert)) == 4 == nu_exact(g).value
 
@@ -174,22 +169,16 @@ def test_swap_certificates_add_exactly_one():
     for _ in range(20):
         g = gnp(rng.randint(5, 9), 0.6, rng.randint(0, 10**6))
         p = greedy_packing(g, rng.randint(1, 50))
-        cert = any_swap(g, p, 3)
+        cert = find_swap(g, p, 3)
         if cert is not None:
             assert verify_swap(g, p, cert)
             assert len(p.with_swap(cert)) == len(p) + 1
 
 
-def test_targeted_swap_empty_focus():
+def test_find_swap_on_locally_optimal_k6():
     g = complete_graph(6)
     p = local_search_packing(g, 0, 5)
-    assert targeted_swap(g, p, set(), 5) is None
-
-
-def test_targeted_swap_on_locally_optimal_k6():
-    g = complete_graph(6)
-    p = local_search_packing(g, 0, 5)
-    assert targeted_swap(g, p, set(range(g.m)), 5) is None
+    assert find_swap(g, p, 5) is None
 
 
 def test_local_search_terminates_within_edge_bound():
@@ -264,10 +253,10 @@ def test_swap_search_skipped_when_packing_meets_nu_bound(monkeypatch):
     p7, p5 = local_search_packing(k7, 0, 5), local_search_packing(k5, 0, 5)
     monkeypatch.setattr(packing, "_removal_sets", no_search)
     assert len(p7) == _nu_bound(k7) == 7
-    assert targeted_swap(k7, p7, set(range(k7.m)), 5) is None
+    assert find_swap(k7, p7, 5) is None
     # K5's bound of 3 is above its ν of 2, so the search still runs there
     with pytest.raises(RuntimeError, match="swap search ran"):
-        targeted_swap(k5, p5, set(range(k5.m)), 5)
+        find_swap(k5, p5, 5)
 
 
 def test_swap_search_skipped_when_packing_meets_block_bound(monkeypatch):
@@ -278,7 +267,7 @@ def test_swap_search_skipped_when_packing_meets_block_bound(monkeypatch):
     monkeypatch.setattr(packing, "_disjoint_selection", no_search)
     p = local_search_packing(g, 0, 5)
     assert (len(p), _nu_bound(g), _degree_bound(g)) == (51, 51, 68)
-    assert any_swap(g, p, 5) is None
+    assert find_swap(g, p, 5) is None
 
 
 @pytest.mark.parametrize(
@@ -424,22 +413,21 @@ def _ref_disjoint_selection(pool, need):
     return chosen if dfs(0) else None
 
 
-def _ref_find_swap(g, p, max_swap, eligible=None):
+def _ref_find_swap(g, p, max_swap):
     all_tris = enumerate_triangles(g)
     packed = set(p.triangles)
     free = [t for t in all_tris if not any(e in p.used_edges for e in t.edge_ids)]
     if free:
         return SwapCertificate(removed=(), added=(free[0],))
-    candidates = list(p.triangles) if eligible is None else sorted(eligible)
-    nbrs = {t: set() for t in candidates}
-    for i, a in enumerate(candidates):
-        for b in candidates[i + 1 :]:
+    nbrs = {t: set() for t in p.triangles}
+    for i, a in enumerate(p.triangles):
+        for b in p.triangles[i + 1 :]:
             if set(a.vertices) & set(b.vertices):
                 nbrs[a].add(b)
                 nbrs[b].add(a)
     nonpacked = [t for t in all_tris if t not in packed]
     for r in range(1, max_swap + 1):
-        for removal in _ref_connected_subsets(candidates, nbrs, r):
+        for removal in _ref_connected_subsets(p.triangles, nbrs, r):
             freed = {e for t in removal for e in t.edge_ids}
             pool = [
                 t
@@ -452,20 +440,6 @@ def _ref_find_swap(g, p, max_swap, eligible=None):
             if found is not None:
                 return SwapCertificate(removed=removal, added=tuple(found))
     return None
-
-
-def _ref_targeted_swap(g, p, focus_edges, max_swap):
-    if not focus_edges:
-        return None
-    verts0 = {v for e in focus_edges for v in g.edges[e]}
-    edges1 = {i for i, (u, v) in enumerate(g.edges) if u in verts0 or v in verts0}
-    verts1 = {v for e in edges1 for v in g.edges[e]}
-    eligible = [
-        t
-        for t in p.triangles
-        if any(g.edges[e][0] in verts1 or g.edges[e][1] in verts1 for e in t.edge_ids)
-    ]
-    return _ref_find_swap(g, p, max_swap, eligible=eligible)
 
 
 @settings(max_examples=300, deadline=None)
@@ -486,9 +460,7 @@ def test_swap_search_matches_reference(
     if drop_one and tris:
         tris.pop(data.draw(st.integers(0, len(tris) - 1)))
     p = Packing(g, tris)
-    focus = data.draw(st.sets(st.sampled_from(range(g.m)), max_size=4)) if g.m else set()
-    assert any_swap(g, p, max_swap) == _ref_find_swap(g, p, max_swap)
-    assert targeted_swap(g, p, focus, max_swap) == _ref_targeted_swap(g, p, focus, max_swap)
+    assert find_swap(g, p, max_swap) == _ref_find_swap(g, p, max_swap)
 
 
 @settings(max_examples=150, deadline=None)
@@ -515,10 +487,7 @@ def test_repair_search_matches_reference(
     else:
         g = gnp(size, density, graph_seed)
     p = local_search_packing(g, order_seed, max_swap)
-    focus = set(range(g.m))
-    assert targeted_swap(g, p, focus, max_swap + 2) == _ref_targeted_swap(
-        g, p, focus, max_swap + 2
-    )
+    assert find_swap(g, p, max_swap + 2) == _ref_find_swap(g, p, max_swap + 2)
 
 
 def test_candidate_hit_on_one_edge_is_never_removed(monkeypatch):
@@ -540,7 +509,7 @@ def test_candidate_hit_on_one_edge_is_never_removed(monkeypatch):
             yield removal, rm
 
     monkeypatch.setattr(packing, "_removal_sets", recording)
-    assert any_swap(g, p, 3) is None
+    assert find_swap(g, p, 3) is None
     assert tried == [(2, 3)]  # the two K5 triangles, ids 2 and 3
     # the unpruned enumeration also removes 012 and 234 together
     nbrs = {

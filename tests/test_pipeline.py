@@ -176,20 +176,20 @@ def test_overweight_engine_result_is_a_verify_repair(monkeypatch):
 
 
 def test_covered_engine_fault_raises_without_a_swap_search(monkeypatch):
-    # the local search leaves |P| < nu here, so a swap search around the
-    # packed edges would find a swap; an engine result that covers every
-    # triangle but is overweight must still raise without searching
+    # the local search leaves |P| < nu here, so a swap search would find
+    # a swap; an engine result that covers every triangle but is
+    # overweight must still raise without searching
     from tricover.errors import RepairExhaustedError
 
     def no_search(*args):
-        raise AssertionError("targeted_swap called")
+        raise AssertionError("find_swap called")
 
     g = gnp(12, 0.5, 150)
     packed = pl.local_search_packing(g, 0, 1).triangles
     assert len(packed) < nu_exact(g).value
     over = ChargeAssignment(6, {e: 7 for e in range(g.m)})
     monkeypatch.setattr(pl, "charge_order6", lambda s: over)
-    monkeypatch.setattr(pl, "targeted_swap", no_search)
+    monkeypatch.setattr(pl, "find_swap", no_search)
     with pytest.raises(RepairExhaustedError) as info:
         cover(g, 6, seed=0, max_swap=1)
     assert info.value.detail == "verify"
@@ -197,11 +197,10 @@ def test_covered_engine_fault_raises_without_a_swap_search(monkeypatch):
 
 
 def test_short_charge_is_a_verify_repair(monkeypatch):
-    # no structure-clean packing in the tests leaves an engine short, so
     # the first order-2 charge here is made short: it drops the half on
     # (5, 8) of gnp(12, 0.5, 150) and leaves T(4, 5, 8) uncovered.  The
-    # swap search around that triangle grows the packing, a structure
-    # repair follows, and the cover verifies
+    # swap search grows the packing, a structure repair follows, and the
+    # cover verifies
     real = pl.run_order2
     charged = []
 
@@ -219,6 +218,36 @@ def test_short_charge_is_a_verify_repair(monkeypatch):
     assert r.repair_log[0]["focus"] == [[4, 5], [4, 8], [5, 8]]
     assert r.report.ok and len(charged) == 2
     assert verify_cover(g, r.assignment, len(r.packing)).ok
+
+
+# the real verify repairs: order-2 covers whose clean start packing (the
+# E family of tests/test_order2.py) leaves one triangle short, mended by
+# one improving swap from a search of the whole packing.  Each is
+# (graph, seed, max_swap, focus, removed, added, size after)
+REAL_VERIFY_REPAIRS = [
+    ((12, 0.6, 565391), 11, 2, [[0, 2], [0, 8], [2, 8]],
+     [[0, 2, 6], [0, 5, 8], [1, 4, 8]], [[0, 2, 8], [0, 4, 6], [1, 4, 9], [4, 5, 8]], 11),
+    ((11, 0.7, 871043), 42, 1, [[4, 6], [4, 7], [6, 7]],
+     [[0, 1, 4], [0, 5, 6]], [[0, 1, 5], [0, 4, 6], [2, 5, 6]], 13),
+    ((16, 0.6, 76099), 78, 1, [[1, 4], [1, 13], [4, 13]],
+     [[0, 1, 4], [1, 9, 13], [4, 11, 15]], [[0, 4, 11], [1, 4, 13], [1, 9, 11], [3, 4, 15]], 18),
+    ((16, 0.6, 76099), 78, 2, [[1, 4], [1, 13], [4, 13]],
+     [[0, 1, 4], [1, 9, 13], [4, 11, 15]], [[0, 4, 11], [1, 4, 13], [1, 9, 11], [3, 4, 15]], 18),
+    ((14, 0.5, 225439), 79, 2, [[2, 5], [2, 6], [5, 6]],
+     [[0, 2, 6], [0, 5, 11], [2, 5, 9]], [[0, 2, 5], [2, 3, 9], [2, 6, 10], [5, 9, 11]], 11),
+]
+
+
+@pytest.mark.parametrize("args, seed, max_swap, focus, removed, added, size", REAL_VERIFY_REPAIRS)
+def test_real_verify_repair_pinned(args, seed, max_swap, focus, removed, added, size):
+    g = gnp(*args)
+    r = cover(g, 2, seed=seed, max_swap=max_swap)
+    assert r.report.ok and verify_cover(g, r.assignment, len(r.packing)).ok
+    assert [e["reason"] for e in r.repair_log] == ["verify"]
+    entry = {"reason": "verify", "focus": focus, "removed": removed, "added": added,
+             "size_after": size}
+    assert r.repair_log[0] == entry and len(r.packing) == size
+    assert len(pl.local_search_packing(g, seed, max_swap)) == size - 1
 
 
 def test_structure_swap_that_fails_verify_raises(monkeypatch):
@@ -251,7 +280,7 @@ def test_repair_log_records_swaps():
 # two-attachment swap only ever follows an owner swap, since local search
 # removes every 1-swap), and the structure-clean packing whose order-2
 # charge failed verify until discharge-and-pin read the structure
-# (test_short_charge_is_a_verify_repair keeps that repair under test)
+# (REAL_VERIFY_REPAIRS keeps that repair under test)
 WEAK_SEARCH_REPAIRS = [
     ((10, 0.6, 0), 2, ["structure:OwnerSwap"]),
     ((9, 0.5, 242), 2, ["structure:OwnerSwap", "structure:TwoAttachments"]),
