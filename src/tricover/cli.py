@@ -1,6 +1,7 @@
 """Command line interface.
 
-Exit codes: 0 ok, 2 verification failed, 3 repair exhausted, 4 input error.
+Exit codes: 0 ok, 2 verification failed, 3 an engine's cover failed
+verification (``RepairExhaustedError``), 4 input error.
 """
 
 from __future__ import annotations
@@ -142,7 +143,11 @@ def build_parser() -> argparse.ArgumentParser:
     # flags shared by the commands that run the local search
     search = argparse.ArgumentParser(add_help=False)
     search.add_argument("--seed", type=int, default=0)
-    search.add_argument("--max-swap", type=int, default=DEFAULT_MAX_SWAP)
+    search.add_argument(
+        "--max-swap", type=int, default=DEFAULT_MAX_SWAP,
+        help="largest removal set of the local search; pack takes it as given,"
+        " cover and bench search at least 3",
+    )
     # flags shared by the commands that generate an instance
     family = argparse.ArgumentParser(add_help=False)
     family.add_argument("--family", required=True, choices=FAMILIES)

@@ -43,14 +43,11 @@ class InternalChargeError(TricoverError):
 
 
 class RepairExhaustedError(TricoverError):
-    """A repair failed.  ``detail`` says where: "verify" for a failed
-    verification that no swap mends, either because every triangle is
-    covered (an engine fault) or because a search of the whole packing
-    found no improving swap of size up to ``max_swap + 2``; "structure-swap"
-    for a structure violation's own swap that did not verify; and
-    "loop-guard" for a repair loop that ran out."""
+    """An engine's cover failed verification, which is an engine bug: its
+    start packing has no improving swap of size three or less.
+    ``focus_edges`` holds the edges of the first uncovered triangle, or
+    every packed edge when every triangle is covered."""
 
-    def __init__(self, message: str, focus_edges=(), detail=None):
+    def __init__(self, message: str, focus_edges=()):
         super().__init__(message)
         self.focus_edges = frozenset(focus_edges)
-        self.detail = detail

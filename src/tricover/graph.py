@@ -58,9 +58,10 @@ class Graph:
     filled by the swap search in ``packing``, by ``oracles.nu_exact`` and
     by ``cli.cmd_bench``),
     each start packing of ``pipeline.cover`` with its classification
-    (``("start", seed, max_swap)``: the local-search packing's triangles,
-    its structure's ``info``, ``attachments`` and ``edge_owner`` as
-    read-only mappings, and its ``violations``; filled by ``cover``),
+    (``("start", seed, max(max_swap, 3))``, so ``max_swap`` 1, 2 and 3
+    share one: the local-search packing's triangles, its structure's
+    ``info``, ``attachments`` and ``edge_owner`` as read-only mappings,
+    and its ``violations``; filled by ``cover``),
     the tau* LP optimum (``"tau_star_lp"``, filled by
     ``oracles.tau_star_k_exact`` and so also by ``oracles.tau_exact``)
     and the sorted edge ids of a minimum triangle-hitting edge set

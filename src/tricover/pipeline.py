@@ -1,28 +1,26 @@
-"""Cover drivers: pack, charge, verify, and repair until verified.
+"""Cover drivers: one local search, one charge, one verification.
 
-Every driver runs the same loop: build a locally optimal packing, check
-the structural facts, run the charging engine, verify the result
-exactly.  A structure violation carries its improving swap, which is
-applied after ``verify_swap``; a swap that fails is a bug and raises.
-The engines do not raise: ``verify_cover`` alone judges what they
-return.  A failed verification (reason ``verify``) with a triangle left
-uncovered takes the first improving swap of size up to ``max_swap + 2``
-anywhere in the packing, the search that local search runs; with none,
-it raises.  A failed verification with every triangle covered is an
-engine fault that no swap mends, so it raises at once.  Either way the
-loop restarts, and since each repair grows the packing by one, it
-terminates.  Each repair is logged with its reason, its focus edges (the
-edges of the swap's triangles for a structure repair, of the first
-uncovered triangle for a verify repair) and the swap.
+Every driver makes one pass.  The local search runs at ``max_swap`` or
+3, whichever is larger, so its packing has no improving swap of size
+three or less; by the ``structure`` module docstring such a maximal
+packing has no structure violation, which is what the charging engines
+assume (their ``require_clean`` guard stays as the backstop).  The
+engine's result goes to ``verify_cover`` once.  A cover that fails
+verification is an engine bug: ``cover`` raises ``RepairExhaustedError``
+at once, with the edges of the first uncovered triangle as focus, or
+every packed edge when every triangle is covered.  Nothing is repaired,
+so ``CoverResult.repair_log`` is always empty; it stays, as does the
+certificate's ``repair_log`` field, so that certificates written with a
+repair log still verify.
 
 Orders 2 and 3 run their own engine, order 6 the order-3 one doubled;
 ``cover`` composes every other order from the order-2 and order-3
 covers.  The local search and the classification of its packing do not
-depend on the order, so both run once per graph: every order, and both
-halves of a composed order, start from the same packing and its checked
-structure, kept in the graph's memo as values that do not hold the graph
-(triangles, read-only maps, violations) and not checked again; repairs
-build new packings and structures and leave the memo alone.
+depend on the order, so both run once per graph: every order, both
+halves of a composed order, and every ``max_swap`` of 3 or less start
+from the same packing and its checked structure, kept in the graph's
+memo as values that do not hold the graph (triangles, read-only maps,
+violations) and not checked again.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from .checker import graph_sha256
 from .errors import BadParamsError, RepairExhaustedError
 from .graph import Graph, memo
 from .order2 import run_order2
-from .packing import DEFAULT_MAX_SWAP, Packing, find_swap, local_search_packing, verify_swap
+from .packing import DEFAULT_MAX_SWAP, Packing, local_search_packing
 from .structure import SolutionStructure, build_structure
 
 
@@ -70,17 +68,13 @@ def cover(
     if order < 2:
         raise BadParamsError(f"order must be at least 2, got {order}")
     q = order // 2 - order % 2  # copies of the order-2 cover
-    parts = [_cover_single(g, 2, seed, max_swap)]
-    nums = {e: q * v for e, v in parts[0].assignment.numerators.items()}
+    two = _cover_single(g, 2, seed, max_swap)  # every part shares its packing
+    nums = {e: q * v for e, v in two.assignment.numerators.items()}
     if order % 2:
-        parts.append(_cover_single(g, 3, seed, max_swap))
-        for e, v in parts[1].assignment.numerators.items():
+        for e, v in _cover_single(g, 3, seed, max_swap).assignment.numerators.items():
             nums[e] = nums.get(e, 0) + v
     composed = ChargeAssignment(order, nums)
-    biggest = max(parts, key=lambda r: len(r.packing))
-    report = verify_cover(g, composed, len(biggest.packing))
-    log = [entry for r in parts for entry in r.repair_log]
-    return CoverResult(biggest.packing, composed, report, log)
+    return CoverResult(two.packing, composed, verify_cover(g, composed, len(two.packing)))
 
 
 def _classify_start(g, seed, max_swap) -> tuple:
@@ -92,59 +86,28 @@ def _classify_start(g, seed, max_swap) -> tuple:
 
 
 def _cover_single(g, order, seed, max_swap) -> CoverResult:
+    if max_swap < 1:
+        raise ValueError("max_swap must be >= 1")
+    search = max(max_swap, 3)
     start, *parts = memo(
-        g, ("start", seed, max_swap), lambda: _classify_start(g, seed, max_swap)
+        g, ("start", seed, search), lambda: _classify_start(g, seed, search)
     )
     packing = Packing(g, list(start))
     s = SolutionStructure(g, packing, *parts)
-    log: list[dict] = []
-    guard = g.m + 2  # each repair grows the packing, at most m/3 times
-    for _ in range(guard):
-        if s.violations:
-            v = s.violations[0]
-            cert, reason = v.swap, f"structure:{v.kind}"
-            focus = {e for t in cert.removed + cert.added for e in t.edge_ids}
-            if not verify_swap(g, packing, cert):
-                raise RepairExhaustedError(
-                    f"{v.kind} swap does not verify", focus_edges=focus,
-                    detail="structure-swap",
-                )
-        else:
-            if order == 6:
-                assignment = charge_order6(s)
-            elif order == 3:
-                assignment = charge_order3(s)
-            else:
-                assignment = run_order2(s)[0].assignment
-            report = verify_cover(g, assignment, len(packing))
-            if report.ok:
-                return CoverResult(packing, assignment, report, log)
-            if not report.failing:
-                raise RepairExhaustedError(
-                    "engine result covers every triangle but fails verification",
-                    focus_edges={e for t in packing.triangles for e in t.edge_ids},
-                    detail="verify",
-                )
-            focus = set(report.failing[0].edge_ids)
-            cert, reason = find_swap(g, packing, max_swap + 2), "verify"
-            if cert is None:
-                raise RepairExhaustedError(
-                    f"no improving swap up to size {max_swap + 2} in the packing",
-                    focus_edges=focus,
-                    detail="verify",
-                )
-        packing = packing.with_swap(cert)
-        log.append(
-            {
-                "reason": reason,
-                "focus": sorted(list(g.edges[e]) for e in focus),
-                "removed": [list(t.vertices) for t in cert.removed],
-                "added": [list(t.vertices) for t in cert.added],
-                "size_after": len(packing),
-            }
+    if order == 6:
+        assignment = charge_order6(s)
+    elif order == 3:
+        assignment = charge_order3(s)
+    else:
+        assignment = run_order2(s)[0].assignment
+    report = verify_cover(g, assignment, len(packing))
+    if not report.ok:
+        focus = report.failing[:1] or packing.triangles
+        raise RepairExhaustedError(
+            f"the order-{order} engine's cover fails verification",
+            focus_edges={e for t in focus for e in t.edge_ids},
         )
-        s = build_structure(g, packing)
-    raise RepairExhaustedError("repair loop did not converge", detail="loop-guard")
+    return CoverResult(packing, assignment, report)
 
 
 def certificate_obj(g: Graph, result: CoverResult) -> dict:

@@ -32,6 +32,7 @@ from tricover.order2 import (
     pin,
     run_order2,
 )
+from tricover.packing import find_swap
 from tricover.structure import PackedInfo, SolutionStructure
 
 from test_acceptance import demand_lemma_violation
@@ -766,8 +767,8 @@ def test_gap_graphs_verify_at_orders_3_and_6_and_by_default(name):
             "E",
             marks=pytest.mark.xfail(
                 strict=True, raises=AssertionError,
-                reason="gap E: a tail whose two non-base edges each carry a short "
-                "triangle that has no type-0 owner; T(1, 3, 4) stays uncovered",
+                reason="gap E's packing has an improving 3-swap, so it is outside "
+                "the engines' precondition; T(1, 3, 4) stays uncovered",
             ),
         ),
     ],
@@ -781,9 +782,10 @@ def test_gap_graphs_order2(name):
 
 # the E family: clean local-search packings of gnp graphs whose short
 # triangle has gap E's shape: its two owners are an unsatisfied tail and
-# a type-1 or type-3 triangle, and it has no type-0 owner.  Each is the
-# start packing of an order-2 cover, at the seed and max_swap named,
-# that mends it with one verify repair (tests/test_pipeline.py)
+# a type-1 or type-3 triangle, and it has no type-0 owner.  Each was the
+# start packing of an order-2 cover at the seed and max_swap named, until
+# cover searched to 3-swap optimality (tests/test_pipeline.py pins those
+# covers now)
 E_FAMILY = {
     # seed 11, max_swap 2
     "565391": (
@@ -842,8 +844,8 @@ def test_e_family_shape(name):
 
 @pytest.mark.xfail(
     strict=True, raises=AssertionError,
-    reason="gap E's shape: the short triangle's owners are an unsatisfied tail "
-    "and a type-1 or type-3 triangle, and it has no type-0 owner",
+    reason="each packing has an improving swap of size 3 or less, so it is "
+    "outside the engines' precondition; the short triangle has gap E's shape",
 )
 @pytest.mark.parametrize("name", sorted(E_FAMILY))
 def test_e_family_order2(name):
@@ -851,6 +853,14 @@ def test_e_family_order2(name):
     run, _ = run_order2(s)
     report = verify_cover(s.g, run.assignment, len(s.packing))
     assert report.ok, [t.vertices for t in report.failing]
+
+
+def test_order2_failures_are_not_3_swap_optimal():
+    # the engines' precondition is a packing with no improving swap of
+    # size 3 or less, which cover's local search guarantees; the packings
+    # that order 2 leaves short fall outside it
+    for s in [gap_structure("E")] + [e_family_structure(name) for name in E_FAMILY]:
+        assert find_swap(s.g, s.packing, 3) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from tricover.packing import (
     _k4_block_bound,
     _nu_bound,
     find_swap,
-    verify_swap,
 )
 
 from test_acceptance import suite_instances
@@ -52,6 +51,19 @@ def test_greedy_deterministic_given_seed():
     g = gnp(10, 0.5, 2)
     assert greedy_packing(g, 5).triangles == greedy_packing(g, 5).triangles
     assert verify_packing(g, greedy_packing(g, 5))
+
+
+def verify_swap(g, p, cert):
+    """True iff applying cert yields a valid packing larger by exactly one."""
+    if len(cert.added) != len(cert.removed) + 1:
+        return False
+    if any(t not in p for t in cert.removed):
+        return False
+    try:
+        q = p.with_swap(cert)
+    except ValueError:
+        return False
+    return verify_packing(g, q) and len(q) == len(p) + 1
 
 
 def test_improve_bowtie_zero_swap():

@@ -1,4 +1,4 @@
-"""Cover drivers, repair loop and certificates."""
+"""Cover drivers and certificates."""
 
 import ast
 import functools
@@ -58,17 +58,6 @@ def test_cover_composed_orders():
         assert r.assignment.order == k
         # integer numerators only
         assert all(isinstance(v, int) for v in r.assignment.numerators.values())
-
-
-def test_cover_with_weak_search_repairs_until_verified():
-    repaired = 0
-    for seed in range(8):
-        g = gnp(10, 0.6, seed)
-        for order in (2, 3, 6):
-            r = cover(g, order, seed=3, max_swap=1)
-            assert r.report.ok
-            repaired += r.repairs
-    assert repaired > 0  # weak local optima force the repair path
 
 
 def test_cover_never_beats_oracle():
@@ -141,8 +130,8 @@ def test_certificate_rejects_wrong_graph():
 
 
 def test_repair_exhausted_surfaces_with_focus(monkeypatch):
-    # force the order-6 engine to emit a useless assignment on an optimal
-    # packing: no improving swap can exist, so the swap search must give up
+    # an order-6 engine that charges nothing leaves every triangle of K4
+    # uncovered; cover raises at once
     import tricover.pipeline as pl
     from tricover.charges import ChargeAssignment
     from tricover.errors import RepairExhaustedError
@@ -157,10 +146,9 @@ def test_repair_exhausted_surfaces_with_focus(monkeypatch):
         raise AssertionError("expected RepairExhaustedError")
 
 
-def test_overweight_engine_result_is_a_verify_repair(monkeypatch):
+def test_overweight_engine_result_raises_with_every_packed_edge_as_focus(monkeypatch):
     # an engine result that covers every triangle but puts 7/6 on an edge
-    # fails verify_cover alone; with nothing uncovered no swap can mend
-    # it, so cover raises at once with every packed edge as its focus
+    # fails verify_cover alone, with no uncovered triangle to name
     import tricover.pipeline as pl
     from tricover.charges import ChargeAssignment
     from tricover.errors import RepairExhaustedError
@@ -171,158 +159,144 @@ def test_overweight_engine_result_is_a_verify_repair(monkeypatch):
     with pytest.raises(RepairExhaustedError) as info:
         pl.cover(g, 6)
     packed = pl.local_search_packing(g, 0, 5).triangles
-    assert info.value.detail == "verify"
     assert info.value.focus_edges == {e for t in packed for e in t.edge_ids}
 
 
 def test_covered_engine_fault_raises_without_a_swap_search(monkeypatch):
-    # the local search leaves |P| < nu here, so a swap search would find
-    # a swap; an engine result that covers every triangle but is
-    # overweight must still raise without searching
+    # the search at 3 leaves |P| < nu here, so a wider swap search would
+    # find a swap; an engine result that covers every triangle but is
+    # overweight must still raise without one
+    import tricover.packing as packing
     from tricover.errors import RepairExhaustedError
 
     def no_search(*args):
         raise AssertionError("find_swap called")
 
-    g = gnp(12, 0.5, 150)
-    packed = pl.local_search_packing(g, 0, 1).triangles
+    g = gnp(12, 0.5, 157)
+    packed = pl.local_search_packing(g, 0, 3).triangles
     assert len(packed) < nu_exact(g).value
+    assert cover(g, 3, seed=0, max_swap=1).report.ok  # memoises the start
     over = ChargeAssignment(6, {e: 7 for e in range(g.m)})
     monkeypatch.setattr(pl, "charge_order6", lambda s: over)
-    monkeypatch.setattr(pl, "find_swap", no_search)
+    monkeypatch.setattr(packing, "find_swap", no_search)
     with pytest.raises(RepairExhaustedError) as info:
         cover(g, 6, seed=0, max_swap=1)
-    assert info.value.detail == "verify"
     assert info.value.focus_edges == {e for t in packed for e in t.edge_ids}
 
 
-def test_short_charge_is_a_verify_repair(monkeypatch):
-    # the first order-2 charge here is made short: it drops the half on
-    # (5, 8) of gnp(12, 0.5, 150) and leaves T(4, 5, 8) uncovered.  The
-    # swap search grows the packing, a structure repair follows, and the
-    # cover verifies
+def test_short_charge_raises_with_the_uncovered_triangle_as_focus(monkeypatch):
+    # the order-2 charge here is made short: it drops the half on (0, 6)
+    # of gnp(12, 0.5, 150), which leaves T(0, 3, 6) and T(0, 6, 9)
+    # uncovered.  cover charges once and names the first of them
+    from tricover.errors import RepairExhaustedError
+
     real = pl.run_order2
     charged = []
 
-    def short_first(s):
+    def short(s):
         run, witness = real(s)
-        if not charged:
-            run.assignment.numerators[s.g.edge_id(5, 8)] -= 1
+        run.assignment.numerators[s.g.edge_id(0, 6)] -= 1
         charged.append(s)
         return run, witness
 
-    monkeypatch.setattr(pl, "run_order2", short_first)
+    monkeypatch.setattr(pl, "run_order2", short)
     g = gnp(12, 0.5, 150)
-    r = cover(g, 2, seed=0, max_swap=1)
-    assert [e["reason"] for e in r.repair_log] == ["verify", "structure:OwnerSwap"]
-    assert r.repair_log[0]["focus"] == [[4, 5], [4, 8], [5, 8]]
-    assert r.report.ok and len(charged) == 2
-    assert verify_cover(g, r.assignment, len(r.packing)).ok
-
-
-# the real verify repairs: order-2 covers whose clean start packing (the
-# E family of tests/test_order2.py) leaves one triangle short, mended by
-# one improving swap from a search of the whole packing.  Each is
-# (graph, seed, max_swap, focus, removed, added, size after)
-REAL_VERIFY_REPAIRS = [
-    ((12, 0.6, 565391), 11, 2, [[0, 2], [0, 8], [2, 8]],
-     [[0, 2, 6], [0, 5, 8], [1, 4, 8]], [[0, 2, 8], [0, 4, 6], [1, 4, 9], [4, 5, 8]], 11),
-    ((11, 0.7, 871043), 42, 1, [[4, 6], [4, 7], [6, 7]],
-     [[0, 1, 4], [0, 5, 6]], [[0, 1, 5], [0, 4, 6], [2, 5, 6]], 13),
-    ((16, 0.6, 76099), 78, 1, [[1, 4], [1, 13], [4, 13]],
-     [[0, 1, 4], [1, 9, 13], [4, 11, 15]], [[0, 4, 11], [1, 4, 13], [1, 9, 11], [3, 4, 15]], 18),
-    ((16, 0.6, 76099), 78, 2, [[1, 4], [1, 13], [4, 13]],
-     [[0, 1, 4], [1, 9, 13], [4, 11, 15]], [[0, 4, 11], [1, 4, 13], [1, 9, 11], [3, 4, 15]], 18),
-    ((14, 0.5, 225439), 79, 2, [[2, 5], [2, 6], [5, 6]],
-     [[0, 2, 6], [0, 5, 11], [2, 5, 9]], [[0, 2, 5], [2, 3, 9], [2, 6, 10], [5, 9, 11]], 11),
-]
-
-
-@pytest.mark.parametrize("args, seed, max_swap, focus, removed, added, size", REAL_VERIFY_REPAIRS)
-def test_real_verify_repair_pinned(args, seed, max_swap, focus, removed, added, size):
-    g = gnp(*args)
-    r = cover(g, 2, seed=seed, max_swap=max_swap)
-    assert r.report.ok and verify_cover(g, r.assignment, len(r.packing)).ok
-    assert [e["reason"] for e in r.repair_log] == ["verify"]
-    entry = {"reason": "verify", "focus": focus, "removed": removed, "added": added,
-             "size_after": size}
-    assert r.repair_log[0] == entry and len(r.packing) == size
-    assert len(pl.local_search_packing(g, seed, max_swap)) == size - 1
-
-
-def test_structure_swap_that_fails_verify_raises(monkeypatch):
-    # a violation's swap is applied, not searched for; one that does not
-    # verify is a bug and must surface as exit 3, not an assert
-    from tricover.errors import RepairExhaustedError
-
-    monkeypatch.setattr(pl, "verify_swap", lambda g, p, cert: False)
-    g = gnp(10, 0.6, 0)
     with pytest.raises(RepairExhaustedError) as info:
         cover(g, 2, seed=0, max_swap=1)
-    assert info.value.detail == "structure-swap" and info.value.focus_edges
+    t = g.triangle(0, 3, 6)
+    assert info.value.focus_edges == set(t.edge_ids) and len(charged) == 1
 
 
-def test_repair_log_records_swaps():
-    found = None
-    for seed in range(30):
-        g = gnp(10, 0.6, seed)
-        r = cover(g, 2, seed=3, max_swap=1)
-        if r.repairs:
-            found = r
-            break
-    assert found is not None
-    entry = found.repair_log[0]
-    assert {"reason", "focus", "removed", "added", "size_after"} <= set(entry)
-    assert len(entry["added"]) == len(entry["removed"]) + 1
+def test_cover_rejects_a_max_swap_below_one():
+    g = complete_graph(5)
+    for max_swap in (0, -1):
+        with pytest.raises(ValueError):
+            cover(g, 2, max_swap=max_swap)
 
 
-# weak-search covers (seed 0, max_swap 1): both structure kinds (a
-# two-attachment swap only ever follows an owner swap, since local search
-# removes every 1-swap), and the structure-clean packing whose order-2
-# charge failed verify until discharge-and-pin read the structure
-# (REAL_VERIFY_REPAIRS keeps that repair under test)
-WEAK_SEARCH_REPAIRS = [
-    ((10, 0.6, 0), 2, ["structure:OwnerSwap"]),
-    ((9, 0.5, 242), 2, ["structure:OwnerSwap", "structure:TwoAttachments"]),
-    ((12, 0.5, 150), 2, []),
+# covers at max_swap 1 and 2, which cover searches at 3: (graph, seed,
+# max_swap, order, |P|, sum_f).  The first four once took one verify
+# repair from an E-family start packing (tests/test_order2.py), the next
+# three once took structure repairs, the three after once needed a swap
+# repair from a run-time demand check, and the last two are the weak
+# searches of SHARED_START_CASES
+WEAK_SEARCH_COVERS = [
+    ((12, 0.6, 565391), 11, 2, 2, 11, Fraction(18)),
+    ((11, 0.7, 871043), 42, 1, 2, 13, Fraction(41, 2)),
+    ((16, 0.6, 76099), 78, 1, 2, 18, Fraction(28)),
+    ((14, 0.5, 225439), 79, 2, 2, 12, Fraction(20)),
+    ((10, 0.3, 637720), 99, 1, 6, 3, Fraction(6)),
+    ((12, 0.5, 420884), 2, 1, 2, 8, Fraction(13)),
+    ((11, 0.7, 38), 0, 1, 2, 12, Fraction(19)),
+    ((9, 0.7, 84734), 13, 1, 2, 7, Fraction(25, 2)),
+    ((13, 0.7, 837263), 97, 1, 2, 15, Fraction(45, 2)),
+    ((14, 0.5, 542570), 58, 1, 2, 12, Fraction(19)),
+    ((12, 0.5, 150), 0, 1, 2, 10, Fraction(31, 2)),
+    ((10, 0.6, 2), 3, 1, 2, 6, Fraction(10)),
 ]
 
 
-def test_weak_search_repair_logs_pinned():
-    # sha256 over each cover's full repair log, packing and numerators;
-    # the first two rows are unchanged since structure violations first
-    # carried their swaps
-    rows = []
-    for args, order, reasons in WEAK_SEARCH_REPAIRS:
-        r = cover(gnp(*args), order, seed=0, max_swap=1)
-        assert r.report.ok, args
-        assert [e["reason"] for e in r.repair_log] == reasons, args
-        rows.append(
-            (
-                r.repair_log,
-                [t.vertices for t in r.packing.triangles],
-                sorted(r.assignment.numerators.items()),
-            )
-        )
-    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert digest == "d9288a312e81b09091199a6f8c05de7bf33dc41117a150ead241d74d3d564f25"
-
-
-# structure-clean weak-search packings whose demanding sets a run-time
-# demand-lemma check used to reject, so each cover once logged a swap
-# repair; discharge-and-pin covers all three as they are
-@pytest.mark.parametrize(
-    "args, seed, size, total",
-    [
-        ((9, 0.7, 84734), 13, 6, Fraction(23, 2)),
-        ((13, 0.7, 837263), 97, 14, Fraction(49, 2)),
-        ((14, 0.5, 542570), 58, 11, Fraction(19)),
-    ],
-)
-def test_order2_covers_without_repair(args, seed, size, total):
-    r = cover(gnp(*args), 2, seed=seed, max_swap=1)
+@pytest.mark.parametrize("args, seed, max_swap, order, size, total", WEAK_SEARCH_COVERS)
+def test_weak_search_cover_pinned(args, seed, max_swap, order, size, total):
+    g = gnp(*args)
+    r = cover(g, order, seed=seed, max_swap=max_swap)
     assert r.report.ok and r.repair_log == []
     assert (len(r.packing), r.assignment.total()) == (size, total)
+    fresh = gnp(*args)
+    assert certificate_dumps(g, r) == certificate_dumps(fresh, cover(fresh, order, seed, 3))
+
+
+def test_certificate_with_a_repair_log_still_verifies():
+    # the order-2 certificate of gnp(12, 0.6, 565391) at seed 11 and
+    # max_swap 2 as the repair loop wrote it: one verify repair grew the
+    # start packing of 10 to 11.  The one-pass cover finds that packing
+    # and those weights directly, so it writes the same certificate with
+    # an empty log
+    path = Path(__file__).parent / "data" / "gnp-12-0.6-565391-order2-repaired.json"
+    old = json.loads(path.read_text(encoding="utf-8"))
+    g = gnp(12, 0.6, 565391)
+    assert [e["reason"] for e in old["repair_log"]] == ["verify"]
+    assert verify_certificate(g, old).ok
+    new = certificate_obj(g, cover(g, 2, seed=11, max_swap=2))
+    assert new == {**old, "repair_log": []}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(6, 13),
+    p=st.sampled_from([0.4, 0.5, 0.6, 0.7]),
+    graph_seed=st.integers(0, 10**6),
+    seed=st.integers(0, 200),
+    order=st.sampled_from([2, 3, 5, 6]),
+)
+def test_weak_searches_give_the_3_swap_cover(n, p, graph_seed, seed, order):
+    # max_swap 1, 2 and 3 share one start packing and one structure, and
+    # no swap search runs outside the local search
+    import tricover.packing as packing
+
+    searching = []
+    real_search, real_find = pl.local_search_packing, packing.find_swap
+
+    def local_search(*args):
+        searching.append(True)
+        try:
+            return real_search(*args)
+        finally:
+            searching.pop()
+
+    def find_swap(*args):
+        assert searching, "find_swap called outside local_search_packing"
+        return real_find(*args)
+
+    g = gnp(n, p, graph_seed)
+    with pytest.MonkeyPatch.context() as mp:
+        built = _count_calls(mp, pl, "build_structure")
+        mp.setattr(pl, "local_search_packing", local_search)
+        mp.setattr(packing, "find_swap", find_swap)
+        mp.setattr(pl, "find_swap", find_swap, raising=False)
+        certs = {certificate_dumps(g, cover(g, order, seed, m)) for m in (1, 2, 3)}
+    assert len(certs) == 1 and len(built) == 1
+    assert json.loads(certs.pop())["repair_log"] == []
 
 
 def _count_calls(monkeypatch, module, name):
@@ -342,16 +316,13 @@ def _outputs(r):
     return r.packing.triangles, r.assignment, r.report, r.repair_log
 
 
-# the third repairs the shared packing by structure swaps at every order;
-# the last once needed an engine repair (a failed verification) at order 2
-# only, and since discharge-and-pin reads the structure it needs none.  No
-# weak-search cover repairs at order 6 alone any more: every repair in a
-# sweep of 59400 max_swap=1 covers at orders 2, 3 and 6 was a structure
-# swap, made at all three orders, or an order-2 engine repair
+# the last two search at 3 in place of max_swap 1; the third's packing
+# at max_swap 1 once took two structure repairs at every order, and the
+# last once needed an engine repair at order 2.  No cover repairs now
 SHARED_START_CASES = [
     (gnp(11, 0.5, 2), 0, 5, [0, 0, 0]),
     (lend_chain(3), 0, 5, [0, 0, 0]),
-    (gnp(10, 0.6, 2), 3, 1, [2, 2, 2]),
+    (gnp(10, 0.6, 2), 3, 1, [0, 0, 0]),
     (gnp(12, 0.5, 150), 0, 1, [0, 0, 0]),
 ]
 
@@ -373,7 +344,7 @@ def test_orders_share_one_local_search(monkeypatch, g, seed, max_swap, repairs):
 def test_shared_start_does_not_depend_on_order_sequence(g, seed, max_swap, orders):
     # every order after the first starts from the memoised packing and
     # structure; its cover must be the one a fresh graph gives, whichever
-    # order filled the memo and whatever repairs the earlier orders made
+    # order filled the memo
     g = build_graph(g.n, g.edges)
     for k in orders:
         fresh = build_graph(g.n, g.edges)
@@ -399,12 +370,12 @@ def test_cover_checks_each_structure_once(monkeypatch):
         for module in (structure, pl, charges, order2)
         if hasattr(module, "check_structure")
     ]
-    covers = 0
-    for args, _, _ in WEAK_SEARCH_REPAIRS:
-        for k in (2, 3, 6):
-            assert cover(gnp(*args), k, seed=0, max_swap=1).report.ok
-            covers += 1
-    assert len(built) > covers  # repairs build more than one structure
+    for args, seed, *_ in WEAK_SEARCH_COVERS:
+        g = gnp(*args)
+        for max_swap in (1, 2, 3):
+            for k in (2, 3, 6):
+                assert cover(g, k, seed, max_swap).report.ok
+    assert len(built) == len(WEAK_SEARCH_COVERS)
     assert sum(map(len, checks)) == len(built)
 
 
@@ -412,7 +383,6 @@ def test_memo_keeps_no_reference_to_its_graph():
     g = gnp(10, 0.6, 2)
     ref = weakref.ref(g)
     r = cover(g, 2, seed=3, max_swap=1)
-    assert r.repairs
     tau_star_k_exact(g, 3)
     s = build_structure(g, r.packing)
     assert verify_cover(g, r.assignment, len(r.packing)).ok
@@ -427,14 +397,14 @@ def test_memo_keeps_no_reference_to_its_graph():
 
 
 def test_memo_of_every_order_keeps_no_reference_to_its_graph():
-    # the memoised start structure of a repaired weak search and of the
-    # default search, read by orders 2, 3 and 6, holds no path back to g
+    # the memoised start structure of a weak search and of the default
+    # search, read by orders 2, 3 and 6, holds no path back to g
     g = gnp(10, 0.6, 2)
     ref = weakref.ref(g)
     rs = [cover(g, k, seed=3, max_swap=1) for k in (3, 6, 2)]
     rs += [cover(g, k) for k in (6, 3, 2)]
-    assert all(r.report.ok for r in rs) and rs[0].repairs
-    assert {("start", 3, 1), ("start", 0, 5)} <= set(g._memo)
+    assert all(r.report.ok for r in rs)
+    assert {("start", 3, 3), ("start", 0, 5)} <= set(g._memo)
     gc.collect()
     gc.disable()
     try:
@@ -475,8 +445,7 @@ def test_cover_enumerates_triangles_once_per_graph(monkeypatch):
 
 
 def test_cover_classifies_each_start_packing_once(monkeypatch):
-    # one structure per graph at default arguments, where no suite cover
-    # repairs; a composed order's two halves share it too
+    # one structure per graph; a composed order's two halves share it too
     built = _count_calls(monkeypatch, pl, "build_structure")
     instances = suite_instances()
     for _, g in instances:

@@ -13,15 +13,15 @@ from tricover import (
     build_graph,
     build_structure,
     check_structure,
-    cover,
     enumerate_triangles,
     greedy_packing,
     local_search_packing,
 )
 from tricover.generators import bowtie, complete_graph, gnp
 from tricover.graph import Graph, Triangle
-from tricover.packing import verify_swap
 from tricover.structure import PackedInfo, _apex
+
+from test_packing import verify_swap
 
 
 def _owner_types(s, t):
@@ -499,7 +499,7 @@ def test_k4_geometry_helpers(n, density, graph_seed, order_seed, source, data):
 def test_every_violation_carries_a_valid_swap(
     n, density, graph_seed, order_seed, source, data
 ):
-    # the swaps are what structure repairs apply; a packing the two rules
+    # each violation is proved by its swap; a packing the two rules
     # accept must also pass the six-rule reference check, so the engines
     # only see structures they were already shown to handle
     g = gnp(n, density, graph_seed)
@@ -513,12 +513,14 @@ def test_every_violation_carries_a_valid_swap(
 
 # local-search packings at max_swap=1 that the six-rule check accepted
 # and the engines then failed on (order 3 raised, order 6 failed verify):
-# each hides a 2-swap on a type-1/type-3 owner pair, which rule B flags
+# each hides a 2-swap on a type-1/type-3 owner pair, which rule B flags.
+# cover searches to 3-swap optimality, so it never starts from them
+# (their covers are pinned in tests/test_pipeline.py)
 HIDDEN_TWO_SWAPS = [((10, 0.3, 637720), 99), ((12, 0.5, 420884), 2), ((11, 0.7, 38), 0)]
 
 
 @pytest.mark.parametrize("args, seed", HIDDEN_TWO_SWAPS)
-def test_hidden_two_swaps_are_structure_repairs(args, seed):
+def test_hidden_two_swaps_are_owner_swaps(args, seed):
     g = gnp(*args)
     p = local_search_packing(g, seed, 1)
     s = build_structure(g, p)
@@ -526,7 +528,3 @@ def test_hidden_two_swaps_are_structure_repairs(args, seed):
     assert set(_kinds_with_valid_swaps(g, p, s)) == {"OwnerSwap"}
     for v in s.violations:
         assert sorted(s.info[psi].type for psi in v.swap.removed) == [1, 3]
-    for k in (2, 3, 6):
-        r = cover(g, k, seed=seed, max_swap=1)
-        assert r.report.ok
-        assert [e["reason"] for e in r.repair_log] == ["structure:OwnerSwap"]
