@@ -219,7 +219,7 @@ def _spend_spare_thirds(s: SolutionStructure, led: Ledger) -> None:
     paid: set[Triangle] = set()
     for p1, p2, x in sorted((*pair, x) for x, ts in at.items() for pair in combinations(ts, 2)):
         if p1 in paid or p2 in paid:
-            continue
+            continue  # a payer has spent both credits: the budget, not a rule seen to decide
         short = [
             (u, w) for u in p1.vertices for w in p2.vertices
             if x not in (u, w) and g.has_edge(u, w)

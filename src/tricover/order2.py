@@ -13,6 +13,9 @@ one a free type-0 owner of its demand pays for, else its lowest.  Last,
 a rotatable whose null edge leaves a triangle outside its K4 short pins
 the edge that leaves the fewest short.  The shape of the demanding set
 is not checked at run time: ``verify_cover`` alone judges the result.
+A rotatable's K4 charge, from a type-3 triangle's initial one through an
+unsatisfied tail's spare credit to each pin, is one ``rotation``: a half
+on each edge of its K4 but one own edge and the spoke opposite it.
 
 Charge bookkeeping is the shared ``charges.Ledger`` at order 2, so every
 numerator counts half credits: a half on an edge is numerator 1, a full
@@ -46,8 +49,8 @@ def initial_half_charge(s: SolutionStructure) -> Ledger:
 
     type-0: 1/2 on each edge (half a credit kept in reserve).
     type-1: base 1, non-base 1/2 each.
-    type-3: 1/2 on a C4 of its K4; the omitted matching pairs the spoke
-    of the smallest vertex with the opposite solution edge.
+    type-3: the ``rotation`` with the edge opposite its smallest vertex
+    null.
     """
     require_clean(s)
     cs = Ledger(2)
@@ -60,16 +63,20 @@ def initial_half_charge(s: SolutionStructure) -> Ledger:
             m[i.base] = 2
             cs.replace(psi, m)
         else:
-            smin = psi.vertices[0]
-            null_spoke = s.spoke(psi, smin)
-            null_solution = psi.opposite(smin)
-            m = {
-                e: 1
-                for e in s.k4_region_edges(psi)
-                if e not in (null_spoke, null_solution)
-            }
-            cs.replace(psi, m)
+            cs.replace(psi, rotation(s, psi, psi.opposite(psi.vertices[0])))
     return cs
+
+
+def rotation(s: SolutionStructure, psi: Triangle, eid: int) -> dict[int, int]:
+    """The K4 half charge of rotatable ``psi`` with its own edge ``eid``
+    null: a half on each edge of the K4 of psi and its anchor but ``eid``
+    and the spoke opposite it, a C4.
+
+    For a tail, ``eid`` is never the base, so the base keeps its half, and
+    so does the gain edge, which is the spoke of the tail's apex.
+    """
+    null_spoke = s.spoke(psi, psi.off(eid))
+    return {e: 1 for e in s.k4_region_edges(psi) if e not in (eid, null_spoke)}
 
 
 # ---------------------------------------------------------------------------
@@ -85,13 +92,14 @@ class LendArc:
 
 def build_lend(s: SolutionStructure) -> dict[Triangle, LendArc]:
     """All lend arcs, keyed by their source: a type-1 triangle with a
-    unique attachment whose anchor-to-apex edge is a solution edge of a
-    type-1 or type-3 triangle.
+    unique attachment whose anchor-to-apex edge is a solution edge.
 
     The twin doubly-attached witnesses exist automatically: the base legs
     come from the attachment, the gain edge from the target triangle, so
     the four vertices induce a K4.  Out-degree is at most one because the
-    gain edge determines the target.
+    gain edge determines the target.  Arcs into type-0 triangles are kept
+    but never read: a chain starts at a type-3 target and grows through
+    the arcs into its type-1 tail.
     """
     arcs: dict[Triangle, LendArc] = {}
     g = s.g
@@ -107,7 +115,7 @@ def build_lend(s: SolutionStructure) -> dict[Triangle, LendArc]:
             continue
         gain = g.edge_id(c, a)
         dst = s.owner(gain)
-        if dst is None or s.info[dst].type not in (1, 3):
+        if dst is None:
             continue
         arcs[psi] = LendArc(psi, dst, gain, c)
     return arcs
@@ -165,9 +173,12 @@ def build_chains(
     and the type-3 triangles by spoke, sorted, in an index built when it
     first meets an unowned edge.
 
-    An unsatisfied tail puts its spare half on the lower-id of its two
-    non-base edges and the other on the leg away from it, until
-    discharge-and-pin rotates it.
+    A lender joins only at its own target, and it has one arc, so the
+    chain growers need no test that a lender is chained: each tail is
+    extended at most once, and a start head is dropped once chained.
+
+    An unsatisfied tail takes the ``rotation`` with its higher-id non-base
+    edge null, until discharge-and-pin rotates it.
     """
     chains: list[Chain] = []
     chained: set[Triangle] = set()  # heads and links of every chain
@@ -206,12 +217,13 @@ def build_chains(
         while queue:
             e = queue.popleft()
             # a chain ends only with both tail legs unfixed, so none ends
-            # on e once e is fixed: one look at e finds them all
+            # on e once e is fixed: one look at e finds them all.  It waits
+            # on both legs, and the first one fixed satisfies it
             for c in ended_on_leg.pop(e, ()):
                 if not c.satisfied:
                     satisfy(c)
             if s.owner(e) is not None:
-                continue
+                continue  # a spoke is unowned: a shortcut past the index
             if not on_spoke:
                 for psi in sorted(s.packed_of_type(3)):
                     for x in s.k4_region_edges(psi)[3:]:
@@ -268,7 +280,7 @@ def build_chains(
                 break
             base = s.info[tail].base
             growers = [a for a in incoming.get(tail, ())
-                       if a.gain != base and a.src not in chained and eligible_lender(a.src)]
+                       if a.gain != base and eligible_lender(a.src)]
             if not growers:
                 for leg in s.info[tail].legs:
                     ended_on_leg.setdefault(leg, []).append(chain)
@@ -286,12 +298,10 @@ def build_chains(
 
     # spare credit of every unsatisfied tail
     for chain in chains:
-        if chain.satisfied:
-            continue
-        tail = chain.tail()
-        h_k = min(e for e in tail.edge_ids if e != s.info[tail].base)
-        cs.give(tail, h_k, 1)
-        cs.give(tail, s.spoke(tail, tail.off(h_k)), 1)  # the leg away from h_k
+        if not chain.satisfied:
+            tail = chain.tail()
+            null = max(e for e in tail.edge_ids if e != s.info[tail].base)
+            cs.replace(tail, rotation(s, tail, null))
 
     return ChainSet(chains, settled)
 
@@ -302,17 +312,17 @@ def build_chains(
 @dataclass
 class DemandState:
     """The demand set D, the free set A, and the roles in A: the type-0
-    triangles and the unsatisfied tails (with their links).  The free
-    non-type-0 triangles, tails and type-3 alike, are the rotatables.
-    ``s`` is the structure they belong to.  ``by_edge`` maps each edge
-    with demand to its demanding triangles, in ``demanding`` order;
-    ``drop`` keeps the two in step."""
+    triangles and the unsatisfied tails.  The free non-type-0 triangles,
+    tails and type-3 alike, are the rotatables.  ``s`` is the structure
+    they belong to.  ``by_edge`` maps each edge with demand to its
+    demanding triangles, in ``demanding`` order; ``drop`` keeps the two
+    in step."""
 
     s: SolutionStructure
     demanding: list[Triangle]
     free: list[Triangle]
     type0: set[Triangle]
-    tails: dict[Triangle, ChainLink]
+    tails: set[Triangle]
     log: list[dict] = field(default_factory=list)
     by_edge: dict[int, dict[Triangle, None]] = field(init=False, repr=False)
 
@@ -321,9 +331,6 @@ class DemandState:
         for t in self.demanding:
             for e in t.edge_ids:
                 self.by_edge.setdefault(e, {})[t] = None
-
-    def demanding_on_edge(self, eid: int) -> list[Triangle]:
-        return list(self.by_edge.get(eid, ()))
 
     def drop(self, gone: list[Triangle]) -> None:
         """Take the triangles ``gone`` out of the demand."""
@@ -334,19 +341,15 @@ class DemandState:
                 if not self.by_edge[e]:
                     del self.by_edge[e]
 
-    def demanding_on(self, psi: Triangle) -> list[Triangle]:
-        es = set(psi.edge_ids)
-        return [t for t in self.demanding if es & set(t.edge_ids)]
-
 
 def compute_demanding(s: SolutionStructure, chains: ChainSet) -> DemandState:
     """The set D of triangles discharge-and-pin must cover, and the free
     set A whose credits it may still move."""
     type0 = set(s.packed_of_type(0))
-    tails = {c.tail(): c.links[-1] for c in chains.chains if not c.satisfied}
+    tails = {c.tail() for c in chains.chains if not c.satisfied}
     heads = {c.head for c in chains.chains}
     free_threes = set(s.packed_of_type(3)) - heads - chains.settled
-    free = type0 | tails.keys() | free_threes
+    free = type0 | tails | free_threes
     blocked = {s.info[psi].base for psi in s.packed_of_type(1)}.union(
         *(c.half_nonsolution_edges() for c in chains.chains)
     )
@@ -366,37 +369,25 @@ def discharge(ds: DemandState, cs: Ledger, psi0: Triangle, eid: int) -> None:
     """Spend the reserved half credit of free type-0 ``psi0`` on edge ``eid``."""
     cs.give(psi0, eid, 1)
     ds.free.remove(psi0)
-    ds.drop(ds.demanding_on_edge(eid))
+    ds.drop(list(ds.by_edge.get(eid, ())))
     ds.log.append(
         {"op": "discharge", "triangle": list(psi0.vertices), "edge": list(ds.s.g.edges[eid])}
     )
 
 
 def pin(ds: DemandState, cs: Ledger, psi: Triangle, eid: int) -> None:
-    """Re-fix the K4 half-integral charge of free non-type-0 ``psi`` so its
-    own edge ``eid`` (never a tail's base) is null.
+    """Re-fix the K4 half-integral charge of free non-type-0 ``psi`` to
+    its ``rotation`` with own edge ``eid`` (never a tail's base) null.
 
-    The opposite spoke of the K4 goes null with it; for an unsatisfied
-    tail the base and gain edges stay half no matter the rotation.  The
-    other two sides carry a half, which covers each demanding triangle
-    on them.
+    The other two sides carry a half, which covers each demanding triangle
+    on them; no such triangle holds ``eid`` too, as a triangle with two
+    edges of psi is psi, which is packed.
     """
-    s = ds.s
-    i = s.info[psi]
-    if psi in ds.tails:
-        # the third side keeps its half, with the spoke of the base end off it
-        third = next(e for e in psi.edge_ids if e not in (i.base, eid))
-        m = {i.base: 1, ds.tails[psi].gain: 1, third: 1, s.spoke(psi, psi.off(third)): 1}
-    else:
-        null_spoke = s.spoke(psi, psi.off(eid))
-        m = {e: 1 for e in s.k4_region_edges(psi) if e not in (eid, null_spoke)}
-    cs.replace(psi, m)
+    cs.replace(psi, rotation(ds.s, psi, eid))
     ds.free.remove(psi)
-    ds.drop([
-        t for e in psi.edge_ids if e != eid for t in ds.by_edge.get(e, ()) if eid not in t.edge_ids
-    ])
+    ds.drop([t for e in psi.edge_ids if e != eid for t in ds.by_edge.get(e, ())])
     ds.log.append(
-        {"op": "pin", "triangle": list(psi.vertices), "edge": list(s.g.edges[eid])}
+        {"op": "pin", "triangle": list(psi.vertices), "edge": list(ds.s.g.edges[eid])}
     )
 
 
@@ -408,7 +399,9 @@ def discharge_and_pin(s: SolutionStructure, cs: Ledger, ds: DemandState) -> None
     2. Each rotatable with demand, in order, pins its lowest eligible
        edge with no demand.  If every one has demand, it pins the lowest
        where a demanding triangle has a free type-0 owner, and the lowest
-       such owner discharges onto it; else its lowest eligible edge.
+       such owner discharges onto it; else its lowest eligible edge.  An
+       owner that paid for an earlier rotatable is no longer free, so the
+       lowest edge need not have one.
     3. Each rotatable still free whose null edge leaves a triangle outside
        its K4 below weight one, read from the ledger, pins the eligible
        edge that leaves the fewest such triangles, the lowest on a tie.

@@ -339,7 +339,8 @@ def _k4_block_bound(g: Graph, degree: int) -> int:
 
 def find_swap(g: Graph, p: Packing, max_swap: int) -> SwapCertificate | None:
     """The first improving swap of ``p`` whose removals are a connected set
-    of at most ``max_swap`` packed triangles, or None."""
+    of at most ``max_swap`` packed triangles, or None.  No removal set is
+    larger than the packing, so sizes above ``len(p)`` are not tried."""
     if len(p) >= _nu_bound(g):
         return None
     packed = p.triangles
@@ -366,7 +367,7 @@ def find_swap(g: Graph, p: Packing, max_swap: int) -> SwapCertificate | None:
         if t not in p:
             listed[(conflict & -conflict).bit_length() - 1].append((i, conflict))
 
-    for r in range(1, max_swap + 1):
+    for r in range(1, min(max_swap, len(packed)) + 1):
         if r == 1:
             sets = (((c,), 1 << c) for c in range(len(packed)))
         else:

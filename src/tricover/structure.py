@@ -154,7 +154,7 @@ def build_structure(g: Graph, p: Packing) -> SolutionStructure:
             anchors = {_apex(t, psi) for t in sin}
             if len(anchors) == 1:
                 anchor = anchors.pop()
-        elif types[i] == 1 and sin:
+        elif types[i] == 1:  # its base came with a singly attached triangle
             anchor = min(_apex(t, psi) for t in sin)
         info[psi] = PackedInfo(types[i], frozenset(base_edges[i]), anchor, tuple(sin))
 

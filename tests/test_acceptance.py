@@ -139,6 +139,12 @@ def test_criterion_5_oracle_sandwich():
           f"({time.time() - t0:.1f}s)")
 
 
+def demanding_on(ds, psi):
+    """The demanding triangles of ``ds`` that share an edge with ``psi``."""
+    es = set(psi.edge_ids)
+    return [t for t in ds.demanding if es & set(t.edge_ids)]
+
+
 def demand_lemma_violation(s, ds):
     """The first type-0 triangle whose demanding set has an illegal shape,
     or None.
@@ -154,7 +160,7 @@ def demand_lemma_violation(s, ds):
     (1, 2): the K4 shape.
     """
     for psi in s.packed_of_type(0):
-        dem = ds.demanding_on(psi)
+        dem = demanding_on(ds, psi)
         if len(dem) <= 1:
             continue
         if any(not set(a.edge_ids) & set(b.edge_ids) for a, b in combinations(dem, 2)):

@@ -964,6 +964,137 @@ def test_start_arc_lender_with_both_legs_fixed_starts_no_chain():
         assert verify_cover(g, f, len(s.packing)).ok, f.order
 
 
+def _pinned_structure(n, edges, packed):
+    """The structure of a packing, with ``edges`` written "u-v"."""
+    g = build_graph(n, [tuple(map(int, e.split("-"))) for e in edges.split()])
+    s = structure_of(g, [g.triangle(*t) for t in packed])
+    assert not s.violations
+    return s
+
+
+def _pinned_run(s):
+    """``run_order2`` on ``s``, with the chains as (head, links, satisfied)
+    and the numerators by edge; the cover verifies."""
+    run, _ = run_order2(s)
+    assert verify_cover(s.g, run.assignment, len(s.packing)).ok
+    chains = [(c.head.vertices, [l.psi.vertices for l in c.links], c.satisfied)
+              for c in run.chains.chains]
+    nums = {s.g.edges[e]: v for e, v in run.assignment.numerators.items() if v}
+    return run, chains, nums
+
+
+def _pinned_3_swap_optimal_run(n, edges, packed):
+    s = _pinned_structure(n, edges, packed)
+    assert find_swap(s.g, s.packing, 3) is None
+    return _pinned_run(s)
+
+
+def test_start_arc_into_a_settled_head_starts_no_chain():
+    # the chain of (2, 3, 4) fixes a half on (4, 6), a spoke of the type-3
+    # (5, 6, 7), and the cascade settles it; so the arc of (7, 8, 9) into
+    # it is dropped.  Started anyway, (5, 6, 7) would head a second chain
+    # and (4, 6) would carry a full unit
+    run, chains, nums = _pinned_3_swap_optimal_run(
+        10, "0-1 1-2 0-2 2-3 3-4 2-4 4-5 5-6 4-6 6-7 7-8 6-8 6-9 7-9 8-9 0-4 1-4 2-6 3-6 4-7 5-7",
+        [(0, 1, 2), (2, 3, 4), (5, 6, 7), (7, 8, 9)],
+    )
+    assert chains == [((2, 3, 4), [(0, 1, 2)], False)]
+    assert sorted(t.vertices for t in run.chains.settled) == [(5, 6, 7)]
+    assert run.demand.log == []
+    assert nums == {
+        (0, 1): 1, (0, 4): 1, (1, 2): 1, (2, 3): 1, (2, 4): 1, (3, 4): 1, (3, 6): 1,
+        (4, 5): 1, (4, 6): 1, (5, 6): 1, (5, 7): 1, (6, 7): 1, (7, 8): 1, (7, 9): 1,
+        (8, 9): 2,
+    }
+
+
+def test_lender_onto_a_tail_base_does_not_grow_the_chain():
+    # (0, 3, 6) lends onto (6, 7), the base of the tail (4, 6, 7), so it
+    # does not join the chain of (1, 4, 5).  Joined anyway, it would be a
+    # second link, and (3, 6) and (5, 7) would lose their halves
+    run, chains, nums = _pinned_3_swap_optimal_run(
+        8, "1-2 0-3 1-4 2-4 1-5 2-5 4-5 0-6 3-6 4-6 5-6 0-7 3-7 4-7 5-7 6-7",
+        [(0, 3, 6), (1, 4, 5), (4, 6, 7)],
+    )
+    assert chains == [((1, 4, 5), [(4, 6, 7)], False)]
+    assert not run.chains.settled and run.demand.log == []
+    assert nums == {
+        (0, 3): 2, (0, 6): 1, (1, 2): 1, (1, 4): 1, (1, 5): 1, (2, 5): 1, (3, 6): 1,
+        (4, 5): 1, (4, 6): 1, (5, 7): 1, (6, 7): 1,
+    }
+
+
+def test_lender_with_both_legs_fixed_does_not_grow_the_chain():
+    # the heads (0, 6, 7) and (1, 10, 11) start first and fix halves on
+    # (0, 3) and (1, 3), the legs of (0, 1, 2); so when the chain of
+    # (2, 5, 14) reaches its tail (2, 3, 4), the arc of (0, 1, 2) into
+    # that tail is passed over and the chain ends unsatisfied.  Joined
+    # anyway, (0, 1, 2) would satisfy the chain and keep half on its base
+    run, chains, nums = _pinned_3_swap_optimal_run(
+        16, "0-1 0-2 1-2 0-3 1-3 2-3 2-4 3-4 2-5 3-5 4-5 0-6 0-7 6-7 3-6 3-7 8-9 6-8 6-9 "
+            "7-8 7-9 1-10 1-11 10-11 3-10 3-11 12-13 10-12 10-13 11-12 11-13 2-14 5-14 "
+            "2-15 5-15 14-15",
+        [(0, 1, 2), (0, 6, 7), (1, 10, 11), (2, 3, 4), (2, 5, 14), (6, 8, 9), (10, 12, 13)],
+    )
+    assert chains == [((0, 6, 7), [(6, 8, 9)], False), ((1, 10, 11), [(10, 12, 13)], False),
+                      ((2, 5, 14), [(2, 3, 4)], False)]
+    assert nums == {
+        (0, 1): 2, (0, 2): 1, (0, 3): 1, (0, 6): 1, (0, 7): 1, (1, 2): 1, (1, 3): 1,
+        (1, 10): 1, (1, 11): 1, (2, 3): 1, (2, 5): 1, (2, 14): 1, (3, 4): 1, (3, 7): 1,
+        (3, 11): 1, (4, 5): 1, (5, 14): 1, (5, 15): 1, (6, 7): 1, (6, 8): 1, (7, 9): 1,
+        (8, 9): 1, (10, 11): 1, (10, 12): 1, (11, 13): 1, (12, 13): 1, (14, 15): 1,
+    }
+
+
+def test_chain_satisfied_on_one_tail_leg_is_not_satisfied_again():
+    # the chain of (0, 3, 4) ends with its tail (0, 1, 2) unsatisfied,
+    # waiting on the legs (1, 3) and (2, 3).  The head (3, 6, 7) fixes a
+    # half on (1, 3), which satisfies it; the head (3, 10, 11) then fixes
+    # one on (2, 3).  Satisfied again, the tail would spend three credits
+    # and the cover would fail its budget
+    run, chains, nums = _pinned_3_swap_optimal_run(
+        14, "0-1 0-2 0-3 0-4 0-5 1-2 1-3 1-6 1-7 2-3 2-10 2-11 3-4 3-5 3-6 3-7 3-10 3-11 "
+            "4-5 6-7 6-8 6-9 7-8 7-9 8-9 10-11 10-12 10-13 11-12 11-13 12-13",
+        [(0, 1, 2), (0, 3, 4), (3, 6, 7), (3, 10, 11), (6, 8, 9), (10, 12, 13)],
+    )
+    assert chains == [((0, 3, 4), [(0, 1, 2)], True), ((3, 6, 7), [(6, 8, 9)], False),
+                      ((3, 10, 11), [(10, 12, 13)], False)]
+    assert run.charge.spent(run.chains.chains[0].tail()) == 2
+    assert nums == {
+        (0, 1): 1, (0, 2): 1, (0, 3): 1, (0, 4): 1, (1, 2): 1, (1, 3): 1, (1, 7): 1,
+        (2, 3): 1, (2, 11): 1, (3, 4): 1, (3, 5): 1, (3, 6): 1, (3, 7): 1, (3, 10): 1,
+        (3, 11): 1, (4, 5): 1, (6, 7): 1, (6, 8): 1, (7, 9): 1, (8, 9): 1, (10, 11): 1,
+        (10, 12): 1, (11, 13): 1, (12, 13): 1,
+    }
+
+
+def test_rotatable_whose_lowest_payer_is_spent_pins_an_edge_that_is_paid():
+    # a clean packing outside the engines' precondition (it has an
+    # improving 2-swap).  Step 2 pins (0, 1, 2) on (0, 1), paid by
+    # (0, 4, 8); the demand on (4, 5) and (4, 6), the lower edges of
+    # (4, 5, 6), has only that spent payer, so (4, 5, 6) pins (5, 6),
+    # which (2, 6, 9) pays.  Pinned on (4, 5), it would leave (4, 5, 8)
+    # short
+    s = _pinned_structure(
+        10, "0-1 0-2 0-3 0-4 0-6 0-8 1-2 1-3 1-8 1-9 2-3 2-6 2-9 4-5 4-6 4-7 4-8 5-6 5-7 "
+            "5-8 5-9 6-7 6-9",
+        [(0, 1, 2), (0, 4, 8), (2, 6, 9), (4, 5, 6)],
+    )
+    assert find_swap(s.g, s.packing, 3) is not None
+    run, chains, nums = _pinned_run(s)
+    assert chains == [] and run.demand.log == [
+        {"op": "pin", "triangle": [0, 1, 2], "edge": [0, 1]},
+        {"op": "discharge", "triangle": [0, 4, 8], "edge": [0, 1]},
+        {"op": "pin", "triangle": [4, 5, 6], "edge": [5, 6]},
+        {"op": "discharge", "triangle": [2, 6, 9], "edge": [5, 6]},
+    ]
+    assert nums == {
+        (0, 1): 1, (0, 2): 1, (0, 3): 1, (0, 4): 1, (0, 8): 1, (1, 2): 1, (1, 3): 1,
+        (2, 6): 1, (2, 9): 1, (4, 5): 1, (4, 6): 1, (4, 8): 1, (5, 6): 1, (5, 7): 1,
+        (6, 7): 1, (6, 9): 1,
+    }
+
+
 def _structure_reads(s):
     """How often ``run_order2(s)`` reads the K4 regions, spokes, owners
     and attachment legs of the structure."""

@@ -193,6 +193,26 @@ def test_find_swap_on_locally_optimal_k6():
     assert find_swap(g, p, 5) is None
 
 
+def test_swap_search_tries_no_removal_larger_than_the_packing(monkeypatch):
+    # gnp(12, 0.5, 1) packs 9 from seed 0, below its ν bound of 10, so the
+    # search runs through every size it tries; a max_swap far above |P|
+    # once kept it running for minutes before it returned None
+    g = gnp(12, 0.5, 1)
+    p = local_search_packing(g, 0, 5)
+    assert len(p) == 9 and _nu_bound(g) == 10
+    sizes = []
+    removal_sets = packing._removal_sets
+
+    def recording(nbrs, reqs, size):
+        assert size <= len(p), size
+        sizes.append(size)
+        return removal_sets(nbrs, reqs, size)
+
+    monkeypatch.setattr(packing, "_removal_sets", recording)
+    assert find_swap(g, p, 10**9) == find_swap(g, p, len(p)) is None
+    assert max(sizes) == len(p)
+
+
 def test_local_search_terminates_within_edge_bound():
     g = gnp(12, 0.5, 8)
     p = local_search_packing(g, 1, 5)
