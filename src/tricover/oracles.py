@@ -17,8 +17,9 @@ Values and witnesses are exact; no floating point anywhere.
 from __future__ import annotations
 
 import functools
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .charges import ChargeAssignment, uncovered_triangles
@@ -42,6 +43,9 @@ class OracleResult:
     value: Fraction
     witness: object
     nodes_explored: int
+    # the LP's optimal fractional triangle packing, nonzero entries only;
+    # empty for the integral oracles, and an empty packing bounds nothing
+    packing: dict[Triangle, Fraction] = field(default_factory=dict)
 
 
 def _triangles_capped(g: Graph, cap: int) -> tuple[Triangle, ...]:
@@ -266,10 +270,10 @@ def tau_star_lp_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult
     every pivot and change no other row, and the pivots are those of the
     LP over all edges.  The value carries its own certificate, checked
     by weak duality whatever the pivot rule: the final tableau holds a
-    fractional triangle packing of that total, and the witness, an
-    optimal primal cover read off the final reduced costs of the slacks,
-    is a cover of that total.  ``nodes_explored`` counts the simplex
-    pivots.
+    fractional triangle packing of that total, returned as ``packing``
+    (each basic triangle at its value), and the witness, an optimal
+    primal cover read off the final reduced costs of the slacks, is a
+    cover of that total.  ``nodes_explored`` counts the simplex pivots.
     """
     tris = _triangles_capped(g, cap)
     if not tris:
@@ -288,10 +292,11 @@ def tau_star_lp_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult
     # the simplex minimizes minus the packing's total, so z's last entry
     # is d times the value; the optimal fractional packing is each basic
     # triangle at its value
-    total, load, packed = z[-1], [0] * g.m, 0
+    total, load, packed, packing = z[-1], [0] * g.m, 0, {}
     for b, xi in zip(basis, x):
-        if b < nv:
+        if b < nv and xi:
             packed += xi
+            packing[tris[b]] = Fraction(xi, d)
             for e in tris[b].edge_ids:
                 load[e] += xi
     if d <= 0 or min(x) < 0 or max(load) > d or packed != total:
@@ -310,7 +315,10 @@ def tau_star_lp_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult
     if missed:
         raise NotACoverError(f"LP cover witness misses triangle {missed[0].vertices}")
     return OracleResult(
-        Fraction(total, d), {e: Fraction(v, d) for e, v in numerators.items()}, pivots
+        Fraction(total, d),
+        {e: Fraction(v, d) for e, v in numerators.items()},
+        pivots,
+        packing,
     )
 
 
@@ -323,8 +331,21 @@ def tau_star_k_exact(
 
     Works in numerator units: y_e in {0..k}, every triangle needs
     sum >= k units.  Branches by fixing the final value of one edge of a
-    deficient triangle; the lower bound adds the deficiencies of a greedy
-    edge-disjoint family of deficient triangles.
+    deficient triangle.  A node is cut when one of three lower bounds on
+    the units still to raise reaches the incumbent: the deficiencies of
+    a greedy edge-disjoint family of deficient triangles; a fractional
+    count of the free edges' capacity; and the LP dual bound.  That last
+    one is weak duality at the node.  Let r_e >= 0 be the units still to
+    raise on free edge e (a frozen edge gets none) and y* the LP's
+    optimal fractional packing, so sum(y*_t for t through e) <= 1 on
+    every edge.  Each deficient triangle t needs sum(r_e, e in t) >=
+    deficit_t, so sum(r_e) >= sum(r_e * y*_t over e in t, all t) >=
+    sum(y*_t * deficit_t), and the final total is an integer: the node
+    needs at least ceil(sum(y*_t * deficit_t)) more units.  At the root
+    every deficit is k and this is ceil(k * tau*).  Each cut drops only
+    subtrees with no cover strictly below the incumbent, so the first
+    best cover found, and with it value and witness, is the one a search
+    without the cut finds.
 
     Propagation is local.  A triangle whose only free (not yet frozen)
     edge is f forces y[f] >= k - sum(frozen y) over its edges; that
@@ -356,6 +377,12 @@ def tau_star_k_exact(
         return OracleResult(lp_res.value, witness, 1)
     lp = lp_res.value * k
     lp_floor = -((-lp.numerator) // lp.denominator)  # ceil in units
+    # y* as integers over one denominator D: dual[ti] = D * y*_t
+    denom = math.lcm(*(v.denominator for v in lp_res.packing.values()))
+    index = {t: ti for ti, t in enumerate(tris)}
+    dual = [0] * len(tris)
+    for t, v in lp_res.packing.items():
+        dual[index[t]] = v.numerator * (denom // v.denominator)
     nodes, nt, m = 0, len(tris), g.m
     tri_edges = [t.edge_ids for t in tris]
     tri_masks = edge_masks(g)
@@ -423,9 +450,9 @@ def tau_star_k_exact(
         """(lower bound in units, per-edge deficient counts, target).
 
         The counts and the target are None when no triangle is deficient,
-        and also once ``units`` plus the disjoint-triangle bound reaches
-        the incumbent: the scan stops there, and the node is cut before
-        they are built.
+        and also once ``units`` plus the disjoint-triangle bound (the
+        scan stops there) or the LP dual bound reaches the incumbent:
+        the node is cut before they are built.
 
         Every deficient triangle has room for its deficit (see
         ``propagate``), so the bound never proves a node infeasible.
@@ -434,12 +461,14 @@ def tau_star_k_exact(
         disjoint = 0
         used = 0  # edge mask of the greedy edge-disjoint deficient family
         total_deficiency = 0
+        packed = 0  # D times the LP dual bound
         open_tris = []
         for ti in range(nt):
             d = deficit[ti]
             if d > 0:
                 open_tris.append(ti)
                 total_deficiency += d
+                packed += dual[ti] * d
                 if not used & tri_masks[ti]:
                     used |= tri_masks[ti]
                     disjoint += d
@@ -447,6 +476,8 @@ def tau_star_k_exact(
                         return disjoint, None, None
         if not open_tris:
             return 0, None, None
+        if packed > (need - 1) * denom:  # ceil(packed / D) >= need
+            return -(-packed // denom), None, None
         hot = [0] * m
         # the target is the first deficient triangle of fewest free edges,
         # then largest deficit: the least free * (k + 1) - d, as d <= k

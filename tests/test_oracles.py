@@ -1,5 +1,6 @@
 """Exact baselines, LP bound and cover's order composition."""
 
+import dataclasses
 import hashlib
 import itertools
 import os
@@ -32,6 +33,7 @@ from tricover.generators import bowtie, complete_graph, glued_k4, gnp, lend_chai
 from tricover.oracles import tau_star_lp_exact
 
 from test_acceptance import random_instances
+from test_census import small_graphs
 from test_packing import _relabeled
 
 F = Fraction
@@ -619,6 +621,25 @@ def test_lp_pivot_digest():
     assert digest == "800e89a01aeb17006d8451e30cd97c1589c03899b914721cb2b93f3a0e67c26d"
 
 
+@pytest.mark.parametrize(
+    "graphs",
+    [lambda: random_instances(200), lambda: [complete_graph(n) for n in range(4, 9)]],
+    ids=["criterion 5", "K4-K8"],
+)
+def test_lp_packing_is_an_optimal_fractional_packing(graphs):
+    # the LP dual bound of tau_star_k_exact is sound only if y* is a
+    # fractional triangle packing of total tau*
+    for g in graphs():
+        res = tau_star_lp_exact(g)
+        load = [F(0)] * g.m
+        for t, v in res.packing.items():
+            assert t in enumerate_triangles(g) and v > 0
+            for e in t.edge_ids:
+                load[e] += v
+        assert max(load, default=0) <= 1
+        assert sum(res.packing.values()) == res.value
+
+
 def test_lp_pivots_scale_on_gnp_20():
     # 156 triangles: Dantzig's rule takes 216 pivots, Bland's 1561, so a
     # silent fall back to Bland shows here
@@ -661,7 +682,9 @@ def test_tau_star_k_searches_order_one_once_per_graph(monkeypatch):
     monkeypatch.setattr(oracles, "tau_exact", counted)
     g = gnp(9, 0.7, 1110)  # the heaviest criterion-5 search, at k = 2
     results = [tau_star_k_exact(g, k) for k in (2, 3, 6)]
-    assert len(searches) == 1 and results[0].nodes_explored == 3676
+    # 3676 nodes before the LP dual bound; the value and witness are those
+    # of the search without it (see test_tau_star_k_witness_digest)
+    assert len(searches) == 1 and results[0].nodes_explored == 2479
     fresh = build_graph(g.n, g.edges)
     tau_star_k_exact(fresh, 1)
     again = [tau_star_k_exact(fresh, k) for k in (2, 3, 6)]
@@ -697,9 +720,9 @@ def test_tau_sandwich_digest():
 
 def test_tau_star_k_sandwich_digest():
     # sha256 of repr([(value, nodes_explored)]) of tau_star_k_exact at
-    # k = 2, 3, 6 over the criterion-5 graphs, computed on the commit
-    # before tau became tau*_1: the incumbent for k > 1 is still an
-    # optimal integral cover, so the searches are unchanged
+    # k = 2, 3, 6 over the criterion-5 graphs, recorded when the LP dual
+    # bound began to cut search nodes: their nodes fell from 5331 to 3495,
+    # while the values and witnesses stayed (see the witness digest below)
     results = [
         (r.value, r.nodes_explored)
         for g in random_instances(200)
@@ -707,15 +730,16 @@ def test_tau_star_k_sandwich_digest():
         for r in [tau_star_k_exact(g, k)]
     ]
     digest = hashlib.sha256(repr(results).encode()).hexdigest()
-    assert digest == "a65d76b835b26515bbd62d20e09d0110e66dcabd48e8da670a5a04d7660958ea"
+    assert digest == "ec14f8b5da8f299db47fe0bef473c09b6d96b57bba31eaba7059390654aece93"
 
 
 def test_tau_star_k_witness_digest():
     # sha256 of repr([(k, value, nodes_explored, sorted witness numerators)])
     # of tau_star_k_exact at k = 1, 2, 3, 6 over the criterion-5 graphs,
-    # computed when Dantzig's rule replaced Bland's in the LP: only graph
-    # 26 moved, whose LP cover, integral at value 9, solves every k at the
-    # root and is now another optimal cover
+    # recorded when the LP dual bound began to cut search nodes: only the
+    # node counts moved, as the sha256 of the same rows without them is
+    # a457afa7756279417e127360e4436b56e28b6e98b7431151c460d608c18200ea
+    # both before and after it
     rows = [
         (k, r.value, r.nodes_explored, sorted(r.witness.numerators.items()))
         for g in random_instances(200)
@@ -723,13 +747,51 @@ def test_tau_star_k_witness_digest():
         for r in [tau_star_k_exact(g, k)]
     ]
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert digest == "17b7fc86e855814f5b6459be4602363e0c538a1e1904763b788f4248e0263c8c"
+    assert digest == "7137e8894daded1032c821afd5959a8e4da62ca0c3807af931942e650a9aa2c3"
 
 
 def test_tau_star_k_complete_graph_7():
-    # one search deep enough to pin on its own (same commit as above)
+    # one search deep enough to pin on its own, recorded with the digests
+    # above (4996 nodes before the LP dual bound, at the same value and
+    # witness: see test_tau_star_k_dual_bound_changes_no_result)
     res = tau_star_k_exact(complete_graph(7), 2)
-    assert (res.value, res.nodes_explored) == (9, 4996)
+    assert (res.value, res.nodes_explored) == (9, 4870)
+
+
+def searches_with_and_without_the_dual_bound(graphs, ks):
+    """(k, value, sorted witness numerators, nodes) of tau_star_k_exact
+    on a fresh copy of each graph at each k, first as it is, then with
+    the LP packing withheld: an empty packing bounds nothing."""
+    solve = oracles.tau_star_lp_exact
+
+    def run():
+        return [
+            (k, r.value, sorted(r.witness.numerators.items()), r.nodes_explored)
+            for g in graphs
+            for h in [build_graph(g.n, g.edges)]
+            for k in ks
+            for r in [tau_star_k_exact(h, k)]
+        ]
+
+    bounded = run()
+    with mock.patch.object(
+        oracles,
+        "tau_star_lp_exact",
+        lambda h, cap: dataclasses.replace(solve(h, cap), packing={}),
+    ):
+        return bounded, run()
+
+
+def test_tau_star_k_dual_bound_changes_no_result():
+    # the bound only cuts subtrees with no cover strictly below the
+    # incumbent, so the first best cover found is the same; about 1 s a side
+    graphs = list(small_graphs()) + [complete_graph(n) for n in range(4, 9)]
+    bounded, unbounded = searches_with_and_without_the_dual_bound(graphs, (1, 2, 3, 6))
+    assert [r[:3] for r in bounded] == [r[:3] for r in unbounded]
+    assert all(a[3] <= b[3] for a, b in zip(bounded, unbounded))
+    # 69,308 nodes against 104,153: the bound does cut, and with the
+    # packing withheld each search takes the nodes it took before the bound
+    assert sum(a[3] for a in bounded) < sum(b[3] for b in unbounded)
 
 
 def test_tau_star_k_rejects_k_below_one():
