@@ -62,10 +62,10 @@ class Graph:
     share one: the local-search packing's triangles, its structure's
     ``info``, ``attachments`` and ``edge_owner`` as read-only mappings,
     and its ``violations``; filled by ``cover``),
-    the tau* LP optimum with its optimal fractional triangle packing
-    (``"tau_star_lp"``, filled by ``oracles.tau_star_k_exact`` and so
-    also by ``oracles.tau_exact``, which bounds every search node by the
-    packing),
+    the tau* LP optimum with its optimal cover and fractional triangle
+    packing, integer numerators over one denominator (``"tau_star_lp"``,
+    filled by ``oracles.tau_star_k_exact`` and so also by
+    ``oracles.tau_exact``, which bounds every search node by the packing),
     and the sorted edge ids of a minimum triangle-hitting edge set
     (``"tau"``, filled by ``oracles.tau_star_k_exact`` at k = 1 when it
     searches, and read there as the incumbent of every k > 1).

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .charges import ChargeAssignment, uncovered_triangles
-from .errors import InstanceTooLargeError, NotACoverError
+from .errors import BadParamsError, InstanceTooLargeError, NotACoverError
 from .graph import Graph, Triangle, edge_masks, enumerate_triangles, memo
 from .packing import _nu_bound
 
@@ -43,12 +43,15 @@ class OracleResult:
     value: Fraction
     witness: object
     nodes_explored: int
-    # the LP's optimal fractional triangle packing, nonzero entries only;
-    # empty for the integral oracles, and an empty packing bounds nothing
-    packing: dict[Triangle, Fraction] = field(default_factory=dict)
+    # the LP's optimal fractional triangle packing as numerators over its
+    # witness's order, nonzero entries only; empty for the integral
+    # oracles, and an empty packing bounds nothing
+    packing: dict[Triangle, int] = field(default_factory=dict)
 
 
 def _triangles_capped(g: Graph, cap: int) -> tuple[Triangle, ...]:
+    if cap < 0:
+        raise BadParamsError(f"triangle cap must be >= 0, got {cap}")
     tris = enumerate_triangles(g)
     if len(tris) > cap:
         raise InstanceTooLargeError(f"{len(tris)} triangles exceeds cap {cap}")
@@ -273,11 +276,13 @@ def tau_star_lp_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult
     fractional triangle packing of that total, returned as ``packing``
     (each basic triangle at its value), and the witness, an optimal
     primal cover read off the final reduced costs of the slacks, is a
-    cover of that total.  ``nodes_explored`` counts the simplex pivots.
+    cover of that total.  Both are integer numerators over one
+    denominator, the witness's order, in lowest terms over the two.
+    ``nodes_explored`` counts the simplex pivots.
     """
     tris = _triangles_capped(g, cap)
     if not tris:
-        return OracleResult(Fraction(0), {}, 0)
+        return OracleResult(Fraction(0), ChargeAssignment(1, {}), 0)
     nv = len(tris)
     edges = sorted({e for t in tris for e in t.edge_ids})
     row_of = dict(zip(edges, range(len(edges))))
@@ -296,7 +301,7 @@ def tau_star_lp_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult
     for b, xi in zip(basis, x):
         if b < nv and xi:
             packed += xi
-            packing[tris[b]] = Fraction(xi, d)
+            packing[tris[b]] = xi
             for e in tris[b].edge_ids:
                 load[e] += xi
     if d <= 0 or min(x) < 0 or max(load) > d or packed != total:
@@ -311,15 +316,15 @@ def tau_star_lp_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult
             f"not the LP value {Fraction(total, d)}"
         )
     # the cover test of verify_cover, over the common denominator d
-    missed = uncovered_triangles(g, ChargeAssignment(d, numerators))
+    cover = ChargeAssignment(d, numerators)
+    missed = uncovered_triangles(g, cover)
     if missed:
         raise NotACoverError(f"LP cover witness misses triangle {missed[0].vertices}")
-    return OracleResult(
-        Fraction(total, d),
-        {e: Fraction(v, d) for e, v in numerators.items()},
-        pivots,
-        packing,
-    )
+    r = math.gcd(d, *numerators.values(), *packing.values())
+    if r > 1:
+        cover = ChargeAssignment(d // r, {e: v // r for e, v in numerators.items()})
+        packing = {t: v // r for t, v in packing.items()}
+    return OracleResult(Fraction(total, d), cover, pivots, packing)
 
 
 def tau_star_k_exact(
@@ -342,7 +347,10 @@ def tau_star_k_exact(
     deficit_t, so sum(r_e) >= sum(r_e * y*_t over e in t, all t) >=
     sum(y*_t * deficit_t), and the final total is an integer: the node
     needs at least ceil(sum(y*_t * deficit_t)) more units.  At the root
-    every deficit is k and this is ceil(k * tau*).  Each cut drops only
+    every deficit is k and this is the LP floor ceil(k * tau*), which no
+    node needs apart: over every triangle, negative deficits too, the sum
+    is k * tau* - sum(y_e * load_e), y*'s load_e <= 1, so units plus the
+    bound is at least k * tau* at every node.  Each cut drops only
     subtrees with no cover strictly below the incumbent, so the first
     best cover found, and with it value and witness, is the one a search
     without the cut finds.
@@ -363,26 +371,16 @@ def tau_star_k_exact(
         raise ValueError("k must be >= 1")
     tris = _triangles_capped(g, cap)
 
-    # the LP optimum bounds every node from below globally; when its
-    # primal witness is already (1/k)-integral it solves the instance.
-    # It does not depend on k, so it is solved once per graph (the cap
-    # was checked above).
+    # the LP's packing y* bounds every node from below; when its primal
+    # witness is already (1/k)-integral it solves the instance.  It does
+    # not depend on k, so it is solved once per graph (the cap was
+    # checked above).
     lp_res = memo(g, "tau_star_lp", lambda: tau_star_lp_exact(g, cap))
-    # v is in lowest terms, so k * v is an integer exactly when its
-    # denominator divides k
-    if all(k % v.denominator == 0 for v in lp_res.witness.values()):
-        witness = ChargeAssignment(
-            k, {e: v.numerator * (k // v.denominator) for e, v in lp_res.witness.items() if v}
-        )
+    lp_cover, denom = lp_res.witness.numerators, lp_res.witness.order
+    if all(v * k % denom == 0 for v in lp_cover.values()):
+        witness = ChargeAssignment(k, {e: v * k // denom for e, v in lp_cover.items()})
         return OracleResult(lp_res.value, witness, 1)
-    lp = lp_res.value * k
-    lp_floor = -((-lp.numerator) // lp.denominator)  # ceil in units
-    # y* as integers over one denominator D: dual[ti] = D * y*_t
-    denom = math.lcm(*(v.denominator for v in lp_res.packing.values()))
-    index = {t: ti for ti, t in enumerate(tris)}
-    dual = [0] * len(tris)
-    for t, v in lp_res.packing.items():
-        dual[index[t]] = v.numerator * (denom // v.denominator)
+    dual = [lp_res.packing.get(t, 0) for t in tris]  # dual[ti] = denom * y*_t
     nodes, nt, m = 0, len(tris), g.m
     tri_edges = [t.edge_ids for t in tris]
     tri_masks = edge_masks(g)
@@ -516,8 +514,6 @@ def tau_star_k_exact(
     def dfs(units: int, fixed: int | None) -> None:
         nonlocal nodes, best_units, best_y
         nodes += 1
-        if best_units <= lp_floor:
-            return  # incumbent already matches the LP bound
         trail: list[tuple[int, int]] = []
         try:
             if fixed is not None:
@@ -525,7 +521,7 @@ def tau_star_k_exact(
             if units >= best_units:
                 return
             lb, hot, ti = analyze(units)
-            if max(units + lb, lp_floor) >= best_units:
+            if units + lb >= best_units:
                 return
             if ti is None:
                 best_units = units

@@ -87,7 +87,6 @@ class LendArc:
     src: Triangle
     dst: Triangle
     gain: int
-    common_vertex: int
 
 
 def build_lend(s: SolutionStructure) -> dict[Triangle, LendArc]:
@@ -117,7 +116,7 @@ def build_lend(s: SolutionStructure) -> dict[Triangle, LendArc]:
         dst = s.owner(gain)
         if dst is None:
             continue
-        arcs[psi] = LendArc(psi, dst, gain, c)
+        arcs[psi] = LendArc(psi, dst, gain)
     return arcs
 
 
@@ -127,7 +126,6 @@ def build_lend(s: SolutionStructure) -> dict[Triangle, LendArc]:
 @dataclass
 class ChainLink:
     psi: Triangle
-    gain: int  # g_i, an edge of the predecessor
     e1: int | None = None  # leg fixed to 1/2 when a successor joins
 
 
@@ -246,7 +244,7 @@ def build_chains(
         edge; returns the base."""
         base = s.info[arc.src].base
         cs.replace(arc.src, {arc.gain: 1, base: 1})
-        chain.links.append(ChainLink(arc.src, arc.gain))
+        chain.links.append(ChainLink(arc.src))
         chained.add(arc.src)
         return base
 
@@ -259,7 +257,7 @@ def build_chains(
         arc = starts[0]
         head = arc.dst
         spokes = s.k4_region_edges(head)[3:]
-        null_spoke = s.spoke(head, arc.common_vertex)
+        null_spoke = s.spoke(head, arc.src.off(s.info[arc.src].base))
         half_spokes = tuple(sorted(e for e in spokes if e != null_spoke))
         # the lender's half sits on the gain edge, like in every later
         # step, so a pin of this triangle keeps the head region intact

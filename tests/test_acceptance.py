@@ -208,7 +208,8 @@ def test_criterion_9_chain_construction():
         p = local_search_packing(g, 0, 5)
         s = build_structure(g, p)
         cs = initial_half_charge(s)
-        chains = build_chains(s, build_lend(s), cs)
+        lend = build_lend(s)
+        chains = build_chains(s, lend, cs)
         assert len(chains.chains) == 1
         chain = chains.chains[0]
         assert len(chain.links) == L
@@ -216,7 +217,7 @@ def test_criterion_9_chain_construction():
         assert len(halves) == L + 1
         assert all(cs.f(e) == HALF for e in halves)
         for link in chain.links:
-            assert cs.f(link.gain) == HALF
+            assert cs.f(lend[link.psi].gain) == HALF
         # the reversed edge order swaps the naming of the tail's two
         # non-base edges; each cover is verified against its own graph
         for h in (g, build_graph(g.n, list(reversed(g.edges)))):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tricover import build_graph
 from tricover.cli import main
 from tricover.generators import complete_graph
 from tricover.graph import write_edge_list
@@ -62,6 +63,15 @@ def test_oracle_values(tmp_path, capsys):
     assert run(capsys, "oracle", graph, "--what", "tau")[1].strip() == "6"
     assert run(capsys, "oracle", graph, "--what", "taustar2")[1].strip() == "6"
     assert run(capsys, "oracle", graph, "--what", "taustar3")[1].strip() == "5"
+
+
+@pytest.mark.parametrize("what", ["nu", "tau", "taustar2"])
+def test_oracle_rejects_a_negative_cap(tmp_path, capsys, what):
+    # a negative cap is a bad parameter, not a graph above the cap
+    path = tmp_path / "c5.txt"
+    write_edge_list(build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]), str(path))
+    code, stdout, stderr = run(capsys, "oracle", str(path), "--what", what, "--cap", "-1")
+    assert code == 4 and "cap must be >= 0, got -1" in stderr and stdout == ""
 
 
 def test_bench_csv(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -197,14 +198,20 @@ def test_lp_bound_chain():
             assert lp <= tsk <= tau
 
 
+def _weights(f):
+    """An LP witness as sorted (edge, Fraction weight) pairs, the form
+    the LP digests were recorded in."""
+    return sorted((e, F(v, f.order)) for e, v in f.numerators.items())
+
+
 def test_lp_witness_is_exact_cover():
     g = complete_graph(6)
     res = tau_star_lp_exact(g)
     assert res.value == 5  # the all-1/3 assignment is optimal here
     assert res.nodes_explored == 20  # Dantzig pivots; Bland's rule takes 28
-    assert sum(res.witness.values(), F(0)) == 5
+    assert res.witness.total() == 5
     for t in enumerate_triangles(g):
-        assert sum(res.witness.get(e, F(0)) for e in t.edge_ids) >= 1
+        assert sum(res.witness.value(e) for e in t.edge_ids) >= 1
 
 
 def test_instance_cap():
@@ -440,7 +447,7 @@ def test_lp_drops_the_rows_of_triangle_free_edges():
     in_triangle = {e for t in tris for e in t.edge_ids}
     assert len(in_triangle) == 9 and g.m == 15
     res = tau_star_lp_exact(g)
-    assert set(res.witness) <= in_triangle
+    assert set(res.witness.numerators) <= in_triangle
     nv, m = len(tris), g.m
     rows = [[F(0)] * (nv + m) + [F(1)] for _ in range(m)]
     for j, t in enumerate(tris):
@@ -452,7 +459,8 @@ def test_lp_drops_the_rows_of_triangle_free_edges():
         rows, [F(-1)] * nv + [F(0)] * m, list(range(nv, nv + m))
     )
     assert (res.value, res.nodes_explored) == (-value, pivots)
-    assert res.value == 3 and res.witness == {e: v for e, v in enumerate(z[nv:-1]) if v}
+    assert res.value == 3
+    assert _weights(res.witness) == [(e, v) for e, v in enumerate(z[nv:-1]) if v]
     _check_simplex_against_reference(g)
 
 
@@ -586,7 +594,7 @@ def test_lp_pins_block_structured_shapes(make, value, pivots, digest):
     # (their entries reach 72 and 118 bits), the triangles and
     # glued_k4(40) keep sparse rows
     res = tau_star_lp_exact(make())
-    witness = hashlib.sha256(repr(sorted(res.witness.items())).encode()).hexdigest()
+    witness = hashlib.sha256(repr(_weights(res.witness)).encode()).hexdigest()
     assert (res.value, res.nodes_explored, witness) == (value, pivots, digest)
 
 
@@ -597,7 +605,7 @@ def test_lp_sandwich_digest():
     # witness of graph 26, gnp(9, 0.7, 1026), is another optimal cover
     results = [tau_star_lp_exact(g) for g in random_instances(200)]
     digest = hashlib.sha256(
-        repr([(r.value, sorted(r.witness.items())) for r in results]).encode()
+        repr([(r.value, _weights(r.witness)) for r in results]).encode()
     ).hexdigest()
     assert digest == "e07b52e0c5a2f11e90c9eee17f44a4af3f1a25c50eebbef14ce4db20822726c2"
 
@@ -623,21 +631,35 @@ def test_lp_pivot_digest():
 
 @pytest.mark.parametrize(
     "graphs",
-    [lambda: random_instances(200), lambda: [complete_graph(n) for n in range(4, 9)]],
-    ids=["criterion 5", "K4-K8"],
+    [
+        lambda: random_instances(200),
+        lambda: [complete_graph(n) for n in range(4, 9)],
+        lambda: [build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])],
+    ],
+    ids=["criterion 5", "K4-K8", "C5"],
 )
 def test_lp_packing_is_an_optimal_fractional_packing(graphs):
     # the LP dual bound of tau_star_k_exact is sound only if y* is a
-    # fractional triangle packing of total tau*
+    # fractional triangle packing of total tau*; y* and the cover are
+    # integer numerators over one denominator D, in lowest terms
     for g in graphs():
         res = tau_star_lp_exact(g)
-        load = [F(0)] * g.m
-        for t, v in res.packing.items():
+        cover, packing = res.witness.numerators, res.packing
+        denom = res.witness.order
+        assert math.gcd(denom, *cover.values(), *packing.values()) == 1
+        load = [0] * g.m
+        for t, v in packing.items():
             assert t in enumerate_triangles(g) and v > 0
             for e in t.edge_ids:
                 load[e] += v
-        assert max(load, default=0) <= 1
-        assert sum(res.packing.values()) == res.value
+        assert max(load, default=0) <= denom
+        assert sum(packing.values()) == sum(cover.values()) == res.value * denom
+        assert verify_cover(g, res.witness, int(nu_exact(g).value)).covered
+        if not packing:  # no triangle: an empty cover, and tau*_k settled at the root
+            assert res.witness == ChargeAssignment(1, {})
+            for k in (1, 2, 3, 6):
+                r = tau_star_k_exact(g, k)
+                assert (r.value, r.witness, r.nodes_explored) == (0, ChargeAssignment(k, {}), 1)
 
 
 def test_lp_pivots_scale_on_gnp_20():
@@ -789,8 +811,10 @@ def test_tau_star_k_dual_bound_changes_no_result():
     bounded, unbounded = searches_with_and_without_the_dual_bound(graphs, (1, 2, 3, 6))
     assert [r[:3] for r in bounded] == [r[:3] for r in unbounded]
     assert all(a[3] <= b[3] for a, b in zip(bounded, unbounded))
-    # 69,308 nodes against 104,153: the bound does cut, and with the
-    # packing withheld each search takes the nodes it took before the bound
+    # 69,308 nodes against 105,419: the bound does cut; with the packing
+    # withheld the search has no LP bound at all, not even the LP floor
+    # ceil(k * tau*) it kept before the floor was folded into the bound
+    # (104,153 nodes then)
     assert sum(a[3] for a in bounded) < sum(b[3] for b in unbounded)
 
 
@@ -821,7 +845,7 @@ def _check_against_exhaustive(g, k):
     real = tau_star_k_exact(g, k)
     # a zero LP bound whose witness is not (1/k)-integral: the root is not
     # settled by the LP, so the branch-and-bound itself is checked too
-    weak = oracles.OracleResult(F(0), {0: F(1, 5)}, 0)
+    weak = oracles.OracleResult(F(0), ChargeAssignment(5, {0: 1}), 0)
     with mock.patch.object(oracles, "tau_star_lp_exact", lambda h, cap: weak):
         searched = tau_star_k_exact(build_graph(g.n, g.edges), k)
     for res in (real, searched):

@@ -61,13 +61,15 @@ def fixed_charge(s):
     not settle keeps nothing.  Pins and discharges must never take an
     edge below this."""
     cs = initial_half_charge(s)
-    chains = build_chains(s, build_lend(s), cs)
+    lend = build_lend(s)
+    chains = build_chains(s, lend, cs)
     flexible = set()
     for c in chains.chains:
         if c.satisfied:
             continue
         link = c.links[-1]
-        flexible |= set(s.k4_region_edges(link.psi)) - {s.info[link.psi].base, link.gain}
+        kept = {s.info[link.psi].base, lend[link.psi].gain}
+        flexible |= set(s.k4_region_edges(link.psi)) - kept
     fixed_threes = {c.head for c in chains.chains} | chains.settled
     for psi in s.packed_of_type(3):
         if psi not in fixed_threes:
@@ -198,10 +200,11 @@ def test_chain_half_edge_pattern():
         p = local_search_packing(g, 0, 5)
         s = build_structure(g, p)
         cs = initial_half_charge(s)
-        chains = build_chains(s, build_lend(s), cs)
+        lend = build_lend(s)
+        chains = build_chains(s, lend, cs)
         (chain,) = chains.chains
         for link in chain.links:
-            assert cs.f(link.gain) == HALF
+            assert cs.f(lend[link.psi].gain) == HALF
         solution_edges = {e for psi in members(chain) for e in psi.edge_ids}
         for e in solution_edges:
             if e == spare_edge(s, chain):
@@ -222,7 +225,8 @@ def test_distinct_chains_have_disjoint_half_edges():
         if check_structure(s):
             continue
         cs = initial_half_charge(s)
-        chains = build_chains(s, build_lend(s), cs)
+        lend = build_lend(s)
+        chains = build_chains(s, lend, cs)
         seen = set()
         for c in chains.chains:
             mine = c.half_nonsolution_edges()
@@ -232,7 +236,7 @@ def test_distinct_chains_have_disjoint_half_edges():
             # solution edge carries at least a half except an unsatisfied
             # tail's spare non-base edge
             for link in c.links:
-                assert cs.f(link.gain) >= HALF
+                assert cs.f(lend[link.psi].gain) >= HALF
             for psi in members(c):
                 for e in psi.edge_ids:
                     if not c.satisfied and e == spare_edge(s, c):
@@ -276,7 +280,7 @@ def test_f_fix_zeroes_unsatisfied_tail_region():
     for leg in s.info[link.psi].legs:
         assert fix.get(leg, 0) == 0
     assert fix.get(s.info[link.psi].base, 0) == 1  # numerator 1 is HALF at order 2
-    assert fix.get(link.gain, 0) == 1
+    assert fix.get(build_lend(s)[link.psi].gain, 0) == 1
     # satisfied members and the head keep everything fixed
     for l in chain.links[:-1]:
         for e in l.psi.edge_ids:
@@ -894,7 +898,8 @@ def test_many_chain_digest():
     chained = satisfied = settled = 0
     for s in _many_chain_structures():
         cs = initial_half_charge(s)
-        chains = build_chains(s, build_lend(s), cs)
+        lend = build_lend(s)
+        chains = build_chains(s, lend, cs)
         chained += len(chains.chains)
         satisfied += sum(c.satisfied for c in chains.chains)
         settled += len(chains.settled)
@@ -902,7 +907,7 @@ def test_many_chain_digest():
         run, _ = run_order2(s)
         h.update(repr((
             sorted((e, v) for e, v in cs.numerators.items() if v),
-            [([(l.psi.vertices, l.gain, l.e1) for l in c.links], c.satisfied)
+            [([(l.psi.vertices, lend[l.psi].gain, l.e1) for l in c.links], c.satisfied)
              for c in chains.chains],
             sorted(t.vertices for t in chains.settled),
             [t.vertices for t in ds.demanding],
