@@ -336,24 +336,50 @@ def tau_star_k_exact(
 
     Works in numerator units: y_e in {0..k}, every triangle needs
     sum >= k units.  Branches by fixing the final value of one edge of a
-    deficient triangle.  A node is cut when one of three lower bounds on
-    the units still to raise reaches the incumbent: the deficiencies of
-    a greedy edge-disjoint family of deficient triangles; a fractional
-    count of the free edges' capacity; and the LP dual bound.  That last
-    one is weak duality at the node.  Let r_e >= 0 be the units still to
-    raise on free edge e (a frozen edge gets none) and y* the LP's
-    optimal fractional packing, so sum(y*_t for t through e) <= 1 on
-    every edge.  Each deficient triangle t needs sum(r_e, e in t) >=
-    deficit_t, so sum(r_e) >= sum(r_e * y*_t over e in t, all t) >=
-    sum(y*_t * deficit_t), and the final total is an integer: the node
-    needs at least ceil(sum(y*_t * deficit_t)) more units.  At the root
-    every deficit is k and this is the LP floor ceil(k * tau*), which no
-    node needs apart: over every triangle, negative deficits too, the sum
-    is k * tau* - sum(y_e * load_e), y*'s load_e <= 1, so units plus the
-    bound is at least k * tau* at every node.  Each cut drops only
-    subtrees with no cover strictly below the incumbent, so the first
-    best cover found, and with it value and witness, is the one a search
-    without the cut finds.
+    deficient (open) triangle.  A node is cut when one of four lower
+    bounds on the units still to raise reaches the incumbent: the
+    deficiencies of a greedy edge-disjoint family of open triangles; a
+    fractional count of the free edges' capacity; the LP dual bound; and
+    the node dual bound.
+
+    The last two are weak duality at the node.  Let r_e >= 0 be the
+    units still to raise on free edge e (a frozen edge gets none).  Any
+    z >= 0 on the open triangles with sum(z_t for t through e) <= 1 on
+    every free edge bounds the node: each open triangle t needs
+    sum(r_e, e in t) >= deficit_t, so sum(r_e) >= sum(r_e * z_t over
+    free e in t, all t) >= sum(z_t * deficit_t), and the final total is
+    an integer, so the node needs at least ceil(sum(z_t * deficit_t))
+    more units.  The LP dual bound takes z = y*, the LP's optimal
+    fractional packing, on the open triangles: its load is at most 1 on
+    every edge.  At the root every deficit is k and this is the LP floor
+    ceil(k * tau*), which no node needs apart: over every triangle,
+    negative deficits too, the sum is k * tau* - sum(y_e * load_e), y*'s
+    load_e <= 1, so units plus the bound is at least k * tau* at every
+    node.  The node dual bound starts from the same z and, in index
+    order, lifts each open triangle by the least room 1 - load left on
+    its free edges; a frozen edge has no constraint, and every open
+    triangle keeps two free edges (see ``propagate``), so each lift is
+    finite.  Its z is at least y* on every open triangle and every
+    deficit there is positive, so it is never below the LP dual bound:
+    every node that bound cuts, it cuts too.  An empty packing bounds
+    nothing: neither dual bound is used.
+
+    Each cut drops only subtrees with no cover strictly below the
+    incumbent.  So a search with a cut visits the nodes of the search
+    without it in the same order, minus whole subtrees in which the
+    incumbent never moves; the incumbent is the same at every node both
+    visit, a bound at least as high cuts every node the lower one cut,
+    and the first best cover found, with its value and witness, is the
+    same.  Adding the node dual bound to the other three thus changes no
+    value or witness, and no search explores more nodes.
+
+    The open triangles' state is kept incrementally: ``raise_edge``
+    visits each triangle whose deficit moves and keeps their count, total
+    deficiency and y*-weighted deficiency, and per edge the open
+    triangles through it and the room y* leaves; freezing an edge keeps
+    each triangle's count of free edges.  So the LP dual bound is one
+    comparison, and one index-order scan of the open triangles takes the
+    disjoint family, the node dual bound and the branch target.
 
     Propagation is local.  A triangle whose only free (not yet frozen)
     edge is f forces y[f] >= k - sum(frozen y) over its edges; that
@@ -381,6 +407,7 @@ def tau_star_k_exact(
         witness = ChargeAssignment(k, {e: v * k // denom for e, v in lp_cover.items()})
         return OracleResult(lp_res.value, witness, 1)
     dual = [lp_res.packing.get(t, 0) for t in tris]  # dual[ti] = denom * y*_t
+    node_dual = any(dual)  # an empty packing bounds nothing
     nodes, nt, m = 0, len(tris), g.m
     tri_edges = [t.edge_ids for t in tris]
     tri_masks = edge_masks(g)
@@ -408,16 +435,56 @@ def tau_star_k_exact(
     y = [0] * m
     frozen = bytearray(m)
     deficit = [k] * nt  # k - current sum over the triangle's edges
-
-    def raise_edge(e: int, delta: int) -> None:
-        y[e] += delta
-        for ti in eligible_tris[e]:
-            deficit[ti] -= delta
-
+    n_free = [3] * nt  # the triangle's edges not frozen
+    # the open (deficient) triangles, kept by raise_edge: their count,
+    # total deficiency and D * sum(y*_t * deficit_t); per edge, the open
+    # triangles through it and D minus their y* load, plus ``unbounded``
+    # while the edge is frozen: no lift of the node dual bound can use up
+    # that much, nt lifts of at most D each
+    n_open, deficiency, packed = nt, k * nt, k * sum(dual)
+    hot, slack, unbounded = [0] * m, [denom] * m, denom * (nt + 1)
     eligible_tris: list[list[int]] = [[] for _ in range(m)]
     for ti, es in enumerate(tri_edges):
         for e in es:
             eligible_tris[e].append(ti)
+            hot[e] += 1
+            slack[e] -= dual[ti]
+
+    def raise_edge(e: int, delta: int) -> None:
+        nonlocal n_open, deficiency, packed
+        y[e] += delta
+        for ti in eligible_tris[e]:
+            was = deficit[ti]
+            now = deficit[ti] = was - delta
+            if now > 0:
+                if was > 0:
+                    deficiency -= delta
+                    packed -= dual[ti] * delta
+                    continue
+                step, change = 1, now  # the triangle opens
+            elif was > 0:
+                step, change = -1, -was  # the triangle closes
+            else:
+                continue
+            n_open += step
+            deficiency += change
+            w = dual[ti]
+            packed += w * change
+            a, b, c = tri_edges[ti]
+            hot[a] += step
+            hot[b] += step
+            hot[c] += step
+            if w:
+                w *= step
+                slack[a] -= w
+                slack[b] -= w
+                slack[c] -= w
+
+    def freeze(e: int, step: int) -> None:
+        frozen[e] = step > 0
+        slack[e] += step * unbounded
+        for ti in eligible_tris[e]:
+            n_free[ti] -= step
 
     def propagate(fixed: int, trail: list[tuple[int, int]]) -> int:
         """Forced raises after edge ``fixed`` was frozen; returns the added
@@ -434,74 +501,64 @@ def tau_star_k_exact(
         added = 0
         for ti in eligible_tris[fixed]:
             d = deficit[ti]
-            if d <= 0:
-                continue
-            free = [e for e in tri_edges[ti] if not frozen[e]]
-            if len(free) == 1:
-                e = free[0]
+            if d > 0 and n_free[ti] == 1:
+                a, b, c = tri_edges[ti]
+                e = c if frozen[a] and frozen[b] else b if frozen[a] else a
                 raise_edge(e, d)
                 trail.append((e, d))
                 added += d
         return added
 
-    def analyze(units: int):
-        """(lower bound in units, per-edge deficient counts, target).
-
-        The counts and the target are None when no triangle is deficient,
-        and also once ``units`` plus the disjoint-triangle bound (the
-        scan stops there) or the LP dual bound reaches the incumbent:
-        the node is cut before they are built.
+    def analyze(need: int) -> int | None:
+        """The open triangle to branch on, or None once a bound shows the
+        node needs at least ``need`` more units: the node is cut.
 
         Every deficient triangle has room for its deficit (see
-        ``propagate``), so the bound never proves a node infeasible.
+        ``propagate``), so no bound proves a node infeasible.
         """
-        need = best_units - units  # the disjoint bound cuts the node here
+        cut = (need - 1) * denom  # D times a bound above this cuts the node
+        if packed > cut:  # the LP dual bound
+            return None
         disjoint = 0
         used = 0  # edge mask of the greedy edge-disjoint deficient family
-        total_deficiency = 0
-        packed = 0  # D times the LP dual bound
-        open_tris = []
-        for ti in range(nt):
-            d = deficit[ti]
-            if d > 0:
-                open_tris.append(ti)
-                total_deficiency += d
-                packed += dual[ti] * d
-                if not used & tri_masks[ti]:
-                    used |= tri_masks[ti]
-                    disjoint += d
-                    if disjoint >= need:
-                        return disjoint, None, None
-        if not open_tris:
-            return 0, None, None
-        if packed > (need - 1) * denom:  # ceil(packed / D) >= need
-            return -(-packed // denom), None, None
-        hot = [0] * m
+        bound = packed  # D times the node dual bound
+        room = slack[:]
         # the target is the first deficient triangle of fewest free edges,
         # then largest deficit: the least free * (k + 1) - d, as d <= k
         target, target_key = None, None
-        for ti in open_tris:
-            free = 0
-            a, b, c = tri_edges[ti]
-            if not frozen[a]:
-                hot[a] += 1
-                free += 1
-            if not frozen[b]:
-                hot[b] += 1
-                free += 1
-            if not frozen[c]:
-                hot[c] += 1
-                free += 1
-            key = free * (k + 1) - deficit[ti]
+        for ti, d in enumerate(deficit):
+            if d <= 0:
+                continue
+            if not used & tri_masks[ti]:
+                used |= tri_masks[ti]
+                disjoint += d
+                if disjoint >= need:
+                    return None
+            if node_dual:
+                a, b, c = tri_edges[ti]
+                lift = room[a]
+                if room[b] < lift:
+                    lift = room[b]
+                if room[c] < lift:
+                    lift = room[c]
+                if lift:
+                    room[a] -= lift
+                    room[b] -= lift
+                    room[c] -= lift
+                    bound += lift * d
+                    if bound > cut:
+                        return None
+            key = n_free[ti] * (k + 1) - d
             if target_key is None or key < target_key:
                 target, target_key = ti, key
         # fractional bound: one unit on an edge settles at most its count
         # of deficient triangles, so spend capacity on the busiest first;
         # sum(hot * capacity) is the deficient triangles' total room, at
         # least their total deficiency, so the loop always breaks
-        rem = total_deficiency
+        rem = deficiency
         frac = 0
-        for e in sorted(filter(hot.__getitem__, range(m)), key=hot.__getitem__, reverse=True):
+        busy = [e for e in range(m) if hot[e] and not frozen[e]]
+        for e in sorted(busy, key=hot.__getitem__, reverse=True):
             capacity = k - y[e]
             if capacity * hot[e] < rem:
                 frac += capacity
@@ -509,7 +566,7 @@ def tau_star_k_exact(
             else:
                 frac += -(-rem // hot[e])
                 break
-        return max(disjoint, frac), hot, target
+        return None if frac >= need else target
 
     def dfs(units: int, fixed: int | None) -> None:
         nonlocal nodes, best_units, best_y
@@ -520,16 +577,16 @@ def tau_star_k_exact(
                 units += propagate(fixed, trail)
             if units >= best_units:
                 return
-            lb, hot, ti = analyze(units)
-            if units + lb >= best_units:
-                return
-            if ti is None:
+            if not n_open:
                 best_units = units
                 best_y = y[:]
                 return
+            ti = analyze(best_units - units)
+            if ti is None:
+                return
             open_edges = [e for e in tri_edges[ti] if not frozen[e]]
             e = max(open_edges, key=lambda e: (hot[e], -e))
-            frozen[e] = 1
+            freeze(e, 1)
             # final value of e stays as-is
             dfs(units, e)
             # or is raised to v
@@ -539,7 +596,7 @@ def tau_star_k_exact(
                 dfs(units + v - base, e)
             if y[e] != base:
                 raise_edge(e, base - y[e])
-            frozen[e] = 0
+            freeze(e, -1)
         finally:
             for ed, delta in reversed(trail):
                 raise_edge(ed, -delta)

@@ -704,9 +704,10 @@ def test_tau_star_k_searches_order_one_once_per_graph(monkeypatch):
     monkeypatch.setattr(oracles, "tau_exact", counted)
     g = gnp(9, 0.7, 1110)  # the heaviest criterion-5 search, at k = 2
     results = [tau_star_k_exact(g, k) for k in (2, 3, 6)]
-    # 3676 nodes before the LP dual bound; the value and witness are those
-    # of the search without it (see test_tau_star_k_witness_digest)
-    assert len(searches) == 1 and results[0].nodes_explored == 2479
+    # 3676 nodes before the LP dual bound and 2479 before the node dual
+    # bound; the value and witness are those of the search without them
+    # (see test_tau_star_k_witness_digest)
+    assert len(searches) == 1 and results[0].nodes_explored == 1357
     fresh = build_graph(g.n, g.edges)
     tau_star_k_exact(fresh, 1)
     again = [tau_star_k_exact(fresh, k) for k in (2, 3, 6)]
@@ -742,9 +743,10 @@ def test_tau_sandwich_digest():
 
 def test_tau_star_k_sandwich_digest():
     # sha256 of repr([(value, nodes_explored)]) of tau_star_k_exact at
-    # k = 2, 3, 6 over the criterion-5 graphs, recorded when the LP dual
-    # bound began to cut search nodes: their nodes fell from 5331 to 3495,
-    # while the values and witnesses stayed (see the witness digest below)
+    # k = 2, 3, 6 over the criterion-5 graphs, recorded when the node dual
+    # bound began to cut search nodes: their nodes fell from 5331 to 3495
+    # with the LP dual bound and to 2121 with the node dual bound, while
+    # the values and witnesses stayed (see the witness digest below)
     results = [
         (r.value, r.nodes_explored)
         for g in random_instances(200)
@@ -752,32 +754,44 @@ def test_tau_star_k_sandwich_digest():
         for r in [tau_star_k_exact(g, k)]
     ]
     digest = hashlib.sha256(repr(results).encode()).hexdigest()
-    assert digest == "ec14f8b5da8f299db47fe0bef473c09b6d96b57bba31eaba7059390654aece93"
+    assert digest == "ad482ee6c9cbced2560969323bee7bfd138e5e7a381a06548c118247e1d93dea"
 
 
 def test_tau_star_k_witness_digest():
     # sha256 of repr([(k, value, nodes_explored, sorted witness numerators)])
     # of tau_star_k_exact at k = 1, 2, 3, 6 over the criterion-5 graphs,
-    # recorded when the LP dual bound began to cut search nodes: only the
-    # node counts moved, as the sha256 of the same rows without them is
-    # a457afa7756279417e127360e4436b56e28b6e98b7431151c460d608c18200ea
-    # both before and after it
+    # recorded when the node dual bound began to cut search nodes; the
+    # same rows without the node counts hash as they did before the LP
+    # dual bound, so neither bound moved a value or a witness
     rows = [
         (k, r.value, r.nodes_explored, sorted(r.witness.numerators.items()))
         for g in random_instances(200)
         for k in (1, 2, 3, 6)
         for r in [tau_star_k_exact(g, k)]
     ]
+    node_free = [(k, value, witness) for k, value, _, witness in rows]
+    digest = hashlib.sha256(repr(node_free).encode()).hexdigest()
+    assert digest == "a457afa7756279417e127360e4436b56e28b6e98b7431151c460d608c18200ea"
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert digest == "7137e8894daded1032c821afd5959a8e4da62ca0c3807af931942e650a9aa2c3"
+    assert digest == "98851df60d92959b25d0ea050489fef8ea9dfb542f05cedf5adb689f0e3ed302"
 
 
 def test_tau_star_k_complete_graph_7():
     # one search deep enough to pin on its own, recorded with the digests
-    # above (4996 nodes before the LP dual bound, at the same value and
-    # witness: see test_tau_star_k_dual_bound_changes_no_result)
+    # above (4996 nodes before the LP dual bound and 4870 before the node
+    # dual bound, at the same value and witness: see
+    # test_tau_star_k_dual_bound_changes_no_result)
     res = tau_star_k_exact(complete_graph(7), 2)
-    assert (res.value, res.nodes_explored) == (9, 4870)
+    assert (res.value, res.nodes_explored) == (9, 4504)
+
+
+def test_tau_star_k_node_dual_bound_cuts_a_deep_search():
+    # criterion-5 graph 11 at k = 5: 36,106 nodes with the LP dual bound
+    # alone, under a quarter of that once each node lifts y* on its free
+    # edges; the k = 1 search and the LP it starts from come first
+    g = gnp(8, 0.7, 1011)
+    res = tau_star_k_exact(g, 5)
+    assert (res.value, res.nodes_explored) == (F(38, 5), 8404)
 
 
 def searches_with_and_without_the_dual_bound(graphs, ks):
@@ -805,16 +819,17 @@ def searches_with_and_without_the_dual_bound(graphs, ks):
 
 
 def test_tau_star_k_dual_bound_changes_no_result():
-    # the bound only cuts subtrees with no cover strictly below the
+    # the bounds only cut subtrees with no cover strictly below the
     # incumbent, so the first best cover found is the same; about 1 s a side
     graphs = list(small_graphs()) + [complete_graph(n) for n in range(4, 9)]
     bounded, unbounded = searches_with_and_without_the_dual_bound(graphs, (1, 2, 3, 6))
     assert [r[:3] for r in bounded] == [r[:3] for r in unbounded]
     assert all(a[3] <= b[3] for a, b in zip(bounded, unbounded))
-    # 69,308 nodes against 105,419: the bound does cut; with the packing
-    # withheld the search has no LP bound at all, not even the LP floor
-    # ceil(k * tau*) it kept before the floor was folded into the bound
-    # (104,153 nodes then)
+    # 44,915 nodes against 105,419 (69,308 with the LP dual bound alone):
+    # the bounds do cut; with the packing withheld the search has no
+    # dual bound at all, not even the LP floor ceil(k * tau*) it kept
+    # before the floor was folded into the LP dual bound (104,153 nodes
+    # then)
     assert sum(a[3] for a in bounded) < sum(b[3] for b in unbounded)
 
 
@@ -843,12 +858,22 @@ def _check_against_exhaustive(g, k):
     expected = _exhaustive_tau_star_k(g, k)
     nu = int(nu_exact(g).value)
     real = tau_star_k_exact(g, k)
-    # a zero LP bound whose witness is not (1/k)-integral: the root is not
-    # settled by the LP, so the branch-and-bound itself is checked too
+    # LP results whose witness is not (1/k)-integral, so the LP does not
+    # settle the root and the branch-and-bound itself is checked too: one
+    # with no packing, so no dual bound, and one with the real packing y*
+    # over a denominator k + 1 times the LP's, so both dual bounds cut
+    lp = tau_star_lp_exact(g)
     weak = oracles.OracleResult(F(0), ChargeAssignment(5, {0: 1}), 0)
-    with mock.patch.object(oracles, "tau_star_lp_exact", lambda h, cap: weak):
-        searched = tau_star_k_exact(build_graph(g.n, g.edges), k)
-    for res in (real, searched):
+    lifted = dataclasses.replace(
+        lp,
+        witness=ChargeAssignment(lp.witness.order * (k + 1), {0: 1}),
+        packing={t: v * (k + 1) for t, v in lp.packing.items()},
+    )
+    searched = []
+    for lp_res in (weak, lifted):
+        with mock.patch.object(oracles, "tau_star_lp_exact", lambda h, cap: lp_res):
+            searched.append(tau_star_k_exact(build_graph(g.n, g.edges), k))
+    for res in (real, *searched):
         assert res.value == expected
         assert res.witness.order == k and res.witness.total() == res.value
         assert verify_cover(g, res.witness, nu).ok
