@@ -9,7 +9,9 @@ fixed-width lane: a pivot moves a row to the new scale as
 (p*R - f*G) // d_i in a few big-integer operations, exact in every lane
 (Bareiss), reads the entering column only in rows whose support mask has
 it, and widens the lanes only when a bound on the entries says it must.
-Dantzig's rule picks the entering column, with Bland's as the guard
+A crash start (Bixby, 1992) enters the triangles of the greedy packing
+first, each a non-degenerate pivot on 1 that no other one disturbs;
+then Dantzig's rule picks the entering column, with Bland's as the guard
 against cycling; the final tableau's packing certifies the value.
 Values and witnesses are exact; no floating point anywhere.
 """
@@ -62,12 +64,12 @@ def nu_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult:
     """Maximum number of pairwise edge-disjoint triangles, exactly.
 
     No branch can beat the swap search's upper bound on ν, the smaller
-    of the degree and K4-block bounds (``packing._nu_bound``), so the
-    search ends once the best packing found meets it; on chains of K4s
-    that is ν.  The bound is read at node ``_NU_BOUND_NODE``, so a search
-    that ends sooner never pays for it; the cut only stops branches that
-    cannot beat the best packing strictly, so the packing found is the
-    same either way.
+    of the degree bound with its parity cut and the K4-block bound
+    (``packing._nu_bound``), so the search ends once the best packing
+    found meets it; on chains of K4s, K5 and K11 that is ν.  The bound
+    is read at node ``_NU_BOUND_NODE``, so a search that ends sooner
+    never pays for it; the cut only stops branches that cannot beat the
+    best packing strictly, so the packing found is the same either way.
     """
     tris = _triangles_capped(g, cap)
     masks = edge_masks(g)
@@ -137,7 +139,12 @@ def _pack(entries: list[int], w: int) -> int:
 
 
 def _simplex_min(
-    rows: list[int], masks: list[int], z: int, basis: list[int], cols: list[int]
+    rows: list[int],
+    masks: list[int],
+    z: int,
+    basis: list[int],
+    cols: list[int],
+    start: list[int],
 ) -> tuple[int, list[int], list[int], int]:
     """Simplex for min c.x, x >= 0, on a condensed fraction-free integer
     tableau (the dictionary form of Bareiss elimination, as in Avis's
@@ -151,7 +158,8 @@ def _simplex_min(
     ``masks[i]`` has bit j set where row i may be nonzero in column j.
     ``z`` is packed alike: the nonbasic costs, then minus the objective.
     The tableau is that of ``tau_star_lp_exact``: columns of three 1s,
-    b all ones (so the slack basis is feasible), costs -1.
+    b all ones (so the slack basis is feasible), costs -1.  The columns
+    of ``start``, edge-disjoint triangles, enter first, in order.
 
     Row i has its own scale d_i > 0, and ``z`` that of the latest pivot,
     d; all start at 1, and an entry is its scale times the true value.  A
@@ -182,14 +190,22 @@ def _simplex_min(
 
     Signs and ratios are read off the integers, every scale being
     positive, so the pivots are those of the same tableau in fractions.
-    The entering column has the most negative reduced cost, ties to the
-    lowest variable id (Dantzig); after ``_DEGENERATE_RUN`` degenerate
-    pivots in a row (leaving row with b = 0) it is the negative one of
-    lowest id (Bland), until the next non-degenerate pivot.  The leaving
-    row has the least ratio b_i/a_i, ties to the smallest basic id.  This
-    terminates: a non-degenerate pivot strictly lowers the objective, so
-    no basis repeats across them, and past the first ``_DEGENERATE_RUN``
-    pivots of a degenerate run both rules are Bland's, which cannot cycle.
+    The leaving row has the least ratio b_i/a_i, ties to the smallest
+    basic id.  The first ``len(start)`` pivots enter the columns of
+    ``start`` (the crash): a pivot touches only the rows with an entry in
+    its column, and the cost lanes of the triangles through its leaving
+    edge, so a column that shares no edge with those entered before
+    still holds its three 1s, in rows with b = 1 at scale 1, and cost
+    -1; it pivots on p = 1, d stays 1, and the objective falls by one.
+    Then the entering column has the most negative reduced cost, ties to
+    the lowest variable id (Dantzig); after ``_DEGENERATE_RUN``
+    degenerate pivots in a row (leaving row with b = 0) it is the
+    negative one of lowest id (Bland), until the next non-degenerate
+    pivot.  This terminates as it would from the slack basis: the crash
+    is ``len(start)`` non-degenerate pivots to a feasible basis, a
+    non-degenerate pivot strictly lowers the objective, so no basis
+    repeats across them, and past the first ``_DEGENERATE_RUN`` pivots of
+    a degenerate run both rules are Bland's, which cannot cycle.
 
     Returns d, the final ``z`` at scale d as a list, x with x[i] = d
     times the value of ``basis[i]``, and the number of pivots; ``basis``
@@ -199,10 +215,12 @@ def _simplex_min(
     w, bias = _LANE, _bias(_LANE, n + 1)
     half, lane, top = 1 << w - 1, (1 << w) - 1, w * n
     scale, size, zsize = [1] * m, [half] * m, half  # size: a bound on a row's entries
-    d, pivots, degenerate = 1, 0, 0
+    d, pivots, degenerate, crash = 1, 0, 0, len(start)
     while True:
         zl = _lanes(z, w, bias)
-        if degenerate < _DEGENERATE_RUN:
+        if pivots < crash:
+            enter = start[pivots]
+        elif degenerate < _DEGENERATE_RUN:
             low, _, enter = min(zip(zl, cols, range(n)))
             if low >= 0:
                 break
@@ -267,7 +285,13 @@ def tau_star_lp_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult
     """The LP optimum over all fractional covers, exactly.
 
     Solved through the dual (maximum fractional triangle packing), whose
-    all-slack basis is feasible, so no phase-1 is needed.  Its rows are
+    all-slack basis is feasible, so no phase-1 is needed.  The simplex
+    starts by entering the triangles of ``packing.greedy_packing(g)``,
+    taken in the row-building loop over ``edge_masks(g)``: a basis of
+    value |P| reached in |P| non-degenerate pivots, from which Dantzig's
+    rule needs fewer pivots than from the slack basis.  The value is the
+    LP optimum either way; the optimal basis reached, and with it the
+    witness and the packing below, may be another.  Its rows are
     the edges that lie in a triangle: an edge in none has a row of zeros
     on every triangle column, so its slack would stay basic through
     every pivot and change no other row, and the pivots are those of the
@@ -287,13 +311,18 @@ def tau_star_lp_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult
     edges = sorted({e for t in tris for e in t.edge_ids})
     row_of = dict(zip(edges, range(len(edges))))
     rows, masks = [1 << _LANE * nv] * len(edges), [0] * len(edges)
-    for j, t in enumerate(tris):
+    crash, used = [], 0  # the greedy packing: the triangles entered first
+    for j, (t, tm) in enumerate(zip(tris, edge_masks(g))):
+        if not tm & used:
+            crash.append(j)
+            used |= tm
         for e in t.edge_ids:
             rows[row_of[e]] += 1 << _LANE * j
             masks[row_of[e]] |= 1 << j
     basis = list(range(nv, nv + len(edges)))
     cols = list(range(nv))
-    d, z, x, pivots = _simplex_min(rows, masks, -(_bias(_LANE, nv) >> _LANE - 1), basis, cols)
+    z = -(_bias(_LANE, nv) >> _LANE - 1)
+    d, z, x, pivots = _simplex_min(rows, masks, z, basis, cols, crash)
     # the simplex minimizes minus the packing's total, so z's last entry
     # is d times the value; the optimal fractional packing is each basic
     # triangle at its value

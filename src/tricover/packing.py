@@ -66,8 +66,17 @@ edges in no triangle are left out.  A packed triangle of C uses two
 edges of C at each of its three vertices, so at most ⌊deg_C(v)/2⌋
 packed triangles meet v and a packing holds at most
 ⌊Σ_v ⌊deg_C(v)/2⌋ / 3⌋ triangles of C (never more than ⌊|E_C|/3⌋).
-The bound is the sum of these over the components.  The K4-block
-bound settles the chains of K4s that the degree bound leaves loose.
+When every degree in C is even, that sum h is |E_C|, and if h is not a
+multiple of 3 the bound falls by one: the leave argument behind the
+Schönheim bound (Schönheim, 1966).  The edges of C that no packed
+triangle uses, its leave, have every degree even, since a packed
+triangle uses two edges at each of its vertices; their number is
+congruent to h mod 3, so not zero, and a nonempty graph with every
+degree even holds a cycle, so at least 3 edges and here at least 4.
+So C packs at most (h − 4)/3 triangles, which rounds down to
+⌊h/3⌋ − 1.  The bound is the sum of these over the components; K5 and
+K11 (h = 10 and 55) meet it.  The K4-block bound settles the chains of
+K4s that the degree bound leaves loose.
 Two triangles of one K4 share an edge: they miss different vertices of
 its four, so both contain the other two and the edge between them.  A
 packing therefore holds at most one triangle of a K4, and with k K4s
@@ -308,9 +317,15 @@ def _degree_bound(g: Graph) -> int:
             degree[key + u] = degree.get(key + u, 0) + 1
             degree[key + v] = degree.get(key + v, 0) + 1
     halves: dict[int, int] = {}
+    odd: set[int] = set()  # the components with a vertex of odd degree
     for key, d in degree.items():
-        halves[key // n] = halves.get(key // n, 0) + d // 2
-    return sum(h // 3 for h in halves.values())
+        c = key // n
+        halves[c] = halves.get(c, 0) + d // 2
+        if d & 1:
+            odd.add(c)
+    # the parity bound: with every degree even and h % 3 != 0, the leave
+    # holds at least 4 edges, so the component packs at most h // 3 - 1
+    return sum(h // 3 - (h % 3 != 0 and c not in odd) for c, h in halves.items())
 
 
 def _k4_block_bound(g: Graph, degree: int) -> int:

@@ -254,11 +254,21 @@ def test_nu_bound_is_an_upper_bound(n, density, graph_seed):
     assert _nu_bound(g) >= nu_exact(g).value
 
 
+def apex_k23(apex=5, offset=0):
+    """The join of vertex ``apex`` with K_{2,3}: parts 0-2 and 3-4 (each
+    moved by ``offset``).  Every triangle passes through the apex, whose
+    degree 5 allows two, so ν = 2; its degrees 3, 3, 3, 4, 4, 5 give the
+    degree bound 3, and no parity cut applies, as four are odd."""
+    parts = [(u + offset, v + offset) for u in range(3) for v in (3, 4)]
+    spokes = [(u + offset, apex) for u in range(5)]
+    return build_graph(max(apex, offset + 4) + 1, parts + spokes)
+
+
 @pytest.mark.parametrize(
     "g, degree, nu",
     [
         (complete_graph(4), 1, 1),
-        (complete_graph(5), 3, 2),
+        (apex_k23(), 3, 2),
         (complete_graph(6), 4, 4),
         (complete_graph(7), 7, 7),
         (complete_graph(8), 8, 8),
@@ -267,6 +277,8 @@ def test_nu_bound_is_an_upper_bound(n, density, graph_seed):
         (lend_chain(2), 4, 3),
         (lend_chain(3), 5, 4),
         (lend_chain(4), 6, 5),
+        (complete_graph(5), 2, 2),  # 10 edges, every degree even: the parity bound
+        (complete_graph(11), 17, 17),  # 55 edges, every degree even: 18 without it
     ],
 )
 def test_nu_bound_pins(g, degree, nu):
@@ -281,14 +293,19 @@ def no_search(*args):
 
 
 def test_swap_search_skipped_when_packing_meets_nu_bound(monkeypatch):
-    k7, k5 = complete_graph(7), complete_graph(5)
+    k7, k5, apex = complete_graph(7), complete_graph(5), apex_k23()
     p7, p5 = local_search_packing(k7, 0, 5), local_search_packing(k5, 0, 5)
+    pa = local_search_packing(apex, 0, 5)
     monkeypatch.setattr(packing, "_removal_sets", no_search)
     assert len(p7) == _nu_bound(k7) == 7
     assert find_swap(k7, p7, 5) is None
-    # K5's bound of 3 is above its ν of 2, so the search still runs there
+    # K5 meets its parity bound of 2
+    assert len(p5) == _nu_bound(k5) == 2
+    assert find_swap(k5, p5, 5) is None
+    # apex_k23's bound of 3 is above its ν of 2, so the search still runs there
+    assert len(pa) == 2 < _nu_bound(apex) == 3
     with pytest.raises(RuntimeError, match="swap search ran"):
-        find_swap(k5, p5, 5)
+        find_swap(apex, pa, 5)
 
 
 def test_swap_search_skipped_when_packing_meets_block_bound(monkeypatch):
@@ -306,13 +323,14 @@ def test_swap_search_skipped_when_packing_meets_block_bound(monkeypatch):
     "g, degree, bound",
     [
         (complete_graph(4), 1, 1),  # t >= 4 * degree bound: no scan
-        (complete_graph(5), 3, 3),  # a block bound of 7 loses to the degree bound
+        (apex_k23(), 3, 3),  # a block bound of 6 loses to the degree bound
         (bowtie(), 2, 2),
         (glued_k4(3), 3, 3),  # t = 4 * degree bound: no scan
         (lend_chain(2), 4, 3),
         (lend_chain(3), 5, 4),
         (lend_chain(4), 6, 5),
         (lend_chain(100), 134, 101),  # its greedy packing holds 101: ν = 101
+        (complete_graph(5), 2, 2),  # the parity bound; t >= 4 * degree bound: no scan
     ],
 )
 def test_block_bound_pins(g, degree, bound):
@@ -510,12 +528,12 @@ def test_repair_search_matches_reference(
     # cover's repair search on a local-search packing, two sizes past the
     # search that made it: the removal sets it tries from size 2 on are
     # pruned to those whose every member can lose two edges.  A chain's
-    # packing meets its block bound, so a K5 lies beside it: K5 packs 2
-    # of its bounds of 3 and 7, and the chain's search runs in full
+    # packing meets its block bound, so apex_k23 lies beside it: it packs
+    # 2 of its bounds of 3 and 6, and the chain's search runs in full
     if chain:
         h = lend_chain(size - 5)
-        k5 = [(u, v) for u in range(h.n, h.n + 5) for v in range(u + 1, h.n + 5)]
-        g = _relabeled(build_graph(h.n + 5, h.edges + k5), graph_seed)
+        a = apex_k23(h.n + 5, h.n)
+        g = _relabeled(build_graph(a.n, h.edges + a.edges), graph_seed)
     else:
         g = gnp(size, density, graph_seed)
     p = local_search_packing(g, order_seed, max_swap)
@@ -524,12 +542,13 @@ def test_repair_search_matches_reference(
 
 def test_candidate_hit_on_one_edge_is_never_removed(monkeypatch):
     # 012 and 234 can lose only the edge each shares with the non-packed
-    # 123; next to them K5 on 5..9, packed with two triangles, keeps the ν
-    # bound above |P|, so the search runs through size 2 and finds nothing
+    # 123; next to them apex_k23 on 5..10, packed with two triangles through
+    # its apex 10, keeps the ν bound above |P|, so the search runs through
+    # size 2 and finds nothing
     edges = [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (1, 3)]
-    edges += [(u, v) for u in range(5, 10) for v in range(u + 1, 10)]
-    g = build_graph(10, edges)
-    packed = [g.triangle(*vs) for vs in [(0, 1, 2), (2, 3, 4), (5, 6, 7), (5, 8, 9)]]
+    edges += apex_k23(10, 5).edges
+    g = build_graph(11, edges)
+    packed = [g.triangle(*vs) for vs in [(0, 1, 2), (2, 3, 4), (5, 8, 10), (6, 9, 10)]]
     p = Packing(g, packed)
     assert len(p) < _nu_bound(g)
     tried = []
@@ -542,7 +561,7 @@ def test_candidate_hit_on_one_edge_is_never_removed(monkeypatch):
 
     monkeypatch.setattr(packing, "_removal_sets", recording)
     assert find_swap(g, p, 3) is None
-    assert tried == [(2, 3)]  # the two K5 triangles, ids 2 and 3
+    assert tried == [(2, 3)]  # the two triangles through the apex, ids 2 and 3
     # the unpruned enumeration also removes 012 and 234 together
     nbrs = {
         t: {u for u in packed if u != t and set(u.vertices) & set(t.vertices)}
