@@ -62,13 +62,17 @@ class Graph:
     share one: the local-search packing's triangles, its structure's
     ``info``, ``attachments`` and ``edge_owner`` as read-only mappings,
     and its ``violations``; filled by ``cover``),
+    the triangles of a maximum edge-disjoint packing (``"nu"``, filled
+    by ``oracles.nu_exact`` and by ``oracles.tau_star_k_exact``, which
+    compares its incumbent cover with ν),
     the tau* LP optimum with its optimal cover and fractional triangle
     packing, integer numerators over one denominator (``"tau_star_lp"``,
     filled by ``oracles.tau_star_k_exact`` and so also by
-    ``oracles.tau_exact``, which bounds every search node by the packing),
+    ``oracles.tau_exact``, which bounds every search node by the packing,
+    only when the incumbent cover is larger than ν),
     and the sorted edge ids of a minimum triangle-hitting edge set
-    (``"tau"``, filled by ``oracles.tau_star_k_exact`` at k = 1 when it
-    searches, and read there as the incumbent of every k > 1).
+    (``"tau"``, filled by ``oracles.tau_star_k_exact`` at k = 1, and
+    read there as the incumbent of every k > 1).
     A memo value holds no reference to its graph, so no reference cycle
     keeps a dead graph alive.
     """

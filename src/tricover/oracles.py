@@ -2,9 +2,10 @@
 
 The integral solvers are two branch-and-bound searches, nu and tau*_k,
 designed for desk-scale graphs (a few hundred triangles at most); tau is
-tau*_1.  The LP optimum tau* comes from a fraction-free integer simplex
-over the edges that lie in a triangle, on a condensed tableau whose rows
-keep their own integer scales and are each one integer, an entry per
+tau*_1, and tau*_k needs no LP when its incumbent cover has nu edges.
+The LP optimum tau* comes from a fraction-free integer simplex over the
+edges that lie in a triangle, on a condensed tableau whose rows keep
+their own integer scales and are each one integer, an entry per
 fixed-width lane: a pivot moves a row to the new scale as
 (p*R - f*G) // d_i in a few big-integer operations, exact in every lane
 (Bareiss), reads the entering column only in rows whose support mask has
@@ -70,6 +71,10 @@ def nu_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult:
     is read at node ``_NU_BOUND_NODE``, so a search that ends sooner
     never pays for it; the cut only stops branches that cannot beat the
     best packing strictly, so the packing found is the same either way.
+
+    Every call searches afresh; the first also records its packing's
+    triangles in the graph's memo as ``"nu"``, the ν that
+    ``tau_star_k_exact`` compares its incumbent cover with.
     """
     tris = _triangles_capped(g, cap)
     masks = edge_masks(g)
@@ -107,7 +112,9 @@ def nu_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult:
         dfs(rest)
 
     dfs(list(range(len(tris))))
-    return OracleResult(Fraction(len(best)), [tris[j] for j in best], nodes)
+    witness = [tris[j] for j in best]
+    memo(g, "nu", lambda: tuple(witness))
+    return OracleResult(Fraction(len(best)), witness, nodes)
 
 
 def tau_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult:
@@ -281,6 +288,31 @@ def _simplex_min(
     return d, list(zl), x, pivots
 
 
+def _greedy_cover(tri_edges: list[tuple[int, int, int]]) -> set[int]:
+    """An edge set meeting every triangle, given by its edge ids: the
+    edge in most uncovered triangles, the lowest id on a tie, until none
+    is left.  Each edge's count of uncovered triangles is kept as they
+    are covered, not recounted."""
+    through: dict[int, list[int]] = {}
+    for ti, es in enumerate(tri_edges):
+        for e in es:
+            through.setdefault(e, []).append(ti)
+    edges = sorted(through)
+    count = {e: len(through[e]) for e in edges}
+    hit = bytearray(len(tri_edges))
+    cover, left = set(), len(tri_edges)
+    while left:
+        e_best = max(edges, key=count.__getitem__)  # the first, lowest id, on a tie
+        cover.add(e_best)
+        for ti in through[e_best]:
+            if not hit[ti]:
+                hit[ti] = 1
+                left -= 1
+                for e in tri_edges[ti]:
+                    count[e] -= 1
+    return cover
+
+
 def tau_star_lp_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult:
     """The LP optimum over all fractional covers, exactly.
 
@@ -364,7 +396,27 @@ def tau_star_k_exact(
     """Minimum total of a (1/k)-integral assignment hitting every triangle.
 
     Works in numerator units: y_e in {0..k}, every triangle needs
-    sum >= k units.  Branches by fixing the final value of one edge of a
+    sum >= k units.
+
+    The incumbent, an integral cover C at value k, comes first: for
+    k = 1 the greedy cover (``_greedy_cover``), for k > 1 the memoised
+    optimum of k = 1.  Before any LP, the sandwich nu <= tau*_k <= |C|
+    is tested.  The upper side: k on each edge of C is a (1/k)-integral
+    cover.  The lower side: the triangles of a maximum packing share no
+    edge, and each needs k units on its own three edges, so every
+    (1/k)-integral cover has at least k * nu units (weak duality, as in
+    nu <= nu* = tau* <= tau*_k).  So when |C| = nu, C scaled by k is
+    optimal and is returned with ``nodes_explored`` 1, and at k = 1 it
+    is memoised as ``"tau"``; no LP is solved.  That is what the search
+    below would return too: tau* = nu, so either the LP's cover is
+    already (1/k)-integral at the root, or the LP dual bound
+    ceil(k * tau*) = k * |C| cuts the root; only the witness may be
+    another optimal cover.  nu is read from the graph's memo (``"nu"``,
+    filled by ``nu_exact``) and, if absent, searched for only when the
+    bound on nu (``packing._nu_bound``) does not already put it below
+    |C|.
+
+    Otherwise the search branches by fixing the final value of one edge of a
     deficient (open) triangle.  A node is cut when one of four lower
     bounds on the units still to raise reaches the incumbent: the
     deficiencies of a greedy edge-disjoint family of open triangles; a
@@ -425,10 +477,28 @@ def tau_star_k_exact(
     if k < 1:
         raise ValueError("k must be >= 1")
     tris = _triangles_capped(g, cap)
+    tri_edges = [t.edge_ids for t in tris]
+
+    # incumbent: an integral cover at value k; for k = 1 the greedy one,
+    # for k > 1 the optimum of k = 1, which prunes far more than a greedy
+    # start and is kept in the graph's memo, so every k > 1 shares one
+    # k = 1 search
+    if k == 1:
+        cover = _greedy_cover(tri_edges)
+    else:
+        cover = set(memo(g, "tau", lambda: tuple(tau_exact(g, cap).witness)))
+    # the sandwich: a memoised ν is free; a search for it only when the
+    # bound on ν does not already put it below |cover|
+    if "nu" in g._memo or len(cover) <= _nu_bound(g):
+        if len(cover) == len(memo(g, "nu", lambda: tuple(nu_exact(g, cap).witness))):
+            witness = ChargeAssignment(k, dict.fromkeys(sorted(cover), k))
+            if k == 1:
+                memo(g, "tau", lambda: tuple(witness.numerators))
+            return OracleResult(Fraction(len(cover)), witness, 1)
 
     # the LP's packing y* bounds every node from below; when its primal
     # witness is already (1/k)-integral it solves the instance.  It does
-    # not depend on k, so it is solved once per graph (the cap was
+    # not depend on k, so it is solved at most once per graph (the cap was
     # checked above).
     lp_res = memo(g, "tau_star_lp", lambda: tau_star_lp_exact(g, cap))
     lp_cover, denom = lp_res.witness.numerators, lp_res.witness.order
@@ -438,26 +508,7 @@ def tau_star_k_exact(
     dual = [lp_res.packing.get(t, 0) for t in tris]  # dual[ti] = denom * y*_t
     node_dual = any(dual)  # an empty packing bounds nothing
     nodes, nt, m = 0, len(tris), g.m
-    tri_edges = [t.edge_ids for t in tris]
     tri_masks = edge_masks(g)
-
-    # incumbent: an integral cover at value k; for k = 1 the greedy one
-    # (repeatedly take the edge in most uncovered triangles), for k > 1
-    # the optimum of k = 1, which prunes far more than a greedy start and
-    # is kept in the graph's memo, so every k > 1 shares one k = 1 search
-    if k == 1:
-        cover: set[int] = set()
-        uncovered = tri_edges
-        while uncovered:
-            counts: dict[int, int] = {}
-            for es in uncovered:
-                for e in es:
-                    counts[e] = counts.get(e, 0) + 1
-            e_best = max(sorted(counts), key=lambda e: counts[e])
-            cover.add(e_best)
-            uncovered = [es for es in uncovered if e_best not in es]
-    else:
-        cover = set(memo(g, "tau", lambda: tuple(tau_exact(g, cap).witness)))
     best_y = [k if e in cover else 0 for e in range(m)]
     best_units = k * len(cover)
 

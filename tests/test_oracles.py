@@ -734,7 +734,7 @@ def test_tau_star_k_solves_the_lp_once_per_graph(monkeypatch):
         return res
 
     monkeypatch.setattr(oracles, "tau_star_lp_exact", counted)
-    g = gnp(9, 0.5, 1004)
+    g = gnp(9, 0.7, 1110)  # nu 9 < tau 11: the sandwich stays open
     values = [tau_star_k_exact(g, k).value for k in (2, 3, 6)]
     assert len(solves) == 1
     fresh = build_graph(g.n, g.edges)
@@ -744,6 +744,33 @@ def test_tau_star_k_solves_the_lp_once_per_graph(monkeypatch):
     a, b = oracles.tau_star_lp_exact(g), oracles.tau_star_lp_exact(g)
     assert a is not b and a.witness is not b.witness and a.value == b.value
     assert len(solves) == 4
+
+
+@pytest.mark.parametrize("g", [bowtie(), gnp(9, 0.5, 1004)], ids=["bowtie", "gnp-9-0.5-1004"])
+def test_tau_star_k_closes_the_sandwich_without_the_lp(g, monkeypatch):
+    # the greedy cover has nu edges, so it is optimal at every k
+    solves = []
+    monkeypatch.setattr(oracles, "tau_star_lp_exact", lambda *args: solves.append(args))
+    nu = nu_exact(g).value
+    greedy = oracles._greedy_cover([t.edge_ids for t in enumerate_triangles(g)])
+    assert len(greedy) == nu
+    for k in (1, 2, 3, 6):
+        res = tau_star_k_exact(g, k)
+        assert (res.value, res.nodes_explored) == (nu, 1)
+        assert res.witness.order == k and res.witness.numerators == dict.fromkeys(greedy, k)
+    assert solves == []
+
+
+def test_nu_records_its_packing_but_searches_afresh(monkeypatch):
+    g = gnp(9, 0.5, 1004)
+    a, b = nu_exact(g), nu_exact(g)
+    assert a.value == b.value and a.nodes_explored == b.nodes_explored > 1
+    assert a.witness == b.witness and a.witness is not b.witness
+    assert g._memo["nu"] == tuple(a.witness)
+    searches = []
+    monkeypatch.setattr(oracles, "nu_exact", lambda *args: searches.append(args))
+    assert tau_star_k_exact(g, 2).value == a.value
+    assert searches == []
 
 
 def test_tau_star_k_searches_order_one_once_per_graph(monkeypatch):
@@ -816,10 +843,11 @@ def test_tau_star_k_sandwich_digest():
 def test_tau_star_k_witness_digest():
     # sha256 of repr([(k, value, nodes_explored, sorted witness numerators)])
     # of tau_star_k_exact at k = 1, 2, 3, 6 over the criterion-5 graphs,
-    # and of the same rows without the node counts, recorded when the LP
-    # began at the greedy packing's basis (1857 nodes, 2507 before): the
-    # 28 witnesses that moved are its other optimal covers, taken at the
-    # LP root, and the other searches kept theirs
+    # and of the same rows without the node counts, recorded when a cover
+    # of nu edges began to close the sandwich before the LP (1857 nodes,
+    # as at the greedy packing's LP basis, 2507 before it): 40 rows
+    # (10 graphs at the 4 values of k) moved from the LP's cover to the
+    # greedy or the tau cover, and the other rows kept theirs
     rows = [
         (k, r.value, r.nodes_explored, sorted(r.witness.numerators.items()))
         for g in random_instances(200)
@@ -828,9 +856,9 @@ def test_tau_star_k_witness_digest():
     ]
     node_free = [(k, value, witness) for k, value, _, witness in rows]
     digest = hashlib.sha256(repr(node_free).encode()).hexdigest()
-    assert digest == "128d3b78c14f7e9690bafd469fec366652b316cc5bbf2a273b775d94c1d986fe"
+    assert digest == "9284e4adce9b3796863ec997f2f16fe2b6ba178093eef9a76e091ab43658ecee"
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert digest == "c4189f65246118f82242441cd48292b904e9dc41dfbb4eea535695dee54d2b0d"
+    assert digest == "0e30d4885ad0d7dbb703145175a43998d4eaa7124552e32e939e63af0a60b97f"
 
 
 def test_tau_star_k_complete_graph_7():
@@ -852,28 +880,58 @@ def test_tau_star_k_node_dual_bound_cuts_a_deep_search():
     assert (res.value, res.nodes_explored) == (F(38, 5), 5409)
 
 
-def searches_with_and_without_the_dual_bound(graphs, ks):
+def _searches(graphs, ks):
     """(k, value, sorted witness numerators, nodes) of tau_star_k_exact
-    on a fresh copy of each graph at each k, first as it is, then with
-    the LP packing withheld: an empty packing bounds nothing."""
+    on a fresh copy of each graph at each k."""
+    return [
+        (k, r.value, sorted(r.witness.numerators.items()), r.nodes_explored)
+        for g in graphs
+        for h in [build_graph(g.n, g.edges)]
+        for k in ks
+        for r in [tau_star_k_exact(h, k)]
+    ]
+
+
+def _withheld_nu():
+    """A nu of 0: no incumbent cover of a graph with a triangle meets it,
+    so tau_star_k_exact reads the LP there, as without the sandwich."""
+    return mock.patch.object(
+        oracles, "nu_exact", lambda h, cap: oracles.OracleResult(F(0), [], 0)
+    )
+
+
+def searches_with_and_without_the_dual_bound(graphs, ks):
+    """``_searches`` with nu withheld, so that every search runs, first
+    as it is, then with the LP packing withheld too: an empty packing
+    bounds nothing."""
     solve = oracles.tau_star_lp_exact
+    with _withheld_nu():
+        bounded = _searches(graphs, ks)
+        with mock.patch.object(
+            oracles,
+            "tau_star_lp_exact",
+            lambda h, cap: dataclasses.replace(solve(h, cap), packing={}),
+        ):
+            return bounded, _searches(graphs, ks)
 
-    def run():
-        return [
-            (k, r.value, sorted(r.witness.numerators.items()), r.nodes_explored)
-            for g in graphs
-            for h in [build_graph(g.n, g.edges)]
-            for k in ks
-            for r in [tau_star_k_exact(h, k)]
-        ]
 
-    bounded = run()
-    with mock.patch.object(
-        oracles,
-        "tau_star_lp_exact",
-        lambda h, cap: dataclasses.replace(solve(h, cap), packing={}),
-    ):
-        return bounded, run()
+def searches_with_and_without_the_sandwich(graphs, ks):
+    """``_searches`` as it is and with nu withheld, and the number of
+    graphs whose searches as they are solved no LP at all."""
+    solve, solves = oracles.tau_star_lp_exact, []
+
+    def counted(h, cap):
+        solves.append(h)
+        return solve(h, cap)
+
+    closed, rows = 0, []
+    with mock.patch.object(oracles, "tau_star_lp_exact", counted):
+        for g in graphs:
+            before = len(solves)
+            rows += _searches([g], ks)
+            closed += len(solves) == before
+    with _withheld_nu():
+        return rows, _searches(graphs, ks), closed
 
 
 def test_tau_star_k_dual_bound_changes_no_result():
@@ -890,6 +948,16 @@ def test_tau_star_k_dual_bound_changes_no_result():
     # before the floor was folded into the LP dual bound (104,153 nodes
     # then)
     assert sum(a[3] for a in bounded) < sum(b[3] for b in unbounded)
+
+
+def test_tau_star_k_sandwich_changes_no_value():
+    # a closed sandwich returns at the node count the search would reach,
+    # and only the witness may be another optimal cover (202 of 5028 rows);
+    # 1045 of the 1257 graphs solve no LP, the others one
+    graphs = list(small_graphs()) + [complete_graph(n) for n in range(4, 9)]
+    closing, searched, closed = searches_with_and_without_the_sandwich(graphs, (1, 2, 3, 6))
+    assert [r[:2] + r[3:] for r in closing] == [r[:2] + r[3:] for r in searched]
+    assert closed == 1045
 
 
 def test_tau_star_k_rejects_k_below_one():
@@ -928,9 +996,12 @@ def _check_against_exhaustive(g, k):
         witness=ChargeAssignment(lp.witness.order * (k + 1), {0: 1}),
         packing={t: v * (k + 1) for t, v in lp.packing.items()},
     )
+    # nu is withheld too, or every example that closes the sandwich
+    # would return before the search
     searched = []
     for lp_res in (weak, lifted):
-        with mock.patch.object(oracles, "tau_star_lp_exact", lambda h, cap: lp_res):
+        mocked = mock.patch.object(oracles, "tau_star_lp_exact", lambda h, cap: lp_res)
+        with mocked, _withheld_nu():
             searched.append(tau_star_k_exact(build_graph(g.n, g.edges), k))
     for res in (real, *searched):
         assert res.value == expected
