@@ -1,7 +1,7 @@
 """Command line interface.
 
-Exit codes: 0 ok, 2 verification failed, 3 an engine's cover failed
-verification (``RepairExhaustedError``), 4 input error.
+Exit codes: 0 ok, 2 verification failed, 3 a result failed the
+library's own exact check (``SelfCheckError``), 4 input error.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 import time
 
 from .checker import verify_certificate
-from .errors import InstanceTooLargeError, RepairExhaustedError, TricoverError
+from .errors import InstanceTooLargeError, SelfCheckError, TricoverError
 from .generators import FAMILIES, InstanceSpec, generate
 from .graph import read_edge_list, write_edge_list
 from .oracles import DEFAULT_TRIANGLE_CAP, nu_exact, tau_star_k_exact
@@ -22,7 +22,7 @@ from .pipeline import certificate_dumps, cover
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
-EXIT_REPAIR = 3
+EXIT_SELF_CHECK = 3
 EXIT_INPUT = 4
 
 # ``oracle --what``: the order k of tau*_k, or None for nu
@@ -47,10 +47,7 @@ def cmd_cover(args) -> int:
     result = cover(g, args.order, seed=args.seed, max_swap=args.max_swap)
     total = result.assignment.total()
     bound = 2 * len(result.packing)
-    print(
-        f"order {args.order}: sum_f = {total} <= {bound} = 2*packing,"
-        f" repairs {result.repairs}"
-    )
+    print(f"order {args.order}: sum_f = {total} <= {bound} = 2*packing")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(certificate_dumps(g, result))
@@ -119,7 +116,6 @@ def cmd_bench(args) -> int:
                 "packing": len(result.packing),
                 "sum_f": str(result.assignment.total()),
                 "order": args.order,
-                "repairs": result.repairs,
                 "ms": ms,
             }
         )
@@ -197,9 +193,9 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except RepairExhaustedError as exc:
-        print(f"repair exhausted: {exc}", file=sys.stderr)
-        return EXIT_REPAIR
+    except SelfCheckError as exc:
+        print(f"self-check failed: {exc}", file=sys.stderr)
+        return EXIT_SELF_CHECK
     except (TricoverError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

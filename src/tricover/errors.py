@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  ``SelfCheckError`` alone
+is a fault of the library itself, exit 3 on the command line, not 4."""
 
 
 class TricoverError(Exception):
@@ -29,24 +30,22 @@ class StructureInvalidError(TricoverError):
     """A charging engine was given a structure with open violations."""
 
 
-class NotACoverError(TricoverError):
-    pass
-
-
 class InternalChargeError(TricoverError):
     """No longer raised by the library.
 
-    The charging engines return whatever they reach, and ``verify_cover``
-    reports any shortfall; the class is kept only because
-    ``perfbench/workloads.py`` still imports and catches it.
+    The charging engines return whatever they reach, ``verify_cover``
+    reports any shortfall, and ``cover`` raises ``SelfCheckError`` on
+    it; the class is kept only because ``perfbench/workloads.py`` still
+    imports and catches it, until the benchmark stops doing so.
     """
 
 
-class RepairExhaustedError(TricoverError):
-    """An engine's cover failed verification, which is an engine bug: its
-    start packing has no improving swap of size three or less.
-    ``focus_edges`` holds the edges of the first uncovered triangle, or
-    every packed edge when every triangle is covered."""
+class SelfCheckError(TricoverError):
+    """A result the library built failed its own exact check: an engine's
+    cover that ``verify_cover`` rejects (``focus_edges`` holds the edges
+    of its first uncovered triangle, or every packed edge when every
+    triangle is covered), an unbounded LP, or an LP optimum whose packing
+    or cover does not certify its value."""
 
     def __init__(self, message: str, focus_edges=()):
         super().__init__(message)

@@ -55,8 +55,9 @@ class Graph:
     ``packing.greedy_packing``, the swap search, ``oracles.nu_exact`` and
     ``oracles.tau_star_k_exact``),
     the smaller of the degree and K4-block bounds on ν (``"nu_bound"``,
-    filled by the swap search in ``packing``, by ``oracles.nu_exact`` and
-    by ``cli.cmd_bench``),
+    filled by the swap search in ``packing``, by ``oracles.nu_exact``,
+    by ``oracles.tau_star_k_exact``, whose sandwich reads it when ν is
+    not memoised, and by ``cli.cmd_bench``),
     each start packing of ``pipeline.cover`` with its classification
     (``("start", seed, max(max_swap, 3))``, so ``max_swap`` 1, 2 and 3
     share one: the local-search packing's triangles, its structure's

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .charges import ChargeAssignment, uncovered_triangles
-from .errors import BadParamsError, InstanceTooLargeError, NotACoverError
+from .errors import BadParamsError, InstanceTooLargeError, SelfCheckError
 from .graph import Graph, Triangle, edge_masks, enumerate_triangles, memo
 from .packing import _nu_bound
 
@@ -250,7 +250,7 @@ def _simplex_min(
                         if leave is None or lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                             leave, lead_b, lead_a, at = i, b, a, len(touched) - 1
         if leave is None:
-            raise ArithmeticError("unbounded LP")
+            raise SelfCheckError("unbounded LP")
         degenerate = degenerate + 1 if lead_b == 0 else 0
         sl, fz, p = scale[leave], zl[enter], lead_a * d // scale[leave]
         del touched[at]  # the rows to update: all but the pivot row
@@ -333,8 +333,9 @@ def tau_star_lp_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult
     (each basic triangle at its value), and the witness, an optimal
     primal cover read off the final reduced costs of the slacks, is a
     cover of that total.  Both are integer numerators over one
-    denominator, the witness's order, in lowest terms over the two.
-    ``nodes_explored`` counts the simplex pivots.
+    denominator, the witness's order, in lowest terms over the two; a
+    failed check raises ``SelfCheckError``.  ``nodes_explored`` counts
+    the simplex pivots.
     """
     tris = _triangles_capped(g, cap)
     if not tris:
@@ -366,13 +367,13 @@ def tau_star_lp_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult
             for e in tris[b].edge_ids:
                 load[e] += xi
     if d <= 0 or min(x) < 0 or max(load) > d or packed != total:
-        raise ArithmeticError(
+        raise SelfCheckError(
             f"LP tableau holds no fractional packing of total {Fraction(total, d)}"
         )
     # the cover: each nonbasic slack's reduced cost, in edge order
     numerators = dict(sorted((edges[c - nv], v) for c, v in zip(cols, z) if c >= nv and v))
     if sum(numerators.values()) != total:
-        raise ArithmeticError(
+        raise SelfCheckError(
             f"LP cover witness sums to {Fraction(sum(numerators.values()), d)}, "
             f"not the LP value {Fraction(total, d)}"
         )
@@ -380,7 +381,7 @@ def tau_star_lp_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult
     cover = ChargeAssignment(d, numerators)
     missed = uncovered_triangles(g, cover)
     if missed:
-        raise NotACoverError(f"LP cover witness misses triangle {missed[0].vertices}")
+        raise SelfCheckError(f"LP cover witness misses triangle {missed[0].vertices}")
     r = math.gcd(d, *numerators.values(), *packing.values())
     if r > 1:
         cover = ChargeAssignment(d // r, {e: v // r for e, v in numerators.items()})
@@ -455,10 +456,11 @@ def tau_star_k_exact(
     value or witness, and no search explores more nodes.
 
     The open triangles' state is kept incrementally: ``raise_edge``
-    visits each triangle whose deficit moves and keeps their count, total
-    deficiency and y*-weighted deficiency, and per edge the open
-    triangles through it and the room y* leaves; freezing an edge keeps
-    each triangle's count of free edges.  So the LP dual bound is one
+    visits each triangle whose deficit moves and keeps their total and
+    y*-weighted deficiency (an open deficit is at least 1, so the total
+    is 0 just when none is open), and per edge the open triangles through
+    it and the room y* leaves; freezing an edge keeps each triangle's
+    count of free edges.  So the LP dual bound is one
     comparison, and one index-order scan of the open triangles takes the
     disjoint family, the node dual bound and the branch target.
 
@@ -516,12 +518,12 @@ def tau_star_k_exact(
     frozen = bytearray(m)
     deficit = [k] * nt  # k - current sum over the triangle's edges
     n_free = [3] * nt  # the triangle's edges not frozen
-    # the open (deficient) triangles, kept by raise_edge: their count,
-    # total deficiency and D * sum(y*_t * deficit_t); per edge, the open
-    # triangles through it and D minus their y* load, plus ``unbounded``
-    # while the edge is frozen: no lift of the node dual bound can use up
-    # that much, nt lifts of at most D each
-    n_open, deficiency, packed = nt, k * nt, k * sum(dual)
+    # the open (deficient) triangles, kept by raise_edge: their total
+    # deficiency, 0 just when none is open, and D * sum(y*_t * deficit_t);
+    # per edge, the open triangles through it and D minus their y* load,
+    # plus ``unbounded`` while the edge is frozen: no lift of the node dual
+    # bound can use up that much, nt lifts of at most D each
+    deficiency, packed = k * nt, k * sum(dual)
     hot, slack, unbounded = [0] * m, [denom] * m, denom * (nt + 1)
     eligible_tris: list[list[int]] = [[] for _ in range(m)]
     for ti, es in enumerate(tri_edges):
@@ -531,7 +533,7 @@ def tau_star_k_exact(
             slack[e] -= dual[ti]
 
     def raise_edge(e: int, delta: int) -> None:
-        nonlocal n_open, deficiency, packed
+        nonlocal deficiency, packed
         y[e] += delta
         for ti in eligible_tris[e]:
             was = deficit[ti]
@@ -546,7 +548,6 @@ def tau_star_k_exact(
                 step, change = -1, -was  # the triangle closes
             else:
                 continue
-            n_open += step
             deficiency += change
             w = dual[ti]
             packed += w * change
@@ -657,7 +658,7 @@ def tau_star_k_exact(
                 units += propagate(fixed, trail)
             if units >= best_units:
                 return
-            if not n_open:
+            if not deficiency:
                 best_units = units
                 best_y = y[:]
                 return

@@ -109,14 +109,14 @@ def build_lend(s: SolutionStructure) -> dict[Triangle, LendArc]:
         c = psi.off(i.base)
         a = i.anchor
         # an attached type-1 triangle has an anchor, and the anchor lies
-        # outside psi, so psi never owns the gain edge c-a
+        # outside psi, so psi never owns the gain edge c-a.  Some packed
+        # triangle does: the legs u-a and v-a of the unique attachment on
+        # base u-v are unowned, so an unowned c-a would attach u-c-a to
+        # psi alone on u-c, a second base edge of a type-1 triangle
         if not g.has_edge(c, a):
             continue
         gain = g.edge_id(c, a)
-        dst = s.owner(gain)
-        if dst is None:
-            continue
-        arcs[psi] = LendArc(psi, dst, gain)
+        arcs[psi] = LendArc(psi, s.owner(gain), gain)
     return arcs
 
 

@@ -6,12 +6,11 @@ three or less; by the ``structure`` module docstring such a maximal
 packing has no structure violation, which is what the charging engines
 assume (their ``require_clean`` guard stays as the backstop).  The
 engine's result goes to ``verify_cover`` once.  A cover that fails
-verification is an engine bug: ``cover`` raises ``RepairExhaustedError``
-at once, with the edges of the first uncovered triangle as focus, or
-every packed edge when every triangle is covered.  Nothing is repaired,
-so ``CoverResult.repair_log`` is always empty; it stays, as does the
-certificate's ``repair_log`` field, so that certificates written with a
-repair log still verify.
+verification is an engine bug: ``cover`` raises ``SelfCheckError`` at
+once, with the edges of the first uncovered triangle as focus, or every
+packed edge when every triangle is covered.  A cover is charged once
+and never repaired.  Certificates once carried a ``repair_log`` field;
+the checker never read it, so those certificates still verify.
 
 Orders 2 and 3 run their own engine, order 6 the order-3 one doubled;
 ``cover`` composes every other order from the order-2 and order-3
@@ -26,12 +25,12 @@ violations) and not checked again.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 from .charges import ChargeAssignment, Report, charge_order3, charge_order6, verify_cover
 from .checker import graph_sha256
-from .errors import BadParamsError, RepairExhaustedError
+from .errors import BadParamsError, SelfCheckError
 from .graph import Graph, memo
 from .order2 import run_order2
 from .packing import DEFAULT_MAX_SWAP, Packing, local_search_packing
@@ -43,11 +42,13 @@ class CoverResult:
     packing: Packing
     assignment: ChargeAssignment
     report: Report
-    repair_log: list[dict] = field(default_factory=list)
 
     @property
     def repairs(self) -> int:
-        return len(self.repair_log)
+        """Always 0: a cover is never repaired.  Kept only because
+        ``perfbench/run.py`` and ``perfbench/workloads.py`` still read it,
+        until the benchmark stops doing so."""
+        return 0
 
 
 def graph_digest(g: Graph) -> str:
@@ -103,7 +104,7 @@ def _cover_single(g, order, seed, max_swap) -> CoverResult:
     report = verify_cover(g, assignment, len(packing))
     if not report.ok:
         focus = report.failing[:1] or packing.triangles
-        raise RepairExhaustedError(
+        raise SelfCheckError(
             f"the order-{order} engine's cover fails verification",
             focus_edges={e for t in focus for e in t.edge_ids},
         )
@@ -121,7 +122,6 @@ def certificate_obj(g: Graph, result: CoverResult) -> dict:
         "weights": [
             [g.edges[e][0], g.edges[e][1], f.numerators[e]] for e in f.support()
         ],
-        "repair_log": result.repair_log,
         "verdict": {
             "covered": result.report.covered,
             "budget_ok": result.report.budget_ok,

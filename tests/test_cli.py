@@ -2,17 +2,19 @@
 
 import csv
 import dataclasses
+import functools
 import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tricover import build_graph
+from tricover import build_graph, oracles
 from tricover.cli import main
-from tricover.generators import complete_graph
+from tricover.generators import complete_graph, gnp
 from tricover.graph import write_edge_list
 
+from test_oracles import LP_CORRUPTIONS
 from test_pipeline import JSON_VALUES
 
 
@@ -82,7 +84,7 @@ def test_bench_csv(tmp_path, capsys):
     )
     assert code == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "family,n,seed,nu,nu_bound,packing,sum_f,order,repairs,ms"
+    assert lines[0] == "family,n,seed,nu,nu_bound,packing,sum_f,order,ms"
     assert len(lines) == 4
 
 
@@ -131,16 +133,28 @@ def test_bench_rejects_non_positive_trials(tmp_path, capsys, trials):
     assert not out.exists()
 
 
-def test_repair_exhausted_exit_code(tmp_path, capsys, monkeypatch):
+def test_self_check_failure_exit_code(tmp_path, capsys, monkeypatch):
     import tricover.cli as cli
-    from tricover.errors import RepairExhaustedError
+    from tricover.errors import SelfCheckError
 
     def boom(*a, **k):
-        raise RepairExhaustedError("stuck", focus_edges={0})
+        raise SelfCheckError("stuck", focus_edges={0})
 
     monkeypatch.setattr(cli, "cover", boom)
     code, _, stderr = run(capsys, "cover", k6_file(tmp_path), "--order", "2")
-    assert code == 3 and "repair exhausted" in stderr
+    assert code == 3 and stderr == "self-check failed: stuck\n"
+
+
+@pytest.mark.parametrize("corrupt", LP_CORRUPTIONS, ids=lambda f: f.__name__)
+def test_lp_self_check_failure_exit_code(tmp_path, capsys, monkeypatch, corrupt):
+    # tau*_2 of gnp(9, 0.7, 1110) needs the LP: whichever certificate check
+    # a corrupted simplex result fails, the CLI exits 3 on one stderr line
+    path = tmp_path / "g.txt"
+    write_edge_list(gnp(9, 0.7, 1110), str(path))
+    monkeypatch.setattr(oracles, "_simplex_min", functools.partial(corrupt, oracles._simplex_min))
+    code, stdout, stderr = run(capsys, "oracle", str(path), "--what", "taustar2")
+    assert code == 3 and stdout == ""
+    assert stderr.startswith("self-check failed: LP ") and stderr.count("\n") == 1
 
 
 def test_cover_exit_code_when_the_result_does_not_verify(tmp_path, capsys, monkeypatch):

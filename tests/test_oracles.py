@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import math
 import os
@@ -282,50 +283,53 @@ def test_compose_missing_inputs():
             cover(complete_graph(4), k)
 
 
+def misplaced(solve, rows, masks, z, basis, cols, start):
+    # the LP value, all of it on one edge: right total, not a cover
+    nv = len(cols)
+    d, z, x, pivots = solve(rows, masks, z, basis, cols, start)
+    j = next(j for j, c in enumerate(cols) if c >= nv)
+    z = [0] * len(cols) + [z[-1]]
+    z[j] = z[-1]
+    return d, z, x, pivots
+
+
+def inflated(solve, rows, masks, z, basis, cols, start):
+    # every reduced cost doubled, the value kept
+    d, z, x, pivots = solve(rows, masks, z, basis, cols, start)
+    return d, [2 * v for v in z[:-1]] + [z[-1]], x, pivots
+
+
+def overpacked(solve, rows, masks, z, basis, cols, start):
+    # one basic triangle's value raised by one: the tableau's packing
+    # overloads its edges and misses the value
+    nv = len(cols)
+    d, z, x, pivots = solve(rows, masks, z, basis, cols, start)
+    i = next(i for i, b in enumerate(basis) if b < nv)
+    x[i] += d
+    return d, z, x, pivots
+
+
+# wrappers of oracles._simplex_min, each bound to it by functools.partial,
+# whose results fail one certificate check of tau_star_lp_exact
+LP_CORRUPTIONS = (misplaced, inflated, overpacked)
+
+
 def test_witness_checks_raise_under_optimize_flag():
     # python -O strips asserts; these checks must still fire there
-    script = textwrap.dedent(
+    script = "\n\n".join(map(inspect.getsource, LP_CORRUPTIONS)) + textwrap.dedent(
         """
-        from fractions import Fraction
+        import functools
         import tricover.oracles as o
-        from tricover.errors import NotACoverError
+        from tricover.errors import SelfCheckError
         from tricover.generators import complete_graph
 
         solve = o._simplex_min
-
-        def misplaced(rows, masks, z, basis, cols, start):
-            # the LP value, all of it on one edge: right total, not a cover
-            nv = len(cols)
-            d, z, x, pivots = solve(rows, masks, z, basis, cols, start)
-            j = next(j for j, c in enumerate(cols) if c >= nv)
-            z = [0] * len(cols) + [z[-1]]
-            z[j] = z[-1]
-            return d, z, x, pivots
-
-        def inflated(rows, masks, z, basis, cols, start):
-            # every reduced cost doubled, the value kept
-            d, z, x, pivots = solve(rows, masks, z, basis, cols, start)
-            return d, [2 * v for v in z[:-1]] + [z[-1]], x, pivots
-
-        def overpacked(rows, masks, z, basis, cols, start):
-            # one basic triangle's value raised by one: the tableau's
-            # packing overloads its edges and misses the value
-            nv = len(cols)
-            d, z, x, pivots = solve(rows, masks, z, basis, cols, start)
-            i = next(i for i, b in enumerate(basis) if b < nv)
-            x[i] += d
-            return d, z, x, pivots
-
-        for corrupt, expected in (
-            (misplaced, NotACoverError),
-            (inflated, ArithmeticError),
-            (overpacked, ArithmeticError),
-        ):
-            o._simplex_min = corrupt
+        for corrupt in (misplaced, inflated, overpacked):
+            o._simplex_min = functools.partial(corrupt, solve)
             try:
                 o.tau_star_lp_exact(complete_graph(4))
-            except expected:
-                print(expected.__name__)
+            except SelfCheckError:
+                print(corrupt.__name__)
         o._simplex_min = solve
         """
     )
@@ -335,7 +339,7 @@ def test_witness_checks_raise_under_optimize_flag():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["NotACoverError", "ArithmeticError", "ArithmeticError"]
+    assert out.stdout.split() == ["misplaced", "inflated", "overpacked"]
 
 
 def _reference_simplex_min(

@@ -129,21 +129,21 @@ def test_certificate_rejects_wrong_graph():
     assert not outcome.ok
 
 
-def test_repair_exhausted_surfaces_with_focus(monkeypatch):
+def test_engine_fault_surfaces_with_focus(monkeypatch):
     # an order-6 engine that charges nothing leaves every triangle of K4
     # uncovered; cover raises at once
     import tricover.pipeline as pl
     from tricover.charges import ChargeAssignment
-    from tricover.errors import RepairExhaustedError
+    from tricover.errors import SelfCheckError
 
     monkeypatch.setattr(pl, "charge_order6", lambda s: ChargeAssignment(6, {}))
     g = complete_graph(4)
     try:
         pl.cover(g, 6)
-    except RepairExhaustedError as exc:
+    except SelfCheckError as exc:
         assert exc.focus_edges
     else:
-        raise AssertionError("expected RepairExhaustedError")
+        raise AssertionError("expected SelfCheckError")
 
 
 def test_overweight_engine_result_raises_with_every_packed_edge_as_focus(monkeypatch):
@@ -151,12 +151,12 @@ def test_overweight_engine_result_raises_with_every_packed_edge_as_focus(monkeyp
     # fails verify_cover alone, with no uncovered triangle to name
     import tricover.pipeline as pl
     from tricover.charges import ChargeAssignment
-    from tricover.errors import RepairExhaustedError
+    from tricover.errors import SelfCheckError
 
     g = complete_graph(4)
     over = {g.edge_id(0, 1): 7, g.edge_id(2, 3): 6}
     monkeypatch.setattr(pl, "charge_order6", lambda s: ChargeAssignment(6, over))
-    with pytest.raises(RepairExhaustedError) as info:
+    with pytest.raises(SelfCheckError) as info:
         pl.cover(g, 6)
     packed = pl.local_search_packing(g, 0, 5).triangles
     assert info.value.focus_edges == {e for t in packed for e in t.edge_ids}
@@ -167,7 +167,7 @@ def test_covered_engine_fault_raises_without_a_swap_search(monkeypatch):
     # find a swap; an engine result that covers every triangle but is
     # overweight must still raise without one
     import tricover.packing as packing
-    from tricover.errors import RepairExhaustedError
+    from tricover.errors import SelfCheckError
 
     def no_search(*args):
         raise AssertionError("find_swap called")
@@ -179,7 +179,7 @@ def test_covered_engine_fault_raises_without_a_swap_search(monkeypatch):
     over = ChargeAssignment(6, {e: 7 for e in range(g.m)})
     monkeypatch.setattr(pl, "charge_order6", lambda s: over)
     monkeypatch.setattr(packing, "find_swap", no_search)
-    with pytest.raises(RepairExhaustedError) as info:
+    with pytest.raises(SelfCheckError) as info:
         cover(g, 6, seed=0, max_swap=1)
     assert info.value.focus_edges == {e for t in packed for e in t.edge_ids}
 
@@ -188,7 +188,7 @@ def test_short_charge_raises_with_the_uncovered_triangle_as_focus(monkeypatch):
     # the order-2 charge here is made short: it drops the half on (0, 6)
     # of gnp(12, 0.5, 150), which leaves T(0, 3, 6) and T(0, 6, 9)
     # uncovered.  cover charges once and names the first of them
-    from tricover.errors import RepairExhaustedError
+    from tricover.errors import SelfCheckError
 
     real = pl.run_order2
     charged = []
@@ -201,7 +201,7 @@ def test_short_charge_raises_with_the_uncovered_triangle_as_focus(monkeypatch):
 
     monkeypatch.setattr(pl, "run_order2", short)
     g = gnp(12, 0.5, 150)
-    with pytest.raises(RepairExhaustedError) as info:
+    with pytest.raises(SelfCheckError) as info:
         cover(g, 2, seed=0, max_swap=1)
     t = g.triangle(0, 3, 6)
     assert info.value.focus_edges == set(t.edge_ids) and len(charged) == 1
@@ -240,7 +240,7 @@ WEAK_SEARCH_COVERS = [
 def test_weak_search_cover_pinned(args, seed, max_swap, order, size, total):
     g = gnp(*args)
     r = cover(g, order, seed=seed, max_swap=max_swap)
-    assert r.report.ok and r.repair_log == []
+    assert r.report.ok
     assert (len(r.packing), r.assignment.total()) == (size, total)
     fresh = gnp(*args)
     assert certificate_dumps(g, r) == certificate_dumps(fresh, cover(fresh, order, seed, 3))
@@ -250,15 +250,16 @@ def test_certificate_with_a_repair_log_still_verifies():
     # the order-2 certificate of gnp(12, 0.6, 565391) at seed 11 and
     # max_swap 2 as the repair loop wrote it: one verify repair grew the
     # start packing of 10 to 11.  The one-pass cover finds that packing
-    # and those weights directly, so it writes the same certificate with
-    # an empty log
+    # and those weights directly, so it writes the same certificate
+    # without the log
     path = Path(__file__).parent / "data" / "gnp-12-0.6-565391-order2-repaired.json"
     old = json.loads(path.read_text(encoding="utf-8"))
     g = gnp(12, 0.6, 565391)
     assert [e["reason"] for e in old["repair_log"]] == ["verify"]
     assert verify_certificate(g, old).ok
     new = certificate_obj(g, cover(g, 2, seed=11, max_swap=2))
-    assert new == {**old, "repair_log": []}
+    del old["repair_log"]
+    assert new == old
 
 
 @settings(max_examples=60, deadline=None)
@@ -296,7 +297,7 @@ def test_weak_searches_give_the_3_swap_cover(n, p, graph_seed, seed, order):
         mp.setattr(pl, "find_swap", find_swap, raising=False)
         certs = {certificate_dumps(g, cover(g, order, seed, m)) for m in (1, 2, 3)}
     assert len(certs) == 1 and len(built) == 1
-    assert json.loads(certs.pop())["repair_log"] == []
+    assert "repair_log" not in json.loads(certs.pop())
 
 
 def _count_calls(monkeypatch, module, name):
@@ -313,7 +314,7 @@ def _count_calls(monkeypatch, module, name):
 
 
 def _outputs(r):
-    return r.packing.triangles, r.assignment, r.report, r.repair_log
+    return r.packing.triangles, r.assignment, r.report
 
 
 # the last two search at 3 in place of max_swap 1; the third's packing
@@ -459,7 +460,7 @@ def test_cover_classifies_each_start_packing_once(monkeypatch):
 
 def test_cover_suite_digest():
     # sha256 over the acceptance suite x orders 2, 3, 6 of each cover's
-    # numerators, packing, repair log and per-triangle spending; its
+    # numerators, packing and per-triangle spending; its
     # orders 2 and 3 rows are as on the commit before the memoised
     # triangle list, its order 6 rows are those rows of order 3 doubled
     rows = []
@@ -470,22 +471,20 @@ def test_cover_suite_digest():
                 (
                     sorted(r.assignment.numerators.items()),
                     [t.vertices for t in r.packing.triangles],
-                    r.repair_log,
                     sorted((t.vertices, v) for t, v in r.assignment.per_triangle.items()),
                 )
             )
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert digest == "3daa75a9f90302aad15bb1ba96945a637095a2abc214352a4bfcdc6b41bd0fd6"
+    assert digest == "2c0b949871174f9f09b0d40dd0bd88f648a7f5482214f888a842648327458945"
 
 
 def test_order6_is_the_order3_cover_doubled():
     # a (1/3)-integral cover is (1/6)-integral with the same total, so
-    # order 6 keeps order 3's packing, repairs and weights; on
+    # order 6 keeps order 3's packing and weights; on
     # gnp(8, 0.3, 45) that total, 11/3, is below 2|P| = 4
     for name, g in suite_instances():
         r3, r6 = cover(g, 3), cover(g, 6)
         assert r6.packing.triangles == r3.packing.triangles, name
-        assert r6.repair_log == r3.repair_log, name
         assert r6.assignment.numerators == {
             e: 2 * v for e, v in r3.assignment.numerators.items()
         }, name
@@ -650,7 +649,7 @@ def test_checker_rejects_raw_json(data):
         obj = value
     outcome = verify_certificate(g, obj)
     may_pass = (
-        path[:1] in (("n",), ("m",), ("repair_log",))
+        path[:1] in (("n",), ("m",))
         or path[1:] in (("covered",), ("budget_ok",), ("integrality_ok",))
         or (path == ("verdict",) and type(value) is dict)
         or (
