@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import StructureInvalidError
+from .errors import InputError
 from .graph import Graph, Triangle, enumerate_triangles
 from .structure import SolutionStructure
 
@@ -140,7 +140,7 @@ def require_clean(s: SolutionStructure) -> None:
     """The guard of every charging engine: they assume a structure with no
     open violations."""
     if s.violations:
-        raise StructureInvalidError(
+        raise InputError(
             f"structure has open violations: {[v.kind for v in s.violations]}"
         )
 

@@ -1,7 +1,10 @@
 """Command line interface.
 
-Exit codes: 0 ok, 2 verification failed, 3 a result failed the
-library's own exact check (``SelfCheckError``), 4 input error.
+Exit codes, one meaning each: 0 ok; 2 ``verify`` rejected a
+certificate, and no other command exits 2; 3 a result failed the
+library's own exact check (``SelfCheckError``), at any order; 4 input
+error: an ``InputError``, a file that cannot be read or decoded, or a
+usage error, which argparse alone would exit with 2.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import sys
 import time
 
 from .checker import verify_certificate
-from .errors import InstanceTooLargeError, SelfCheckError, TricoverError
+from .errors import InputError, SelfCheckError
 from .generators import FAMILIES, InstanceSpec, generate
 from .graph import read_edge_list, write_edge_list
 from .oracles import DEFAULT_TRIANGLE_CAP, nu_exact, tau_star_k_exact
@@ -52,9 +55,6 @@ def cmd_cover(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(certificate_dumps(g, result))
         print(f"certificate written to {args.out}")
-    if not result.report.ok:
-        print("verification FAILED", file=sys.stderr)
-        return EXIT_VERIFY
     return EXIT_OK
 
 
@@ -64,7 +64,7 @@ def cmd_verify(args) -> int:
         try:
             obj = json.load(fh)
         except RecursionError:
-            raise ValueError(f"{args.certificate}: JSON nested too deeply") from None
+            raise InputError(f"{args.certificate}: JSON nested too deeply") from None
     outcome = verify_certificate(g, obj)
     if outcome.ok:
         print("OK")
@@ -94,7 +94,7 @@ def cmd_gen(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+        raise InputError(f"--trials must be at least 1, got {args.trials}")
     rows = []
     for trial in range(args.trials):
         seed = args.seed + trial
@@ -104,7 +104,7 @@ def cmd_bench(args) -> int:
         ms = int(1000 * (time.perf_counter() - t0))
         try:
             nu = str(nu_exact(g).value)
-        except InstanceTooLargeError:
+        except InputError:  # more triangles than the default cap
             nu = ""
         rows.append(
             {
@@ -189,14 +189,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed a usage error (2) or the help (0)
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
     except SelfCheckError as exc:
         print(f"self-check failed: {exc}", file=sys.stderr)
         return EXIT_SELF_CHECK
-    except (TricoverError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,33 +1,19 @@
-"""Exception types shared across the package.  ``SelfCheckError`` alone
-is a fault of the library itself, exit 3 on the command line, not 4."""
+"""Exception types shared across the package.
+
+``InputError`` rejects input that comes from outside: a graph, an edge
+list, a generator's parameters, an order, a cap, a search bound, a
+packing or a structure handed to an engine; on the command line it is
+exit 4.  ``SelfCheckError`` is a fault of the library itself, exit 3.
+It is not a ``ValueError``, so no handler of bad input can catch it.
+"""
 
 
 class TricoverError(Exception):
     """Base class for all package errors."""
 
 
-class SelfLoopError(TricoverError):
-    pass
-
-
-class DuplicateEdgeError(TricoverError):
-    pass
-
-
-class VertexOutOfRangeError(TricoverError):
-    pass
-
-
-class BadParamsError(TricoverError):
-    pass
-
-
-class InstanceTooLargeError(TricoverError):
-    pass
-
-
-class StructureInvalidError(TricoverError):
-    """A charging engine was given a structure with open violations."""
+class InputError(TricoverError, ValueError):
+    """Input from outside the library that it rejects."""
 
 
 class InternalChargeError(TricoverError):

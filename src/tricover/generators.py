@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import BadParamsError
+from .errors import InputError
 from .graph import MAX_VERTICES, Graph, build_graph
 
 MAX_PAIRS = 10**6  # most candidate vertex pairs complete and gnp will scan (n <= 1414)
@@ -33,18 +33,18 @@ def _check_size(family: str, n: int, pairs: bool = False) -> None:
     that scan every vertex pair, more than ``MAX_PAIRS`` pairs, before
     any edge list is built."""
     if n > MAX_VERTICES:
-        raise BadParamsError(
+        raise InputError(
             f"{family} needs {n} vertices, above the cap of {MAX_VERTICES}"
         )
     if pairs and n * (n - 1) // 2 > MAX_PAIRS:
-        raise BadParamsError(
+        raise InputError(
             f"{family} with n={n} scans more than {MAX_PAIRS} vertex pairs"
         )
 
 
 def complete_graph(n: int) -> Graph:
     if n < 1:
-        raise BadParamsError("complete graph needs n >= 1")
+        raise InputError("complete graph needs n >= 1")
     _check_size("complete", n, pairs=True)
     return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
@@ -56,7 +56,7 @@ def bowtie() -> Graph:
 
 def gnp(n: int, p: float, seed: int) -> Graph:
     if n < 0 or not (0.0 <= p <= 1.0):
-        raise BadParamsError(f"bad gnp parameters n={n}, p={p}")
+        raise InputError(f"bad gnp parameters n={n}, p={p}")
     _check_size("gnp", n, pairs=True)
     rng = random.Random(seed)
     edges = [
@@ -73,7 +73,7 @@ def glued_k4(length: int) -> Graph:
     triangle anchored at the block's top vertex.
     """
     if length < 1:
-        raise BadParamsError("glued_k4 needs length >= 1")
+        raise InputError("glued_k4 needs length >= 1")
     _check_size("glued_k4", 3 * length + 1)
     edges = []
     for i in range(length):
@@ -94,7 +94,7 @@ def lend_chain(length: int) -> Graph:
     at the highest ids.  For length L the graph has 2L+4 vertices.
     """
     if length < 1:
-        raise BadParamsError("lend_chain needs length >= 1")
+        raise InputError("lend_chain needs length >= 1")
     _check_size("lend_chain", 2 * length + 4)
     L = length
     a1, c0, a0 = 2 * L + 1, 2 * L + 2, 2 * L + 3
@@ -129,9 +129,9 @@ FAMILIES = {
 def generate(spec: InstanceSpec) -> Graph:
     """Deterministic graph for an instance spec."""
     if spec.family not in FAMILIES:
-        raise BadParamsError(f"unknown family {spec.family!r}")
+        raise InputError(f"unknown family {spec.family!r}")
     build, fields = FAMILIES[spec.family]
     args = [getattr(spec, f) for f in fields]
     if None in args:
-        raise BadParamsError(f"{spec.family} needs {', '.join(fields)}")
+        raise InputError(f"{spec.family} needs {', '.join(fields)}")
     return build(*args)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, NamedTuple, TypeVar
 
-from .errors import DuplicateEdgeError, SelfLoopError, VertexOutOfRangeError
+from .errors import InputError
 
 MAX_VERTICES = 100_000  # largest header n that parse_edge_list accepts
 
@@ -84,12 +84,12 @@ class Graph:
         self.edge_index: dict[tuple[int, int], int] = {}
         for u, v in edges:
             if not (0 <= u < n) or not (0 <= v < n):
-                raise VertexOutOfRangeError(f"edge ({u},{v}) outside 0..{n - 1}")
+                raise InputError(f"edge ({u},{v}) outside 0..{n - 1}")
             if u == v:
-                raise SelfLoopError(f"self-loop at vertex {u}")
+                raise InputError(f"self-loop at vertex {u}")
             a, b = (u, v) if u < v else (v, u)
             if (a, b) in self.edge_index:
-                raise DuplicateEdgeError(f"duplicate edge ({a},{b})")
+                raise InputError(f"duplicate edge ({a},{b})")
             self.edge_index[(a, b)] = len(self.edges)
             self.edges.append((a, b))
         self.m = len(self.edges)
@@ -118,8 +118,8 @@ class Graph:
 def build_graph(n: int, edge_list: list[tuple[int, int]]) -> Graph:
     """Validate and canonicalize an edge list into a Graph.
 
-    Raises SelfLoopError, DuplicateEdgeError or VertexOutOfRangeError on
-    malformed input; duplicates are an error, never silently merged.
+    Raises InputError on malformed input; duplicates are an error, never
+    silently merged.
     """
     return Graph(n, list(edge_list))
 
@@ -184,7 +184,7 @@ def _int_pair(row: list[str], expected: str) -> tuple[int, int]:
             return int(row[0]), int(row[1])
         except ValueError:
             pass
-    raise VertexOutOfRangeError(f"bad line {' '.join(row)!r}, expected {expected!r}")
+    raise InputError(f"bad line {' '.join(row)!r}, expected {expected!r}")
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -192,11 +192,10 @@ def parse_edge_list(text: str) -> Graph:
 
     First meaningful line is ``n m`` with ``0 <= n <= MAX_VERTICES``,
     followed by m lines ``u v`` (0-based).  Blank lines and lines
-    starting with '#' are ignored.  Malformed text raises
-    VertexOutOfRangeError; a valid text with a bad edge raises it,
-    SelfLoopError or DuplicateEdgeError.  The cap on n is checked before
-    any graph is built: the triangle scan allocates one list per vertex,
-    so n bounds its memory whatever the number of edges.
+    starting with '#' are ignored.  Malformed text, or a valid text with
+    a bad edge, raises InputError.  The cap on n is checked before any
+    graph is built: the triangle scan allocates one list per vertex, so
+    n bounds its memory whatever the number of edges.
     """
     rows: list[list[str]] = []
     for line in text.splitlines():
@@ -205,14 +204,14 @@ def parse_edge_list(text: str) -> Graph:
             continue
         rows.append(stripped.split())
     if not rows:
-        raise VertexOutOfRangeError("empty edge-list input")
+        raise InputError("empty edge-list input")
     n, m = _int_pair(rows[0], "n m")
     if n < 0:
-        raise VertexOutOfRangeError(f"negative vertex count {n}")
+        raise InputError(f"negative vertex count {n}")
     if n > MAX_VERTICES:
-        raise VertexOutOfRangeError(f"vertex count {n} exceeds the cap of {MAX_VERTICES}")
+        raise InputError(f"vertex count {n} exceeds the cap of {MAX_VERTICES}")
     if len(rows) - 1 != m:
-        raise VertexOutOfRangeError(f"header claims {m} edges, found {len(rows) - 1}")
+        raise InputError(f"header claims {m} edges, found {len(rows) - 1}")
     return build_graph(n, [_int_pair(r, "u v") for r in rows[1:]])
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .charges import ChargeAssignment, uncovered_triangles
-from .errors import BadParamsError, InstanceTooLargeError, SelfCheckError
+from .errors import InputError, SelfCheckError
 from .graph import Graph, Triangle, edge_masks, enumerate_triangles, memo
 from .packing import _nu_bound
 
@@ -54,10 +54,10 @@ class OracleResult:
 
 def _triangles_capped(g: Graph, cap: int) -> tuple[Triangle, ...]:
     if cap < 0:
-        raise BadParamsError(f"triangle cap must be >= 0, got {cap}")
+        raise InputError(f"triangle cap must be >= 0, got {cap}")
     tris = enumerate_triangles(g)
     if len(tris) > cap:
-        raise InstanceTooLargeError(f"{len(tris)} triangles exceeds cap {cap}")
+        raise InputError(f"{len(tris)} triangles exceeds cap {cap}")
     return tris
 
 
@@ -477,7 +477,7 @@ def tau_star_k_exact(
     those of a full rescan to the fixpoint.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InputError("k must be >= 1")
     tris = _triangles_capped(g, cap)
     tri_edges = [t.edge_ids for t in tris]
 

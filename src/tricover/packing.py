@@ -96,6 +96,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .errors import InputError
 from .graph import Graph, Triangle, edge_masks, enumerate_triangles, memo
 
 # largest removal set the local search tries; 5, not 3, because the
@@ -120,11 +121,11 @@ class Packing:
         for t in self.triangles:
             for e in t.edge_ids:
                 if e in used:
-                    raise ValueError(f"edge {e} used twice in packing")
+                    raise InputError(f"edge {e} used twice in packing")
                 used.add(e)
         # checked after the edges, so a shared edge is reported first, as in checker
         if len(self.triangles) != len(triangles):
-            raise ValueError("a triangle is listed twice")
+            raise InputError("a triangle is listed twice")
         self.used_edges: frozenset[int] = frozenset(used)
 
     def __len__(self) -> int:
@@ -409,7 +410,7 @@ def local_search_packing(
 ) -> Packing:
     """Greedy packing improved until no swap of size <= max_swap is found."""
     if max_swap < 1:
-        raise ValueError("max_swap must be >= 1")
+        raise InputError("max_swap must be >= 1")
     p = greedy_packing(g, seed)
     while (cert := find_swap(g, p, max_swap)) is not None:
         p = p.with_swap(cert)

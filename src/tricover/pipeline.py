@@ -5,10 +5,11 @@ Every driver makes one pass.  The local search runs at ``max_swap`` or
 three or less; by the ``structure`` module docstring such a maximal
 packing has no structure violation, which is what the charging engines
 assume (their ``require_clean`` guard stays as the backstop).  The
-engine's result goes to ``verify_cover`` once.  A cover that fails
-verification is an engine bug: ``cover`` raises ``SelfCheckError`` at
-once, with the edges of the first uncovered triangle as focus, or every
-packed edge when every triangle is covered.  A cover is charged once
+engine's result, and at a composed order the composed cover, goes to
+``verify_cover`` once.  A cover that fails verification is an engine
+bug: at every order ``cover`` raises ``SelfCheckError`` at once, with
+the edges of the first uncovered triangle as focus, or every packed
+edge when every triangle is covered, and returns no failing cover.  A cover is charged once
 and never repaired.  Certificates once carried a ``repair_log`` field;
 the checker never read it, so those certificates still verify.
 
@@ -30,7 +31,7 @@ from types import MappingProxyType
 
 from .charges import ChargeAssignment, Report, charge_order3, charge_order6, verify_cover
 from .checker import graph_sha256
-from .errors import BadParamsError, SelfCheckError
+from .errors import InputError, SelfCheckError
 from .graph import Graph, memo
 from .order2 import run_order2
 from .packing import DEFAULT_MAX_SWAP, Packing, local_search_packing
@@ -67,15 +68,14 @@ def cover(
     if order in (2, 3, 6):
         return _cover_single(g, order, seed, max_swap)
     if order < 2:
-        raise BadParamsError(f"order must be at least 2, got {order}")
+        raise InputError(f"order must be at least 2, got {order}")
     q = order // 2 - order % 2  # copies of the order-2 cover
     two = _cover_single(g, 2, seed, max_swap)  # every part shares its packing
     nums = {e: q * v for e, v in two.assignment.numerators.items()}
     if order % 2:
         for e, v in _cover_single(g, 3, seed, max_swap).assignment.numerators.items():
             nums[e] = nums.get(e, 0) + v
-    composed = ChargeAssignment(order, nums)
-    return CoverResult(two.packing, composed, verify_cover(g, composed, len(two.packing)))
+    return _verified(g, two.packing, ChargeAssignment(order, nums))
 
 
 def _classify_start(g, seed, max_swap) -> tuple:
@@ -88,7 +88,7 @@ def _classify_start(g, seed, max_swap) -> tuple:
 
 def _cover_single(g, order, seed, max_swap) -> CoverResult:
     if max_swap < 1:
-        raise ValueError("max_swap must be >= 1")
+        raise InputError("max_swap must be >= 1")
     search = max(max_swap, 3)
     start, *parts = memo(
         g, ("start", seed, search), lambda: _classify_start(g, seed, search)
@@ -101,11 +101,17 @@ def _cover_single(g, order, seed, max_swap) -> CoverResult:
         assignment = charge_order3(s)
     else:
         assignment = run_order2(s)[0].assignment
+    return _verified(g, packing, assignment)
+
+
+def _verified(g, packing, assignment) -> CoverResult:
+    """The result, once ``verify_cover`` accepts ``assignment``; at every
+    order a rejection raises ``SelfCheckError``."""
     report = verify_cover(g, assignment, len(packing))
     if not report.ok:
         focus = report.failing[:1] or packing.triangles
         raise SelfCheckError(
-            f"the order-{order} engine's cover fails verification",
+            f"the order-{assignment.order} engine's cover fails verification",
             focus_edges={e for t in focus for e in t.edge_ids},
         )
     return CoverResult(packing, assignment, report)

@@ -22,7 +22,7 @@ from tricover import (
 )
 from tricover import charges
 from tricover.charges import Ledger, _spend_spare_thirds
-from tricover.errors import StructureInvalidError
+from tricover.errors import InputError
 from tricover.generators import complete_graph, gnp
 
 from test_census import relabeled
@@ -102,7 +102,7 @@ def test_engines_reject_invalid_structure():
     g = build_graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (1, 4), (2, 4)])
     s = structure_of(g, [g.triangle(0, 1, 2)])  # type-2 configuration
     for engine in (charge_order6, charge_order3, run_order2):
-        with pytest.raises(StructureInvalidError):
+        with pytest.raises(InputError, match="structure has open violations"):
             engine(s)
 
 

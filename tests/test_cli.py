@@ -4,13 +4,16 @@ import csv
 import dataclasses
 import functools
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tricover import build_graph, oracles
+import tricover.pipeline as pl
+from tricover import build_graph, cover, errors, oracles
 from tricover.cli import main
+from tricover.errors import SelfCheckError
 from tricover.generators import complete_graph, gnp
 from tricover.graph import write_edge_list
 
@@ -135,7 +138,6 @@ def test_bench_rejects_non_positive_trials(tmp_path, capsys, trials):
 
 def test_self_check_failure_exit_code(tmp_path, capsys, monkeypatch):
     import tricover.cli as cli
-    from tricover.errors import SelfCheckError
 
     def boom(*a, **k):
         raise SelfCheckError("stuck", focus_edges={0})
@@ -157,18 +159,35 @@ def test_lp_self_check_failure_exit_code(tmp_path, capsys, monkeypatch, corrupt)
     assert stderr.startswith("self-check failed: LP ") and stderr.count("\n") == 1
 
 
-def test_cover_exit_code_when_the_result_does_not_verify(tmp_path, capsys, monkeypatch):
-    import tricover.cli as cli
+def test_error_classes():
+    # one class for rejected input and one for the library's own faults;
+    # a SelfCheckError is no ValueError, so the CLI never reports it as exit 4
+    classes = {name for name, obj in vars(errors).items() if isinstance(obj, type)}
+    assert classes == {"TricoverError", "InputError", "SelfCheckError", "InternalChargeError"}
+    assert issubclass(errors.InputError, ValueError)
+    assert issubclass(errors.InputError, errors.TricoverError)
+    assert not issubclass(errors.SelfCheckError, ValueError)
 
-    real_cover = cli.cover
 
-    def unverified(*a, **k):
-        r = real_cover(*a, **k)
-        return dataclasses.replace(r, report=dataclasses.replace(r.report, covered=False))
+def test_a_composed_cover_that_fails_verification_exits_3(tmp_path, capsys, monkeypatch):
+    # order 5 is composed from the order-2 and order-3 covers; once
+    # verify_cover rejects it, cover raises as at orders 2, 3 and 6, the CLI
+    # writes no certificate, and bench prints no row
+    real = pl.verify_cover
 
-    monkeypatch.setattr(cli, "cover", unverified)
-    code, stdout, stderr = run(capsys, "cover", k6_file(tmp_path), "--order", "2")
-    assert code == 2 and "sum_f" in stdout and "verification FAILED" in stderr
+    def reject_order_5(g, f, packing_size):
+        report = real(g, f, packing_size)
+        return dataclasses.replace(report, covered=False) if f.order == 5 else report
+
+    monkeypatch.setattr(pl, "verify_cover", reject_order_5)
+    with pytest.raises(SelfCheckError, match="the order-5 engine's cover fails verification"):
+        cover(complete_graph(6), 5)
+    out = tmp_path / "c.json"
+    code, stdout, stderr = run(capsys, "cover", k6_file(tmp_path), "--order", "5", "--out", str(out))
+    assert code == 3 and stdout == "" and stderr.startswith("self-check failed: the order-5")
+    assert not out.exists()
+    code, stdout, stderr = run(capsys, "bench", "--family", "complete", "--n", "6", "--order", "5")
+    assert code == 3 and stdout == "" and stderr.startswith("self-check failed: the order-5")
 
 
 @pytest.mark.parametrize(
@@ -198,17 +217,30 @@ def test_gen_rejects_oversized_instance(tmp_path, capsys, args):
         ["gen", "--family", "complete"],
         ["gen", "--family", "complete", "--n", "0"],
         ["cover", "GRAPH", "--order", "1"],
+        ["cover", "GRAPH"],
+        ["oracle", "GRAPH", "--what", "tau", "--cap", "abc"],
+        ["pack", "GRAPH", "--max-swap", "0"],
+        ["cover", "GRAPH", "--order", "2", "--max-swap", "0"],
+        ["bench", "--family", "complete", "--n", "6", "--trials", "0"],
     ],
     ids=[
         "glued_k4 no length", "lend_chain no length", "glued_k4 length 0",
         "lend_chain length 0", "complete no n", "complete n 0", "cover order 1",
+        "cover no order", "oracle cap abc", "pack max_swap 0", "cover max_swap 0",
+        "bench trials 0",
     ],
 )
 def test_bad_parameters_exit_code(tmp_path, capsys, args):
+    # pack and oracle take no --out: they get none, so that argparse does
+    # not reject the extra flag in place of the case's own fault
     out = tmp_path / "out.txt"
     args = [k6_file(tmp_path) if a == "GRAPH" else a for a in args]
-    code, _, stderr = run(capsys, *args, "--out", str(out))
-    assert code == 4 and stderr.startswith("error:")
+    out_flag = [] if args[0] in ("pack", "oracle") else ["--out", str(out)]
+    code, stdout, stderr = run(capsys, *args, *out_flag)
+    # one error line last, argparse's "tricover <command>: error: ..." for a
+    # usage error, and no traceback
+    last = stderr.splitlines()[-1]
+    assert code == 4 and re.fullmatch(r"(tricover \w+: )?error: .+", last) and stdout == ""
     assert not out.exists()
 
 
@@ -230,7 +262,10 @@ def test_input_error_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text",
-    ["2 1\n0\n", "3 1\n0 1 2\n", "-1 0\n", "3 1\n0 x\n", "1 0\n2 0\n", "1000000000 0\n"],
+    [
+        "2 1\n0\n", "3 1\n0 1 2\n", "-1 0\n", "3 1\n0 x\n", "1 0\n2 0\n", "1000000000 0\n",
+        "", "3 2\n0 1\n",
+    ],
 )
 def test_malformed_edge_list_exit_code(tmp_path, capsys, text):
     bad = tmp_path / "bad.txt"

@@ -3,7 +3,7 @@
 import pytest
 
 from tricover import InstanceSpec, enumerate_triangles, generate, nu_exact
-from tricover.errors import BadParamsError
+from tricover.errors import InputError
 from tricover.generators import (
     MAX_PAIRS,
     bowtie,
@@ -55,15 +55,15 @@ def test_lend_chain_shapes():
 
 
 def test_bad_params():
-    with pytest.raises(BadParamsError):
+    with pytest.raises(InputError, match="complete needs n"):
         generate(InstanceSpec("complete"))
-    with pytest.raises(BadParamsError):
+    with pytest.raises(InputError, match="gnp needs n, p, seed"):
         generate(InstanceSpec("gnp", n=5))
-    with pytest.raises(BadParamsError):
+    with pytest.raises(InputError, match="unknown family 'nosuch'"):
         generate(InstanceSpec("nosuch"))
-    with pytest.raises(BadParamsError):
+    with pytest.raises(InputError, match="lend_chain needs length >= 1"):
         lend_chain(0)
-    with pytest.raises(BadParamsError):
+    with pytest.raises(InputError, match="bad gnp parameters n=5, p=1.5"):
         gnp(5, 1.5, 0)
 
 
@@ -80,12 +80,12 @@ def test_sizes_above_the_caps_are_rejected():
         lambda: lend_chain(MAX_VERTICES // 2 - 1),  # 2L+4 vertices
         lambda: generate(InstanceSpec("glued_k4", length=10**12)),
     ):
-        with pytest.raises(BadParamsError, match="cap"):
+        with pytest.raises(InputError, match="cap"):
             make()
     # complete and gnp scan every vertex pair: at most MAX_PAIRS of them
     assert 1414 * 1413 // 2 <= MAX_PAIRS < 1415 * 1414 // 2
-    with pytest.raises(BadParamsError, match="pairs"):
+    with pytest.raises(InputError, match="pairs"):
         complete_graph(1415)
-    with pytest.raises(BadParamsError, match="pairs"):
+    with pytest.raises(InputError, match="pairs"):
         generate(InstanceSpec("gnp", n=1415, p=0.5, seed=1))
     assert gnp(1414, 0.0, 0).n == 1414

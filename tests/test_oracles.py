@@ -29,7 +29,7 @@ from tricover import (
     tau_star_k_exact,
     verify_cover,
 )
-from tricover.errors import BadParamsError, InstanceTooLargeError
+from tricover.errors import InputError
 from tricover import oracles
 from tricover.generators import bowtie, complete_graph, glued_k4, gnp, lend_chain
 from tricover.oracles import tau_star_lp_exact
@@ -227,11 +227,11 @@ def test_lp_witness_is_exact_cover():
 
 
 def test_instance_cap():
-    with pytest.raises(InstanceTooLargeError):
+    with pytest.raises(InputError, match="220 triangles exceeds cap 100"):
         nu_exact(complete_graph(12), cap=100)
-    with pytest.raises(InstanceTooLargeError):
+    with pytest.raises(InputError, match="220 triangles exceeds cap 100"):
         tau_exact(complete_graph(12), cap=100)
-    with pytest.raises(InstanceTooLargeError):
+    with pytest.raises(InputError, match="220 triangles exceeds cap 100"):
         tau_star_k_exact(complete_graph(12), 2, cap=100)
 
 
@@ -279,7 +279,7 @@ def test_compose_k2_and_k3_pass_through():
 def test_compose_missing_inputs():
     # below order 2 there is no cover to compose from
     for k in (-1, 0, 1):
-        with pytest.raises(BadParamsError):
+        with pytest.raises(InputError, match=f"order must be at least 2, got {k}"):
             cover(complete_graph(4), k)
 
 
@@ -965,7 +965,7 @@ def test_tau_star_k_sandwich_changes_no_value():
 
 
 def test_tau_star_k_rejects_k_below_one():
-    with pytest.raises(ValueError, match="k must be >= 1"):
+    with pytest.raises(InputError, match="k must be >= 1"):
         tau_star_k_exact(complete_graph(4), 0)
 
 

@@ -16,6 +16,7 @@ from tricover import (
     nu_exact,
     verify_packing,
 )
+from tricover.errors import InputError
 from tricover.graph import Triangle
 from tricover.generators import bowtie, complete_graph, glued_k4, gnp, lend_chain
 from tricover import packing
@@ -124,9 +125,9 @@ def test_packing_rejects_a_triangle_listed_twice():
     # edge is still reported first, as the certificate checker does
     g = glued_k4(2)
     a, b = g.triangle(0, 1, 2), g.triangle(0, 1, 3)
-    with pytest.raises(ValueError, match="a triangle is listed twice"):
+    with pytest.raises(InputError, match="a triangle is listed twice"):
         Packing(g, [a, a])
-    with pytest.raises(ValueError, match="used twice in packing"):
+    with pytest.raises(InputError, match="used twice in packing"):
         Packing(g, [a, b, a])
 
 
@@ -220,7 +221,7 @@ def test_local_search_terminates_within_edge_bound():
 
 
 def test_max_swap_must_be_positive():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="max_swap must be >= 1"):
         local_search_packing(complete_graph(4), 0, 0)
 
 

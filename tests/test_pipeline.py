@@ -35,6 +35,7 @@ from tricover import (
     verify_certificate,
     verify_cover,
 )
+from tricover.errors import InputError
 from tricover.generators import bowtie, complete_graph, glued_k4, gnp, lend_chain
 from tricover.pipeline import certificate_dumps, certificate_obj, graph_digest
 
@@ -210,7 +211,7 @@ def test_short_charge_raises_with_the_uncovered_triangle_as_focus(monkeypatch):
 def test_cover_rejects_a_max_swap_below_one():
     g = complete_graph(5)
     for max_swap in (0, -1):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="max_swap must be >= 1"):
             cover(g, 2, max_swap=max_swap)
 
 
