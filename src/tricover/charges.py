@@ -1,5 +1,5 @@
 """Exact fractional charge assignments, the credit ledger, and the
-order-3 engine, read at order 6 as well.
+order-3 engine.
 
 Weights are integer numerators over a fixed denominator (the order), so
 all verification is exact rational arithmetic.  Both charging engines
@@ -146,7 +146,11 @@ def require_clean(s: SolutionStructure) -> None:
 
 
 def charge_order6(s: SolutionStructure) -> ChargeAssignment:
-    """The order-3 charge in sixths: a (1/3)-integral cover is (1/6)-integral."""
+    """The order-3 charge in sixths: a (1/3)-integral cover is (1/6)-integral.
+
+    ``cover`` at order 6 gives the same numerators and ledger, as its
+    (a, b) = (0, 2) composition; this name is the census's and the
+    benchmark replay's for that composition."""
     f = charge_order3(s)
     return ChargeAssignment(6, {e: 2 * v for e, v in f.numerators.items()}, f.per_triangle)
 

@@ -2,9 +2,12 @@
 
 Exit codes, one meaning each: 0 ok; 2 ``verify`` rejected a
 certificate, and no other command exits 2; 3 a result failed the
-library's own exact check (``SelfCheckError``), at any order; 4 input
-error: an ``InputError``, a file that cannot be read or decoded, or a
-usage error, which argparse alone would exit with 2.
+library's own exact check (``SelfCheckError``), at any order, a
+violation in ``cover``'s own start packing too; 4 input error: an
+``InputError`` (an oracle search deeper than the recursion limit
+among them), a file that cannot be read or decoded, or a usage error,
+which argparse alone would exit with 2.  Each failure prints one line
+on stderr: ``self-check failed: ...`` for 3, ``error: ...`` for 4.
 """
 
 from __future__ import annotations

@@ -61,6 +61,19 @@ def _triangles_capped(g: Graph, cap: int) -> tuple[Triangle, ...]:
     return tris
 
 
+def _search(dfs, *args, triangles: int, cap: int) -> None:
+    """Run the recursive search ``dfs(*args)``; one that goes deeper than
+    the interpreter's recursion limit rejects its input, ``triangles``
+    triangles under ``cap``."""
+    try:
+        dfs(*args)
+    except RecursionError:
+        raise InputError(
+            f"{triangles} triangles under cap {cap} need a search deeper than"
+            f" the recursion limit {sys.getrecursionlimit()}"
+        ) from None
+
+
 def nu_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult:
     """Maximum number of pairwise edge-disjoint triangles, exactly.
 
@@ -74,7 +87,9 @@ def nu_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult:
 
     Every call searches afresh; the first also records its packing's
     triangles in the graph's memo as ``"nu"``, the ν that
-    ``tau_star_k_exact`` compares its incumbent cover with.
+    ``tau_star_k_exact`` compares its incumbent cover with.  The search
+    takes one frame per triangle decided on its path; one deeper than
+    the recursion limit raises ``InputError``.
     """
     tris = _triangles_capped(g, cap)
     masks = edge_masks(g)
@@ -111,7 +126,7 @@ def nu_exact(g: Graph, cap: int = DEFAULT_TRIANGLE_CAP) -> OracleResult:
         # exclude head
         dfs(rest)
 
-    dfs(list(range(len(tris))))
+    _search(dfs, list(range(len(tris))), triangles=len(tris), cap=cap)
     witness = [tris[j] for j in best]
     memo(g, "nu", lambda: tuple(witness))
     return OracleResult(Fraction(len(best)), witness, nodes)
@@ -475,6 +490,10 @@ def tau_star_k_exact(
     through the edge its parent just froze, once; the root has nothing
     frozen and propagates nothing.  Values, witnesses and node counts are
     those of a full rescan to the fixpoint.
+
+    The search takes one frame per frozen edge; one deeper than the
+    recursion limit raises ``InputError``, as does ``nu_exact`` in the
+    sandwich.
     """
     if k < 1:
         raise InputError("k must be >= 1")
@@ -682,7 +701,7 @@ def tau_star_k_exact(
             for ed, delta in reversed(trail):
                 raise_edge(ed, -delta)
 
-    dfs(0, None)
+    _search(dfs, 0, None, triangles=len(tris), cap=cap)
     witness = ChargeAssignment(k, {e: v for e, v in enumerate(best_y) if v})
     if k == 1:
         # the incumbent of every k > 1 on this graph

@@ -1,35 +1,37 @@
-"""Cover drivers: one local search, one charge, one verification.
+"""The cover driver: one local search, each engine at most once, verified.
 
-Every driver makes one pass.  The local search runs at ``max_swap`` or
-3, whichever is larger, so its packing has no improving swap of size
-three or less; by the ``structure`` module docstring such a maximal
-packing has no structure violation, which is what the charging engines
-assume (their ``require_clean`` guard stays as the backstop).  The
-engine's result, and at a composed order the composed cover, goes to
-``verify_cover`` once.  A cover that fails verification is an engine
-bug: at every order ``cover`` raises ``SelfCheckError`` at once, with
-the edges of the first uncovered triangle as focus, or every packed
-edge when every triangle is covered, and returns no failing cover.  A cover is charged once
-and never repaired.  Certificates once carried a ``repair_log`` field;
-the checker never read it, so those certificates still verify.
+Every order k >= 2 is 2a + 3b: a copies of the order-2 cover and b of
+the order-3 cover, with (a, b) = (k//2 - k%2, k%2), except that order 6
+takes (0, 2), the order-3 cover in sixths.  Each engine with a non-zero
+count runs once.  A packed triangle spends at most 2 credits in each
+engine's cover, and the sum books it sum(count * engine order / k)
+times its spending in each: weights that sum to 1, so at most 2 again.
+A cover made by one engine alone keeps that engine's ledger.
 
-Orders 2 and 3 run their own engine, order 6 the order-3 one doubled;
-``cover`` composes every other order from the order-2 and order-3
-covers.  The local search and the classification of its packing do not
-depend on the order, so both run once per graph: every order, both
-halves of a composed order, and every ``max_swap`` of 3 or less start
-from the same packing and its checked structure, kept in the graph's
-memo as values that do not hold the graph (triangles, read-only maps,
-violations) and not checked again.
+The local search runs at ``max_swap`` or 3, whichever is larger, so by
+the ``structure`` module docstring its packing has no structure
+violation, which is what the engines assume; one there is the library's
+own fault and raises ``SelfCheckError``.  The search and the
+classification of its packing do not depend on the order, so both run
+once per graph and are kept in its memo as values that do not hold the
+graph (triangles, read-only maps, violations), shared by every order
+and every ``max_swap`` of 3 or less.  A cover of one engine's weights
+goes to ``verify_cover`` once; a mixed order verifies each engine's
+cover and then their sum.  A cover that fails is an engine bug:
+``SelfCheckError`` at once, with the edges of the first uncovered
+triangle as focus, or every packed edge when every triangle is
+covered.  A cover is never repaired; certificates that still carry the
+old ``repair_log`` field verify, as the checker never read it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from types import MappingProxyType
 
-from .charges import ChargeAssignment, Report, charge_order3, charge_order6, verify_cover
+from .charges import ChargeAssignment, Report, charge_order3, verify_cover
 from .checker import graph_sha256
 from .errors import InputError, SelfCheckError
 from .graph import Graph, memo
@@ -59,23 +61,35 @@ def graph_digest(g: Graph) -> str:
 def cover(
     g: Graph, order: int, seed: int = 0, max_swap: int = DEFAULT_MAX_SWAP
 ) -> CoverResult:
-    """Verified order-``order`` cover, for every order of at least 2.
-
-    Orders 2 and 3 run their own engine, order 6 the order-3 one doubled.
-    Any other order takes order//2 copies of the order-2 cover, or one
-    copy fewer plus the order-3 cover when the order is odd.
-    """
-    if order in (2, 3, 6):
-        return _cover_single(g, order, seed, max_swap)
+    """Verified order-``order`` cover, for every order of at least 2:
+    ``a`` order-2 covers and ``b`` order-3 covers, summed, as the module
+    docstring says."""
     if order < 2:
         raise InputError(f"order must be at least 2, got {order}")
-    q = order // 2 - order % 2  # copies of the order-2 cover
-    two = _cover_single(g, 2, seed, max_swap)  # every part shares its packing
-    nums = {e: q * v for e, v in two.assignment.numerators.items()}
-    if order % 2:
-        for e, v in _cover_single(g, 3, seed, max_swap).assignment.numerators.items():
-            nums[e] = nums.get(e, 0) + v
-    return _verified(g, two.packing, ChargeAssignment(order, nums))
+    if max_swap < 1:
+        raise InputError("max_swap must be >= 1")
+    a, b = (0, 2) if order == 6 else (order // 2 - order % 2, order % 2)
+    s = _start(g, seed, max(max_swap, 3))
+    parts = []  # (count, engine's cover)
+    if a:
+        parts.append((a, run_order2(s)[0].assignment))
+    if b:
+        parts.append((b, charge_order3(s)))
+    if len(parts) == 1:
+        ((count, f),) = parts
+        if count > 1:
+            nums = {e: count * v for e, v in f.numerators.items()}
+            f = ChargeAssignment(order, nums, f.per_triangle)
+        return _verified(g, s.packing, f)
+    nums, spent = {}, {}
+    for count, f in parts:
+        _verified(g, s.packing, f)
+        for e, v in f.numerators.items():
+            nums[e] = nums.get(e, 0) + count * v
+        share = Fraction(count * f.order, order)
+        for psi, x in f.per_triangle.items():
+            spent[psi] = spent.get(psi, 0) + share * x
+    return _verified(g, s.packing, ChargeAssignment(order, nums, spent))
 
 
 def _classify_start(g, seed, max_swap) -> tuple:
@@ -86,22 +100,20 @@ def _classify_start(g, seed, max_swap) -> tuple:
     return (s.packing.triangles, *map(MappingProxyType, parts), s.violations)
 
 
-def _cover_single(g, order, seed, max_swap) -> CoverResult:
-    if max_swap < 1:
-        raise InputError("max_swap must be >= 1")
-    search = max(max_swap, 3)
+def _start(g, seed, search) -> SolutionStructure:
+    """The memoised start structure of a search at ``search``; one with a
+    violation raises ``SelfCheckError``."""
     start, *parts = memo(
         g, ("start", seed, search), lambda: _classify_start(g, seed, search)
     )
-    packing = Packing(g, list(start))
-    s = SolutionStructure(g, packing, *parts)
-    if order == 6:
-        assignment = charge_order6(s)
-    elif order == 3:
-        assignment = charge_order3(s)
-    else:
-        assignment = run_order2(s)[0].assignment
-    return _verified(g, packing, assignment)
+    s = SolutionStructure(g, Packing(g, list(start)), *parts)
+    if s.violations:
+        raise SelfCheckError(
+            "the local search's packing has open violations: "
+            f"{[v.kind for v in s.violations]}",
+            focus_edges={e for t in s.violations[0].swap.removed for e in t.edge_ids},
+        )
+    return s
 
 
 def _verified(g, packing, assignment) -> CoverResult:

@@ -41,6 +41,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
+from .errors import InputError
 from .graph import Graph, Triangle, enumerate_triangles
 from .packing import Packing, SwapCertificate
 
@@ -107,7 +108,7 @@ class SolutionStructure:
         """Edge ids of the K4 induced by V(psi) and its anchor: psi's own
         three edges, then the three spokes to the anchor."""
         if self.info[psi].anchor is None:
-            raise ValueError(f"{psi} has no anchor")
+            raise InputError(f"{psi} has no anchor")
         return list(psi.edge_ids) + [self.spoke(psi, x) for x in psi.vertices]
 
 

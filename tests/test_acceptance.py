@@ -119,6 +119,21 @@ def test_criterion_4_charging_totals():
                 assert spent in (F(3, 2), F(2)), name  # 1.5 plus one optional half
             else:
                 assert spent <= 2, name
+
+        # a composed order k = 2a + 3b books each packed triangle
+        # (2a/k) times its order-2 spending plus (3b/k) times its order-3
+        # spending: weights that sum to 1, so at most 2 credits
+        two, three = r2.assignment.per_triangle, r3.assignment.per_triangle
+        for k, a, b in ((4, 2, 0), (5, 1, 1), (7, 2, 1)):
+            rk = cover(g, k)
+            booked = rk.assignment.per_triangle
+            assert rk.packing.triangles == r2.packing.triangles == r3.packing.triangles
+            assert set(booked) <= set(rk.packing.triangles), (name, k)
+            for psi in rk.packing.triangles:
+                spent = booked.get(psi, 0)
+                assert spent == F(2 * a, k) * two.get(psi, 0) + F(3 * b, k) * three.get(psi, 0), (
+                    name, k)
+                assert spent <= 2, (name, k)
         checked += 1
     print(f"ACCEPTANCE 4 PASS: per-triangle ledgers on {checked} instances "
           f"({time.time() - t0:.1f}s)")

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,8 +18,8 @@ from tricover.errors import SelfCheckError
 from tricover.generators import complete_graph, gnp
 from tricover.graph import write_edge_list
 
-from test_oracles import LP_CORRUPTIONS
-from test_pipeline import JSON_VALUES
+from test_oracles import LP_CORRUPTIONS, disjoint_triangles
+from test_pipeline import JSON_VALUES, violating_start
 
 
 def run(capsys, *argv):
@@ -159,6 +160,25 @@ def test_lp_self_check_failure_exit_code(tmp_path, capsys, monkeypatch, corrupt)
     assert stderr.startswith("self-check failed: LP ") and stderr.count("\n") == 1
 
 
+def test_a_violating_start_exits_3(tmp_path, capsys, monkeypatch):
+    # a violation in cover's own start packing is the library's fault
+    g = violating_start(monkeypatch)
+    path = tmp_path / "g.txt"
+    write_edge_list(g, str(path))
+    code, stdout, stderr = run(capsys, "cover", str(path), "--order", "2")
+    assert code == 3 and stdout == ""
+    assert stderr.startswith("self-check failed: ") and stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("what", ["nu", "tau"])
+def test_an_oracle_search_deeper_than_the_recursion_limit_exits_4(tmp_path, capsys, what):
+    path = tmp_path / "disjoint.txt"
+    write_edge_list(disjoint_triangles(1100), str(path))
+    code, stdout, stderr = run(capsys, "oracle", str(path), "--what", what, "--cap", "2000")
+    assert code == 4 and stdout == ""
+    assert stderr.startswith("error: 1100 triangles under cap 2000") and stderr.count("\n") == 1
+
+
 def test_error_classes():
     # one class for rejected input and one for the library's own faults;
     # a SelfCheckError is no ValueError, so the CLI never reports it as exit 4
@@ -167,6 +187,9 @@ def test_error_classes():
     assert issubclass(errors.InputError, ValueError)
     assert issubclass(errors.InputError, errors.TricoverError)
     assert not issubclass(errors.SelfCheckError, ValueError)
+    # and the library raises no plain ValueError
+    package = Path(errors.__file__).parent
+    assert [f.name for f in package.glob("*.py") if "raise ValueError" in f.read_text()] == []
 
 
 def test_a_composed_cover_that_fails_verification_exits_3(tmp_path, capsys, monkeypatch):

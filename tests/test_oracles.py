@@ -1,6 +1,7 @@
 """Exact baselines, LP bound and cover's order composition."""
 
 import dataclasses
+import functools
 import hashlib
 import inspect
 import itertools
@@ -233,6 +234,41 @@ def test_instance_cap():
         tau_exact(complete_graph(12), cap=100)
     with pytest.raises(InputError, match="220 triangles exceeds cap 100"):
         tau_star_k_exact(complete_graph(12), 2, cap=100)
+
+
+def disjoint_triangles(count):
+    """``count`` vertex-disjoint triangles, on 3 * count vertices."""
+    return build_graph(3 * count, [
+        (3 * i + a, 3 * i + b) for i in range(count) for a, b in ((0, 1), (0, 2), (1, 2))
+    ])
+
+
+def test_a_search_deeper_than_the_recursion_limit_is_an_input_error():
+    # nu's search takes one frame per triangle on its path, so 1,100
+    # disjoint triangles pass the default limit of 1,000; tau's sandwich
+    # searches for nu first
+    g = disjoint_triangles(1100)
+    message = "1100 triangles under cap 2000 need a search deeper than the recursion limit"
+    for oracle in (nu_exact, tau_exact, functools.partial(tau_star_k_exact, k=2)):
+        with pytest.raises(InputError, match=message):
+            oracle(g, cap=2000)
+    assert nu_exact(disjoint_triangles(100)).value == 100
+
+
+def test_a_tau_star_k_search_deeper_than_the_recursion_limit_is_an_input_error():
+    # tau*_2 of gnp(9, 0.7, 1110) searches past the LP and the sandwich
+    # (nu, tau and the LP memoised first); with the limit a few frames
+    # above the caller its own search is the one that overflows
+    g = gnp(9, 0.7, 1110)
+    nu_exact(g), tau_exact(g), oracles.memo(g, "tau_star_lp", lambda: tau_star_lp_exact(g))
+    limit = sys.getrecursionlimit()
+    with pytest.raises(InputError, match="49 triangles under cap 200 need a search deeper"):
+        sys.setrecursionlimit(len(inspect.stack()) + 10)
+        try:
+            tau_star_k_exact(g, 2)
+        finally:
+            sys.setrecursionlimit(limit)
+    assert tau_star_k_exact(g, 2).value == 11
 
 
 COMPOSE_GRAPHS = (complete_graph(6), lend_chain(3), gnp(11, 0.5, 2), gnp(12, 0.5, 150))

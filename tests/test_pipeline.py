@@ -29,6 +29,7 @@ from tricover import (
     build_structure,
     cover,
     format_edge_list,
+    greedy_packing,
     nu_exact,
     parse_edge_list,
     tau_star_k_exact,
@@ -131,13 +132,13 @@ def test_certificate_rejects_wrong_graph():
 
 
 def test_engine_fault_surfaces_with_focus(monkeypatch):
-    # an order-6 engine that charges nothing leaves every triangle of K4
-    # uncovered; cover raises at once
+    # an order-3 engine that charges nothing leaves every triangle of K4
+    # uncovered at order 6, its cover in sixths; cover raises at once
     import tricover.pipeline as pl
     from tricover.charges import ChargeAssignment
     from tricover.errors import SelfCheckError
 
-    monkeypatch.setattr(pl, "charge_order6", lambda s: ChargeAssignment(6, {}))
+    monkeypatch.setattr(pl, "charge_order3", lambda s: ChargeAssignment(3, {}))
     g = complete_graph(4)
     try:
         pl.cover(g, 6)
@@ -148,15 +149,16 @@ def test_engine_fault_surfaces_with_focus(monkeypatch):
 
 
 def test_overweight_engine_result_raises_with_every_packed_edge_as_focus(monkeypatch):
-    # an engine result that covers every triangle but puts 7/6 on an edge
-    # fails verify_cover alone, with no uncovered triangle to name
+    # an order-3 engine result that covers every triangle but puts 4/3 on
+    # an edge, 8/6 at order 6, fails verify_cover alone, with no uncovered
+    # triangle to name
     import tricover.pipeline as pl
     from tricover.charges import ChargeAssignment
     from tricover.errors import SelfCheckError
 
     g = complete_graph(4)
-    over = {g.edge_id(0, 1): 7, g.edge_id(2, 3): 6}
-    monkeypatch.setattr(pl, "charge_order6", lambda s: ChargeAssignment(6, over))
+    over = {g.edge_id(0, 1): 4, g.edge_id(2, 3): 3}
+    monkeypatch.setattr(pl, "charge_order3", lambda s: ChargeAssignment(3, over))
     with pytest.raises(SelfCheckError) as info:
         pl.cover(g, 6)
     packed = pl.local_search_packing(g, 0, 5).triangles
@@ -177,8 +179,8 @@ def test_covered_engine_fault_raises_without_a_swap_search(monkeypatch):
     packed = pl.local_search_packing(g, 0, 3).triangles
     assert len(packed) < nu_exact(g).value
     assert cover(g, 3, seed=0, max_swap=1).report.ok  # memoises the start
-    over = ChargeAssignment(6, {e: 7 for e in range(g.m)})
-    monkeypatch.setattr(pl, "charge_order6", lambda s: over)
+    over = ChargeAssignment(3, {e: 4 for e in range(g.m)})
+    monkeypatch.setattr(pl, "charge_order3", lambda s: over)
     monkeypatch.setattr(packing, "find_swap", no_search)
     with pytest.raises(SelfCheckError) as info:
         cover(g, 6, seed=0, max_swap=1)
@@ -213,6 +215,54 @@ def test_cover_rejects_a_max_swap_below_one():
     for max_swap in (0, -1):
         with pytest.raises(InputError, match="max_swap must be >= 1"):
             cover(g, 2, max_swap=max_swap)
+
+
+def violating_start(monkeypatch):
+    """A graph whose greedy packing, T(0, 1, 2), has two edge-disjoint
+    attachments (rule A), with ``pipeline``'s local search patched to
+    return that packing."""
+    monkeypatch.setattr(pl, "local_search_packing", lambda g, seed, max_swap: greedy_packing(g))
+    return build_graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (1, 4), (2, 4)])
+
+
+def test_a_violating_start_is_a_self_check_failure(monkeypatch):
+    # the start packing is the library's own, so a violation in it is its
+    # fault, at every order; a structure from outside stays an input error
+    from tricover.errors import SelfCheckError
+
+    for order in (2, 3, 5, 6):
+        g = violating_start(monkeypatch)
+        with pytest.raises(SelfCheckError, match=r"open violations: \['TwoAttachments'\]") as info:
+            cover(g, order)
+        assert info.value.focus_edges == set(g.triangle(0, 1, 2).edge_ids)
+    with pytest.raises(InputError, match="structure has open violations"):
+        charges.charge_order3(build_structure(g, greedy_packing(g)))
+
+
+# (a, b) of every order: a order-2 covers and b order-3 covers
+ORDER_PARTS = {
+    2: (1, 0), 3: (0, 1), 4: (2, 0), 5: (1, 1), 6: (0, 2), 7: (2, 1), 8: (4, 0), 9: (3, 1)
+}
+
+
+@pytest.mark.parametrize("order, parts", ORDER_PARTS.items())
+def test_engine_and_verify_calls_per_order(monkeypatch, order, parts):
+    # a cover of one engine's weights is verified once; a mixed order
+    # verifies each engine's cover and their sum
+    g = gnp(11, 0.5, 2)
+    ran = [_count_calls(monkeypatch, pl, name) for name in ("run_order2", "charge_order3")]
+    verified = _count_calls(monkeypatch, pl, "verify_cover")
+    r = cover(g, order)
+    assert [len(calls) for calls in ran] == [min(n, 1) for n in parts]
+    assert len(verified) == (3 if all(parts) else 1)
+    assert verified[-1][1] is r.assignment and r.report.ok
+    two, three = (cover(g, k).assignment for k in (2, 3))
+    summed = {}
+    for count, f in zip(parts, (two, three)):
+        for e, v in f.numerators.items():
+            summed[e] = summed.get(e, 0) + count * v
+    assert r.assignment.support() == sorted(e for e, v in summed.items() if v)
+    assert all(r.assignment.numerators[e] == summed[e] for e in r.assignment.support())
 
 
 # covers at max_swap 1 and 2, which cover searches at 3: (graph, seed,

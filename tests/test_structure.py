@@ -17,6 +17,7 @@ from tricover import (
     greedy_packing,
     local_search_packing,
 )
+from tricover.errors import InputError
 from tricover.generators import bowtie, complete_graph, gnp
 from tricover.graph import Graph, Triangle
 from tricover.structure import PackedInfo, _apex
@@ -60,7 +61,7 @@ def test_k4_region_needs_an_anchor():
     # a type-0 triangle has no anchor, so no K4 region
     g = bowtie()
     s = build_structure(g, Packing(g, [g.triangle(0, 1, 2), g.triangle(2, 3, 4)]))
-    with pytest.raises(ValueError, match="has no anchor"):
+    with pytest.raises(InputError, match=r"T\(0, 1, 2\) has no anchor"):
         s.k4_region_edges(g.triangle(0, 1, 2))
 
 
